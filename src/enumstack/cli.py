@@ -9,6 +9,7 @@ multiple-root deployments are exercised from the shell.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from importlib.resources import files as resource_files
@@ -29,7 +30,7 @@ from .scenarios import (
     assert_invariants,
     build_topology,
     canonical_events,
-    load_config,
+    model_fixture_text,
     parse_config,
     run_events,
     value_flow,
@@ -48,8 +49,11 @@ DEMO_NUMBERS = (
 )
 
 
-def _apex_override() -> str | None:
-    return os.environ.get("ENUM_APEX") or None
+def _parse_cfg(text: str) -> ScenarioConfig:
+    """Parse scenario config text, then apply the ``ENUM_APEX`` override."""
+    cfg = parse_config(text)
+    apex = os.environ.get("ENUM_APEX")
+    return dataclasses.replace(cfg, apex=apex) if apex else cfg
 
 
 def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:
@@ -57,24 +61,12 @@ def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:
 
     Returns (config, config text) so state directories can persist it.
     """
-    apex = _apex_override()
     path = getattr(args, "scenario_file", None) or getattr(args, "config", None)
     if path:
-        cfg = load_config(path)
         text = Path(path).read_text(encoding="utf-8")
     else:
-        model = getattr(args, "model", None) or 1
-        if model not in range(1, 7):
-            raise InvalidModelCombination(f"model id {model} not in 1..6")
-        text = (
-            resource_files("enumstack")
-            .joinpath(f"fixtures/scenarios/model{model}.cfg")
-            .read_text(encoding="utf-8")
-        )
-        cfg = parse_config(text)
-    if apex:
-        cfg = ScenarioConfig(**{**cfg.__dict__, "apex": apex})
-    return cfg, text
+        text = model_fixture_text(getattr(args, "model", None) or 1)
+    return _parse_cfg(text), text
 
 
 def _bootstrap_demo(topology: Topology) -> None:
@@ -94,10 +86,7 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
         getattr(args, "scenario_file", None)
     ):
         text = cfg_file.read_text(encoding="utf-8")
-        cfg = parse_config(text)
-        apex = _apex_override()
-        if apex:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "apex": apex})
+        cfg = _parse_cfg(text)
     else:
         cfg, text = _load_cfg(args)
     topology = build_topology(cfg, seed=getattr(args, "seed", 0) or 0)

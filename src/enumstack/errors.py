@@ -226,3 +226,12 @@ class ZeroBase(MarketError):
 
 class BadPenetration(MarketError):
     """Penetration fraction outside (0, 1]."""
+
+
+def status_error(status: str, message: str) -> EnumStackError:
+    """The exception an error response's status (an exception class name)
+    names; an unknown name gives an ``EnumStackError`` that keeps it."""
+    exc_type = globals().get(status)
+    if isinstance(exc_type, type) and issubclass(exc_type, EnumStackError):
+        return exc_type(message)
+    return EnumStackError(f"{status}: {message}")

@@ -36,11 +36,12 @@ from .errors import (
     UnknownTransfer,
     VerificationFailed,
 )
-from .e164 import ApexConfig, DEFAULT_APEX
+from .e164 import ApexConfig, DEFAULT_APEX, parse_number
 from .naptr import (
     NaptrRecord,
     NaptrRecordSet,
     ServiceSelector,
+    Visibility,
     parse_stored_line,
     render_stored_line,
 )
@@ -153,15 +154,6 @@ class TransferState(Enum):
     DISPUTED = "Disputed"
 
 
-_TRANSFER_ORDER = (
-    TransferState.REQUESTED,
-    TransferState.OLD_NOTIFIED,
-    TransferState.RECORDS_MIGRATED,
-    TransferState.REGISTRY_UPDATED,
-    TransferState.COMPLETE,
-)
-
-
 @dataclass
 class TransferRecord:
     """One registrar-change in flight, owned by the new registrar."""
@@ -179,6 +171,11 @@ class TransferRecord:
     def __post_init__(self) -> None:
         if not self.history:
             self.history.append(self.state)
+
+    @property
+    def finished(self) -> bool:
+        """Completed or disputed: no further step or dispute is possible."""
+        return self.state in (TransferState.COMPLETE, TransferState.DISPUTED)
 
     def _advance(self, state: TransferState) -> None:
         self.state = state
@@ -246,6 +243,12 @@ class RegistrarActor:
         sub = self.directory.get(number)
         if sub is None:
             raise UnknownSubscription(f"no subscription for {number!r}")
+        return sub
+
+    def _subscriber_of(self, number: str, user: str) -> Subscription:
+        sub = self._subscription(number)
+        if sub.user != user:
+            raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
         return sub
 
     def _active_here(self, number: str) -> Subscription:
@@ -377,8 +380,6 @@ class RegistrarActor:
         return self.record_set(number)
 
     def record_set(self, number: str) -> NaptrRecordSet:
-        from .e164 import parse_number
-
         return NaptrRecordSet(
             number=parse_number("+" + number),
             records=tuple(self.store.get(number, ())),
@@ -393,23 +394,19 @@ class RegistrarActor:
         """Filtered view: public records for anyone, restricted ones only
         for actors with access rights. Never raises; inactive or foreign
         numbers yield an empty view."""
-        from .e164 import parse_number
-        from .naptr import Visibility
-
         sub = self.directory.get(number)
-        empty = NaptrRecordSet(number=parse_number("+" + number), records=())
-        if sub is None or not sub.enum_active or sub.serving_registrar != self.actor_id:
-            return empty
-        visible = [
-            rec
-            for rec in self.store.get(number, ())
-            if selector.matches(rec.service)
-            and (
-                rec.visibility is Visibility.PUBLIC
-                or self._read_restricted(sub, actor, rec.service)
+        visible: tuple[NaptrRecord, ...] = ()
+        if sub is not None and sub.enum_active and sub.serving_registrar == self.actor_id:
+            visible = tuple(
+                rec
+                for rec in self.store.get(number, ())
+                if selector.matches(rec.service)
+                and (
+                    rec.visibility is Visibility.PUBLIC
+                    or self._read_restricted(sub, actor, rec.service)
+                )
             )
-        ]
-        return NaptrRecordSet(number=parse_number("+" + number), records=tuple(visible))
+        return NaptrRecordSet(number=parse_number("+" + number), records=visible)
 
     # ------------------------------------------------------------ grants
 
@@ -422,9 +419,7 @@ class RegistrarActor:
         number: str,
         grant_id: str,
     ) -> AuthorizationGrant:
-        sub = self._subscription(number)
-        if sub.user != user:
-            raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
+        self._subscriber_of(number, user)
         grant = AuthorizationGrant(
             grant_id=grant_id,
             grantor=user,
@@ -437,9 +432,7 @@ class RegistrarActor:
         return grant
 
     def revoke_access(self, user: str, number: str, grant_id: str) -> None:
-        sub = self._subscription(number)
-        if sub.user != user:
-            raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
+        self._subscriber_of(number, user)
         grants = self.grants.get(number, [])
         for i, grant in enumerate(grants):
             if grant.grant_id == grant_id:
@@ -485,7 +478,7 @@ class RegistrarActor:
         record = self.transfers.get(transfer_id)
         if record is None:
             raise UnknownTransfer(f"no transfer {transfer_id!r}")
-        if record.state in (TransferState.COMPLETE, TransferState.DISPUTED):
+        if record.finished:
             raise AlreadyComplete(f"transfer {transfer_id!r} is {record.state.value}")
 
         if record.state is TransferState.REQUESTED:
@@ -559,10 +552,15 @@ class RegistrarActor:
     def run_transfer(
         self, user: str, number: str, transfer_id: str, net: Network, event: str = ""
     ) -> TransferRecord:
-        record = self.begin_transfer(user, number, transfer_id)
-        while record.state not in (TransferState.COMPLETE, TransferState.DISPUTED):
-            self.step_transfer(transfer_id, net, event=event)
-        return record
+        self.begin_transfer(user, number, transfer_id)
+        return self.finish_transfer(transfer_id, net, event=event)
+
+    def finish_transfer(self, transfer_id: str, net: Network, event: str = "") -> TransferRecord:
+        """Step an open transfer until it completes or is disputed."""
+        while True:
+            record = self.step_transfer(transfer_id, net, event=event)
+            if record.finished:
+                return record
 
     def dispute_transfer(
         self, old_registrar: str, transfer_id: str, reason: str, net: Network
@@ -576,7 +574,7 @@ class RegistrarActor:
             raise UnknownTransfer(
                 f"transfer {transfer_id!r} does not involve {old_registrar!r}"
             )
-        if record.state in (TransferState.COMPLETE, TransferState.DISPUTED):
+        if record.finished:
             raise AlreadyComplete(f"transfer {transfer_id!r} is {record.state.value}")
 
         if record.state is TransferState.REGISTRY_UPDATED:
@@ -627,11 +625,7 @@ class RegistrarActor:
     ) -> Subscription:
         """``enum_only`` withdraws ENUM service but keeps the phone number;
         ``telephone`` drops both and purges all ENUM state."""
-        sub = self.directory.get(number)
-        if sub is None:
-            raise UnknownSubscription(f"no subscription for {number!r}")
-        if sub.user != user:
-            raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
+        sub = self._subscriber_of(number, user)
         if kind not in ("enum_only", "telephone"):
             raise RegistrarError(f"unknown disconnect kind {kind!r}")
         if sub.enum_active and sub.serving_registrar != self.actor_id:

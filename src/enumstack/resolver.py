@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import errors
 from .e164 import ApexConfig, E164Number, parse_number, to_domain
-from .errors import EnumStackError, HopTimeout
+from .errors import HopTimeout, status_error
 from .naptr import NaptrRecordSet, ServiceSelector, resolve_record_set, Visibility
 from .registrar import parse_store_lines
 from .simulator import Network
@@ -60,13 +59,6 @@ class Resolution:
     record_lines: str = ""
 
 
-def _raise_status(status: str, message: str) -> None:
-    exc_type = getattr(errors, status, None)
-    if isinstance(exc_type, type) and issubclass(exc_type, EnumStackError):
-        raise exc_type(message)
-    raise EnumStackError(f"{status}: {message}")
-
-
 def _fetch_records(
     net: Network,
     client_id: str,
@@ -75,7 +67,7 @@ def _fetch_records(
     raw_number: str,
     service: str,
     default_country_code: str | None = None,
-) -> tuple[E164Number, str, ResolutionTrace, Resolution]:
+) -> Resolution:
     number = parse_number(raw_number, default_country_code=default_country_code)
     domain = to_domain(number, apex)
     trace = ResolutionTrace(number=number.render(), domain=domain.render())
@@ -87,7 +79,7 @@ def _fetch_records(
     if response is None:
         raise HopTimeout("tier-0 discovery timed out")
     if not response.ok:
-        _raise_status(response.status, response.get("message"))
+        raise status_error(response.status, response.get("message"))
     registries = [r for r in response.get("registries").split(",") if r]
 
     registrar = ""
@@ -102,7 +94,7 @@ def _fetch_records(
             continue
         trace.hops.append(hop)
         if not response.ok:
-            _raise_status(response.status, response.get("message"))
+            raise status_error(response.status, response.get("message"))
         registrar = response.get("registrar")
         registry = reg_id
         break
@@ -121,9 +113,9 @@ def _fetch_records(
     if response is None:
         raise HopTimeout(f"registrar {registrar} timed out")
     if not response.ok:
-        _raise_status(response.status, response.get("message"))
+        raise status_error(response.status, response.get("message"))
 
-    result = Resolution(
+    return Resolution(
         number=number,
         uris=[],
         warnings=[],
@@ -132,7 +124,6 @@ def _fetch_records(
         registry=registry,
         record_lines=response.get("records"),
     )
-    return number, response.get("records"), trace, result
 
 
 def resolve(
@@ -150,16 +141,17 @@ def resolve(
     EnumInactive, HopTimeout); a service with no matching records is an
     empty list, not an error.
     """
-    number, lines, trace, result = _fetch_records(
+    result = _fetch_records(
         net, client_id, tier0_id, apex, raw_number, service, default_country_code
     )
-    record_set = NaptrRecordSet(number=number, records=tuple(parse_store_lines(lines)))
+    number = result.number
+    record_set = NaptrRecordSet(
+        number=number, records=tuple(parse_store_lines(result.record_lines))
+    )
     # The registrar already filtered visibility for this requester.
-    uris, warnings = resolve_record_set(
+    result.uris, result.warnings = resolve_record_set(
         record_set, ServiceSelector(service), number, Visibility.RESTRICTED
     )
-    result.uris = uris
-    result.warnings = warnings
     return result
 
 
@@ -172,10 +164,11 @@ def resolve_all(
     default_country_code: str | None = None,
 ) -> dict[str, list[str]]:
     """Wildcard resolution grouped by service field."""
-    number, lines, trace, _ = _fetch_records(
+    fetched = _fetch_records(
         net, client_id, tier0_id, apex, raw_number, "*", default_country_code
     )
-    records = parse_store_lines(lines)
+    number = fetched.number
+    records = parse_store_lines(fetched.record_lines)
     record_set = NaptrRecordSet(number=number, records=tuple(records))
     services: list[str] = []
     for rec in records:

@@ -19,10 +19,12 @@ and replication is checked serial-by-serial.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
 from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
+from typing import Any, Callable, Iterator
 
 from . import resolver as resolver_mod
 from .e164 import ApexConfig, parse_number
@@ -36,6 +38,7 @@ from .errors import (
     RunIncomplete,
     ScenarioError,
     UnknownSubscription,
+    status_error,
 )
 from .naptr import (
     NaptrRecord,
@@ -163,12 +166,6 @@ class ScenarioConfig:
             parties[gid] = Party(gid, Role.REGISTRY)
         return tuple(parties.values())
 
-    def party_role(self, party_id: str) -> str:
-        for party in self.actors:
-            if party.id == party_id:
-                return party.role.value
-        return "?"
-
     def home_of(self, registrar: str) -> str:
         if registrar in self.homes:
             return self.homes[registrar]
@@ -225,52 +222,46 @@ def parse_config(text: str) -> ScenarioConfig:
             return _split_list(parser.get("actors", option))
         return ()
 
-    tier0_entries = {}
-    if parser.has_section("tier0"):
-        for prefix, value in parser.items("tier0"):
-            tier0_entries[prefix] = _split_list(value)
-
-    accreditation = {}
-    if parser.has_section("accreditation"):
-        for registry, value in parser.items("accreditation"):
-            # configparser lowercases keys; registry ids keep their case
-            # from the [actors] section, so match case-insensitively.
-            accreditation[registry] = frozenset(_split_list(value))
-
-    homes = {}
-    if parser.has_section("homes"):
-        for registrar, value in parser.items("homes"):
-            homes[registrar] = value.strip()
+    def section(name: str) -> list[tuple[str, str]]:
+        return parser.items(name) if parser.has_section(name) else []
 
     registries = actor_list("registries")
+    # configparser lowercases keys; registry ids keep their case from the
+    # [actors] section, so match them case-insensitively.
     id_map = {name.lower(): name for name in registries}
+
+    def registry_id(name: str) -> str:
+        return id_map.get(name.lower(), name)
+
     tier0_entries = {
-        prefix: tuple(id_map.get(r.lower(), r) for r in regs)
-        for prefix, regs in tier0_entries.items()
+        prefix: tuple(registry_id(reg) for reg in _split_list(value))
+        for prefix, value in section("tier0")
     }
     accreditation = {
-        id_map.get(reg.lower(), reg): members for reg, members in accreditation.items()
+        registry_id(registry): frozenset(_split_list(value))
+        for registry, value in section("accreditation")
     }
-    homes = {
-        registrar: id_map.get(home.lower(), home) for registrar, home in homes.items()
-    }
+    homes = {registrar: registry_id(value.strip()) for registrar, value in section("homes")}
 
     def fee(option: str, default: float) -> float:
-        if parser.has_option("fees", option):
+        if not parser.has_option("fees", option):
+            return default
+        try:
             return parser.getfloat("fees", option)
-        return default
+        except ValueError:
+            raise ScenarioError(f"fee {option} is not a number") from None
 
     network_related = frozenset({"E2U+sip", "E2U+tel"})
     if parser.has_option("access", "network_related"):
         network_related = frozenset(_split_list(parser.get("access", "network_related")))
 
     fault_plan: list[tuple[str, int, int]] = []
-    if parser.has_section("faults"):
-        for actor, value in parser.items("faults"):
-            start_text, sep, end_text = value.partition(":")
-            if not sep:
-                raise ScenarioError(f"fault window {value!r} is not start:end")
+    for actor, value in section("faults"):
+        start_text, _, end_text = value.partition(":")
+        try:
             fault_plan.append((actor, int(start_text), int(end_text)))
+        except ValueError:
+            raise ScenarioError(f"fault window {value!r} is not start:end") from None
 
     apex = "e164.arpa"
     if parser.has_option("model", "apex"):
@@ -300,21 +291,21 @@ def load_config(path: str) -> ScenarioConfig:
         return parse_config(handle.read())
 
 
-def builtin_config(model_id: int, apex: str | None = None) -> ScenarioConfig:
-    """One of the six shipped scenario fixtures."""
+def model_fixture_text(model_id: int) -> str:
+    """The config text of one of the six shipped scenario fixtures."""
     if model_id not in MODEL_GRID:
         raise InvalidModelCombination(f"model id {model_id} not in 1..6")
-    text = (
+    return (
         resource_files("enumstack")
         .joinpath(f"fixtures/scenarios/model{model_id}.cfg")
         .read_text(encoding="utf-8")
     )
-    cfg = parse_config(text)
-    if apex:
-        cfg = ScenarioConfig(
-            **{**cfg.__dict__, "apex": apex}  # type: ignore[arg-type]
-        )
-    return cfg
+
+
+def builtin_config(model_id: int, apex: str | None = None) -> ScenarioConfig:
+    """One of the six shipped scenario fixtures."""
+    cfg = parse_config(model_fixture_text(model_id))
+    return dataclasses.replace(cfg, apex=apex) if apex else cfg
 
 
 def canonical_events() -> str:
@@ -380,15 +371,6 @@ class EventLog:
 
 
 # ---------------------------------------------------------------- topology
-
-
-def _status_error(status: str, message: str) -> EnumStackError:
-    from . import errors as errors_mod
-
-    exc_type = getattr(errors_mod, status, None)
-    if isinstance(exc_type, type) and issubclass(exc_type, EnumStackError):
-        return exc_type(message)
-    return EnumStackError(f"{status}: {message}")
 
 
 class Topology:
@@ -512,7 +494,7 @@ class Topology:
         if response is None:
             raise HopTimeout(f"{kind} to {dst} timed out")
         if not response.ok:
-            raise _status_error(response.status, response.get("message"))
+            raise status_error(response.status, response.get("message"))
         return response
 
     def drain(self) -> None:
@@ -596,15 +578,7 @@ class Topology:
                 raise InvalidRecord(f"empty record line {line!r}")
             rec = parsed[0]
             if visibility:
-                rec = NaptrRecord(
-                    order=rec.order,
-                    preference=rec.preference,
-                    flags=rec.flags,
-                    service=rec.service,
-                    regexp=rec.regexp,
-                    replacement=rec.replacement,
-                    visibility=Visibility(visibility),
-                )
+                rec = dataclasses.replace(rec, visibility=Visibility(visibility))
             records.append(rec)
         return records
 
@@ -618,7 +592,7 @@ class Topology:
         def op(eid: str, digits: str):
             try:
                 records = self._parse_record_lines(record, visibility)
-            except NaptrError as exc:
+            except (NaptrError, ValueError) as exc:  # ValueError: unknown visibility
                 raise InvalidRecord(str(exc)) from exc
             lines = "\n".join(render_stored_line(r) for r in records)
             serving = self._serving(digits)
@@ -710,8 +684,9 @@ class Topology:
             "get", {"actor": actor, "service": service}, op, number=number
         )
 
-    def _transfer_context(self, digits: str, to: str) -> tuple[str, str, str]:
-        """(transfer id, old registrar, old store snapshot for conservation)."""
+    def _open_transfer(self, eid: str, digits: str, user: str, to: str) -> dict[str, str]:
+        """Open a registrar change at *to*; returns the detail both transfer
+        kinds log, with the old store's snapshot for transfer conservation."""
         self._transfer_n += 1
         transfer_id = f"x{self._transfer_n}"
         sub = self.directory.get(digits)
@@ -719,30 +694,32 @@ class Topology:
         old_snapshot = ""
         if old in self.registrars:
             old_snapshot = render_store_lines(self.registrars[old].store.get(digits, []))
-        return transfer_id, old, old_snapshot
+        self._request(
+            f"client:{user}",
+            to,
+            TRANSFER_INIT,
+            {"number": digits, "user": user, "transfer": transfer_id, "event": eid},
+        )
+        self._transfer_host[transfer_id] = to
+        return {"from": old, "to": to, "transfer": transfer_id, "old_snapshot": old_snapshot}
+
+    def _transfer_actor(self, transfer: str) -> RegistrarActor:
+        host = self._transfer_host.get(transfer)
+        if host is None:
+            raise ScenarioError(f"unknown transfer {transfer!r}")
+        return self.registrars[host]
 
     def transfer(self, number: str, user: str, to: str) -> dict[str, str]:
         """Run the whole registrar-change state machine."""
 
         def op(eid: str, digits: str):
-            transfer_id, old, old_snapshot = self._transfer_context(digits, to)
-            self._request(
-                f"client:{user}",
-                to,
-                TRANSFER_INIT,
-                {"number": digits, "user": user, "transfer": transfer_id, "event": eid},
+            opened = self._open_transfer(eid, digits, user, to)
+            record = self.registrars[to].finish_transfer(
+                opened["transfer"], self.net, event=eid
             )
-            self._transfer_host[transfer_id] = to
-            actor = self.registrars[to]
-            record = actor.transfers[transfer_id]
-            while record.state not in (TransferState.COMPLETE, TransferState.DISPUTED):
-                actor.step_transfer(transfer_id, self.net, event=eid)
             self.drain()
             return {
-                "from": old,
-                "to": to,
-                "transfer": transfer_id,
-                "old_snapshot": old_snapshot,
+                **opened,
                 "state": record.state.value,
                 "warnings": " / ".join(record.warnings),
                 "migrated": render_store_lines(list(record.migrated)),
@@ -756,21 +733,8 @@ class Topology:
 
     def begin_transfer(self, number: str, user: str, to: str) -> str:
         def op(eid: str, digits: str):
-            transfer_id, old, old_snapshot = self._transfer_context(digits, to)
-            self._request(
-                f"client:{user}",
-                to,
-                TRANSFER_INIT,
-                {"number": digits, "user": user, "transfer": transfer_id, "event": eid},
-            )
-            self._transfer_host[transfer_id] = to
-            return {
-                "from": old,
-                "to": to,
-                "transfer": transfer_id,
-                "old_snapshot": old_snapshot,
-                "state": TransferState.REQUESTED.value,
-            }
+            opened = self._open_transfer(eid, digits, user, to)
+            return {**opened, "state": TransferState.REQUESTED.value}
 
         detail = self._run_op(
             "transfer_begin", {"user": user, "to": to}, op, number=number
@@ -778,13 +742,10 @@ class Topology:
         return detail["transfer"]
 
     def step_transfer(self, transfer: str) -> dict[str, str]:
-        host = self._transfer_host.get(transfer)
-        if host is None:
-            raise ScenarioError(f"unknown transfer {transfer!r}")
-        actor = self.registrars[host]
-
         def op(eid: str):
-            record = actor.step_transfer(transfer, self.net, event=eid)
+            record = self._transfer_actor(transfer).step_transfer(
+                transfer, self.net, event=eid
+            )
             self.drain()
             detail = {
                 "state": record.state.value,
@@ -802,19 +763,16 @@ class Topology:
         return self._run_op("transfer_step", {"transfer": transfer}, op)
 
     def dispute_transfer(self, transfer: str, by: str, reason: str = "") -> dict[str, str]:
-        host = self._transfer_host.get(transfer)
-        if host is None:
-            raise ScenarioError(f"unknown transfer {transfer!r}")
-
         def op(eid: str):
+            actor = self._transfer_actor(transfer)
             response = self._request(
                 f"client:{by}",
-                host,
+                actor.actor_id,
                 TRANSFER_DISPUTE,
                 {"transfer": transfer, "by": by, "reason": reason, "event": eid},
             )
             self.drain()
-            record = self.registrars[host].transfers[transfer]
+            record = actor.transfers[transfer]
             return {
                 "state": response.get("state"),
                 "number": record.number,
@@ -1019,77 +977,76 @@ def parse_events(text: str) -> list[Event]:
     return events
 
 
+# Script kind -> (Topology method, required keys, {optional key: default}).
+# run_events looks each method up on the topology instance by name, so
+# wrappers set on the instance see every step.
+_STEPS: dict[str, tuple[str, tuple[str, ...], dict[str, str | None]]] = {
+    "assign": ("assign", ("number", "user", "tsp"), {}),
+    "confirm": ("confirm", ("number", "registrar"), {}),
+    "subscribe": (
+        "subscribe",
+        ("number", "user", "registrar"),
+        {"token": None, "confirmed": None, "payer": None},
+    ),
+    "provision": ("provision", ("number", "actor", "record"), {"visibility": None}),
+    "grant": ("grant", ("number", "user", "grantee"), {"rights": "provision", "scope": "*"}),
+    "revoke": ("revoke", ("number", "user", "grant"), {}),
+    "get": ("get", ("number", "actor"), {"service": "*"}),
+    "transfer": ("transfer", ("number", "user", "to"), {}),
+    "transfer_begin": ("begin_transfer", ("number", "user", "to"), {}),
+    "transfer_step": ("step_transfer", ("transfer",), {}),
+    "dispute": ("dispute_transfer", ("transfer", "by"), {"reason": ""}),
+    "disconnect": ("disconnect", ("number", "user"), {"kind": "enum_only"}),
+    "resolve": ("resolve", ("number",), {"service": "*"}),
+    "cooperate": ("cooperate", ("payer", "tsp"), {"approach": "ASP-directed", "amount": None}),
+    "advance": ("advance", (), {"ticks": "1"}),
+    "offline": ("offline", ("actor",), {}),
+    "online": ("online", ("actor",), {}),
+}
+
+# Optional arguments that are not strings; a key means the same in every kind.
+_CONVERTERS: dict[str, Callable[[Any], Any]] = {
+    "confirmed": lambda value: value == "1",
+    "amount": lambda value: float(value) if value else None,
+    "ticks": int,
+}
+
+
+def _step_arguments(event: Event) -> tuple[str, dict[str, Any]]:
+    """(Topology method, keyword arguments) for a known step kind."""
+    method, required, defaults = _STEPS[event.kind]
+    missing = [key for key in required if key not in event.args]
+    if missing:
+        raise ScenarioError(f"missing argument {', '.join(missing)}")
+    kwargs: dict[str, Any] = {key: event.args[key] for key in required}
+    for key, default in defaults.items():
+        value = event.args.get(key, default)
+        convert = _CONVERTERS.get(key)
+        try:
+            kwargs[key] = convert(value) if convert else value
+        except ValueError:
+            raise ScenarioError(f"bad argument {key}={value!r}") from None
+    return method, kwargs
+
+
 def run_events(topology: Topology, events: str | list[Event]) -> EventLog:
     """Execute a script; per-event errors are logged, never fatal."""
     if isinstance(events, str):
         events = parse_events(events)
     for event in events:
-        args = event.args
+        if event.kind not in _STEPS:
+            topology._append(
+                topology._next_event_id(), event.kind, "UnknownEvent", dict(event.args)
+            )
+            continue
         try:
-            if event.kind == "assign":
-                topology.assign(args["number"], args["user"], args["tsp"])
-            elif event.kind == "confirm":
-                topology.confirm(args["number"], args["registrar"])
-            elif event.kind == "subscribe":
-                topology.subscribe(
-                    args["number"],
-                    args["user"],
-                    args["registrar"],
-                    token=args.get("token"),
-                    confirmed=args.get("confirmed") == "1",
-                    payer=args.get("payer"),
-                )
-            elif event.kind == "provision":
-                topology.provision(
-                    args["number"],
-                    args["actor"],
-                    args["record"],
-                    visibility=args.get("visibility"),
-                )
-            elif event.kind == "grant":
-                topology.grant(
-                    args["number"],
-                    args["user"],
-                    args["grantee"],
-                    args.get("rights", "provision"),
-                    args.get("scope", "*"),
-                )
-            elif event.kind == "revoke":
-                topology.revoke(args["number"], args["user"], args["grant"])
-            elif event.kind == "get":
-                topology.get(args["number"], args["actor"], args.get("service", "*"))
-            elif event.kind == "transfer":
-                topology.transfer(args["number"], args["user"], args["to"])
-            elif event.kind == "transfer_begin":
-                topology.begin_transfer(args["number"], args["user"], args["to"])
-            elif event.kind == "transfer_step":
-                topology.step_transfer(args["transfer"])
-            elif event.kind == "dispute":
-                topology.dispute_transfer(
-                    args["transfer"], args["by"], args.get("reason", "")
-                )
-            elif event.kind == "disconnect":
-                topology.disconnect(args["number"], args["user"], args.get("kind", "enum_only"))
-            elif event.kind == "resolve":
-                topology.resolve(args["number"], args.get("service", "*"))
-            elif event.kind == "cooperate":
-                amount = args.get("amount")
-                topology.cooperate(
-                    args["payer"],
-                    args["tsp"],
-                    args.get("approach", "ASP-directed"),
-                    amount=float(amount) if amount else None,
-                )
-            elif event.kind == "advance":
-                topology.advance(int(args.get("ticks", "1")))
-            elif event.kind == "offline":
-                topology.offline(args["actor"])
-            elif event.kind == "online":
-                topology.online(args["actor"])
-            else:
-                topology._append(
-                    topology._next_event_id(), event.kind, "UnknownEvent", dict(args)
-                )
+            method, kwargs = _step_arguments(event)
+        except ScenarioError as exc:
+            detail = {**event.args, "message": str(exc)}
+            topology._append(topology._next_event_id(), event.kind, type(exc).__name__, detail)
+            continue
+        try:
+            getattr(topology, method)(**kwargs)
         except EnumStackError:
             continue  # already logged by the operation
     topology.drain()
@@ -1127,6 +1084,23 @@ class ValueFlowGraph:
         return [e.render() for e in self.edges]
 
 
+# Transfer kinds, each with the state in which it completes a registrar change.
+_BILLED_STATES = {"transfer": "Complete", "transfer_step": "RegistryUpdated"}
+
+
+def _billed(records: list[LogRecord]) -> Iterator[tuple[LogRecord, str]]:
+    """Each log record that bills the registry its flat fee, with the
+    registrar billed: a successful subscription bills its registrar, a
+    completed registrar change (a whole ``transfer`` or the
+    ``RegistryUpdated`` step of a paced one) the new registrar."""
+    for rec in records:
+        kind = rec.kind
+        if kind == "subscribe" and rec.ok:
+            yield rec, rec.detail.get("registrar", "")
+        elif kind in _BILLED_STATES and rec.ok and rec.detail.get("state") == _BILLED_STATES[kind]:
+            yield rec, rec.detail.get("to", "")
+
+
 def value_flow_from_log(records: list[LogRecord], cfg: ScenarioConfig) -> ValueFlowGraph:
     """Derive payment edges from a run log.
 
@@ -1135,64 +1109,39 @@ def value_flow_from_log(records: list[LogRecord], cfg: ScenarioConfig) -> ValueF
     completed registrar change pays the registry a flat fee; cooperation
     events add side payments to TSPs.
     """
+    roles = {party.id: party.role.value for party in cfg.actors}
+    # Log records are unhashable, so the billing ones are keyed by identity.
+    billed = {id(rec): registrar for rec, registrar in _billed(records)}
     edges: list[ValueFlowEdge] = []
-    role = cfg.party_role
+
+    def pay(payer: str, payee: str, amount: float, rec: LogRecord) -> None:
+        edges.append(
+            ValueFlowEdge(
+                payer, roles.get(payer, "?"), payee, roles.get(payee, "?"),
+                amount, rec.event_id,
+            )
+        )
+
     for rec in records:
         if not rec.ok:
             continue
         if rec.kind == "subscribe":
             user = rec.detail.get("user", "")
-            registrar = rec.detail.get("registrar", "")
             payer = rec.detail.get("payer", user)
             if not (
                 payer != user
-                and role(payer) == Role.ASP.value
+                and roles.get(payer) == Role.ASP.value
                 and cfg.registrar_kind is Role.TSP
             ):
                 payer = user
-            edges.append(
-                ValueFlowEdge(
-                    payer, role(payer), registrar, role(registrar),
-                    cfg.user_fee, rec.event_id,
-                )
-            )
-            registry = rec.detail.get("registry", "")
-            if registry:
-                edges.append(
-                    ValueFlowEdge(
-                        registrar, role(registrar), registry, role(registry),
-                        cfg.flat_fee, rec.event_id,
-                    )
-                )
-        elif rec.kind == "transfer" and rec.detail.get("state") == "Complete":
-            registrar = rec.detail.get("to", "")
-            registry = rec.detail.get("registry", "")
-            if registry:
-                edges.append(
-                    ValueFlowEdge(
-                        registrar, role(registrar), registry, role(registry),
-                        cfg.flat_fee, rec.event_id,
-                    )
-                )
-        elif rec.kind == "transfer_step" and rec.detail.get("state") == "RegistryUpdated":
-            registrar = rec.detail.get("to", "")
-            registry = rec.detail.get("registry", "")
-            if registry:
-                edges.append(
-                    ValueFlowEdge(
-                        registrar, role(registrar), registry, role(registry),
-                        cfg.flat_fee, rec.event_id,
-                    )
-                )
+            pay(payer, rec.detail.get("registrar", ""), cfg.user_fee, rec)
         elif rec.kind == "cooperate":
-            payer = rec.detail.get("payer", "")
-            tsp = rec.detail.get("tsp", "")
-            edges.append(
-                ValueFlowEdge(
-                    payer, role(payer), tsp, role(tsp),
-                    float(rec.detail.get("amount", "1")), rec.event_id,
-                )
-            )
+            amount = float(rec.detail.get("amount", "1"))
+            pay(rec.detail.get("payer", ""), rec.detail.get("tsp", ""), amount, rec)
+        registrar = billed.get(id(rec))
+        registry = rec.detail.get("registry", "")
+        if registrar is not None and registry:
+            pay(registrar, registry, cfg.flat_fee, rec)
     return ValueFlowGraph(edges=tuple(edges))
 
 
@@ -1390,28 +1339,24 @@ def assert_invariants(topology: Topology) -> InvariantReport:
             )
     results.append(InvariantResult("single_store", not violations, violations))
 
-    # transfer conservation: clean transfers carry the exact multiset.
+    # transfer conservation: clean transfers carry the exact multiset. A
+    # whole transfer logs its own source snapshot; a paced one logs it at
+    # transfer_begin and the migrated set at its RecordsMigrated step.
     violations = []
-    begin_snapshots = {
-        rec.detail.get("transfer", ""): rec.detail.get("old_snapshot", "")
-        for rec in log
-        if rec.kind == "transfer_begin" and rec.ok
-    }
+    snapshots: dict[str, str] = {}
     for rec in log:
-        if not rec.ok:
+        kind = rec.kind
+        if kind not in ("transfer", "transfer_begin", "transfer_step") or not rec.ok:
             continue
-        if rec.kind == "transfer" and not rec.detail.get("warnings"):
-            if _multiset(rec.detail.get("migrated", "")) != _multiset(
-                rec.detail.get("old_snapshot", "")
-            ):
-                violations.append(f"{rec.event_id}: migrated set differs from source")
-        if (
-            rec.kind == "transfer_step"
-            and rec.detail.get("state") == "RecordsMigrated"
-            and not rec.detail.get("warnings")
-        ):
-            snapshot = begin_snapshots.get(rec.detail.get("transfer", ""), "")
-            if _multiset(rec.detail.get("migrated", "")) != _multiset(snapshot):
+        d = rec.detail
+        if kind != "transfer_step":
+            snapshots[d.get("transfer", "")] = d.get("old_snapshot", "")
+        moved = kind == "transfer" or (
+            kind == "transfer_step" and d.get("state") == "RecordsMigrated"
+        )
+        if moved and not d.get("warnings"):
+            source = snapshots.get(d.get("transfer", ""), "")
+            if _multiset(d.get("migrated", "")) != _multiset(source):
                 violations.append(f"{rec.event_id}: migrated set differs from source")
     results.append(InvariantResult("transfer_conservation", not violations, violations))
 
@@ -1429,16 +1374,7 @@ def assert_invariants(topology: Topology) -> InvariantReport:
     results.append(InvariantResult("serial_monotonicity", not violations, violations))
 
     # billing conservation: ledgers equal flat fee times charged events.
-    charged = 0
-    for rec in log:
-        if not rec.ok:
-            continue
-        if rec.kind == "subscribe":
-            charged += 1
-        elif rec.kind == "transfer" and rec.detail.get("state") == "Complete":
-            charged += 1
-        elif rec.kind == "transfer_step" and rec.detail.get("state") == "RegistryUpdated":
-            charged += 1
+    charged = sum(1 for _ in _billed(log))
     ledger_total = sum(a.state.ledger_total() for a in topology.registries.values())
     expected = cfg.flat_fee * charged
     ok = abs(ledger_total - expected) < 1e-9

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from .wire import Frame, decode_frame, encode_frame
 
@@ -25,12 +25,6 @@ DELIVERED = "delivered"
 DROPPED = "dropped"
 
 Handler = Callable[[Frame, "Network"], None]
-
-
-class Actor(Protocol):
-    actor_id: str
-
-    def handle_frame(self, frame: Frame, net: "Network") -> None: ...
 
 
 @dataclass

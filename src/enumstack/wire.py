@@ -30,24 +30,6 @@ DISCONNECT = "DISCONNECT"
 MIGRATE_REQ = "MIGRATE_REQ"
 MIGRATE_RESP = "MIGRATE_RESP"
 
-KINDS = (
-    DISCOVER,
-    LOOKUP,
-    REGISTER,
-    CHANGE,
-    PEER_UPDATE,
-    SUBSCRIBE,
-    PROVISION,
-    GET,
-    GRANT,
-    REVOKE,
-    TRANSFER_INIT,
-    TRANSFER_DISPUTE,
-    DISCONNECT,
-    MIGRATE_REQ,
-    MIGRATE_RESP,
-)
-
 _RESERVED = ("kind", "src", "dst", "req", "resp")
 
 STATUS_OK = "ok"

@@ -32,6 +32,13 @@ class TestResolve:
         code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(bad))
         assert code == 2
 
+    def test_bad_fault_window_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[model]\nid = 1\n[actors]\nregistries = R1\n[faults]\nreg1 = a:b\n")
+        code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(bad))
+        assert code == 2
+        assert err.startswith("ScenarioError: fault window")
+
     def test_missing_scenario_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "resolve", "+13154434473", "--scenario-file", str(tmp_path / "nope.cfg")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from enumstack.errors import InvalidModelCombination, RunIncomplete, ScenarioError
@@ -72,6 +74,16 @@ class TestConfig:
         )
         assert log.records[-1].status == "HopTimeout"
 
+    @pytest.mark.parametrize(
+        "section",
+        ["[faults]\nreg1 = a:b\n", "[faults]\nreg1 = 5\n", "[fees]\nflat_fee = x\n"],
+        ids=["fault-not-int", "fault-no-colon", "fee-not-float"],
+    )
+    def test_bad_number_in_config_is_scenario_error(self, section):
+        text = "[model]\nid = 1\n[actors]\nregistries = R1\n" + section
+        with pytest.raises(ScenarioError):
+            parse_config(text)
+
 
 class TestEventScripts:
     def test_parse_record_tail(self):
@@ -105,6 +117,33 @@ class TestEventScripts:
         assert log.records[0].status == "NoPhoneService"
         assert log.records[1].status == "ok"
 
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            ("step assign user=alice tsp=tsp1", "ScenarioError"),
+            ("step advance ticks=abc", "ScenarioError"),
+            ("step cooperate payer=reg1 tsp=tsp1 amount=x", "ScenarioError"),
+            (f"step provision number=+13154434473 actor=alice visibility=secret record={SIP}",
+             "InvalidRecord"),
+        ],
+        ids=["missing-number", "ticks-not-int", "amount-not-float", "unknown-visibility"],
+    )
+    def test_malformed_step_logged_and_run_continues(self, line, status):
+        topology = build_topology(builtin_config(1))
+        log = run_events(topology, line + "\nstep advance ticks=2\n")
+        assert [rec.status for rec in log.records] == [status, "ok"]
+        assert log.records[0].detail["message"]
+
+    def test_unknown_transfer_steps_logged(self):
+        script = "step transfer_step transfer=x9\nstep dispute transfer=x9 by=reg1\nstep advance\n"
+        topology = build_topology(builtin_config(1))
+        log = run_events(topology, script)
+        assert [(rec.kind, rec.status) for rec in log.records] == [
+            ("transfer_step", "ScenarioError"),
+            ("dispute", "ScenarioError"),
+            ("advance", "ok"),
+        ]
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_logs(self):
@@ -117,6 +156,39 @@ class TestDeterminism:
         for line in log.render_lines():
             rec = LogRecord.parse(line)
             assert rec.render() == line
+
+
+# sha256 of the canonical script's log bytes, value-flow lines and invariant
+# report at seed 0. A change to any of them must say why the logs changed.
+GOLDEN = {
+    1: ("b256420bc5f32927358ad8251dd90ece706c41402ccf406fab0670c464f14f6b",
+        "b1cd386f8ae29deb6c5df09067240094fc5c22ebb2990b9aa4d409173b06ade0"),
+    2: ("b256420bc5f32927358ad8251dd90ece706c41402ccf406fab0670c464f14f6b",
+        "9a623cca6df6d91cfd88b80a53bd1256df3456f30021a3e283183a1cbaefadd1"),
+    3: ("b256420bc5f32927358ad8251dd90ece706c41402ccf406fab0670c464f14f6b",
+        "ccd26d0f311fd0ac9fbe81963bd76e3e9f894ce27e01b8da08e3dac0713f04f9"),
+    4: ("d0c7ae0f16278f06c1492a6916e0628584455b81efcc2d97d044b6c3f6a6bc35",
+        "a49ae73369240fee1f760768b2abebb51f92cd2a77ab4313bbda66fdcd2ddac7"),
+    5: ("d0c7ae0f16278f06c1492a6916e0628584455b81efcc2d97d044b6c3f6a6bc35",
+        "cefb18ee158cfa8dadd319af17b45b31d30d2ef30f608b6457a964f4d221895b"),
+    6: ("d0c7ae0f16278f06c1492a6916e0628584455b81efcc2d97d044b6c3f6a6bc35",
+        "12a89129f4ebc580fdf24eaa883595f3a466212ca9bcb164093252c2c90144fb"),
+}
+GOLDEN_INVARIANTS = "2aa5b8c3978b6e517a68636ef7a96198155f62790eff3047b6ff5de57363a2ea"
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN))
+def test_canonical_run_matches_golden_digests(model):
+    def sha(lines):
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+    topology, log = run_model(model, seed=0)
+    digests = (
+        hashlib.sha256(log.render_bytes()).hexdigest(),
+        sha(value_flow(topology).render_lines()),
+    )
+    assert digests == GOLDEN[model]
+    assert sha(assert_invariants(topology).render_lines()) == GOLDEN_INVARIANTS
 
 
 class TestTransparency:
