@@ -32,6 +32,7 @@ from .scenarios import (
     canonical_events,
     model_fixture_text,
     parse_config,
+    read_text,
     run_events,
     value_flow,
     value_flow_from_log,
@@ -63,7 +64,7 @@ def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:
     """
     path = getattr(args, "scenario_file", None) or getattr(args, "config", None)
     if path:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     else:
         text = model_fixture_text(getattr(args, "model", None) or 1)
     return _parse_cfg(text), text
@@ -136,7 +137,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     cfg, _text = _load_cfg(args)
     topology = build_topology(cfg, seed=args.seed or 0)
     if args.script:
-        script = Path(args.script).read_text(encoding="utf-8")
+        script = read_text(args.script)
     else:
         script = canonical_events()
     log = run_events(topology, script)

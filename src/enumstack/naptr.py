@@ -28,6 +28,12 @@ from .errors import (
 
 _MAX_FIELD = 65535
 _TOKEN_RE = re.compile(r'"([^"]*)"|(\S+)')
+# The canonical zone line: single spaces, decimal integers, quoted flags,
+# service and regexp, and a bare replacement. Any line it does not match
+# in full goes through the general tokenizer.
+_RECORD_RE = re.compile(r'([0-9]+) ([0-9]+) "([^"]*)" "([^"]*)" "([^"]*)" ([^"\s]\S*)')
+# A backslash and the character it escapes.
+_ESCAPED_PAIR = re.compile(r"\\.", re.DOTALL)
 
 
 class Visibility(Enum):
@@ -48,21 +54,14 @@ def _split_regexp(regexp: str) -> tuple[str, str]:
     delim = regexp[0]
     if delim.isalnum() or delim == "\\":
         raise BadDelimiter(f"bad delimiter {delim!r}")
-    positions = []
-    escaped = False
-    for i, ch in enumerate(regexp):
-        if escaped:
-            escaped = False
-            continue
-        if ch == "\\":
-            escaped = True
-            continue
-        if ch == delim:
-            positions.append(i)
-    if len(positions) != 3 or positions[0] != 0 or positions[-1] != len(regexp) - 1:
+    # Blank out escaped pairs (with backslashes, never the delimiter) so
+    # only unescaped delimiters are left to find.
+    bare = _ESCAPED_PAIR.sub(r"\\\\", regexp) if "\\" in regexp else regexp
+    if bare.count(delim) != 3 or bare[-1] != delim:
         raise BadDelimiter(f"delimiter {delim!r} must appear exactly 3 times in {regexp!r}")
-    pattern = regexp[1 : positions[1]]
-    replacement = regexp[positions[1] + 1 : -1]
+    middle = bare.index(delim, 1)
+    pattern = regexp[1:middle]
+    replacement = regexp[middle + 1 : -1]
     # The delimiter may appear inside either part only escaped; unescape it.
     pattern = pattern.replace("\\" + delim, delim)
     replacement = replacement.replace("\\" + delim, delim)
@@ -152,6 +151,28 @@ def parse_record(text: str, visibility: Visibility = Visibility.PUBLIC) -> Naptr
     Six whitespace-separated fields; flags, service and regexp are quoted;
     replacement is a bare domain or ``.``.
     """
+    m = _RECORD_RE.fullmatch(text)
+    order, preference, flags, service, regexp, replacement = (
+        m.groups() if m is not None else _tokenize(text)
+    )
+    try:
+        order = int(order)
+        preference = int(preference)
+    except ValueError as exc:
+        raise BadInteger(f"bad integer field in {text!r}") from exc
+    return NaptrRecord(
+        order=order,
+        preference=preference,
+        flags=flags,
+        service=service,
+        regexp=regexp,
+        replacement=replacement,
+        visibility=visibility,
+    )
+
+
+def _tokenize(text: str) -> tuple[str, ...]:
+    """The six fields of any zone line :func:`parse_record` accepts."""
     tokens: list[tuple[str, bool]] = []
     pos = 0
     stripped = text.strip()
@@ -169,20 +190,7 @@ def parse_record(text: str, visibility: Visibility = Visibility.PUBLIC) -> Naptr
     for idx in (2, 3, 4):
         if not tokens[idx][1]:
             raise FieldCount(f"field {idx + 1} must be quoted in {text!r}")
-    try:
-        order = int(tokens[0][0])
-        preference = int(tokens[1][0])
-    except ValueError as exc:
-        raise BadInteger(f"bad integer field in {text!r}") from exc
-    return NaptrRecord(
-        order=order,
-        preference=preference,
-        flags=tokens[2][0],
-        service=tokens[3][0],
-        regexp=tokens[4][0],
-        replacement=tokens[5][0],
-        visibility=visibility,
-    )
+    return tuple(token for token, _ in tokens)
 
 
 def render_record(rec: NaptrRecord) -> str:
@@ -240,6 +248,8 @@ def apply_regexp(rec: NaptrRecord, subject: str | E164Number) -> str:
     m = pattern.search(subject)
     if m is None:
         raise NoMatch(f"{pattern_text!r} does not match {subject!r}")
+    if "\\" not in replacement:
+        return replacement
     out: list[str] = []
     i = 0
     while i < len(replacement):

@@ -24,6 +24,7 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
+from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from . import resolver as resolver_mod
@@ -180,8 +181,11 @@ def _split_list(raw: str) -> tuple[str, ...]:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a scenario config document (INI sections)."""
-    parser = configparser.ConfigParser()
+    """Parse a scenario config document (INI sections).
+
+    Values are taken literally: ``%`` has no interpolation meaning.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -286,9 +290,17 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
+def read_text(path: str | Path) -> str:
+    """A config or event-script file's text; bytes that are not UTF-8 are a
+    :class:`ScenarioError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    return parse_config(read_text(path))
 
 
 def model_fixture_text(model_id: int) -> str:

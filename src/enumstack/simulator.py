@@ -37,16 +37,6 @@ class DeliveryRecord:
 
 
 @dataclass
-class _Queued:
-    at: int
-    seq: int
-    data: bytes
-
-    def __lt__(self, other: "_Queued") -> bool:
-        return (self.at, self.seq) < (other.at, other.seq)
-
-
-@dataclass
 class _FaultWindow:
     start: int
     end: int
@@ -64,7 +54,9 @@ class Network:
         self.clock = 0
         self._seq = 0
         self._req_counter = 0
-        self._queue: list[_Queued] = []
+        # Heap of (delivery tick, send sequence number, encoded frame); the
+        # sequence number is unique, so ties never compare the frames.
+        self._queue: list[tuple[int, int, bytes]] = []
         self._actors: dict[str, Handler] = {}
         self._offline: set[str] = set()
         self._fault_windows: dict[str, list[_FaultWindow]] = {}
@@ -104,9 +96,7 @@ class Network:
         """Schedule a frame; it travels in encoded form."""
         delay = self.rng.randint(self._min_delay, self._max_delay)
         self._seq += 1
-        heapq.heappush(
-            self._queue, _Queued(self.clock + delay, self._seq, encode_frame(frame))
-        )
+        heapq.heappush(self._queue, (self.clock + delay, self._seq, encode_frame(frame)))
 
     def pending(self) -> int:
         return len(self._queue)
@@ -119,9 +109,9 @@ class Network:
         """Deliver the next frame. Returns False when the queue is empty."""
         if not self._queue:
             return False
-        item = heapq.heappop(self._queue)
-        self.clock = max(self.clock, item.at)
-        frame = decode_frame(item.data)
+        at, _, data = heapq.heappop(self._queue)
+        self.clock = max(self.clock, at)
+        frame = decode_frame(data)
         if self.is_offline(frame.dst):
             self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
             return True
@@ -163,9 +153,8 @@ class Network:
         """
         for _ in range(retries + 1):
             req_id = self.next_req_id()
-            frame = Frame(
-                kind=kind, src=src, dst=dst, req_id=req_id, fields=dict(fields or {})
-            )
+            # send() encodes the frame at once, so the caller's dict is not shared.
+            frame = Frame(kind=kind, src=src, dst=dst, req_id=req_id, fields=fields or {})
             self._rpc_waiting.add(req_id)
             self.send(frame)
             while req_id not in self._rpc_responses and self._queue:

@@ -2,8 +2,11 @@
 
 One frame holds one request or one response. On the wire a frame is a
 length-prefixed UTF-8 text record: ``<decimal byte length>:<body>`` where
-the body is ``key=value`` pairs separated by ``;``. Values are
-percent-escaped so records, URIs and free text pass through unharmed.
+the body is ``key=value`` pairs separated by ``;``. Keys and values are
+percent-escaped so records, URIs and free text pass through unharmed:
+``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
+``%3D``, ``%0A`` and ``%0D``. Escaping is the identity on a string that
+holds none of those five characters, so most values go out as they are.
 """
 
 from __future__ import annotations
@@ -30,12 +33,16 @@ DISCONNECT = "DISCONNECT"
 MIGRATE_REQ = "MIGRATE_REQ"
 MIGRATE_RESP = "MIGRATE_RESP"
 
-_RESERVED = ("kind", "src", "dst", "req", "resp")
+_RESERVED = frozenset(("kind", "src", "dst", "req", "resp"))
 
 STATUS_OK = "ok"
 
 
 def _escape(value: str) -> str:
+    if not (
+        "%" in value or ";" in value or "=" in value or "\n" in value or "\r" in value
+    ):
+        return value
     return (
         value.replace("%", "%25")
         .replace(";", "%3B")
@@ -46,6 +53,8 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str) -> str:
+    if "%" not in value:
+        return value
     return (
         value.replace("%0D", "\r")
         .replace("%0A", "\n")
@@ -67,9 +76,9 @@ class Frame:
     fields: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key in self.fields:
-            if key in _RESERVED:
-                raise WireError(f"field name {key!r} is reserved")
+        if not _RESERVED.isdisjoint(self.fields):
+            key = next(key for key in self.fields if key in _RESERVED)
+            raise WireError(f"field name {key!r} is reserved")
 
     def get(self, key: str, default: str = "") -> str:
         return self.fields.get(key, default)
@@ -101,15 +110,16 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    pairs = [
-        ("kind", frame.kind),
-        ("src", frame.src),
-        ("dst", frame.dst),
-        ("req", str(frame.req_id)),
-        ("resp", "1" if frame.is_response else "0"),
-    ]
-    pairs.extend(frame.fields.items())
-    body = ";".join(f"{_escape(k)}={_escape(v)}" for k, v in pairs).encode("utf-8")
+    body = ";".join(
+        [
+            "kind=" + _escape(frame.kind),
+            "src=" + _escape(frame.src),
+            "dst=" + _escape(frame.dst),
+            "req=" + _escape(str(frame.req_id)),
+            "resp=1" if frame.is_response else "resp=0",
+            *[_escape(k) + "=" + _escape(v) for k, v in frame.fields.items()],
+        ]
+    ).encode("utf-8")
     return str(len(body)).encode("ascii") + b":" + body
 
 
@@ -126,11 +136,22 @@ def decode_frame(data: bytes) -> Frame:
         raise WireError(f"length prefix {length} != body length {len(body)}")
     pairs: dict[str, str] = {}
     if body:
-        for chunk in body.decode("utf-8").split(";"):
-            key, sep2, value = chunk.partition("=")
-            if not sep2:
-                raise WireError(f"field {chunk!r} is not key=value")
-            pairs[_unescape(key)] = _unescape(value)
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError(f"frame body is not UTF-8 at byte {exc.start}") from exc
+        chunks = text.split(";")
+        try:
+            if "%" in text:
+                pairs = {
+                    _unescape(key): _unescape(value)
+                    for key, value in (chunk.split("=", 1) for chunk in chunks)
+                }
+            else:
+                pairs = dict([chunk.split("=", 1) for chunk in chunks])
+        except ValueError:
+            bad = next(chunk for chunk in chunks if "=" not in chunk)
+            raise WireError(f"field {bad!r} is not key=value") from None
     try:
         kind = pairs.pop("kind")
         src = pairs.pop("src")

@@ -39,6 +39,14 @@ class TestResolve:
         assert code == 2
         assert err.startswith("ScenarioError: fault window")
 
+    def test_non_utf8_scenario_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[model]\nid = 1\n[actors]\nusers = \xff\n")
+        code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(bad))
+        assert code == 2
+        assert err.startswith("ScenarioError: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
     def test_missing_scenario_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "resolve", "+13154434473", "--scenario-file", str(tmp_path / "nope.cfg")
@@ -80,6 +88,14 @@ class TestScenario:
         assert code == 0
         assert "PASS single_store" in out
         assert "FAIL" not in out
+
+    def test_non_utf8_script_exit_2(self, capsys, tmp_path):
+        script = tmp_path / "bad.events"
+        script.write_bytes(b"step assign number=+13154434473 user=\xff tsp=tsp1\n")
+        code, _, err = run(capsys, "scenario", "run", "--model", "1", "--script", str(script))
+        assert code == 2
+        assert err.startswith("ScenarioError: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
 
     def test_invariant_failure_exit_3(self, capsys, tmp_path):
         script = tmp_path / "fault.events"

@@ -1,8 +1,9 @@
 import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumstack.e164 import parse_number
@@ -21,6 +22,7 @@ from enumstack.naptr import (
     NaptrRecordSet,
     ServiceSelector,
     Visibility,
+    _split_regexp,
     apply_regexp,
     parse_record,
     parse_stored_line,
@@ -288,3 +290,181 @@ def test_restricted_never_leaks_to_public(visibilities):
     records = tuple(rec(i, 0, visibility=v) for i, v in enumerate(visibilities))
     out = select(NaptrRecordSet(NUMBER, records), requester_visibility=Visibility.PUBLIC)
     assert all(r.visibility is Visibility.PUBLIC for r in out)
+
+
+# ---------------------------------------------------------------- oracles
+# The record parser and the substitution splitter as they were written
+# before their fast paths: a general tokenizer for every line, and a
+# character loop for the delimiters. The fast paths must give the same
+# records, the same rewrites and the same error classes.
+
+ORACLE_TOKEN_RE = re.compile(r'"([^"]*)"|(\S+)')
+
+
+def oracle_parse_record(text, visibility=Visibility.PUBLIC):
+    tokens = []
+    pos = 0
+    stripped = text.strip()
+    while pos < len(stripped):
+        m = ORACLE_TOKEN_RE.match(stripped, pos)
+        if m is None:
+            raise FieldCount("unterminated quote")
+        quoted = m.group(1) is not None
+        tokens.append((m.group(1) if quoted else m.group(2), quoted))
+        pos = m.end()
+        while pos < len(stripped) and stripped[pos].isspace():
+            pos += 1
+    if len(tokens) != 6:
+        raise FieldCount("field count")
+    for idx in (2, 3, 4):
+        if not tokens[idx][1]:
+            raise FieldCount("unquoted")
+    try:
+        order = int(tokens[0][0])
+        preference = int(tokens[1][0])
+    except ValueError:
+        raise BadInteger("bad integer") from None
+    return NaptrRecord(
+        order=order, preference=preference, flags=tokens[2][0], service=tokens[3][0],
+        regexp=tokens[4][0], replacement=tokens[5][0], visibility=visibility,
+    )
+
+
+def oracle_split_regexp(regexp):
+    if len(regexp) < 3:
+        raise BadDelimiter("too short")
+    delim = regexp[0]
+    if delim.isalnum() or delim == "\\":
+        raise BadDelimiter("bad delimiter")
+    positions = []
+    escaped = False
+    for i, ch in enumerate(regexp):
+        if escaped:
+            escaped = False
+            continue
+        if ch == "\\":
+            escaped = True
+            continue
+        if ch == delim:
+            positions.append(i)
+    if len(positions) != 3 or positions[0] != 0 or positions[-1] != len(regexp) - 1:
+        raise BadDelimiter("delimiter count")
+    pattern = regexp[1 : positions[1]].replace("\\" + delim, delim)
+    replacement = regexp[positions[1] + 1 : -1].replace("\\" + delim, delim)
+    return pattern, replacement
+
+
+def oracle_apply_regexp(regexp, subject):
+    pattern_text, replacement = oracle_split_regexp(regexp)
+    pattern = re.compile(pattern_text)
+    m = pattern.search(subject)
+    if m is None:
+        raise NoMatch("no match")
+    out = []
+    i = 0
+    while i < len(replacement):
+        ch = replacement[i]
+        if ch == "\\" and i + 1 < len(replacement):
+            nxt = replacement[i + 1]
+            if nxt.isdigit():
+                k = int(nxt)
+                if k == 0 or k > pattern.groups:
+                    raise BadBackreference("group")
+                out.append(m.group(k) or "")
+            else:
+                out.append(nxt)
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def outcome(fn, *args):
+    """A call's result, or the class of the enumstack error it raised."""
+    try:
+        return fn(*args)
+    except (BadBackreference, BadDelimiter, BadFlags, BadInteger, FieldConflict,
+            FieldCount, FlagRegexpConflict, NoMatch) as exc:
+        return type(exc)
+
+
+ORDERS = ["100", "0", "65535", "65536", "x", "+5", "007", "1_0", "٣"]
+PREFERENCES = ["10", "0", "-1", "99999"]
+FLAGS = ["u", "u", "", "s", "U"]
+SERVICES = ["E2U+sip", "E2U+web:http", "", "a b", "E2U+sip\n"]
+REGEXPS = ["!^.*$!sip:a@b!", r"!^\+1(\d{3})(\d+)$!tel:\1-\2!", r"!^.*$!x\!y!",
+           "#^(.*)$#tel:\\1#", "!only", "", "!a!b!c!", "!(!x!", r"!^.*$!\9!"]
+REPLACEMENTS = [".", ".", "example.net", '"q"', '"q', 'a"b', "", ". extra", ".\n"]
+
+
+def quoted_or_bare(values):
+    return st.tuples(st.sampled_from(values), st.sampled_from(['"{}"', '"{}"', "{}", '"{}'])
+                     ).map(lambda pair: pair[1].format(pair[0]))
+
+
+field_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+zone_lines = st.one_of(
+    # The canonical shape: single spaces, three quoted fields.
+    st.tuples(*(st.sampled_from(values) for values in (
+        ORDERS, PREFERENCES, FLAGS, SERVICES, REGEXPS, REPLACEMENTS))
+    ).map(lambda t: '{} {} "{}" "{}" "{}" {}'.format(*t)),
+    st.tuples(
+        st.integers(0, 66000), st.integers(0, 66000), st.sampled_from(["u", "u", ""]),
+        field_text, st.sampled_from(REGEXPS[:4]) | field_text, st.just(".") | field_text,
+    ).map(lambda t: '{} {} "{}" "{}" "{}" {}'.format(*t)),
+    # Any spacing and quoting.
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.sampled_from([" ", " ", " ", "  ", "\t", "", " "]),
+                 min_size=5, max_size=5),
+        quoted_or_bare(ORDERS),
+        quoted_or_bare(PREFERENCES),
+        quoted_or_bare(FLAGS),
+        quoted_or_bare(SERVICES),
+        quoted_or_bare(REGEXPS),
+        st.sampled_from(REPLACEMENTS),
+        st.sampled_from(["", " ", "\n"]),
+    ).map(lambda t: t[0] + "".join(f + sep for f, sep in zip(t[2:7], t[1])) + t[7] + t[8]),
+    st.text(alphabet='0123456789 "u!^.*$\\\tE2U+sip:.', max_size=40),
+)
+
+
+@settings(max_examples=300)
+@given(line=zone_lines, visibility=st.sampled_from(list(Visibility)))
+@example(line='100 10 "" "E2U+sip" "" "example.net"', visibility=Visibility.PUBLIC)
+@example(line='100 10 "" "E2U+sip" "" exa"mple.net', visibility=Visibility.PUBLIC)
+@example(line='100 10 "u" "E2U+sip" "!^.*$!sip:a@b!" .\n', visibility=Visibility.PUBLIC)
+@example(line='100 10 "u" "E2U+sip" "!^.*$!sip:a@b!" .\u2003', visibility=Visibility.PUBLIC)
+@example(line='100\u200310 "u" "E2U+sip" "!^.*$!sip:a@b!" .', visibility=Visibility.PUBLIC)
+@example(line='\u0663 10 "u" "E2U+sip" "!^.*$!sip:a@b!" .', visibility=Visibility.PUBLIC)
+@example(line='100 10 "u" "E2U\nsip" "!^.*$!sip:a@b!" .', visibility=Visibility.RESTRICTED)
+def test_parse_record_matches_tokenizer_oracle(line, visibility):
+    assert outcome(parse_record, line, visibility) == outcome(
+        oracle_parse_record, line, visibility
+    )
+
+
+@settings(max_examples=300)
+@given(regexp=st.text(alphabet=["!", "#", "\\", "a", "1", "^", "$", "(", ")", ".", "*", "\n"],
+                      max_size=12))
+@example(regexp="\na\\\nb\nc\n")
+@example(regexp="!a!b\\!")
+@example(regexp="!a\\\\!b!")
+@example(regexp="!a\\!b!c!")
+def test_split_regexp_matches_loop_oracle(regexp):
+    assert outcome(_split_regexp, regexp) == outcome(oracle_split_regexp, regexp)
+
+
+@settings(max_examples=300)
+@given(
+    pattern=st.sampled_from(["^.*$", r"^\+1(\d{3})(\d+)$", "^(.*)$", "^9.*$", "x\\!y", "(a)?"]),
+    replacement=st.text(alphabet=["\\", "1", "2", "0", "!", "a", ":", "@"], max_size=10),
+)
+def test_apply_regexp_matches_oracle(pattern, replacement):
+    regexp = f"!{pattern}!{replacement}!"
+    record = outcome(NaptrRecord, 10, 10, "u", "E2U+sip", regexp)
+    if isinstance(record, NaptrRecord):
+        assert outcome(apply_regexp, record, NUMBER) == outcome(
+            oracle_apply_regexp, regexp, "+13154434473"
+        )

@@ -17,6 +17,7 @@ from enumstack.scenarios import (
     run_events,
     value_flow,
 )
+from enumstack.wire import encode_frame
 
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:alice@example.com!" .'
 
@@ -83,6 +84,10 @@ class TestConfig:
         text = "[model]\nid = 1\n[actors]\nregistries = R1\n" + section
         with pytest.raises(ScenarioError):
             parse_config(text)
+
+    def test_percent_in_value_is_literal(self):
+        text = "[model]\nid = 1\n[actors]\nregistries = R1\nusers = a%b, %(x)s\n"
+        assert parse_config(text).users == ("a%b", "%(x)s")
 
 
 class TestEventScripts:
@@ -175,6 +180,17 @@ GOLDEN = {
         "12a89129f4ebc580fdf24eaa883595f3a466212ca9bcb164093252c2c90144fb"),
 }
 GOLDEN_INVARIANTS = "2aa5b8c3978b6e517a68636ef7a96198155f62790eff3047b6ff5de57363a2ea"
+# sha256 of encode_frame over every frame of the canonical run's frame log
+# at seed 0, so a codec change that alters wire bytes shows even when the
+# frames still decode the same.
+GOLDEN_WIRE = {
+    1: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
+    2: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
+    3: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
+    4: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
+    5: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
+    6: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
+}
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN))
@@ -189,6 +205,13 @@ def test_canonical_run_matches_golden_digests(model):
     )
     assert digests == GOLDEN[model]
     assert sha(assert_invariants(topology).render_lines()) == GOLDEN_INVARIANTS
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_WIRE))
+def test_canonical_run_matches_golden_wire_bytes(model):
+    topology, _ = run_model(model, seed=0)
+    wire = b"".join(encode_frame(record.frame) for record in topology.net.frame_log)
+    assert hashlib.sha256(wire).hexdigest() == GOLDEN_WIRE[model]
 
 
 class TestTransparency:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumstack.errors import WireError
@@ -54,6 +54,22 @@ def test_missing_header_field():
         decode_frame(b"14:kind=GET;src=a")
 
 
+def test_non_utf8_body():
+    with pytest.raises(WireError, match="not UTF-8"):
+        decode_frame(b"3:\xff\xfe\xfd")
+
+
+def frame_bytes(body):
+    return str(len(body.encode())).encode() + b":" + body.encode()
+
+
+def test_malformed_chunk_named():
+    for body, bad in (("kind=GET;src=a;x;dst=b;req=1;resp=0", "x"),
+                      ("kind=GET;src=a;dst=b;req=1;resp=0;y=%25;x%25", "x%25")):
+        with pytest.raises(WireError, match=f"^field '{bad}' is not key=value$"):
+            decode_frame(frame_bytes(body))
+
+
 text_values = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40
 )
@@ -75,3 +91,117 @@ def test_roundtrip_property(kind, src, dst, req_id, is_response, fields):
         is_response=is_response, fields=fields,
     )
     assert decode_frame(encode_frame(frame)) == frame
+
+
+# ---------------------------------------------------------------- oracles
+# The codec as it was written before its fast paths: every value goes
+# through the full replace chain, and every chunk is split and unescaped
+# one by one. The fast paths must give the same bytes and the same frames.
+
+
+def oracle_escape(value):
+    return (
+        value.replace("%", "%25")
+        .replace(";", "%3B")
+        .replace("=", "%3D")
+        .replace("\n", "%0A")
+        .replace("\r", "%0D")
+    )
+
+
+def oracle_unescape(value):
+    return (
+        value.replace("%0D", "\r")
+        .replace("%0A", "\n")
+        .replace("%3D", "=")
+        .replace("%3B", ";")
+        .replace("%25", "%")
+    )
+
+
+def oracle_encode(frame):
+    pairs = [
+        ("kind", frame.kind),
+        ("src", frame.src),
+        ("dst", frame.dst),
+        ("req", str(frame.req_id)),
+        ("resp", "1" if frame.is_response else "0"),
+    ]
+    pairs.extend(frame.fields.items())
+    body = ";".join(
+        f"{oracle_escape(k)}={oracle_escape(v)}" for k, v in pairs
+    ).encode("utf-8")
+    return str(len(body)).encode("ascii") + b":" + body
+
+
+def oracle_decode_pairs(body):
+    """The key/value pairs of a valid UTF-8 body, or the WireError message."""
+    pairs = {}
+    for chunk in body.split(";"):
+        key, sep, value = chunk.partition("=")
+        if not sep:
+            return f"field {chunk!r} is not key=value"
+        pairs[oracle_unescape(key)] = oracle_unescape(value)
+    return pairs
+
+
+special_text = st.text(
+    alphabet=st.sampled_from(["%", ";", "=", "\n", "\r", "a", "b", "2", "5", "3", "D", "é"]),
+    max_size=12,
+)
+reserved_free_keys = special_text.filter(
+    lambda k: k not in ("kind", "src", "dst", "req", "resp")
+)
+
+
+@settings(max_examples=200)
+@given(
+    kind=special_text,
+    src=special_text,
+    dst=special_text,
+    req_id=st.integers(min_value=-5, max_value=10**12),
+    is_response=st.booleans(),
+    fields=st.dictionaries(reserved_free_keys, special_text | text_values, max_size=6),
+)
+def test_encode_matches_oracle(kind, src, dst, req_id, is_response, fields):
+    frame = Frame(
+        kind=kind, src=src, dst=dst, req_id=req_id,
+        is_response=is_response, fields=fields,
+    )
+    data = encode_frame(frame)
+    assert data == oracle_encode(frame)
+    assert decode_frame(data) == frame
+
+
+@settings(max_examples=200)
+@given(
+    body=st.lists(
+        st.sampled_from(
+            ["kind=GET", "src=a", "dst=b", "req=1", "resp=1", "x=1", "x=2", "x%3D=%3B",
+             "x==", "%25=%2525", "%=%", "=", "", "y", "y%", "a%0Ab=c%0D", "kind%3D=z"]
+        ),
+        max_size=9,
+    ).map(";".join)
+)
+def test_decode_matches_oracle(body):
+    data = frame_bytes(body)
+    expected = oracle_decode_pairs(body) if body else {}
+    try:
+        frame = decode_frame(data)
+    except WireError as exc:
+        if isinstance(expected, str):
+            assert str(exc) == expected
+        else:
+            assert not {"kind", "src", "dst", "req", "resp"} <= expected.keys()
+        return
+    assert isinstance(expected, dict)
+    assert dict(frame.fields) == {
+        k: v for k, v in expected.items() if k not in ("kind", "src", "dst", "req", "resp")
+    }
+    assert list(frame.fields) == [
+        k for k in expected if k not in ("kind", "src", "dst", "req", "resp")
+    ]
+    assert (frame.kind, frame.src, frame.dst, frame.req_id, frame.is_response) == (
+        expected["kind"], expected["src"], expected["dst"], int(expected["req"]),
+        expected["resp"] == "1",
+    )
