@@ -86,7 +86,7 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
     if snapshots.has_state(state_dir) and cfg_file.exists() and not (
         getattr(args, "scenario_file", None)
     ):
-        text = cfg_file.read_text(encoding="utf-8")
+        text = snapshots.read_state_text(cfg_file)
         cfg = _parse_cfg(text)
     else:
         cfg, text = _load_cfg(args)
@@ -160,8 +160,7 @@ def cmd_scenario_report(args: argparse.Namespace) -> int:
     state_dir = Path(args.state_dir)
     if not snapshots.has_state(state_dir):
         raise ScenarioError(f"no state in {state_dir}")
-    cfg_text = (state_dir / snapshots.SCENARIO_FILE).read_text(encoding="utf-8")
-    cfg = parse_config(cfg_text)
+    cfg = parse_config(snapshots.read_state_text(state_dir / snapshots.SCENARIO_FILE))
     records = snapshots.read_log(state_dir)
     if args.report == "log":
         for rec in records:

@@ -124,7 +124,12 @@ def potential_market(inputs: PotentialMarketInputs) -> PotentialMarketEstimate:
 # ---------------------------------------------------------------- fixtures
 
 
-def _read_rows(text: str, source: str) -> tuple[dict[str, dict[int, float]], dict[str, str]]:
+def _read_rows(path: Path) -> tuple[dict[str, dict[int, float]], dict[str, str]]:
+    source = str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarketError(f"{source} is not UTF-8 text (byte {exc.start})") from exc
     rows: dict[str, dict[int, float]] = {}
     units: dict[str, str] = {}
     reader = csv.reader(io.StringIO(text))
@@ -149,7 +154,7 @@ def _read_rows(text: str, source: str) -> tuple[dict[str, dict[int, float]], dic
 
 def load_market_table(path: str | Path, name: str | None = None) -> MarketTable:
     path = Path(path)
-    rows, units = _read_rows(path.read_text(encoding="utf-8"), str(path))
+    rows, units = _read_rows(path)
     return MarketTable(name=name or path.stem, rows=rows, units=units)
 
 
@@ -172,7 +177,7 @@ def load_potential_fixture(
     path: str | Path, penetration: float = DEFAULT_PENETRATION
 ) -> PotentialFixture:
     path = Path(path)
-    rows, units = _read_rows(path.read_text(encoding="utf-8"), str(path))
+    rows, units = _read_rows(path)
     inputs: dict[tuple[str, int], PotentialMarketInputs] = {}
     regions = sorted(
         {

@@ -43,6 +43,9 @@ class Visibility(Enum):
     RESTRICTED = "restricted"
 
 
+_VISIBILITY = {member.value: member for member in Visibility}
+
+
 def _split_regexp(regexp: str) -> tuple[str, str]:
     """Split a substitution expression into (pattern, replacement).
 
@@ -55,17 +58,19 @@ def _split_regexp(regexp: str) -> tuple[str, str]:
     if delim.isalnum() or delim == "\\":
         raise BadDelimiter(f"bad delimiter {delim!r}")
     # Blank out escaped pairs (with backslashes, never the delimiter) so
-    # only unescaped delimiters are left to find.
-    bare = _ESCAPED_PAIR.sub(r"\\\\", regexp) if "\\" in regexp else regexp
+    # only unescaped delimiters are left to find. Without a backslash
+    # before a delimiter, every delimiter is unescaped already.
+    escaped = "\\" + delim
+    bare = _ESCAPED_PAIR.sub(r"\\\\", regexp) if escaped in regexp else regexp
     if bare.count(delim) != 3 or bare[-1] != delim:
         raise BadDelimiter(f"delimiter {delim!r} must appear exactly 3 times in {regexp!r}")
     middle = bare.index(delim, 1)
     pattern = regexp[1:middle]
     replacement = regexp[middle + 1 : -1]
+    if bare is regexp:
+        return pattern, replacement
     # The delimiter may appear inside either part only escaped; unescape it.
-    pattern = pattern.replace("\\" + delim, delim)
-    replacement = replacement.replace("\\" + delim, delim)
-    return pattern, replacement
+    return pattern.replace(escaped, delim), replacement.replace(escaped, delim)
 
 
 @dataclass(frozen=True)
@@ -81,12 +86,14 @@ class NaptrRecord:
     visibility: Visibility = Visibility.PUBLIC
 
     def __post_init__(self) -> None:
-        for name, value in (("order", self.order), ("preference", self.preference)):
-            if not isinstance(value, int) or not 0 <= value <= _MAX_FIELD:
-                raise BadInteger(f"{name} {value!r} outside 0..{_MAX_FIELD}")
+        order, preference, regexp = self.order, self.preference, self.regexp
+        if not isinstance(order, int) or not 0 <= order <= _MAX_FIELD:
+            raise BadInteger(f"order {order!r} outside 0..{_MAX_FIELD}")
+        if not isinstance(preference, int) or not 0 <= preference <= _MAX_FIELD:
+            raise BadInteger(f"preference {preference!r} outside 0..{_MAX_FIELD}")
         if self.flags not in ("", "u"):
             raise BadFlags(f"unsupported flags {self.flags!r}")
-        has_regexp = bool(self.regexp)
+        has_regexp = bool(regexp)
         has_replacement = self.replacement not in ("", ".")
         if self.flags == "u" and not has_regexp:
             raise FlagRegexpConflict("'u' flag requires a substitution expression")
@@ -95,7 +102,7 @@ class NaptrRecord:
                 "exactly one of regexp / replacement must be non-empty"
             )
         if has_regexp:
-            pattern, _ = _split_regexp(self.regexp)
+            pattern, _ = _split_regexp(regexp)
             try:
                 re.compile(pattern)
             except re.error as exc:
@@ -152,23 +159,19 @@ def parse_record(text: str, visibility: Visibility = Visibility.PUBLIC) -> Naptr
     replacement is a bare domain or ``.``.
     """
     m = _RECORD_RE.fullmatch(text)
-    order, preference, flags, service, regexp, replacement = (
-        m.groups() if m is not None else _tokenize(text)
-    )
+    if m is not None:
+        order, preference, flags, service, regexp, replacement = m.groups()
+        # The canonical shape's integers are ASCII digits, so int() holds.
+        return NaptrRecord(
+            int(order), int(preference), flags, service, regexp, replacement, visibility
+        )
+    order, preference, flags, service, regexp, replacement = _tokenize(text)
     try:
         order = int(order)
         preference = int(preference)
     except ValueError as exc:
         raise BadInteger(f"bad integer field in {text!r}") from exc
-    return NaptrRecord(
-        order=order,
-        preference=preference,
-        flags=flags,
-        service=service,
-        regexp=regexp,
-        replacement=replacement,
-        visibility=visibility,
-    )
+    return NaptrRecord(order, preference, flags, service, regexp, replacement, visibility)
 
 
 def _tokenize(text: str) -> tuple[str, ...]:
@@ -204,9 +207,10 @@ def render_record(rec: NaptrRecord) -> str:
 def parse_stored_line(text: str) -> NaptrRecord:
     """Parse a stored record line: optional visibility token, then zone line."""
     head, _, rest = text.strip().partition(" ")
-    if head in (Visibility.PUBLIC.value, Visibility.RESTRICTED.value):
-        return parse_record(rest, visibility=Visibility(head))
-    return parse_record(text)
+    visibility = _VISIBILITY.get(head)
+    if visibility is None:
+        return parse_record(text)
+    return parse_record(rest, visibility)
 
 
 def render_stored_line(rec: NaptrRecord) -> str:

@@ -8,7 +8,9 @@ delegation), one ``registrar-<id>.snap`` per registrar (blocks of
 
 All writes go through write-temp-then-rename, so a killed process never
 leaves a half-written snapshot visible, and a lock file serializes
-concurrent invocations against one directory.
+concurrent invocations against one directory. A load reads each file
+once; ``events.log`` is only scanned for the largest event and transfer
+ids, and :func:`read_log` parses it in full for reports and audits.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ import tempfile
 from pathlib import Path
 
 from .errors import LockHeld, SnapshotError
-from .naptr import ServiceSelector
-from .registrar import AuthorizationGrant, Subscription, parse_stored_line, render_stored_line
-from .registry import Delegation
+from .naptr import NaptrRecord, ServiceSelector
+from .registrar import (
+    AuthorizationGrant,
+    RegistrarActor,
+    Subscription,
+    parse_stored_line,
+    render_stored_line,
+)
+from .registry import Delegation, RegistryState
 from .scenarios import LogRecord, Topology
 
 REGISTRY_SNAP = "registry.snap"
@@ -31,6 +39,13 @@ SCENARIO_FILE = "scenario.cfg"
 LOCK_FILE = ".lock"
 
 _ID_RE = re.compile(r"^[ex](\d+)$")
+_GRANT_ID_RE = re.compile(r"^g(\d+)$")
+# A log line that LogRecord.parse accepts as it stands: an event id (its
+# number captured when it is an e<n> or x<n> id), an ASCII-digit tick, a
+# kind, a status and a detail of key=value chunks.
+_PLAIN_LOG_LINE = re.compile(
+    r"(?:[ex](\d+)|[^|]*)\|t[0-9]+\|[^|]*\|[^|]*\|(?:[^;=]*=[^;]*(?:;[^;=]*=[^;]*)*)?"
+)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -134,12 +149,32 @@ def append_log(state_dir: Path, records: list[LogRecord]) -> None:
             handle.write(rec.render() + "\n")
 
 
+def read_state_text(path: Path) -> str:
+    """The text of one state-directory file, read once.
+
+    Line endings are translated as text-mode reads translate them. Bytes
+    that are not UTF-8 are a :class:`SnapshotError` on the line holding
+    the first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before the bad byte decodes; the marker stands in
+        # for the bad byte so a line break just before it counts.
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise SnapshotError(str(path), lineno, f"not UTF-8 text (byte {exc.start})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_log(state_dir: Path) -> list[LogRecord]:
     path = Path(state_dir) / EVENTS_LOG
     if not path.exists():
         return []
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -149,107 +184,141 @@ def read_log(state_dir: Path) -> list[LogRecord]:
     return records
 
 
+def _load_subscriptions(topology: Topology, path: Path) -> None:
+    subscriptions = topology.directory.subscriptions
+    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split("|")
+        if len(parts) != 7:
+            raise SnapshotError(str(path), lineno, f"expected 7 fields, got {len(parts)}")
+        number, user, tsp, enum_flag, phone_flag, serving, token = parts
+        if enum_flag not in ("0", "1") or phone_flag not in ("0", "1"):
+            raise SnapshotError(str(path), lineno, "flags must be 0 or 1")
+        subscriptions[number] = Subscription(
+            number, user, tsp, token, phone_flag == "1", enum_flag == "1", serving or None
+        )
+
+
+def _load_delegations(topology: Topology, path: Path) -> None:
+    # Owner id -> the states of the owner and its peers, in that order.
+    replicas: dict[str, list[RegistryState]] = {}
+    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split("|")
+        if len(parts) != 4:
+            raise SnapshotError(str(path), lineno, f"expected 4 fields, got {len(parts)}")
+        number, registrar, owner, serial_text = parts
+        try:
+            serial = int(serial_text)
+        except ValueError:
+            raise SnapshotError(str(path), lineno, f"bad serial {serial_text!r}") from None
+        states = replicas.get(owner)
+        if states is None:
+            if owner not in topology.registries:
+                raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}")
+            owner_state = topology.registries[owner].state
+            states = replicas[owner] = [owner_state] + [
+                topology.registries[peer].state for peer in owner_state.peers
+            ]
+        delegation = Delegation(number, registrar, owner, serial)
+        for state in states:
+            state.delegations[number] = delegation
+            state.observed_serials.setdefault(number, []).append(serial)
+
+
+def _load_registrar(actor: RegistrarActor, path: Path) -> int:
+    """Fill one registrar's store and grants; returns its largest grant number."""
+    max_grant = 0
+    current: str | None = None
+    records: list[NaptrRecord] = []
+    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+        tag, _, rest = line.partition("|")
+        if tag == "record":
+            if current is None:
+                raise SnapshotError(str(path), lineno, "record before number line")
+            try:
+                records.append(parse_stored_line(rest))
+            except Exception as exc:
+                raise SnapshotError(str(path), lineno, str(exc)) from exc
+        elif tag == "number":
+            current = rest
+            records = actor.store.setdefault(current, [])
+        elif not line.strip():
+            continue
+        elif tag == "grant":
+            if current is None:
+                raise SnapshotError(str(path), lineno, "grant before number line")
+            parts = rest.split("|")
+            if len(parts) != 5:
+                raise SnapshotError(str(path), lineno, "grant needs 5 fields")
+            grant_id, grantor, grantee, rights, scope = parts
+            actor.grants.setdefault(current, []).append(
+                AuthorizationGrant(
+                    grant_id=grant_id,
+                    grantor=grantor,
+                    grantee=grantee,
+                    rights=frozenset(r for r in rights.split(",") if r),
+                    scope=ServiceSelector(scope),
+                    number=current,
+                )
+            )
+            match = _GRANT_ID_RE.match(grant_id)
+            if match:
+                max_grant = max(max_grant, int(match.group(1)))
+        else:
+            raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+    return max_grant
+
+
+def _restore_id_counters(topology: Topology, path: Path) -> None:
+    """Raise the event and transfer counters past every id in the log.
+
+    A line in the plain shape gives its event id without being parsed;
+    any other line, and any line that may name a transfer, goes through
+    :meth:`LogRecord.parse`, so a bad line fails as :func:`read_log`
+    fails on it.
+    """
+    event_n, transfer_n = topology._event_n, topology._transfer_n
+    plain = _PLAIN_LOG_LINE.fullmatch
+    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+        m = plain(line)
+        if m is not None and "transfer=" not in line:
+            digits = m.group(1)
+        else:
+            if not line.strip():
+                continue
+            try:
+                rec = LogRecord.parse(line)
+            except Exception as exc:
+                raise SnapshotError(str(path), lineno, str(exc)) from exc
+            match = _ID_RE.match(rec.detail.get("transfer", ""))
+            if match:
+                transfer_n = max(transfer_n, int(match.group(1)))
+            match = _ID_RE.match(rec.event_id)
+            digits = match.group(1) if match else None
+        if digits is not None:
+            event_n = max(event_n, int(digits))
+    topology._event_n, topology._transfer_n = event_n, transfer_n
+
+
 def load_state(topology: Topology, state_dir: Path) -> None:
     """Apply snapshots onto a freshly built topology."""
     state_dir = Path(state_dir)
-
     path = state_dir / SUBSCRIPTIONS_SNAP
     if path.exists():
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split("|")
-            if len(parts) != 7:
-                raise SnapshotError(str(path), lineno, f"expected 7 fields, got {len(parts)}")
-            number, user, tsp, enum_flag, phone_flag, serving, token = parts
-            if enum_flag not in ("0", "1") or phone_flag not in ("0", "1"):
-                raise SnapshotError(str(path), lineno, "flags must be 0 or 1")
-            topology.directory.subscriptions[number] = Subscription(
-                number=number,
-                user=user,
-                tsp=tsp,
-                token=token,
-                phone_active=phone_flag == "1",
-                enum_active=enum_flag == "1",
-                serving_registrar=serving or None,
-            )
-
+        _load_subscriptions(topology, path)
     path = state_dir / REGISTRY_SNAP
     if path.exists():
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split("|")
-            if len(parts) != 4:
-                raise SnapshotError(str(path), lineno, f"expected 4 fields, got {len(parts)}")
-            number, registrar, owner, serial_text = parts
-            try:
-                serial = int(serial_text)
-            except ValueError:
-                raise SnapshotError(str(path), lineno, f"bad serial {serial_text!r}") from None
-            if owner not in topology.registries:
-                raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}")
-            delegation = Delegation(
-                number=number, registrar=registrar, owning_registry=owner, serial=serial
-            )
-            owner_state = topology.registries[owner].state
-            owner_state.delegations[number] = delegation
-            owner_state.observed_serials.setdefault(number, []).append(serial)
-            for peer in owner_state.peers:
-                peer_state = topology.registries[peer].state
-                peer_state.delegations[number] = delegation
-                peer_state.observed_serials.setdefault(number, []).append(serial)
-
+        _load_delegations(topology, path)
     max_grant = 0
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
-        if not path.exists():
-            continue
-        current: str | None = None
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            tag, _, rest = line.partition("|")
-            if tag == "number":
-                current = rest
-                actor.store.setdefault(current, [])
-            elif tag == "grant":
-                if current is None:
-                    raise SnapshotError(str(path), lineno, "grant before number line")
-                parts = rest.split("|")
-                if len(parts) != 5:
-                    raise SnapshotError(str(path), lineno, "grant needs 5 fields")
-                grant_id, grantor, grantee, rights, scope = parts
-                actor.grants.setdefault(current, []).append(
-                    AuthorizationGrant(
-                        grant_id=grant_id,
-                        grantor=grantor,
-                        grantee=grantee,
-                        rights=frozenset(r for r in rights.split(",") if r),
-                        scope=ServiceSelector(scope),
-                        number=current,
-                    )
-                )
-                match = re.match(r"^g(\d+)$", grant_id)
-                if match:
-                    max_grant = max(max_grant, int(match.group(1)))
-            elif tag == "record":
-                if current is None:
-                    raise SnapshotError(str(path), lineno, "record before number line")
-                try:
-                    actor.store.setdefault(current, []).append(parse_stored_line(rest))
-                except Exception as exc:
-                    raise SnapshotError(str(path), lineno, str(exc)) from exc
-            else:
-                raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+        if path.exists():
+            max_grant = max(max_grant, _load_registrar(actor, path))
     topology._grant_n = max(topology._grant_n, max_grant)
-
-    for rec in read_log(state_dir):
-        match = _ID_RE.match(rec.event_id)
-        if match:
-            topology._event_n = max(topology._event_n, int(match.group(1)))
-        tid = rec.detail.get("transfer", "")
-        match = _ID_RE.match(tid)
-        if match:
-            topology._transfer_n = max(topology._transfer_n, int(match.group(1)))
+    path = state_dir / EVENTS_LOG
+    if path.exists():
+        _restore_id_counters(topology, path)
     topology.completed = True

@@ -1,5 +1,13 @@
+import os
+import shutil
+import subprocess
+import sys
+from importlib.resources import files as resource_files
+from pathlib import Path
+
+import enumstack
 from enumstack.cli import main
-from enumstack.snapshots import EVENTS_LOG, LOCK_FILE, StateLock
+from enumstack.snapshots import EVENTS_LOG, LOCK_FILE, REGISTRY_SNAP, SCENARIO_FILE, StateLock
 
 SIP_RECORD = '200 10 "u" "E2U+mailto" "!^.*$!mailto:alice@example.net!" .'
 
@@ -129,6 +137,78 @@ class TestMarket:
             capsys, "market", "report", "--fixtures", str(tmp_path / "missing")
         )
         assert code == 2
+
+
+def python_m_enumstack(*argv):
+    """Run ``python -m enumstack`` on the package under test."""
+    env = dict(os.environ)
+    src = str(Path(enumstack.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.pop("ENUM_APEX", None)
+    return subprocess.run(
+        [sys.executable, "-m", "enumstack", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def non_utf8_market_dir(tmp_path):
+    fixtures = tmp_path / "market"
+    shutil.copytree(str(resource_files("enumstack").joinpath("fixtures/market")), fixtures)
+    with open(fixtures / "potential_market.csv", "ab") as handle:
+        handle.write(b"\xff\n")
+    return fixtures
+
+
+def state_with_bad_byte(capsys, tmp_path, name):
+    state = tmp_path / "state"
+    run(capsys, "provision", "+1-315-443-4473",
+        "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+    with open(state / name, "ab") as handle:
+        handle.write(b"\xff\n")
+    return state
+
+
+class TestNonUtf8Inputs:
+    def test_market_csv_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "market", "report", "--fixtures", str(non_utf8_market_dir(tmp_path))
+        )
+        assert code == 2
+        assert err.startswith("MarketError: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_scenario_cfg_exit_2(self, capsys, tmp_path):
+        state = state_with_bad_byte(capsys, tmp_path, SCENARIO_FILE)
+        for argv in (("resolve", "+1-315-443-4473"), ("scenario", "report")):
+            code, _, err = run(capsys, *argv, "--state-dir", str(state))
+            assert code == 2
+            assert err.startswith("SnapshotError: ") and "scenario.cfg:" in err
+            assert err.count("\n") == 1
+
+    def test_events_log_exit_2(self, capsys, tmp_path):
+        state = state_with_bad_byte(capsys, tmp_path, EVENTS_LOG)
+        for argv in (("resolve", "+1-315-443-4473"), ("scenario", "report")):
+            code, _, err = run(capsys, *argv, "--state-dir", str(state))
+            assert code == 2
+            assert err.startswith("SnapshotError: ") and "events.log:" in err
+
+    def test_python_m_enumstack_exit_2_without_traceback(self, capsys, tmp_path):
+        state = state_with_bad_byte(capsys, tmp_path, REGISTRY_SNAP)
+        market = non_utf8_market_dir(tmp_path)
+        for argv in (
+            ["resolve", "+13154434473", "--state-dir", str(state)],
+            ["market", "report", "--fixtures", str(market)],
+        ):
+            done = python_m_enumstack(*argv)
+            assert done.returncode == 2, done.stderr
+            assert done.stderr.count("\n") == 1, done.stderr
+            assert "Traceback" not in done.stderr
+            assert "not UTF-8" in done.stderr
+
+    def test_python_m_enumstack_runs_cli(self):
+        done = python_m_enumstack("resolve", "+1-315-443-4473")
+        assert done.returncode == 0
+        assert done.stdout.strip() == "sip:info@example.com"
 
 
 class TestStatefulCommands:

@@ -143,6 +143,13 @@ class TestTableValidation:
         with pytest.raises(MarketError):
             load_market_table(path)
 
+    @pytest.mark.parametrize("loader", [load_market_table, load_potential_fixture])
+    def test_non_utf8_csv_rejected(self, loader, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"metric,unit,year,value\nm,\xff,2000,1\n")
+        with pytest.raises(MarketError, match="not UTF-8"):
+            loader(path)
+
 
 class TestFixtures:
     def test_potential_inputs_cover_four_columns(self, potential):
