@@ -42,8 +42,6 @@ from .resolver import Resolution, resolve, resolve_all
 from .scenarios import (
     ScenarioConfig,
     Topology,
-    ValueFlowGraph,
-    assert_invariants,
     build_topology,
     builtin_config,
     canonical_events,
@@ -51,8 +49,8 @@ from .scenarios import (
     parse_config,
     parse_events,
     run_events,
-    value_flow,
 )
+from .audit import ValueFlowGraph, assert_invariants, value_flow
 from .market import (
     MarketTable,
     PotentialMarketEstimate,

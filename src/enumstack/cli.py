@@ -15,6 +15,7 @@ import sys
 from importlib.resources import files as resource_files
 from pathlib import Path
 
+from .audit import assert_invariants, value_flow, value_flow_from_log
 from .errors import (
     EnumStackError,
     InvalidModelCombination,
@@ -27,15 +28,12 @@ from .market import load_market_table, load_potential_fixture, market_report
 from .scenarios import (
     ScenarioConfig,
     Topology,
-    assert_invariants,
     build_topology,
     canonical_events,
     model_fixture_text,
     parse_config,
     read_text,
     run_events,
-    value_flow,
-    value_flow_from_log,
 )
 from . import snapshots
 

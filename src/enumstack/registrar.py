@@ -36,7 +36,7 @@ from .errors import (
     UnknownTransfer,
     VerificationFailed,
 )
-from .e164 import ApexConfig, DEFAULT_APEX, parse_number
+from .e164 import parse_number
 from .naptr import (
     NaptrRecord,
     NaptrRecordSet,
@@ -83,6 +83,10 @@ PROVISION_RIGHT = "provision"
 ACCESS_RIGHT = "access"
 CHANGE_RIGHT = "change"
 ALL_RIGHTS = frozenset({PROVISION_RIGHT, ACCESS_RIGHT, CHANGE_RIGHT})
+
+# Retries of each request a transfer step sends to the old registrar; when
+# they all time out the step goes on with a warning.
+TRANSFER_RETRIES = 1
 
 
 class AlreadySubscribed(RegistrarError):
@@ -190,11 +194,7 @@ class ModelContext:
     registrar_kind: Role
     extra_kinds: frozenset[Role] = frozenset()
     network_related: frozenset[str] = frozenset({"E2U+sip", "E2U+tel"})
-    user_fee: float = 1.0
-    flat_fee: float = 1.0
-    transfer_retries: int = 1
     accreditation: dict[str, frozenset[str]] = field(default_factory=dict)
-    apex: ApexConfig = DEFAULT_APEX
 
     @property
     def permitted_kinds(self) -> frozenset[Role]:
@@ -493,7 +493,7 @@ class RegistrarActor:
                     "transfer": transfer_id,
                     "user": record.user,
                 },
-                retries=self.ctx.transfer_retries,
+                retries=TRANSFER_RETRIES,
             )
             if resp is None:
                 record.warnings.append(
@@ -508,7 +508,7 @@ class RegistrarActor:
                 record.from_registrar,
                 MIGRATE_REQ,
                 {"number": record.number, "transfer": transfer_id},
-                retries=self.ctx.transfer_retries,
+                retries=TRANSFER_RETRIES,
             )
             if resp is None or not resp.ok:
                 record.warnings.append(
@@ -607,7 +607,7 @@ class RegistrarActor:
                     "number": record.number,
                     "records": render_store_lines(list(record.migrated)),
                 },
-                retries=self.ctx.transfer_retries,
+                retries=TRANSFER_RETRIES,
             )
             if resp is None:
                 record.warnings.append(

@@ -391,29 +391,3 @@ class RegistryActor:
             applied = state.peer_sync([update])
             return frame.ok_reply(applied=str(applied))
         raise NoDelegation(f"registry {state.id} cannot handle {frame.kind}")
-
-
-def replicas_converged(registries: list[RegistryState]) -> list[str]:
-    """Numbers whose replicas disagree with the owner (empty == converged)."""
-    problems: list[str] = []
-    by_id = {r.id: r for r in registries}
-    for owner in registries:
-        for number, delegation in owner.delegations.items():
-            if delegation.owning_registry != owner.id:
-                continue
-            for other_id in owner.peers:
-                other = by_id.get(other_id)
-                if other is None:
-                    continue
-                replica = other.delegations.get(number)
-                if (
-                    replica is None
-                    or replica.serial != delegation.serial
-                    or replica.registrar != delegation.registrar
-                ):
-                    problems.append(
-                        f"{number}: {other_id} replica "
-                        f"{'missing' if replica is None else 'serial %d' % replica.serial}"
-                        f" != owner {owner.id} serial {delegation.serial}"
-                    )
-    return problems

@@ -1,4 +1,4 @@
-"""Administration-model scenarios: topologies, scripted runs, invariants.
+"""Administration-model scenarios: configs, topologies and scripted runs.
 
 Six reference models form a 2x3 grid: the registrar kind (TSP / ASP /
 independent) crossed with registry multiplicity (single / multiple).
@@ -9,11 +9,11 @@ topology on the deterministic simulator; an event script drives it; the
 log is replayable and byte-identical for identical (config, seed,
 events).
 
-The invariant suite re-derives everything it checks from the run log and
-raw actor state rather than trusting the code paths that produced them:
-access soundness replays grants through an independent matrix, billing
-recounts charged events, transfer conservation compares record multisets,
-and replication is checked serial-by-serial.
+The checks on a run (value flow, the access oracle and the invariant
+suite) live in :mod:`enumstack.audit`, which reads only the log and
+public actor state. ``assert_invariants`` and ``AccessOracle`` are
+re-exported here because the benchmark's tracer wraps them under this
+module's name.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import io
 from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import resolver as resolver_mod
+from .audit import AccessOracle, assert_invariants  # re-exported
 from .e164 import ApexConfig, parse_number
 from .errors import (
     EnumInactive,
@@ -36,18 +37,11 @@ from .errors import (
     InvalidModelCombination,
     InvalidRecord,
     NaptrError,
-    RunIncomplete,
     ScenarioError,
     UnknownSubscription,
     status_error,
 )
-from .naptr import (
-    NaptrRecord,
-    NaptrRecordSet,
-    ServiceSelector,
-    Visibility,
-    resolve_record_set,
-)
+from .naptr import NaptrRecord, Visibility
 from .registrar import (
     Directory,
     ModelContext,
@@ -59,19 +53,12 @@ from .registrar import (
     render_store_lines,
     render_stored_line,
 )
-from .registry import (
-    RegistryActor,
-    RegistryState,
-    Tier0Actor,
-    Tier0Table,
-    replicas_converged,
-)
+from .registry import RegistryActor, RegistryState, Tier0Actor, Tier0Table
 from .simulator import Network
 from .wire import (
     DISCONNECT,
     GET,
     GRANT,
-    PEER_UPDATE,
     PROVISION,
     REVOKE,
     SUBSCRIBE,
@@ -385,6 +372,42 @@ class EventLog:
 # ---------------------------------------------------------------- topology
 
 
+class _Step:
+    """The context of one logged operation; see :meth:`Topology._step`."""
+
+    __slots__ = ("_topology", "_kind", "event_id", "digits", "result", "detail")
+
+    def __init__(
+        self, topology: Topology, kind: str, number: str | None, detail: dict[str, str]
+    ):
+        self._topology = topology
+        self._kind = kind
+        self.event_id = topology._next_event_id()
+        self.digits = number
+        self.result: dict[str, str] = {}
+        self.detail = detail if number is None else {"number": number, **detail}
+
+    def __enter__(self) -> _Step:
+        if self.digits is not None:
+            try:
+                self.digits = self.detail["number"] = parse_number(self.digits).full_digits
+            except EnumStackError as exc:
+                self.__exit__(type(exc), exc, exc.__traceback__)
+                raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.detail.update(self.result)
+            status = "ok"
+        elif issubclass(exc_type, EnumStackError):
+            self.detail["message"] = str(exc)
+            status = exc_type.__name__
+        else:
+            return
+        self._topology._append(self.event_id, self._kind, status, self.detail)
+
+
 class Topology:
     """A running scenario: actors on the simulator plus the run log."""
 
@@ -432,10 +455,7 @@ class Topology:
             registrar_kind=cfg.registrar_kind,
             extra_kinds=frozenset(cfg.extra_registrar_kinds),
             network_related=cfg.network_related,
-            user_fee=cfg.user_fee,
-            flat_fee=cfg.flat_fee,
             accreditation=dict(cfg.accreditation),
-            apex=self.apex,
         )
         self.registrars: dict[str, RegistrarActor] = {}
         for registrar_id in cfg.registrar_ids:
@@ -469,29 +489,18 @@ class Topology:
             )
         )
 
-    def _run_op(self, kind: str, detail: dict[str, str], fn, number: str | None = None):
-        """Run an operation and log ok/err; errors re-raise for direct callers.
+    def _step(self, kind: str, number: str | None = None, /, **detail: str) -> _Step:
+        """A context that logs the operation in its ``with`` body as ok or
+        as its error; errors re-raise for direct callers.
 
-        Everything that can fail, including parsing the number itself,
-        happens inside the logged region so scripts record their own
-        mistakes instead of aborting.
+        The log detail is *number* (when given), then *detail*, then the
+        body's ``step.result`` on success or the error's ``message``; the
+        whole of it is ``step.detail`` afterwards. Everything that can
+        fail, including parsing the number into ``step.digits``, happens
+        inside the logged region so scripts record their own mistakes
+        instead of aborting.
         """
-        event_id = self._next_event_id()
-        detail = ({"number": number, **detail}) if number is not None else dict(detail)
-        try:
-            if number is not None:
-                digits = parse_number(number).full_digits
-                detail["number"] = digits
-                result = fn(event_id, digits)
-            else:
-                result = fn(event_id)
-        except EnumStackError as exc:
-            detail["message"] = str(exc)
-            self._append(event_id, kind, type(exc).__name__, detail)
-            raise
-        merged = {**detail, **(result if isinstance(result, dict) else {})}
-        self._append(event_id, kind, "ok", merged)
-        return merged
+        return _Step(self, kind, number, detail)
 
     def _serving(self, digits: str) -> str:
         sub = self.directory.get(digits)
@@ -522,18 +531,15 @@ class Topology:
     # ------------------------------------------------------------ operations
 
     def assign(self, number: str, user: str, tsp: str) -> dict[str, str]:
-        def op(_eid: str, digits: str):
-            sub = self.directory.assign(digits, user, tsp)
-            return {"token": sub.token}
-
-        return self._run_op("assign", {"user": user, "tsp": tsp}, op, number=number)
+        with self._step("assign", number, user=user, tsp=tsp) as step:
+            sub = self.directory.assign(step.digits, user, tsp)
+            step.result = {"token": sub.token}
+        return step.detail
 
     def confirm(self, number: str, registrar: str) -> dict[str, str]:
-        def op(_eid: str, digits: str):
-            self.directory.confirm(digits, registrar)
-            return {}
-
-        return self._run_op("confirm", {"registrar": registrar}, op, number=number)
+        with self._step("confirm", number, registrar=registrar) as step:
+            self.directory.confirm(step.digits, registrar)
+        return step.detail
 
     def subscribe(
         self,
@@ -545,9 +551,11 @@ class Topology:
         payer: str | None = None,
     ) -> dict[str, str]:
         registry = self.cfg.home_of(registrar) if registrar in self.cfg.registrar_ids else ""
-
-        def op(eid: str, digits: str):
-            sub = self.directory.get(digits)
+        with self._step(
+            "subscribe", number,
+            user=user, registrar=registrar, payer=payer or user, registry=registry,
+        ) as step:
+            sub = self.directory.get(step.digits)
             secret = token
             if secret == "auto":
                 secret = sub.token if sub else ""
@@ -556,28 +564,16 @@ class Topology:
                 registrar,
                 SUBSCRIBE,
                 {
-                    "number": digits,
+                    "number": step.digits,
                     "user": user,
                     "token": secret or "",
                     "confirmed": "1" if confirmed else "0",
                     "payer": payer or "",
-                    "event": eid,
+                    "event": step.event_id,
                 },
             )
             self.drain()
-            return {}
-
-        return self._run_op(
-            "subscribe",
-            {
-                "user": user,
-                "registrar": registrar,
-                "payer": payer or user,
-                "registry": registry,
-            },
-            op,
-            number=number,
-        )
+        return step.detail
 
     def _parse_record_lines(
         self, record: str | list[str], visibility: str | None
@@ -601,28 +597,27 @@ class Topology:
         record: str | list[str],
         visibility: str | None = None,
     ) -> dict[str, str]:
-        def op(eid: str, digits: str):
+        with self._step("provision", number, actor=actor) as step:
             try:
                 records = self._parse_record_lines(record, visibility)
             except (NaptrError, ValueError) as exc:  # ValueError: unknown visibility
                 raise InvalidRecord(str(exc)) from exc
             lines = "\n".join(render_stored_line(r) for r in records)
-            serving = self._serving(digits)
+            serving = self._serving(step.digits)
             self._request(
                 f"client:{actor}",
                 serving,
                 PROVISION,
-                {"number": digits, "actor": actor, "records": lines, "event": eid},
+                {"number": step.digits, "actor": actor, "records": lines, "event": step.event_id},
             )
             self.drain()
-            return {
+            step.result = {
                 "services": ",".join(r.service for r in records),
                 "visibilities": ",".join(r.visibility.value for r in records),
                 "records": lines,
                 "registrar": serving,
             }
-
-        return self._run_op("provision", {"actor": actor}, op, number=number)
+        return step.detail
 
     def grant(
         self,
@@ -634,83 +629,73 @@ class Topology:
     ) -> dict[str, str]:
         self._grant_n += 1
         grant_id = f"g{self._grant_n}"
-        detail = {
-            "user": user,
-            "grantee": grantee,
-            "rights": rights,
-            "scope": scope,
-            "grant": grant_id,
-        }
-
-        def op(eid: str, digits: str):
-            serving = self._serving(digits)
+        with self._step(
+            "grant", number,
+            user=user, grantee=grantee, rights=rights, scope=scope, grant=grant_id,
+        ) as step:
+            serving = self._serving(step.digits)
             self._request(
                 f"client:{user}",
                 serving,
                 GRANT,
                 {
-                    "number": digits,
+                    "number": step.digits,
                     "user": user,
                     "grantee": grantee,
                     "rights": rights,
                     "scope": scope,
                     "grant_id": grant_id,
-                    "event": eid,
+                    "event": step.event_id,
                 },
             )
-            return {"registrar": serving}
-
-        return self._run_op("grant", detail, op, number=number)
+            step.result = {"registrar": serving}
+        return step.detail
 
     def revoke(self, number: str, user: str, grant: str) -> dict[str, str]:
-        def op(eid: str, digits: str):
-            serving = self._serving(digits)
+        with self._step("revoke", number, user=user, grant=grant) as step:
+            serving = self._serving(step.digits)
             self._request(
                 f"client:{user}",
                 serving,
                 REVOKE,
-                {"number": digits, "user": user, "grant_id": grant, "event": eid},
+                {"number": step.digits, "user": user, "grant_id": grant, "event": step.event_id},
             )
-            return {"registrar": serving}
-
-        return self._run_op("revoke", {"user": user, "grant": grant}, op, number=number)
+            step.result = {"registrar": serving}
+        return step.detail
 
     def get(self, number: str, actor: str, service: str = "*") -> dict[str, str]:
-        def op(_eid: str, digits: str):
-            serving = self._serving(digits)
+        with self._step("get", number, actor=actor, service=service) as step:
+            serving = self._serving(step.digits)
             response = self._request(
                 f"client:{actor}",
                 serving,
                 GET,
-                {"number": digits, "actor": actor, "service": service},
+                {"number": step.digits, "actor": actor, "service": service},
             )
             records = parse_store_lines(response.get("records"))
-            return {
+            step.result = {
                 "registrar": serving,
                 "records": response.get("records"),
                 "returned_services": ",".join(r.service for r in records),
                 "returned_visibilities": ",".join(r.visibility.value for r in records),
             }
+        return step.detail
 
-        return self._run_op(
-            "get", {"actor": actor, "service": service}, op, number=number
-        )
-
-    def _open_transfer(self, eid: str, digits: str, user: str, to: str) -> dict[str, str]:
+    def _open_transfer(self, step: _Step, user: str, to: str) -> dict[str, str]:
         """Open a registrar change at *to*; returns the detail both transfer
         kinds log, with the old store's snapshot for transfer conservation."""
         self._transfer_n += 1
         transfer_id = f"x{self._transfer_n}"
-        sub = self.directory.get(digits)
+        sub = self.directory.get(step.digits)
         old = (sub.serving_registrar or "") if sub else ""
         old_snapshot = ""
         if old in self.registrars:
-            old_snapshot = render_store_lines(self.registrars[old].store.get(digits, []))
+            old_snapshot = render_store_lines(self.registrars[old].store.get(step.digits, []))
         self._request(
             f"client:{user}",
             to,
             TRANSFER_INIT,
-            {"number": digits, "user": user, "transfer": transfer_id, "event": eid},
+            {"number": step.digits, "user": user, "transfer": transfer_id, "event": step.event_id},
         )
         self._transfer_host[transfer_id] = to
         return {"from": old, "to": to, "transfer": transfer_id, "old_snapshot": old_snapshot}
@@ -723,43 +708,37 @@ class Topology:
 
     def transfer(self, number: str, user: str, to: str) -> dict[str, str]:
         """Run the whole registrar-change state machine."""
-
-        def op(eid: str, digits: str):
-            opened = self._open_transfer(eid, digits, user, to)
+        with self._step("transfer", number, user=user, to=to) as step:
+            opened = self._open_transfer(step, user, to)
             record = self.registrars[to].finish_transfer(
-                opened["transfer"], self.net, event=eid
+                opened["transfer"], self.net, event=step.event_id
             )
             self.drain()
-            return {
+            step.result = {
                 **opened,
                 "state": record.state.value,
                 "warnings": " / ".join(record.warnings),
                 "migrated": render_store_lines(list(record.migrated)),
-                "registry": self._owner_of(digits),
+                "registry": self._owner_of(step.digits),
             }
-
-        return self._run_op("transfer", {"user": user, "to": to}, op, number=number)
+        return step.detail
 
     # Paced transfer API: one state per call, so tests and scripts can
     # interleave disputes with the machine's progress.
 
     def begin_transfer(self, number: str, user: str, to: str) -> str:
-        def op(eid: str, digits: str):
-            opened = self._open_transfer(eid, digits, user, to)
-            return {**opened, "state": TransferState.REQUESTED.value}
-
-        detail = self._run_op(
-            "transfer_begin", {"user": user, "to": to}, op, number=number
-        )
-        return detail["transfer"]
+        with self._step("transfer_begin", number, user=user, to=to) as step:
+            opened = self._open_transfer(step, user, to)
+            step.result = {**opened, "state": TransferState.REQUESTED.value}
+        return step.detail["transfer"]
 
     def step_transfer(self, transfer: str) -> dict[str, str]:
-        def op(eid: str):
+        with self._step("transfer_step", transfer=transfer) as step:
             record = self._transfer_actor(transfer).step_transfer(
-                transfer, self.net, event=eid
+                transfer, self.net, event=step.event_id
             )
             self.drain()
-            detail = {
+            step.result = {
                 "state": record.state.value,
                 "to": record.to_registrar,
                 "from": record.from_registrar,
@@ -767,64 +746,56 @@ class Topology:
                 "warnings": " / ".join(record.warnings),
             }
             if record.state is TransferState.RECORDS_MIGRATED:
-                detail["migrated"] = render_store_lines(list(record.migrated))
+                step.result["migrated"] = render_store_lines(list(record.migrated))
             if record.state is TransferState.REGISTRY_UPDATED:
-                detail["registry"] = self._owner_of(record.number)
-            return detail
-
-        return self._run_op("transfer_step", {"transfer": transfer}, op)
+                step.result["registry"] = self._owner_of(record.number)
+        return step.detail
 
     def dispute_transfer(self, transfer: str, by: str, reason: str = "") -> dict[str, str]:
-        def op(eid: str):
+        with self._step("dispute", transfer=transfer, by=by, reason=reason) as step:
             actor = self._transfer_actor(transfer)
             response = self._request(
                 f"client:{by}",
                 actor.actor_id,
                 TRANSFER_DISPUTE,
-                {"transfer": transfer, "by": by, "reason": reason, "event": eid},
+                {"transfer": transfer, "by": by, "reason": reason, "event": step.event_id},
             )
             self.drain()
             record = actor.transfers[transfer]
-            return {
+            step.result = {
                 "state": response.get("state"),
                 "number": record.number,
                 "from": record.from_registrar,
                 "to": record.to_registrar,
             }
-
-        return self._run_op(
-            "dispute", {"transfer": transfer, "by": by, "reason": reason}, op
-        )
+        return step.detail
 
     def disconnect(self, number: str, user: str, kind: str) -> dict[str, str]:
-        def op(eid: str, digits: str):
-            sub = self.directory.get(digits)
+        with self._step("disconnect", number, user=user, kind=kind) as step:
+            sub = self.directory.get(step.digits)
             if sub is None:
-                raise UnknownSubscription(f"no subscription for {digits!r}")
+                raise UnknownSubscription(f"no subscription for {step.digits!r}")
             target = sub.serving_registrar or next(iter(self.registrars), "")
             self._request(
                 f"client:{user}",
                 target,
                 DISCONNECT,
-                {"number": digits, "user": user, "kind_arg": kind, "event": eid},
+                {"number": step.digits, "user": user, "kind_arg": kind, "event": step.event_id},
             )
             self.drain()
-            return {"registrar": target}
-
-        return self._run_op(
-            "disconnect", {"user": user, "kind": kind}, op, number=number
-        )
+            step.result = {"registrar": target}
+        return step.detail
 
     def resolve(self, number: str, service: str = "*") -> dict[str, str]:
-        def op(_eid: str, digits: str):
+        with self._step("resolve", number, service=service) as step:
             result = resolver_mod.resolve(
-                "+" + digits,
+                "+" + step.digits,
                 self.net,
                 tier0_id="tier0",
                 apex=self.apex,
                 service=service,
             )
-            return {
+            step.result = {
                 "uris": "\n".join(result.uris),
                 "records": result.record_lines,
                 "registrar": result.registrar,
@@ -832,52 +803,36 @@ class Topology:
                 "warnings": " / ".join(result.warnings),
                 "trace": "\n".join(result.trace.render_lines()),
             }
-
-        return self._run_op("resolve", {"service": service}, op, number=number)
+        return step.detail
 
     def cooperate(
         self, payer: str, tsp: str, approach: str = "ASP-directed", amount: float | None = None
     ) -> dict[str, str]:
         """A TSP-cooperation payment; meaningful in the ASP-registrar models."""
-
-        def op(_eid: str):
+        shown = f"{amount if amount is not None else self.cfg.user_fee:g}"
+        with self._step(
+            "cooperate", payer=payer, tsp=tsp, approach=approach, amount=shown
+        ) as step:
             if self.cfg.model_id not in (2, 5):
                 raise InvalidModelCombination(
                     "cooperation side-payments only arise in the ASP-registrar models"
                 )
-            return {}
-
-        return self._run_op(
-            "cooperate",
-            {
-                "payer": payer,
-                "tsp": tsp,
-                "approach": approach,
-                "amount": f"{amount if amount is not None else self.cfg.user_fee:g}",
-            },
-            op,
-        )
+        return step.detail
 
     def advance(self, ticks: int) -> dict[str, str]:
-        def op(_eid: str):
+        with self._step("advance", ticks=str(ticks)) as step:
             self.net.advance(ticks)
-            return {}
-
-        return self._run_op("advance", {"ticks": str(ticks)}, op)
+        return step.detail
 
     def offline(self, actor: str) -> dict[str, str]:
-        def op(_eid: str):
+        with self._step("offline", actor=actor) as step:
             self.net.set_offline(actor)
-            return {}
-
-        return self._run_op("offline", {"actor": actor}, op)
+        return step.detail
 
     def online(self, actor: str) -> dict[str, str]:
-        def op(_eid: str):
+        with self._step("online", actor=actor) as step:
             self.net.set_online(actor)
-            return {}
-
-        return self._run_op("online", {"actor": actor}, op)
+        return step.detail
 
     def backdoor_provision(self, registrar: str, number: str, record: str, actor: str) -> None:
         """Harness-only: write a record past all access checks and log it as
@@ -1064,390 +1019,3 @@ def run_events(topology: Topology, events: str | list[Event]) -> EventLog:
     topology.drain()
     topology.completed = True
     return EventLog(records=list(topology.log))
-
-
-# ---------------------------------------------------------------- value flow
-
-
-@dataclass(frozen=True)
-class ValueFlowEdge:
-    payer: str
-    payer_role: str
-    payee: str
-    payee_role: str
-    amount: float
-    cause: str
-
-    def render(self) -> str:
-        return (
-            f"{self.payer}({self.payer_role}) -> {self.payee}({self.payee_role}) "
-            f"{self.amount:g} [{self.cause}]"
-        )
-
-
-@dataclass
-class ValueFlowGraph:
-    edges: tuple[ValueFlowEdge, ...]
-
-    def role_pairs(self) -> set[tuple[str, str]]:
-        return {(e.payer_role, e.payee_role) for e in self.edges}
-
-    def render_lines(self) -> list[str]:
-        return [e.render() for e in self.edges]
-
-
-# Transfer kinds, each with the state in which it completes a registrar change.
-_BILLED_STATES = {"transfer": "Complete", "transfer_step": "RegistryUpdated"}
-
-
-def _billed(records: list[LogRecord]) -> Iterator[tuple[LogRecord, str]]:
-    """Each log record that bills the registry its flat fee, with the
-    registrar billed: a successful subscription bills its registrar, a
-    completed registrar change (a whole ``transfer`` or the
-    ``RegistryUpdated`` step of a paced one) the new registrar."""
-    for rec in records:
-        kind = rec.kind
-        if kind == "subscribe" and rec.ok:
-            yield rec, rec.detail.get("registrar", "")
-        elif kind in _BILLED_STATES and rec.ok and rec.detail.get("state") == _BILLED_STATES[kind]:
-            yield rec, rec.detail.get("to", "")
-
-
-def value_flow_from_log(records: list[LogRecord], cfg: ScenarioConfig) -> ValueFlowGraph:
-    """Derive payment edges from a run log.
-
-    Subscriptions pay the serving registrar (in the TSP-registrar models
-    an ASP registrant pays instead of the user); every registration and
-    completed registrar change pays the registry a flat fee; cooperation
-    events add side payments to TSPs.
-    """
-    roles = {party.id: party.role.value for party in cfg.actors}
-    # Log records are unhashable, so the billing ones are keyed by identity.
-    billed = {id(rec): registrar for rec, registrar in _billed(records)}
-    edges: list[ValueFlowEdge] = []
-
-    def pay(payer: str, payee: str, amount: float, rec: LogRecord) -> None:
-        edges.append(
-            ValueFlowEdge(
-                payer, roles.get(payer, "?"), payee, roles.get(payee, "?"),
-                amount, rec.event_id,
-            )
-        )
-
-    for rec in records:
-        if not rec.ok:
-            continue
-        if rec.kind == "subscribe":
-            user = rec.detail.get("user", "")
-            payer = rec.detail.get("payer", user)
-            if not (
-                payer != user
-                and roles.get(payer) == Role.ASP.value
-                and cfg.registrar_kind is Role.TSP
-            ):
-                payer = user
-            pay(payer, rec.detail.get("registrar", ""), cfg.user_fee, rec)
-        elif rec.kind == "cooperate":
-            amount = float(rec.detail.get("amount", "1"))
-            pay(rec.detail.get("payer", ""), rec.detail.get("tsp", ""), amount, rec)
-        registrar = billed.get(id(rec))
-        registry = rec.detail.get("registry", "")
-        if registrar is not None and registry:
-            pay(registrar, registry, cfg.flat_fee, rec)
-    return ValueFlowGraph(edges=tuple(edges))
-
-
-def value_flow(topology: Topology) -> ValueFlowGraph:
-    if not topology.completed:
-        raise RunIncomplete("run the event script before deriving value flows")
-    return value_flow_from_log(topology.log, topology.cfg)
-
-
-# ---------------------------------------------------------------- access oracle
-
-
-class AccessOracle:
-    """Independent access matrix, replayed from the log alone.
-
-    Deliberately re-implements the rights rules with plain set algebra so
-    a defect in the registrar's enforcement cannot hide: every successful
-    write (and every restricted read) in the log must be justified by the
-    subscriber/serving-registrar identities, the implicit TSP rule, or a
-    grant visible in the log at that point.
-    """
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.tsp_implicit = cfg.registrar_kind is Role.TSP
-        self.network_related = {s.lower() for s in cfg.network_related}
-
-    def check(self, records: list[LogRecord]) -> list[str]:
-        subs: dict[str, dict[str, str]] = {}
-        grants: dict[str, list[dict[str, object]]] = {}
-        violations: list[str] = []
-
-        def scope_ok(scope: str, service: str) -> bool:
-            return scope == "*" or scope.lower() == service.lower()
-
-        def may_write(number: str, actor: str, service: str) -> bool:
-            sub = subs.get(number)
-            if sub is None:
-                return False
-            if actor == sub["user"] or actor == sub["serving"]:
-                return True
-            if (
-                self.tsp_implicit
-                and actor == sub["tsp"]
-                and service.lower() in self.network_related
-            ):
-                return True
-            for g in grants.get(number, []):
-                if (
-                    g["grantee"] == actor
-                    and (set(g["rights"]) & {"provision", "change"})  # type: ignore[arg-type]
-                    and scope_ok(str(g["scope"]), service)
-                ):
-                    return True
-            return False
-
-        def may_read_restricted(number: str, actor: str, service: str) -> bool:
-            sub = subs.get(number)
-            if sub is None:
-                return False
-            if actor == sub["user"] or actor == sub["serving"]:
-                return True
-            for g in grants.get(number, []):
-                if (
-                    g["grantee"] == actor
-                    and "access" in g["rights"]  # type: ignore[operator]
-                    and scope_ok(str(g["scope"]), service)
-                ):
-                    return True
-            return False
-
-        for rec in records:
-            if not rec.ok:
-                continue
-            d = rec.detail
-            number = d.get("number", "")
-            if rec.kind == "assign":
-                subs[number] = {"user": d["user"], "tsp": d["tsp"], "serving": ""}
-                grants.pop(number, None)
-            elif rec.kind == "subscribe":
-                if number in subs:
-                    subs[number]["serving"] = d.get("registrar", "")
-            elif rec.kind == "transfer" and d.get("state") == "Complete":
-                if number in subs:
-                    subs[number]["serving"] = d.get("to", "")
-                grants.pop(number, None)
-            elif rec.kind == "transfer_step" and d.get("state") == "RegistryUpdated":
-                if number in subs:
-                    subs[number]["serving"] = d.get("to", "")
-                grants.pop(number, None)
-            elif rec.kind == "dispute":
-                if number in subs and d.get("from"):
-                    subs[number]["serving"] = d["from"]
-            elif rec.kind == "disconnect":
-                if number in subs:
-                    subs[number]["serving"] = ""
-                grants.pop(number, None)
-            elif rec.kind == "grant":
-                grants.setdefault(number, []).append(
-                    {
-                        "id": d.get("grant", ""),
-                        "grantee": d.get("grantee", ""),
-                        "rights": set(d.get("rights", "").split(",")),
-                        "scope": d.get("scope", "*"),
-                    }
-                )
-            elif rec.kind == "revoke":
-                grants[number] = [
-                    g for g in grants.get(number, []) if g["id"] != d.get("grant")
-                ]
-            elif rec.kind == "provision":
-                actor = d.get("actor", "")
-                for service in d.get("services", "").split(","):
-                    if service and not may_write(number, actor, service):
-                        violations.append(
-                            f"{rec.event_id}: {actor} wrote {service} for {number}"
-                        )
-            elif rec.kind == "get":
-                actor = d.get("actor", "")
-                services = d.get("returned_services", "").split(",")
-                visibilities = d.get("returned_visibilities", "").split(",")
-                for service, vis in zip(services, visibilities):
-                    if vis == "restricted" and not may_read_restricted(
-                        number, actor, service
-                    ):
-                        violations.append(
-                            f"{rec.event_id}: {actor} read restricted {service} for {number}"
-                        )
-        return violations
-
-
-# ---------------------------------------------------------------- invariants
-
-
-@dataclass
-class InvariantResult:
-    name: str
-    passed: bool
-    violations: list[str] = field(default_factory=list)
-
-
-@dataclass
-class InvariantReport:
-    results: list[InvariantResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> InvariantResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def render_lines(self) -> list[str]:
-        lines = []
-        for r in self.results:
-            lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-            for v in r.violations[:10]:
-                lines.append(f"  {v}")
-        return lines
-
-
-def _multiset(lines: str) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for line in lines.splitlines():
-        if line.strip():
-            counts[line] = counts.get(line, 0) + 1
-    return counts
-
-
-def assert_invariants(topology: Topology) -> InvariantReport:
-    """Evaluate the cross-module invariant suite on a quiescent topology."""
-    topology.drain()
-    results: list[InvariantResult] = []
-    log = topology.log
-    cfg = topology.cfg
-
-    # single-store: each number's records live at exactly one registrar,
-    # and an active number's records live at its serving registrar.
-    violations: list[str] = []
-    holders: dict[str, list[str]] = {}
-    for registrar_id, actor in topology.registrars.items():
-        for number, records in actor.store.items():
-            if records:
-                holders.setdefault(number, []).append(registrar_id)
-    for number, where in sorted(holders.items()):
-        if len(where) > 1:
-            violations.append(f"{number} stored at {', '.join(where)}")
-            continue
-        sub = topology.directory.get(number)
-        if sub and sub.enum_active and sub.serving_registrar != where[0]:
-            violations.append(
-                f"{number} stored at {where[0]} but served by {sub.serving_registrar}"
-            )
-    results.append(InvariantResult("single_store", not violations, violations))
-
-    # transfer conservation: clean transfers carry the exact multiset. A
-    # whole transfer logs its own source snapshot; a paced one logs it at
-    # transfer_begin and the migrated set at its RecordsMigrated step.
-    violations = []
-    snapshots: dict[str, str] = {}
-    for rec in log:
-        kind = rec.kind
-        if kind not in ("transfer", "transfer_begin", "transfer_step") or not rec.ok:
-            continue
-        d = rec.detail
-        if kind != "transfer_step":
-            snapshots[d.get("transfer", "")] = d.get("old_snapshot", "")
-        moved = kind == "transfer" or (
-            kind == "transfer_step" and d.get("state") == "RecordsMigrated"
-        )
-        if moved and not d.get("warnings"):
-            source = snapshots.get(d.get("transfer", ""), "")
-            if _multiset(d.get("migrated", "")) != _multiset(source):
-                violations.append(f"{rec.event_id}: migrated set differs from source")
-    results.append(InvariantResult("transfer_conservation", not violations, violations))
-
-    # access soundness via the independent matrix.
-    violations = AccessOracle(cfg).check(log)
-    results.append(InvariantResult("access_soundness", not violations, violations))
-
-    # serial monotonicity per registry per number.
-    violations = []
-    for reg_id, actor in topology.registries.items():
-        for number, serials in actor.state.observed_serials.items():
-            for a, b in zip(serials, serials[1:]):
-                if b <= a:
-                    violations.append(f"{reg_id} observed {number} serials {a} -> {b}")
-    results.append(InvariantResult("serial_monotonicity", not violations, violations))
-
-    # billing conservation: ledgers equal flat fee times charged events.
-    charged = sum(1 for _ in _billed(log))
-    ledger_total = sum(a.state.ledger_total() for a in topology.registries.values())
-    expected = cfg.flat_fee * charged
-    ok = abs(ledger_total - expected) < 1e-9
-    results.append(
-        InvariantResult(
-            "billing_conservation",
-            ok,
-            [] if ok else [f"ledger {ledger_total:g} != {cfg.flat_fee:g} x {charged}"],
-        )
-    )
-
-    # replica convergence (meaningful with multiple registries).
-    violations = replicas_converged([a.state for a in topology.registries.values()])
-    results.append(InvariantResult("replica_convergence", not violations, violations))
-
-    # single-registry models must never emit a peer update.
-    if cfg.registry_multiplicity == "single":
-        count = sum(
-            1 for rec in topology.net.frame_log if rec.frame.kind == PEER_UPDATE
-        )
-        results.append(
-            InvariantResult(
-                "peering_inert",
-                count == 0,
-                [] if count == 0 else [f"{count} peer updates in a single-registry run"],
-            )
-        )
-    else:
-        results.append(InvariantResult("peering_inert", True, []))
-
-    # transparency: logged resolve answers equal a direct recomputation
-    # over the very records the registrar served.
-    violations = []
-    for rec in log:
-        if rec.kind != "resolve" or not rec.ok:
-            continue
-        records = tuple(parse_store_lines(rec.detail.get("records", "")))
-        number = parse_number("+" + rec.detail["number"])
-        record_set = NaptrRecordSet(number=number, records=records)
-        uris, _ = resolve_record_set(
-            record_set,
-            ServiceSelector(rec.detail.get("service", "*")),
-            number,
-            Visibility.RESTRICTED,
-        )
-        if "\n".join(uris) != rec.detail.get("uris", ""):
-            violations.append(f"{rec.event_id}: resolve answer diverges from content")
-    results.append(InvariantResult("model_transparency", not violations, violations))
-
-    # transfer state sequences never regress.
-    violations = []
-    order = {state: i for i, state in enumerate(TransferState)}
-    for registrar_id, actor in topology.registrars.items():
-        for tid, record in actor.transfers.items():
-            seen = record.history
-            for a, b in zip(seen, seen[1:]):
-                if b is TransferState.DISPUTED:
-                    if a in (TransferState.COMPLETE, TransferState.DISPUTED):
-                        violations.append(f"{tid}: disputed after {a.value}")
-                elif order[b] <= order[a]:
-                    violations.append(f"{tid}: {a.value} -> {b.value}")
-    results.append(InvariantResult("transfer_monotonic", not violations, violations))
-
-    return InvariantReport(results=results)

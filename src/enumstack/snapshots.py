@@ -20,7 +20,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from .errors import LockHeld, SnapshotError
+from .errors import LockHeld, RegistrarError, SnapshotError
 from .naptr import NaptrRecord, ServiceSelector
 from .registrar import (
     AuthorizationGrant,
@@ -254,8 +254,8 @@ def _load_registrar(actor: RegistrarActor, path: Path) -> int:
             if len(parts) != 5:
                 raise SnapshotError(str(path), lineno, "grant needs 5 fields")
             grant_id, grantor, grantee, rights, scope = parts
-            actor.grants.setdefault(current, []).append(
-                AuthorizationGrant(
+            try:
+                grant = AuthorizationGrant(
                     grant_id=grant_id,
                     grantor=grantor,
                     grantee=grantee,
@@ -263,7 +263,9 @@ def _load_registrar(actor: RegistrarActor, path: Path) -> int:
                     scope=ServiceSelector(scope),
                     number=current,
                 )
-            )
+            except RegistrarError as exc:  # rights empty or unknown
+                raise SnapshotError(str(path), lineno, str(exc)) from exc
+            actor.grants.setdefault(current, []).append(grant)
             match = _GRANT_ID_RE.match(grant_id)
             if match:
                 max_grant = max(max_grant, int(match.group(1)))

@@ -26,16 +26,13 @@ from enumstack.naptr import (
     Visibility,
     select,
 )
+from enumstack.audit import AccessOracle, assert_invariants, replicas_converged, value_flow
 from enumstack.registrar import TransferState
-from enumstack.registry import replicas_converged
 from enumstack.scenarios import (
-    AccessOracle,
-    assert_invariants,
     build_topology,
     builtin_config,
     canonical_events,
     run_events,
-    value_flow,
 )
 
 from importlib.resources import files as resource_files

@@ -211,6 +211,20 @@ class TestNonUtf8Inputs:
         assert done.stdout.strip() == "sip:info@example.com"
 
 
+class TestCorruptState:
+    def test_bad_grant_rights_exit_2(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        run(capsys, "provision", "+1-315-443-4473",
+            "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+        with open(state / "registrar-reg1.snap", "a", encoding="utf-8") as handle:
+            handle.write("grant|g9|alice|asp1|bogus|*\n")
+        code, _, err = run(capsys, "resolve", "+1-315-443-4473", "--state-dir", str(state))
+        assert code == 2
+        assert err.startswith("SnapshotError: ") and "registrar-reg1.snap:" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestStatefulCommands:
     def test_provision_then_resolve_across_invocations(self, capsys, tmp_path):
         state = tmp_path / "state"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from enumstack.audit import replicas_converged
 from enumstack.errors import (
     NoDelegation,
     NotAuthoritative,
@@ -18,7 +19,6 @@ from enumstack.registry import (
     RegistryState,
     REMOVED,
     Tier0Table,
-    replicas_converged,
     tier0_discover,
 )
 

@@ -2,20 +2,18 @@ import hashlib
 
 import pytest
 
+from enumstack.audit import AccessOracle, assert_invariants, value_flow
 from enumstack.errors import InvalidModelCombination, RunIncomplete, ScenarioError
 from enumstack.scenarios import (
-    AccessOracle,
     LogRecord,
     MODEL_GRID,
     ScenarioConfig,
-    assert_invariants,
     build_topology,
     builtin_config,
     canonical_events,
     parse_config,
     parse_events,
     run_events,
-    value_flow,
 )
 from enumstack.wire import encode_frame
 
@@ -193,11 +191,12 @@ GOLDEN_WIRE = {
 }
 
 
+def sha(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 def test_canonical_run_matches_golden_digests(model):
-    def sha(lines):
-        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
     topology, log = run_model(model, seed=0)
     digests = (
         hashlib.sha256(log.render_bytes()).hexdigest(),
@@ -205,6 +204,96 @@ def test_canonical_run_matches_golden_digests(model):
     )
     assert digests == GOLDEN[model]
     assert sha(assert_invariants(topology).render_lines()) == GOLDEN_INVARIANTS
+
+
+# Steps after the canonical script whose log details the canonical run
+# never writes: a restricted read, grant and revoke, paced and disputed
+# transfers, a transfer with the old registrar offline, bad numbers
+# (parsed inside the logged region, after the grant id is taken), unknown
+# transfer ids and malformed steps. Every detail key order shows in the
+# log bytes.
+EXTENDED_EVENTS = (
+    "step provision number=+13154434474 actor=bob visibility=restricted"
+    ' record=110 10 "u" "E2U+tel" "!^.*$!tel:+13154434474!" .\n'
+    "step grant number=+13154434474 user=bob grantee=asp1 rights=access scope=E2U+tel\n"
+    "step get number=+13154434474 actor=asp1 service=E2U+tel\n"
+    "step get number=+13154434474 actor=carol service=*\n"
+    "step revoke number=+13154434474 user=bob grant=g2\n"
+    "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_begin number=+13154434474 user=bob to=reg1\n"
+    "step transfer_step transfer=x2\n"
+    "step dispute transfer=x2 by=reg2 reason=bob changed; his mind=100% sure\n"
+    "step offline actor=reg1\n"
+    "step transfer number=+13154434475 user=carol to=reg2\n"
+    "step online actor=reg1\n"
+    "step transfer_step transfer=x9\n"
+    "step dispute transfer=x9 by=reg1\n"
+    "step resolve number=+1-999\n"
+    "step resolve number=not-a-number\n"
+    "step grant number=bogus user=alice grantee=asp1\n"
+    "step transfer number=xyz user=alice to=reg1\n"
+    "step subscribe number=abc user=alice registrar=reg1\n"
+    "step grant number=+13154434473 user=alice grantee=asp1 rights=access\n"
+    "step transfer_begin number=+13154434473 user=alice to=reg1\n"
+    "step transfer_step transfer=x4\n"
+    "step advance ticks=3\n"
+    "step get number=+44-20-7946-0000 actor=alice\n"
+    "step grant user=alice grantee=asp1\n"
+    "step advance ticks=abc\n"
+    "step frobnicate number=+13154434473\n"
+    "step disconnect number=+13154434474 user=bob kind=enum_only\n"
+    "step resolve number=+13154434473 service=*\n"
+    "step resolve number=+13154434474 service=*\n"
+    "step cooperate payer=reg1 tsp=tsp1 amount=2.5\n"
+)
+# sha256 of the canonical script plus EXTENDED_EVENTS' log bytes at seed 0.
+GOLDEN_EXTENDED = {
+    1: "71dd393936efed73791c2282ce8d99b6f17d56e4d48c7e6b63e9d7b20e4a7900",
+    2: "5d920806d1b406112f25edd838ffaa46fa182681c7f83c5a50cade520c06c3fb",
+    3: "71dd393936efed73791c2282ce8d99b6f17d56e4d48c7e6b63e9d7b20e4a7900",
+    4: "9034300293cbc3fd5640315412a15d59cde73707a8b957d94990f5052bd5c696",
+    5: "c6f249e2cd0b025fe9489f9a8b861739de33c1d639301df4b1a815a40e43e5a8",
+    6: "9034300293cbc3fd5640315412a15d59cde73707a8b957d94990f5052bd5c696",
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_EXTENDED))
+def test_extended_run_matches_golden_digests(model):
+    topology, log = run_model(model, canonical_events() + EXTENDED_EVENTS, seed=0)
+    assert hashlib.sha256(log.render_bytes()).hexdigest() == GOLDEN_EXTENDED[model]
+    assert sha(assert_invariants(topology).render_lines()) == GOLDEN_INVARIANTS
+
+
+# A model-4 run that turns three invariants red: a registrar change while
+# the old registrar is offline strands its records (single_store), a
+# subscription while R2 is offline leaves R2's replica missing
+# (replica_convergence), and a planted write follows (access_soundness).
+RED_EVENTS = (
+    "step offline actor=R2\n"
+    "step assign number=+1-315-443-4476 user=alice tsp=tsp1\n"
+    "step subscribe number=+13154434476 user=alice registrar=reg1 token=auto\n"
+    "step online actor=R2\n"
+    "step offline actor=reg1\n"
+    "step transfer number=+13154434473 user=alice to=reg2\n"
+    "step online actor=reg1\n"
+)
+# sha256 of that run's invariant report, violation lines included.
+GOLDEN_RED_INVARIANTS = "ee3b9e657b277e4906616fe326f5619d0f89778fb8f0207db5aa4436b86ad9e1"
+
+
+def test_red_invariant_report_matches_golden():
+    topology, _ = run_model(4, canonical_events() + RED_EVENTS, seed=0)
+    topology.backdoor_provision("reg1", "+13154434474", SIP, actor="mallory")
+    report = assert_invariants(topology)
+    assert [r.name for r in report.results if not r.passed] == [
+        "single_store", "access_soundness", "replica_convergence",
+    ]
+    assert sha(report.render_lines()) == GOLDEN_RED_INVARIANTS
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_WIRE))

@@ -141,6 +141,21 @@ def test_corrupt_registrar_record_reports_line(tmp_path):
     assert "unsupported flags 'x'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("rights", ["bogus", "", "access,bogus"])
+def test_bad_grant_rights_report_line(rights, tmp_path):
+    topology = populated()
+    save_state(topology, tmp_path)
+    path = tmp_path / "registrar-reg1.snap"
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"grant|g9|alice|asp1|{rights}|*\n")
+    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    fresh = build_topology(builtin_config(1), seed=0)
+    with pytest.raises(SnapshotError) as excinfo:
+        load_state(fresh, tmp_path)
+    assert excinfo.value.lineno == lineno
+    assert "bad rights" in str(excinfo.value)
+
+
 @pytest.mark.parametrize("model", range(1, 7))
 def test_save_after_load_is_byte_identical(model, tmp_path):
     topology = build_topology(builtin_config(model), seed=0)
