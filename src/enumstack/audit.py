@@ -2,7 +2,7 @@
 
 Everything here is re-derived from a run's log and the public state of
 its actors (stores, grants, transfers, delegations, ledgers and the
-network's frame log), never taken from the enforcement code that produced
+network's frame counts), never taken from the enforcement code that produced
 them: access soundness replays grants through an independent matrix,
 billing recounts charged events, transfer conservation compares record
 multisets, and replication is checked serial by serial. So that a defect
@@ -386,7 +386,7 @@ def _peering_inert(topology: Topology) -> list[str]:
     """Single-registry models never emit a peer update."""
     if topology.cfg.registry_multiplicity != "single":
         return []
-    count = sum(1 for rec in topology.net.frame_log if rec.frame.kind == PEER_UPDATE)
+    count = sum(n for (kind, _), n in topology.net.counts.items() if kind == PEER_UPDATE)
     return [f"{count} peer updates in a single-registry run"] if count else []
 
 

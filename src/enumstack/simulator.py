@@ -7,9 +7,16 @@ monotone sequence number, so identical (seed, inputs) replay identical
 schedules byte for byte.
 
 Actors may be taken offline (manually or through configured fault
-windows); frames addressed to an offline actor are dropped and logged,
-never retried by the network itself. Request/response pairing and retries
-are the caller's business via :meth:`Network.request`.
+windows); frames addressed to an offline actor are dropped, never retried
+by the network itself. Request/response pairing and retries are the
+caller's business via :meth:`Network.request`.
+
+The network keeps no copy of a frame it delivers. ``Network.counts``
+counts every frame it pops by ``(kind, status)``, where the status is
+:data:`DELIVERED` or :data:`DROPPED`. ``Network.frame_log`` holds one
+:class:`DeliveryRecord` for each dropped frame only (its target offline
+or unknown), so its size is bounded by the faults of a run, not by its
+traffic.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ Handler = Callable[[Frame, "Network"], None]
 
 @dataclass
 class DeliveryRecord:
-    """One frame's fate, for traces and invariant checks."""
+    """One dropped frame, for traces and fault checks."""
 
     tick: int
     frame: Frame
@@ -46,7 +53,7 @@ class _FaultWindow:
 
 
 class Network:
-    """Seeded deterministic frame transport with an inspectable log."""
+    """Seeded deterministic frame transport with per-kind frame counts."""
 
     def __init__(self, seed: int = 0, min_delay: int = 1, max_delay: int = 4):
         self.seed = seed
@@ -62,8 +69,12 @@ class Network:
         self._fault_windows: dict[str, list[_FaultWindow]] = {}
         self._rpc_waiting: set[int] = set()
         self._rpc_responses: dict[int, Frame] = {}
+        if max_delay < min_delay:
+            raise ValueError(f"empty delay range [{min_delay}, {max_delay}]")
         self._min_delay = min_delay
-        self._max_delay = max_delay
+        self._delay_span = max_delay - min_delay + 1
+        self._delay_bits = self._delay_span.bit_length()
+        self.counts: dict[tuple[str, str], int] = {}
         self.frame_log: list[DeliveryRecord] = []
 
     # ------------------------------------------------------------ wiring
@@ -83,6 +94,8 @@ class Network:
     def is_offline(self, actor_id: str, tick: int | None = None) -> bool:
         if actor_id in self._offline:
             return True
+        if not self._fault_windows:
+            return False
         at = self.clock if tick is None else tick
         return any(w.covers(at) for w in self._fault_windows.get(actor_id, ()))
 
@@ -94,9 +107,19 @@ class Network:
 
     def send(self, frame: Frame) -> None:
         """Schedule a frame; it travels in encoded form."""
-        delay = self.rng.randint(self._min_delay, self._max_delay)
+        # The draw randint(min_delay, max_delay) makes, without its
+        # argument checks: getrandbits until a value falls in the span.
+        span = self._delay_span
+        k = self._delay_bits
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
         self._seq += 1
-        heapq.heappush(self._queue, (self.clock + delay, self._seq, encode_frame(frame)))
+        heapq.heappush(
+            self._queue,
+            (self.clock + self._min_delay + r, self._seq, encode_frame(frame)),
+        )
 
     def pending(self) -> int:
         return len(self._queue)
@@ -110,22 +133,31 @@ class Network:
         if not self._queue:
             return False
         at, _, data = heapq.heappop(self._queue)
-        self.clock = max(self.clock, at)
+        if at > self.clock:
+            self.clock = at
         frame = decode_frame(data)
         if self.is_offline(frame.dst):
-            self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
+            self._drop(frame)
             return True
         if frame.is_response and frame.req_id in self._rpc_waiting:
-            self.frame_log.append(DeliveryRecord(self.clock, frame, DELIVERED))
+            self._count(frame.kind, DELIVERED)
             self._rpc_responses[frame.req_id] = frame
             return True
         handler = self._actors.get(frame.dst)
         if handler is None:
-            self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
+            self._drop(frame)
             return True
-        self.frame_log.append(DeliveryRecord(self.clock, frame, DELIVERED))
+        self._count(frame.kind, DELIVERED)
         handler(frame, self)
         return True
+
+    def _count(self, kind: str, status: str) -> None:
+        key = (kind, status)
+        self.counts[key] = self.counts.get(key, 0) + 1
+
+    def _drop(self, frame: Frame) -> None:
+        self._count(frame.kind, DROPPED)
+        self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
 
     def run_until_idle(self, limit: int = 1_000_000) -> int:
         steps = 0

@@ -275,18 +275,20 @@ def _load_registrar(actor: RegistrarActor, path: Path) -> int:
 
 
 def _restore_id_counters(topology: Topology, path: Path) -> None:
-    """Raise the event and transfer counters past every id in the log.
+    """Raise the event, transfer and grant counters past every id in the log.
 
     A line in the plain shape gives its event id without being parsed;
-    any other line, and any line that may name a transfer, goes through
-    :meth:`LogRecord.parse`, so a bad line fails as :func:`read_log`
-    fails on it.
+    any other line, and any line that may name a transfer or a grant,
+    goes through :meth:`LogRecord.parse`, so a bad line fails as
+    :func:`read_log` fails on it. Grant ids count from ``grant`` records
+    only, failed ones included, since a failed grant step has used its id.
     """
     event_n, transfer_n = topology._event_n, topology._transfer_n
+    grant_n = topology._grant_n
     plain = _PLAIN_LOG_LINE.fullmatch
     for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
         m = plain(line)
-        if m is not None and "transfer=" not in line:
+        if m is not None and "transfer=" not in line and "grant=" not in line:
             digits = m.group(1)
         else:
             if not line.strip():
@@ -298,11 +300,16 @@ def _restore_id_counters(topology: Topology, path: Path) -> None:
             match = _ID_RE.match(rec.detail.get("transfer", ""))
             if match:
                 transfer_n = max(transfer_n, int(match.group(1)))
+            if rec.kind == "grant":
+                match = _GRANT_ID_RE.match(rec.detail.get("grant", ""))
+                if match:
+                    grant_n = max(grant_n, int(match.group(1)))
             match = _ID_RE.match(rec.event_id)
             digits = match.group(1) if match else None
         if digits is not None:
             event_n = max(event_n, int(digits))
     topology._event_n, topology._transfer_n = event_n, transfer_n
+    topology._grant_n = grant_n
 
 
 def load_state(topology: Topology, state_dir: Path) -> None:

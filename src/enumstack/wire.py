@@ -6,12 +6,18 @@ the body is ``key=value`` pairs separated by ``;``. Keys and values are
 percent-escaped so records, URIs and free text pass through unharmed:
 ``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
 ``%3D``, ``%0A`` and ``%0D``. Escaping is the identity on a string that
-holds none of those five characters, so most values go out as they are.
+holds none of those five characters, so most values go out as they are;
+a kind that is one of this module's request-kind constants and the
+integer request id are written without the escape check at all.
+
+A :class:`Frame` is a plain slotted object compared by value. Callers
+treat it as immutable. Building one checks that no field uses a header
+key; :func:`decode_frame` skips that check, because it has already
+popped the header keys from the fields it hands over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import WireError
@@ -34,6 +40,11 @@ MIGRATE_REQ = "MIGRATE_REQ"
 MIGRATE_RESP = "MIGRATE_RESP"
 
 _RESERVED = frozenset(("kind", "src", "dst", "req", "resp"))
+# Kinds that hold none of the characters _escape rewrites.
+_KINDS = frozenset((
+    DISCOVER, LOOKUP, REGISTER, CHANGE, PEER_UPDATE, SUBSCRIBE, PROVISION, GET,
+    GRANT, REVOKE, TRANSFER_INIT, TRANSFER_DISPUTE, DISCONNECT, MIGRATE_REQ, MIGRATE_RESP,
+))
 
 STATUS_OK = "ok"
 
@@ -64,21 +75,46 @@ def _unescape(value: str) -> str:
     )
 
 
-@dataclass(frozen=True)
 class Frame:
     """One structured request or response."""
 
-    kind: str
-    src: str
-    dst: str
-    req_id: int
-    is_response: bool = False
-    fields: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("kind", "src", "dst", "req_id", "is_response", "fields")
 
-    def __post_init__(self) -> None:
-        if not _RESERVED.isdisjoint(self.fields):
-            key = next(key for key in self.fields if key in _RESERVED)
+    def __init__(
+        self,
+        kind: str,
+        src: str,
+        dst: str,
+        req_id: int,
+        is_response: bool = False,
+        fields: Mapping[str, str] | None = None,
+    ) -> None:
+        if fields is None:
+            fields = {}
+        elif not _RESERVED.isdisjoint(fields):
+            key = next(key for key in fields if key in _RESERVED)
             raise WireError(f"field name {key!r} is reserved")
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.req_id = req_id
+        self.is_response = is_response
+        self.fields = fields
+
+    def _key(self) -> tuple:
+        return (self.kind, self.src, self.dst, self.req_id, self.is_response, self.fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Frame:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"Frame(kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
+            f"req_id={self.req_id!r}, is_response={self.is_response!r}, "
+            f"fields={self.fields!r})"
+        )
 
     def get(self, key: str, default: str = "") -> str:
         return self.fields.get(key, default)
@@ -110,17 +146,21 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
+    kind = frame.kind
     body = ";".join(
         [
-            "kind=" + _escape(frame.kind),
+            "kind=" + (kind if kind in _KINDS else _escape(kind)),
             "src=" + _escape(frame.src),
             "dst=" + _escape(frame.dst),
-            "req=" + _escape(str(frame.req_id)),
+            "req=%d" % frame.req_id,
             "resp=1" if frame.is_response else "resp=0",
             *[_escape(k) + "=" + _escape(v) for k, v in frame.fields.items()],
         ]
     ).encode("utf-8")
     return str(len(body)).encode("ascii") + b":" + body
+
+
+_new = object.__new__
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -152,21 +192,18 @@ def decode_frame(data: bytes) -> Frame:
         except ValueError:
             bad = next(chunk for chunk in chunks if "=" not in chunk)
             raise WireError(f"field {bad!r} is not key=value") from None
+    # The header keys are popped here, so the fields left cannot hold a
+    # reserved key and Frame's own check is skipped.
+    frame = _new(Frame)
     try:
-        kind = pairs.pop("kind")
-        src = pairs.pop("src")
-        dst = pairs.pop("dst")
-        req_id = int(pairs.pop("req"))
-        is_response = pairs.pop("resp") == "1"
+        frame.kind = pairs.pop("kind")
+        frame.src = pairs.pop("src")
+        frame.dst = pairs.pop("dst")
+        frame.req_id = int(pairs.pop("req"))
+        frame.is_response = pairs.pop("resp") == "1"
     except KeyError as exc:
         raise WireError(f"missing frame header field {exc}") from exc
     except ValueError as exc:
         raise WireError("non-integer request id") from exc
-    return Frame(
-        kind=kind,
-        src=src,
-        dst=dst,
-        req_id=req_id,
-        is_response=is_response,
-        fields=pairs,
-    )
+    frame.fields = pairs
+    return frame

@@ -1,10 +1,51 @@
-"""Prints one pass/fail line per acceptance criterion after the run.
+"""Shared fixtures, and one pass/fail line per acceptance criterion.
 
 Acceptance tests are named ``test_criterion_<n>_*``; every test sharing a
 criterion number must pass for that criterion's line to read PASS.
 """
 
 import re
+from typing import NamedTuple
+
+import pytest
+
+from enumstack import simulator
+from enumstack.wire import Frame
+
+
+class PoppedFrame(NamedTuple):
+    tick: int
+    frame: Frame
+
+
+@pytest.fixture
+def popped_frames(monkeypatch):
+    """Every frame any ``Network`` pops, in pop order, with the clock at the pop.
+
+    The network keeps no delivered frames, so tests that read the traffic
+    record it here, by wrapping the decode each ``Network.step`` makes.
+    """
+    popped: list[PoppedFrame] = []
+    stepping: list[simulator.Network] = []  # nested steps: innermost last
+    step = simulator.Network.step
+    decode = simulator.decode_frame
+
+    def recording_step(net):
+        stepping.append(net)
+        try:
+            return step(net)
+        finally:
+            stepping.pop()
+
+    def recording_decode(data):
+        frame = decode(data)
+        popped.append(PoppedFrame(stepping[-1].clock, frame))
+        return frame
+
+    monkeypatch.setattr(simulator.Network, "step", recording_step)
+    monkeypatch.setattr(simulator, "decode_frame", recording_decode)
+    return popped
+
 
 _CRITERIA = {
     1: "worked-example exactness (+1-315-443-4473 domain form)",

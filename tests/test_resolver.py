@@ -36,11 +36,11 @@ def test_trace_walks_three_tiers():
     assert "3.7.4.4.3.4.4.5.1.3.1.e164.arpa" in lines[0]
 
 
-def test_trace_frames_are_logged_pairs():
+def test_trace_frames_are_logged_pairs(popped_frames):
     topology = subscribed_topology()
     result = resolve("+13154434473", topology.net, apex=topology.apex)
     logged_req_ids = [
-        rec.frame.req_id for rec in topology.net.frame_log if rec.frame.is_response
+        rec.frame.req_id for rec in popped_frames if rec.frame.is_response
     ]
     for hop in result.trace.hops:
         assert hop.response is not None

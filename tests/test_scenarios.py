@@ -178,7 +178,7 @@ GOLDEN = {
         "12a89129f4ebc580fdf24eaa883595f3a466212ca9bcb164093252c2c90144fb"),
 }
 GOLDEN_INVARIANTS = "2aa5b8c3978b6e517a68636ef7a96198155f62790eff3047b6ff5de57363a2ea"
-# sha256 of encode_frame over every frame of the canonical run's frame log
+# sha256 of encode_frame over every frame the canonical run's network pops
 # at seed 0, so a codec change that alters wire bytes shows even when the
 # frames still decode the same.
 GOLDEN_WIRE = {
@@ -297,9 +297,9 @@ def test_red_invariant_report_matches_golden():
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_WIRE))
-def test_canonical_run_matches_golden_wire_bytes(model):
-    topology, _ = run_model(model, seed=0)
-    wire = b"".join(encode_frame(record.frame) for record in topology.net.frame_log)
+def test_canonical_run_matches_golden_wire_bytes(model, popped_frames):
+    run_model(model, seed=0)
+    wire = b"".join(encode_frame(record.frame) for record in popped_frames)
     assert hashlib.sha256(wire).hexdigest() == GOLDEN_WIRE[model]
 
 
@@ -412,11 +412,25 @@ class TestInvariants:
             report = assert_invariants(topology)
             assert report.result("peering_inert").passed
 
+    def test_planted_peer_update_turns_peering_inert_red(self):
+        from enumstack.wire import PEER_UPDATE, Frame
+
+        topology, _ = run_model(1)
+        assert assert_invariants(topology).result("peering_inert").passed
+        # R1 has no peer in model 1, so the update is dropped; it still counts.
+        net = topology.net
+        net.send(Frame(kind=PEER_UPDATE, src="R1", dst="R2", req_id=net.next_req_id(),
+                       fields={"number": "13154434473"}))
+        net.run_until_idle()
+        result = assert_invariants(topology).result("peering_inert")
+        assert not result.passed
+        assert result.violations == ["1 peer updates in a single-registry run"]
+
     def test_multi_registry_models_do_peer(self):
         from enumstack.wire import PEER_UPDATE
 
         topology, _ = run_model(4)
-        count = sum(1 for r in topology.net.frame_log if r.frame.kind == PEER_UPDATE)
+        count = sum(n for (kind, _), n in topology.net.counts.items() if kind == PEER_UPDATE)
         assert count > 0
 
     def test_orphaned_records_after_old_registrar_outage_reported(self):

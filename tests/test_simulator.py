@@ -1,3 +1,8 @@
+import random
+from collections import Counter
+
+import pytest
+
 from enumstack.simulator import DELIVERED, DROPPED, Network
 from enumstack.wire import Frame
 
@@ -32,23 +37,24 @@ def test_request_response():
     assert actors["a"].seen[0].get("number") == "123"
 
 
-def test_same_seed_same_schedule():
+def test_same_seed_same_schedule(popped_frames):
     def run(seed):
         net, _ = make_net(seed)
+        start = len(popped_frames)
         for i in range(10):
             net.send(Frame(kind="GET", src="client", dst="abc"[i % 3],
                            req_id=net.next_req_id(), fields={"i": str(i)}))
         net.run_until_idle()
-        return [(r.tick, r.frame.dst, r.frame.get("i")) for r in net.frame_log]
+        return [(r.tick, r.frame.dst, r.frame.get("i")) for r in popped_frames[start:]]
 
     assert run(5) == run(5)
 
 
-def test_clock_advances_monotonically():
+def test_clock_advances_monotonically(popped_frames):
     net, _ = make_net()
     net.request("client", "a", "GET", {})
     net.request("client", "b", "GET", {})
-    ticks = [r.tick for r in net.frame_log]
+    ticks = [r.tick for r in popped_frames]
     assert ticks == sorted(ticks)
     assert net.clock >= ticks[-1]
 
@@ -92,3 +98,68 @@ def test_run_until_idle_drains_everything():
         net.send(Frame(kind="GET", src="x", dst="a", req_id=net.next_req_id()))
     net.run_until_idle()
     assert net.pending() == 0
+
+
+# ---------------------------------------------------------------- delay draw
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 4), (0, 0), (3, 3), (1, 2), (0, 7), (1, 8), (0, 15), (1, 3), (2, 6), (5, 17),
+     (0, 99), (1, 1000)],
+)
+def test_delay_draw_equals_randint(lo, hi):
+    # Spans of 1, of powers of two (no redraws) and of others (redraws).
+    for seed in range(60):
+        net = Network(seed=seed, min_delay=lo, max_delay=hi)
+        for _ in range(40):
+            net.send(Frame(kind="GET", src="x", dst="a", req_id=net.next_req_id()))
+        # the clock is 0, so each queued tick is the send's delay
+        delays = [tick for tick, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
+        ref = random.Random(seed)
+        assert delays == [ref.randint(lo, hi) for _ in range(40)]
+        # and the generator is left where randint leaves it
+        assert net.rng.getstate() == ref.getstate()
+
+
+def test_empty_delay_range_rejected():
+    with pytest.raises(ValueError):
+        Network(min_delay=3, max_delay=2)
+
+
+# ---------------------------------------------------------------- transport contract
+
+def test_delivered_frames_are_counted_not_logged():
+    net, _ = make_net()
+    assert net.request("client", "a", "GET", {}) is not None
+    assert net.frame_log == []
+    assert net.counts == {("GET", DELIVERED): 2}
+
+
+@pytest.mark.parametrize("offline", [True, False], ids=["offline", "unroutable"])
+def test_dropped_frame_logged_once(offline):
+    net, _ = make_net()
+    dst = "a" if offline else "ghost"
+    if offline:
+        net.set_offline("a")
+    net.send(Frame(kind="LOOKUP", src="x", dst=dst, req_id=net.next_req_id()))
+    net.run_until_idle()
+    assert len(net.frame_log) == 1
+    record = net.frame_log[0]
+    assert (record.status, record.tick, record.frame.dst) == (DROPPED, net.clock, dst)
+    assert net.counts == {("LOOKUP", DROPPED): 1}
+
+
+def test_counts_sum_to_frames_popped(popped_frames):
+    net, _ = make_net(seed=3)
+    net.add_fault_window("b", 0, 30)
+    for i in range(30):
+        kind = ("GET", "LOOKUP", "PROVISION")[i % 3]
+        net.request("client", "abcx"[i % 4], kind, {"i": str(i)}, retries=i % 2)
+        net.advance(i % 3)
+    assert sum(net.counts.values()) == len(popped_frames)
+    dropped = sum(n for (_, status), n in net.counts.items() if status == DROPPED)
+    assert dropped == len(net.frame_log) > 0
+    by_kind = Counter()
+    for (kind, _), n in net.counts.items():
+        by_kind[kind] += n
+    assert by_kind == Counter(record.frame.kind for record in popped_frames)

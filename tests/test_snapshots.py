@@ -90,6 +90,25 @@ def test_grant_and_transfer_counters_restored(tmp_path):
     assert int(tid[1:]) > 1
 
 
+# A revoked grant and a failed grant step have each used the id g2; a
+# reload must not hand it out again.
+@pytest.mark.parametrize(
+    "steps",
+    [
+        "step grant number=+13154434473 user=alice grantee=asp1 rights=access\n"
+        "step revoke number=+13154434473 user=alice grant=g2\n",
+        "step grant number=+19990000000 user=alice grantee=asp1 rights=access\n",
+    ],
+    ids=["revoked", "failed"],
+)
+def test_grant_id_not_reissued_after_reload(steps, tmp_path):
+    topology = build_topology(builtin_config(1), seed=0)
+    run_events(topology, canonical_events() + steps)
+    assert [r.detail["grant"] for r in topology.log if r.kind == "grant"] == ["g1", "g2"]
+    fresh = reload_into_fresh(topology, tmp_path)
+    assert fresh.grant("+13154434473", "alice", "asp1", "access")["grant"] == "g3"
+
+
 def test_log_roundtrip(tmp_path):
     topology = populated()
     append_log(tmp_path, topology.log)
@@ -234,12 +253,14 @@ def test_read_state_text_translates_line_endings(tmp_path):
 # ---------------------------------------------------------------- id counters from the log
 
 _ID_RE = re.compile(r"^[ex](\d+)$")
+_GRANT_ID_RE = re.compile(r"^g(\d+)$")
 
 
 def counters_by_read_log(state_dir):
     """The id-counter fold load_state used before it scanned lines: parse
-    every log record, keep the largest event id and transfer id."""
-    event_n = transfer_n = 0
+    every log record, keep the largest event id and transfer id, and the
+    largest grant id a ``grant`` record holds."""
+    event_n = transfer_n = grant_n = 0
     for rec in read_log(state_dir):
         match = _ID_RE.match(rec.event_id)
         if match:
@@ -247,13 +268,16 @@ def counters_by_read_log(state_dir):
         match = _ID_RE.match(rec.detail.get("transfer", ""))
         if match:
             transfer_n = max(transfer_n, int(match.group(1)))
-    return event_n, transfer_n
+        match = _GRANT_ID_RE.match(rec.detail.get("grant", ""))
+        if match and rec.kind == "grant":
+            grant_n = max(grant_n, int(match.group(1)))
+    return event_n, transfer_n, grant_n
 
 
 def counters_by_load(state_dir):
     topology = build_topology(builtin_config(1), seed=0)
     load_state(topology, state_dir)
-    return topology._event_n, topology._transfer_n
+    return topology._event_n, topology._transfer_n, topology._grant_n
 
 
 def outcome(fn, state_dir):
@@ -272,11 +296,12 @@ def assert_counters_match(text):
 
 _ids = st.sampled_from(["e1", "e07", "x3", "e12", "g4", "", "e", "e1a", "ex2", "E5", "e٣"])
 _ticks = st.sampled_from(["t0", "t15", "t", "t٣", "t-1", "t 5", "t1_0", "tx", "5", "t+2"])
-_words = st.sampled_from(["ok", "assign", "transfer", "NoDelegation", "", "a b"])
+_words = st.sampled_from(["ok", "assign", "transfer", "grant", "NoDelegation", "", "a b"])
 _values = st.sampled_from(
-    ["", "x1", "x22", "e9", "x1%3B", "x2%0A", "x%", "x3 ", "reg1", "a|b", "x٤", "y=z"]
+    ["", "x1", "x22", "e9", "x1%3B", "x2%0A", "x%", "x3 ", "reg1", "a|b", "x٤", "y=z",
+     "g3", "g14", "g2%3B", "g"]
 )
-_keys = st.sampled_from(["transfer", "number", "user", "Transfer", "xtransfer", ""])
+_keys = st.sampled_from(["transfer", "grant", "number", "user", "Transfer", "xtransfer", ""])
 _chunks = st.one_of(
     st.tuples(_keys, _values).map(lambda kv: f"{kv[0]}={kv[1]}"),
     st.sampled_from(["number", "", "transfer", " "]),
@@ -298,6 +323,7 @@ _lines = st.one_of(
 @example(["e1|t0|transfer|ok|transfer=x4;"], "\n")
 @example(["e1|t0|assign|ok"], "\n")
 @example(["e07|t0|assign|ok|a=b"], "\n")
+@example(["e1|t0|grant|ok|grant=g7", "e2|t0|revoke|ok|grant=g9"], "\n")
 @example(["e٣|t0|assign|ok|a=b"], "\n")
 def test_counter_scan_matches_read_log_fold(lines, newline):
     assert_counters_match(newline.join(lines) + newline)
@@ -319,4 +345,6 @@ def test_counter_scan_on_canonical_logs():
         assert_counters_match(text)
         with tempfile.TemporaryDirectory() as tmp:
             append_log(Path(tmp), topology.log)
-            assert counters_by_load(Path(tmp)) == (topology._event_n, topology._transfer_n)
+            assert counters_by_load(Path(tmp)) == (
+                topology._event_n, topology._transfer_n, topology._grant_n
+            )
