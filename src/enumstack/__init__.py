@@ -51,19 +51,30 @@ from .scenarios import (
     run_events,
 )
 from .audit import ValueFlowGraph, assert_invariants, value_flow
-from .market import (
-    MarketTable,
-    PotentialMarketEstimate,
-    PotentialMarketInputs,
-    growth_rate,
-    load_market_table,
-    load_potential_fixture,
-    market_report,
-    potential_market,
-    share_of,
-)
 
 __version__ = "0.1.0"
+
+# The market arithmetic (and its decimal and csv imports) loads on first
+# use, so importing the package for resolution or provisioning skips it.
+_MARKET_NAMES = frozenset({
+    "MarketTable",
+    "PotentialMarketEstimate",
+    "PotentialMarketInputs",
+    "growth_rate",
+    "load_market_table",
+    "load_potential_fixture",
+    "market_report",
+    "potential_market",
+    "share_of",
+})
+
+
+def __getattr__(name: str):
+    if name in _MARKET_NAMES:
+        from . import market
+
+        return getattr(market, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ApexConfig",

@@ -290,7 +290,7 @@ def _single_store(topology: Topology) -> list[str]:
 
 def _multiset(lines: str) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for line in lines.splitlines():
+    for line in lines.split("\n"):
         if line.strip():
             counts[line] = counts.get(line, 0) + 1
     return counts

@@ -24,7 +24,6 @@ from .errors import (
     ScenarioError,
     SnapshotError,
 )
-from .market import load_market_table, load_potential_fixture, market_report
 from .scenarios import (
     ScenarioConfig,
     Topology,
@@ -122,11 +121,13 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         topology = build_topology(cfg, seed=args.seed or 0)
         _bootstrap_demo(topology)
     result = topology.resolve(args.number, service=args.service)
+    # Both are "\n"-joined; a URI or a record may hold a character that
+    # str.splitlines() breaks at, so neither is split anywhere else.
     uris = result.get("uris", "")
-    for uri in uris.splitlines():
-        print(uri)
-    if args.trace:
-        for line in result.get("trace", "").splitlines():
+    if uris:
+        print(uris)
+    if args.trace and result.get("trace"):
+        for line in result["trace"].split("\n"):
             print(f"trace: {line}")
     return EXIT_OK
 
@@ -170,6 +171,9 @@ def cmd_scenario_report(args: argparse.Namespace) -> int:
 
 
 def cmd_market(args: argparse.Namespace) -> int:
+    # Imported here: no other command needs the market tables or decimal.
+    from .market import load_market_table, load_potential_fixture, market_report
+
     if args.fixtures:
         fixtures = Path(args.fixtures)
         if not fixtures.is_dir():

@@ -206,7 +206,12 @@ class SnapshotError(ScenarioError):
 
 
 class LockHeld(ScenarioError):
-    """Another process holds the snapshot directory lock."""
+    """Another process holds the snapshot directory lock; carries its pid."""
+
+    def __init__(self, path: str, pid: int | None):
+        holder = f"pid {pid}" if pid is not None else "an unknown process"
+        super().__init__(f"{path} is held by {holder}; another invocation is active")
+        self.pid = pid
 
 
 # ---------------------------------------------------------------- market model

@@ -57,25 +57,34 @@ def _split_regexp(regexp: str) -> tuple[str, str]:
     delim = regexp[0]
     if delim.isalnum() or delim == "\\":
         raise BadDelimiter(f"bad delimiter {delim!r}")
-    # Blank out escaped pairs (with backslashes, never the delimiter) so
-    # only unescaped delimiters are left to find. Without a backslash
-    # before a delimiter, every delimiter is unescaped already.
     escaped = "\\" + delim
-    bare = _ESCAPED_PAIR.sub(r"\\\\", regexp) if escaped in regexp else regexp
+    if escaped not in regexp:
+        # Without a backslash before a delimiter, every delimiter is
+        # unescaped: the text is "", pattern, replacement, "" around them.
+        parts = regexp.split(delim)
+        if len(parts) == 4 and not parts[3]:
+            return parts[1], parts[2]
+        raise BadDelimiter(f"delimiter {delim!r} must appear exactly 3 times in {regexp!r}")
+    # Blank out escaped pairs (with backslashes, never the delimiter) so
+    # only unescaped delimiters are left to find.
+    bare = _ESCAPED_PAIR.sub(r"\\\\", regexp)
     if bare.count(delim) != 3 or bare[-1] != delim:
         raise BadDelimiter(f"delimiter {delim!r} must appear exactly 3 times in {regexp!r}")
     middle = bare.index(delim, 1)
-    pattern = regexp[1:middle]
-    replacement = regexp[middle + 1 : -1]
-    if bare is regexp:
-        return pattern, replacement
     # The delimiter may appear inside either part only escaped; unescape it.
-    return pattern.replace(escaped, delim), replacement.replace(escaped, delim)
+    pattern = regexp[1:middle].replace(escaped, delim)
+    return pattern, regexp[middle + 1 : -1].replace(escaped, delim)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NaptrRecord:
-    """One naming-authority-pointer entry for a telephone number."""
+    """One naming-authority-pointer entry for a telephone number.
+
+    Immutable by convention: nothing assigns to a field once the record
+    is built, and :func:`dataclasses.replace` builds (and checks) a new
+    one. The class is slotted, so it is cheap to build in bulk, and it
+    compares by value, so it is unhashable.
+    """
 
     order: int
     preference: int

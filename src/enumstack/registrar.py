@@ -211,8 +211,26 @@ def render_store_lines(records: list[NaptrRecord]) -> str:
     return "\n".join(render_stored_line(r) for r in records)
 
 
+def translate_newlines(text: str) -> str:
+    """*text* with ``\\r\\n`` and ``\\r`` read as ``\\n``, as text-mode reads do.
+
+    Stored text ends its lines at ``\\n`` once translated, and nowhere
+    else: never at U+2028 or the other characters :meth:`str.splitlines`
+    also breaks at, which a logged name or a record may hold.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def parse_store_lines(text: str) -> list[NaptrRecord]:
-    return [parse_stored_line(line) for line in text.splitlines() if line.strip()]
+    """Inverse of :func:`render_store_lines`; blank lines are skipped.
+
+    Lines break as in a state file (see :func:`translate_newlines`), so
+    every record this accepts can be saved and loaded again.
+    """
+    lines = translate_newlines(text).split("\n")
+    return [parse_stored_line(line) for line in lines if line.strip()]
 
 
 class RegistrarActor:

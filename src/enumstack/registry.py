@@ -65,9 +65,14 @@ def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
     raise UnknownCountryCode(f"no tier-0 entry for country code {cc!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delegation:
-    """One number's pointer to its serving registrar."""
+    """One number's pointer to its serving registrar.
+
+    Immutable by convention, like :class:`~enumstack.naptr.NaptrRecord`:
+    a change is a new delegation with a higher serial. Slotted and
+    compared by value, so unhashable.
+    """
 
     number: str
     registrar: RegistrarId

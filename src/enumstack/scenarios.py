@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import io
 from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
@@ -860,6 +859,8 @@ class Topology:
 
     def state_hash(self) -> str:
         """Stable digest of all registry/registrar/subscription state."""
+        import hashlib  # only digests need it; keeps it out of every CLI call
+
         out = io.StringIO()
         for reg_id in sorted(self.registries):
             state = self.registries[reg_id].state

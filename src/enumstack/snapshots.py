@@ -7,10 +7,11 @@ delegation), one ``registrar-<id>.snap`` per registrar (blocks of
 ``subscriptions.snap``, and an append-only ``events.log``.
 
 All writes go through write-temp-then-rename, so a killed process never
-leaves a half-written snapshot visible, and a lock file serializes
-concurrent invocations against one directory. A load reads each file
-once; ``events.log`` is only scanned for the largest event and transfer
-ids, and :func:`read_log` parses it in full for reports and audits.
+leaves a half-written snapshot visible, and a lock on ``.lock`` that
+dies with its holder serializes concurrent invocations against one
+directory. A load reads each file once; ``events.log`` is only scanned
+for the largest event and transfer ids, and :func:`read_log` parses it
+in full for reports and audits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ import re
 import tempfile
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not a POSIX host: the lock file's existence is the lock
+    fcntl = None
+
 from .errors import LockHeld, RegistrarError, SnapshotError
 from .naptr import NaptrRecord, ServiceSelector
 from .registrar import (
@@ -28,6 +34,7 @@ from .registrar import (
     Subscription,
     parse_stored_line,
     render_stored_line,
+    translate_newlines,
 )
 from .registry import Delegation, RegistryState
 from .scenarios import LogRecord, Topology
@@ -67,7 +74,15 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class StateLock:
-    """Exclusive lock on a state directory (``with StateLock(dir): ...``)."""
+    """Exclusive lock on a state directory (``with StateLock(dir): ...``).
+
+    Where :mod:`fcntl` exists, the lock is a ``flock`` on the lock file,
+    which the kernel drops when its holder dies, so a killed process
+    leaves a file that locks nothing. Elsewhere, creating the file is the
+    lock, and a file left by a killed process must be removed by hand.
+    The holder writes its pid into the file and removes the file on
+    release; :class:`LockHeld` names the pid it finds there.
+    """
 
     def __init__(self, state_dir: Path):
         self.path = Path(state_dir) / LOCK_FILE
@@ -75,21 +90,56 @@ class StateLock:
 
     def __enter__(self) -> "StateLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockHeld(f"{self.path} exists; another invocation is active") from None
+        self._fd = self._create() if fcntl is None else self._flock()
         os.write(self._fd, str(os.getpid()).encode("ascii"))
         return self
 
+    def _create(self) -> int:
+        try:
+            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise LockHeld(str(self.path), self._holder()) from None
+
+    def _flock(self) -> int:
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LockHeld(str(self.path), self._holder()) from None
+            except OSError:
+                os.close(fd)
+                raise
+            try:
+                current = os.stat(self.path).st_ino
+            except FileNotFoundError:
+                current = None
+            if current == os.fstat(fd).st_ino:
+                os.ftruncate(fd, 0)
+                return fd
+            # The last holder released between our open and our flock and
+            # unlinked the file this fd holds: lock the path's file anew.
+            os.close(fd)
+
+    def _holder(self) -> int | None:
+        """The pid in the lock file, if it holds one."""
+        try:
+            text = self.path.read_text(encoding="ascii")
+        except (OSError, UnicodeDecodeError):
+            return None
+        return int(text) if text.isdigit() else None
+
     def __exit__(self, *_exc) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        # Unlink before closing: once the lock is dropped, the path may
+        # already name a newer holder's file.
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 def has_state(state_dir: Path) -> bool:
@@ -152,21 +202,19 @@ def append_log(state_dir: Path, records: list[LogRecord]) -> None:
 def read_state_text(path: Path) -> str:
     """The text of one state-directory file, read once.
 
-    Line endings are translated as text-mode reads translate them. Bytes
-    that are not UTF-8 are a :class:`SnapshotError` on the line holding
-    the first bad byte.
+    Line endings are translated by :func:`translate_newlines`, and every
+    reader splits the text at ``"\\n"``, never with
+    :meth:`str.splitlines`. Bytes that are not UTF-8 are a
+    :class:`SnapshotError` on the line holding the first bad byte.
     """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Everything before the bad byte decodes; the marker stands in
-        # for the bad byte so a line break just before it counts.
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # Everything before the bad byte decodes.
+        lineno = translate_newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
         raise SnapshotError(str(path), lineno, f"not UTF-8 text (byte {exc.start})") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return translate_newlines(text)
 
 
 def read_log(state_dir: Path) -> list[LogRecord]:
@@ -174,7 +222,7 @@ def read_log(state_dir: Path) -> list[LogRecord]:
     if not path.exists():
         return []
     records = []
-    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -186,7 +234,7 @@ def read_log(state_dir: Path) -> list[LogRecord]:
 
 def _load_subscriptions(topology: Topology, path: Path) -> None:
     subscriptions = topology.directory.subscriptions
-    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
         if not line.strip():
             continue
         parts = line.split("|")
@@ -203,7 +251,7 @@ def _load_subscriptions(topology: Topology, path: Path) -> None:
 def _load_delegations(topology: Topology, path: Path) -> None:
     # Owner id -> the states of the owner and its peers, in that order.
     replicas: dict[str, list[RegistryState]] = {}
-    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
         if not line.strip():
             continue
         parts = line.split("|")
@@ -233,7 +281,7 @@ def _load_registrar(actor: RegistrarActor, path: Path) -> int:
     max_grant = 0
     current: str | None = None
     records: list[NaptrRecord] = []
-    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
         tag, _, rest = line.partition("|")
         if tag == "record":
             if current is None:
@@ -286,7 +334,7 @@ def _restore_id_counters(topology: Topology, path: Path) -> None:
     event_n, transfer_n = topology._event_n, topology._transfer_n
     grant_n = topology._grant_n
     plain = _PLAIN_LOG_LINE.fullmatch
-    for lineno, line in enumerate(read_state_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
         m = plain(line)
         if m is not None and "transfer=" not in line and "grant=" not in line:
             digits = m.group(1)

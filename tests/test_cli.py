@@ -1,12 +1,17 @@
+import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.resources import files as resource_files
 from pathlib import Path
 
+import pytest
+
 import enumstack
 from enumstack.cli import main
+from enumstack.scenarios import build_topology, builtin_config
 from enumstack.snapshots import EVENTS_LOG, LOCK_FILE, REGISTRY_SNAP, SCENARIO_FILE, StateLock
 
 SIP_RECORD = '200 10 "u" "E2U+mailto" "!^.*$!mailto:alice@example.net!" .'
@@ -139,15 +144,20 @@ class TestMarket:
         assert code == 2
 
 
-def python_m_enumstack(*argv):
-    """Run ``python -m enumstack`` on the package under test."""
+def package_env():
+    """The environment for a child interpreter that imports the package under test."""
     env = dict(os.environ)
     src = str(Path(enumstack.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("ENUM_APEX", None)
+    return env
+
+
+def python_m_enumstack(*argv):
+    """Run ``python -m enumstack`` on the package under test."""
     return subprocess.run(
         [sys.executable, "-m", "enumstack", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=package_env(), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -321,3 +331,123 @@ class TestStatefulCommands:
             "--user", "alice", "--to", "reg2", "--state-dir", str(state))
         second = (state / EVENTS_LOG).read_text().count("\n")
         assert second > first
+
+
+# Characters str.splitlines() breaks at besides "\n" and "\r".
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_line_separator_in_an_argument_leaves_state_readable(sep, capsys, tmp_path):
+    state = tmp_path / "state"
+    code, _, err = run(capsys, "provision", "+1-315-443-4473", "--actor", f"ali{sep}ce",
+                       "--record", SIP_RECORD, "--state-dir", str(state))
+    assert code == 1 and err.startswith("AccessDenied")
+    assert f"ali{sep}ce" in (state / EVENTS_LOG).read_text(encoding="utf-8")
+    record = f'150 10 "u" "E2U+mailto" "!^.*$!mailto:a{sep}b@example.net!" .'
+    code, _, err = run(capsys, "provision", "+1-315-443-4473", "--actor", "alice",
+                       "--record", record, "--state-dir", str(state))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "resolve", "+1-315-443-4473", "--service", "E2U+mailto",
+                         "--state-dir", str(state))
+    assert (code, out, err) == (0, f"mailto:a{sep}b@example.net\n", "")
+    code, out, _ = run(capsys, "scenario", "report", "--report", "log", "--state-dir", str(state))
+    assert code == 0 and out == (state / EVENTS_LOG).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"])
+def test_record_split_by_a_newline_is_refused_and_state_stays_readable(
+    newline, capsys, tmp_path
+):
+    state = tmp_path / "state"
+    record = f'150 10 "u" "E2U+mailto" "!^.*$!mailto:a{newline}b@example.net!" .'
+    code, _, err = run(capsys, "provision", "+1-315-443-4473", "--actor", "alice",
+                       "--record", record, "--state-dir", str(state))
+    assert code == 1 and err.startswith("InvalidRecord: expected 6 fields")
+    code, out, err = run(capsys, "resolve", "+1-315-443-4473", "--state-dir", str(state))
+    assert (code, out, err) == (0, "sip:info@example.com\n", "")
+
+
+# Holds the lock on a state directory until killed.
+LOCK_HOLDER = """
+import sys, time
+from enumstack.snapshots import StateLock
+with StateLock(sys.argv[1]):
+    time.sleep(120)
+"""
+
+
+def hold_lock(state):
+    """A child process holding *state*'s lock, once its pid is in the lock file."""
+    proc = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(state)], env=package_env())
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            if (state / LOCK_FILE).read_text(encoding="ascii") == str(proc.pid):
+                return proc
+        except FileNotFoundError:
+            pass
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            pytest.fail("the lock holder never took the lock")
+        time.sleep(0.01)
+
+
+def test_lock_of_a_killed_holder_does_not_block(capsys, tmp_path):
+    pytest.importorskip("fcntl")
+    state = tmp_path / "state"
+    proc = hold_lock(state)
+    proc.kill()
+    proc.wait(timeout=30)
+    assert (state / LOCK_FILE).exists()
+    code, _, err = run(capsys, "provision", "+1-315-443-4473",
+                       "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+    assert (code, err) == (0, "")
+    assert not (state / LOCK_FILE).exists()
+
+
+def test_lock_of_a_live_holder_blocks_and_names_it(capsys, tmp_path):
+    state = tmp_path / "state"
+    proc = hold_lock(state)
+    try:
+        code, _, err = run(capsys, "provision", "+1-315-443-4473",
+                           "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert code == 2
+    assert err == f"LockHeld: {state / LOCK_FILE} is held by pid {proc.pid}; " \
+                  "another invocation is active\n"
+
+
+# Imports the CLI, then reports what it loaded and uses what loads lazily.
+IMPORT_BUDGET = """
+import json, sys
+import enumstack.cli
+loaded = [m for m in ("enumstack.market", "decimal", "csv", "hashlib") if m in sys.modules]
+import pytest
+
+import enumstack
+from enumstack import market
+from enumstack.scenarios import build_topology, builtin_config
+names = {}
+exec("from enumstack import *", names)
+print(json.dumps({
+    "loaded": loaded,
+    "missing": [name for name in enumstack.__all__ if name not in names],
+    "market_report": enumstack.market_report is market.market_report,
+    "state_hash": build_topology(builtin_config(1)).state_hash(),
+}))
+"""
+
+
+def test_cli_import_leaves_market_and_hashlib_unloaded():
+    done = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["loaded"] == []
+    assert report["missing"] == []
+    assert report["market_report"] is True
+    assert report["state_hash"] == build_topology(builtin_config(1)).state_hash()
+    assert not hasattr(enumstack, "no_such_name")

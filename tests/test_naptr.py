@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -12,6 +13,7 @@ from enumstack.errors import (
     BadDelimiter,
     BadFlags,
     BadInteger,
+    EnumStackError,
     FieldConflict,
     FieldCount,
     FlagRegexpConflict,
@@ -468,3 +470,141 @@ def test_apply_regexp_matches_oracle(pattern, replacement):
         assert outcome(apply_regexp, record, NUMBER) == outcome(
             oracle_apply_regexp, regexp, "+13154434473"
         )
+
+
+# ---------------------------------------------------------------- slotted records
+# NaptrRecord's checks and the substitution splitter's escaped-pair path
+# as they ran while the record was a frozen dataclass. The slotted record
+# and the splitter's one-split fast path must give the same fields, or
+# the same error with the same message.
+
+ESCAPED_PAIR = re.compile(r"\\.", re.DOTALL)
+
+
+def escaped_pair_split_regexp(regexp):
+    """_split_regexp's escaped-pair path, taken for every input."""
+    if len(regexp) < 3:
+        raise BadDelimiter(f"substitution expression too short: {regexp!r}")
+    delim = regexp[0]
+    if delim.isalnum() or delim == "\\":
+        raise BadDelimiter(f"bad delimiter {delim!r}")
+    bare = ESCAPED_PAIR.sub(r"\\\\", regexp)
+    if bare.count(delim) != 3 or bare[-1] != delim:
+        raise BadDelimiter(f"delimiter {delim!r} must appear exactly 3 times in {regexp!r}")
+    middle = bare.index(delim, 1)
+    escaped = "\\" + delim
+    return (regexp[1:middle].replace(escaped, delim),
+            regexp[middle + 1 : -1].replace(escaped, delim))
+
+
+def oracle_record(order, preference, flags, service, regexp, replacement, visibility):
+    """The frozen record's checks, in their order; returns the fields."""
+    if not isinstance(order, int) or not 0 <= order <= 65535:
+        raise BadInteger(f"order {order!r} outside 0..65535")
+    if not isinstance(preference, int) or not 0 <= preference <= 65535:
+        raise BadInteger(f"preference {preference!r} outside 0..65535")
+    if flags not in ("", "u"):
+        raise BadFlags(f"unsupported flags {flags!r}")
+    has_regexp = bool(regexp)
+    has_replacement = replacement not in ("", ".")
+    if flags == "u" and not has_regexp:
+        raise FlagRegexpConflict("'u' flag requires a substitution expression")
+    if has_regexp == has_replacement:
+        raise FieldConflict("exactly one of regexp / replacement must be non-empty")
+    if has_regexp:
+        pattern, _ = escaped_pair_split_regexp(regexp)
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise BadDelimiter(f"unparseable pattern {pattern!r}: {exc}") from exc
+    return (order, preference, flags, service, regexp, replacement, visibility)
+
+
+def built(fn, *args):
+    """The fields of what *fn* returns, or the type and message it raised."""
+    try:
+        result = fn(*args)
+    except EnumStackError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, NaptrRecord):
+        return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+    return result
+
+
+_integers = st.one_of(
+    st.integers(-3, 65538), st.sampled_from([True, 1.0, "10", None, 2**70])
+)
+
+
+@settings(max_examples=400)
+@given(
+    order=_integers,
+    preference=_integers,
+    flags=st.sampled_from(["", "u", "u", "U", "s", "uu"]),
+    service=st.sampled_from(SERVICES) | field_text,
+    regexp=st.sampled_from(REGEXPS) | st.text(alphabet="!#\\a(.*^$", max_size=8),
+    replacement=st.sampled_from(REPLACEMENTS) | field_text,
+    visibility=st.sampled_from(list(Visibility)),
+)
+@example(order=100, preference=10, flags="u", service="E2U+sip",
+         regexp="!(!x!", replacement=".", visibility=Visibility.PUBLIC)
+@example(order=True, preference=0, flags="", service="",
+         regexp="", replacement="example.net", visibility=Visibility.RESTRICTED)
+def test_record_checks_match_frozen_oracle(
+    order, preference, flags, service, regexp, replacement, visibility
+):
+    args = (order, preference, flags, service, regexp, replacement, visibility)
+    assert built(NaptrRecord, *args) == built(oracle_record, *args)
+
+
+_D = "\0"  # stands for the delimiter in the pieces below
+_SPLIT_PIECES = ["a", "^", ".*", "(", "$", "\\", "\\d", "\\\\", _D, "\\" + _D]
+
+
+@settings(max_examples=400)
+@given(
+    delim=st.sampled_from(["!", "#", "/", "|", "a", "\\"]),
+    segments=st.lists(
+        st.lists(st.sampled_from(_SPLIT_PIECES), max_size=4).map("".join),
+        min_size=1, max_size=5,
+    ),
+    trailing=st.sampled_from(["", "", "x", "\\", _D]),
+)
+@example(delim="!", segments=["", "^.*$", "sip:a@b", ""], trailing="")
+@example(delim="!", segments=["", "^.*$", "sip:a@b", ""], trailing="x")
+@example(delim="!", segments=["", "^.*$", "sip:a@b"], trailing="")
+@example(delim="!", segments=["", "^.*$", "x", "y", ""], trailing="")
+@example(delim="!", segments=["", "^.*\\" + _D + "$", "x", ""], trailing="")
+@example(delim="!", segments=["", "^.*\\\\", "x", ""], trailing="")
+def test_split_regexp_fast_path_matches_escaped_pair_path(delim, segments, trailing):
+    """Delimiter counts of 0-4, with and without escaped delimiters and
+    text after the last one."""
+    regexp = (delim.join(segments) + trailing).replace(_D, delim)
+    assert built(_split_regexp, regexp) == built(escaped_pair_split_regexp, regexp)
+
+
+def test_replace_builds_a_checked_record():
+    record = rec(100, 10)
+    restricted = dataclasses.replace(record, visibility=Visibility.RESTRICTED)
+    assert restricted.visibility is Visibility.RESTRICTED
+    assert record.visibility is Visibility.PUBLIC
+    assert dataclasses.replace(restricted, visibility=Visibility.PUBLIC) == record
+    with pytest.raises(BadFlags):
+        dataclasses.replace(record, flags="s")
+    with pytest.raises(FieldConflict):
+        dataclasses.replace(record, replacement="example.net")
+    with pytest.raises(BadInteger):
+        dataclasses.replace(record, order=65536)
+
+
+def test_record_is_slotted_value_and_unhashable():
+    record = rec(100, 10)
+    assert record == rec(100, 10) and record != rec(100, 20)
+    assert repr(record) == (
+        "NaptrRecord(order=100, preference=10, flags='u', service='E2U+sip', "
+        "regexp='!^.*$!sip:info@example.com!', replacement='.', "
+        "visibility=<Visibility.PUBLIC: 'public'>)"
+    )
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        hash(record)

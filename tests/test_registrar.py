@@ -21,6 +21,7 @@ from enumstack.registrar import (
     RegistrarActor,
     Role,
     TransferState,
+    parse_store_lines,
 )
 from enumstack.registry import RegistryActor, RegistryState
 from enumstack.simulator import Network
@@ -434,3 +435,11 @@ class TestDisconnect:
         rig = Rig(assign=False)
         with pytest.raises(UnknownSubscription):
             rig.a.disconnect("alice", NUM, "enum_only", rig.net)
+
+
+def test_parse_store_lines_splits_on_newline_only():
+    line = 'public 100 10 "u" "E2U+sip" "!^.*$!sip:a\u2028b\x85c@example.com!" .'
+    record = parse_record(line.split(" ", 1)[1])
+    assert parse_store_lines(line) == [record]
+    assert parse_store_lines(f"{line}\n\n {line}\n") == [record, record]
+    assert parse_store_lines(f"{line}\r\n{line}\r{line}") == [record, record, record]

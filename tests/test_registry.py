@@ -35,6 +35,19 @@ def registry(reg_id="R1", peers=(), accredited=("T2a", "T2b")):
     )
 
 
+def test_delegation_is_slotted_value_and_unhashable():
+    delegation = Delegation(NUM, "T2a", "R1", serial=3)
+    assert delegation == Delegation(NUM, "T2a", "R1", 3, 0)
+    assert delegation != Delegation(NUM, "T2a", "R1", serial=4)
+    assert repr(delegation) == (
+        "Delegation(number='13154434473', registrar='T2a', owning_registry='R1', "
+        "serial=3, updated_at=0)"
+    )
+    assert not hasattr(delegation, "__dict__")
+    with pytest.raises(TypeError):
+        hash(delegation)
+
+
 class TestTier0:
     def test_direct_hit(self):
         table = Tier0Table(entries={"1": ("R1",)})

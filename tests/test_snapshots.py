@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumstack.errors import SnapshotError
+from enumstack.errors import AccessDenied, SnapshotError
 from enumstack.scenarios import (
     build_topology,
     builtin_config,
@@ -114,6 +114,41 @@ def test_log_roundtrip(tmp_path):
     append_log(tmp_path, topology.log)
     records = read_log(tmp_path)
     assert [r.render() for r in records] == [r.render() for r in topology.log]
+
+
+# Characters str.splitlines() breaks at besides "\n" and "\r".
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_line_separators_in_logged_and_stored_text_round_trip(sep, tmp_path):
+    topology = populated()
+    with pytest.raises(AccessDenied):  # refused, but logged
+        topology.provision("+13154434473", f"ali{sep}ce", RESTRICTED)
+    assert topology.log[-1].status == "AccessDenied"
+    topology.provision(
+        "+13154434473", "alice", f'150 10 "u" "E2U+sip" "!^.*$!sip:a{sep}b@example.com!" .'
+    )
+    assert topology.log[-1].status == "ok"
+    fresh = reload_into_fresh(topology, tmp_path)
+    assert [r.render() for r in read_log(tmp_path)] == [r.render() for r in topology.log]
+    for registrar_id, actor in topology.registrars.items():
+        stored = fresh.registrars[registrar_id].store
+        assert {n: rs for n, rs in stored.items() if rs} == {
+            n: rs for n, rs in actor.store.items() if rs
+        }
+    assert (fresh._event_n, fresh._transfer_n, fresh._grant_n) == (
+        topology._event_n, topology._transfer_n, topology._grant_n
+    )
+
+
+def test_line_separator_does_not_shift_error_line_numbers(tmp_path):
+    text = "e1|t0|assign|ok|user=a\u2028b\ne2|t0|assign|ok|user=c\ngarbage\n"
+    (tmp_path / EVENTS_LOG).write_text(text, encoding="utf-8")
+    for fn in (read_log, lambda d: load_state(build_topology(builtin_config(1)), d)):
+        with pytest.raises(SnapshotError) as excinfo:
+            fn(tmp_path)
+        assert excinfo.value.lineno == 3
 
 
 def test_corrupt_registry_snapshot_reports_line(tmp_path):
@@ -234,6 +269,7 @@ def test_non_utf8_log_is_snapshot_error_for_read_log(tmp_path):
         (b"a\n\xe2\x82", 2),  # a multi-byte sequence cut short
         (b"a\r\nb\r\xff", 3),
         ("é\né\n".encode() + b"\x80", 3),
+        ("a\u2028b\x85c\n".encode() + b"\xff", 2),
     ],
 )
 def test_read_state_text_names_line_of_bad_byte(data, lineno, tmp_path):
