@@ -170,10 +170,7 @@ def parse_number(
         digits = default_country_code + text
         cc = default_country_code
 
-    if not MIN_DIGITS <= len(digits) <= MAX_DIGITS:
-        raise LengthOutOfRange(
-            f"{digits!r} has {len(digits)} digits, expected {MIN_DIGITS}-{MAX_DIGITS}"
-        )
+    # E164Number checks the digit count.
     return E164Number(country_code=cc, national_digits=digits[len(cc):])
 
 
@@ -202,10 +199,6 @@ def from_domain(
         if len(lab) != 1 or not lab.isdigit():
             raise NonDigitLabel(f"label {lab!r} is not a single digit")
     digits = "".join(reversed(labels))
-    if not MIN_DIGITS <= len(digits) <= MAX_DIGITS:
-        raise LengthOutOfRange(
-            f"{digits!r} has {len(digits)} digits, expected {MIN_DIGITS}-{MAX_DIGITS}"
-        )
     cc = _split_country_code(digits, cc_table)
     return E164Number(country_code=cc, national_digits=digits[len(cc):])
 

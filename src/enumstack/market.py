@@ -214,34 +214,29 @@ def _format_number(value: float) -> str:
     return f"{value:,.2f}".rstrip("0").rstrip(".")
 
 
-def _growth_rows(table: MarketTable) -> list[tuple[str, dict[int, float]]]:
-    derived = []
+def _derived_rows(table: MarketTable) -> dict[str, dict[int, float]]:
+    """Each metric's growth row, and each pc_to_phone metric's share of
+    internet users, by derived row name."""
+    derived = {}
     for metric in table.rows:
-        series = {}
-        for year in table.years(metric)[1:]:
-            if table.value(metric, year - 1) > 0:
-                series[year] = growth_rate(table, metric, year)
-        if series:
-            derived.append((f"{metric}_growth_pct", series))
-    return derived
-
-
-def _share_rows(table: MarketTable) -> list[tuple[str, dict[int, float]]]:
-    derived = []
-    for metric in table.rows:
-        if not metric.startswith("pc_to_phone_"):
-            continue
-        suffix = metric.rsplit("_", 1)[1]
-        base = f"internet_users_{suffix}"
-        if base not in table.rows:
-            continue
-        series = {
-            year: share_of(table, metric, base, year)
-            for year in table.years(metric)
-            if year in table.rows[base] and table.rows[base][year] > 0
+        years = table.years(metric)
+        growth = {
+            year: growth_rate(table, metric, year)
+            for year in years[1:]
+            if table.value(metric, year - 1) > 0
         }
-        if series:
-            derived.append((f"{metric}_share_of_internet_pct", series))
+        if growth:
+            derived[f"{metric}_growth_pct"] = growth
+        if metric.startswith("pc_to_phone_"):
+            base = f"internet_users_{metric.rsplit('_', 1)[1]}"
+            base_series = table.rows.get(base, {})
+            share = {
+                year: share_of(table, metric, base, year)
+                for year in years
+                if base_series.get(year, 0) > 0
+            }
+            if share:
+                derived[f"{metric}_share_of_internet_pct"] = share
     return derived
 
 
@@ -282,17 +277,15 @@ def market_report(
     sections: list[tuple[str, list[tuple[str, str, dict[int, float]]], list[int]]] = []
 
     for table in tables:
+        derived = _derived_rows(table)
         rows: list[tuple[str, str, dict[int, float]]] = []
         years: set[int] = set()
         for metric, series in table.rows.items():
             rows.append((metric, table.units.get(metric, ""), dict(series)))
             years.update(series)
-            for name, derived in _growth_rows(table):
-                if name == f"{metric}_growth_pct":
-                    rows.append((name, "%", derived))
-            for name, derived in _share_rows(table):
-                if name == f"{metric}_share_of_internet_pct":
-                    rows.append((name, "%", derived))
+            for name in (f"{metric}_growth_pct", f"{metric}_share_of_internet_pct"):
+                if name in derived:
+                    rows.append((name, "%", derived[name]))
         sections.append((table.name, rows, sorted(years)))
 
     notes: list[str] = []

@@ -22,7 +22,6 @@ from .errors import (
     AccessDenied,
     AlreadyComplete,
     EnumInactive,
-    EnumStackError,
     InvalidRecord,
     NaptrError,
     NoPhoneService,
@@ -83,6 +82,9 @@ PROVISION_RIGHT = "provision"
 ACCESS_RIGHT = "access"
 CHANGE_RIGHT = "change"
 ALL_RIGHTS = frozenset({PROVISION_RIGHT, ACCESS_RIGHT, CHANGE_RIGHT})
+# A party needs one of these rights to write records, or to read restricted ones.
+WRITE_RIGHTS = frozenset({PROVISION_RIGHT, CHANGE_RIGHT})
+READ_RIGHTS = frozenset({ACCESS_RIGHT})
 
 # Retries of each request a transfer step sends to the old registrar; when
 # they all time out the step goes on with a warning.
@@ -91,6 +93,13 @@ TRANSFER_RETRIES = 1
 
 class AlreadySubscribed(RegistrarError):
     """Number already has ENUM service at another registrar; transfer instead."""
+
+
+def _check_storable(**names: str) -> None:
+    """Refuse a name that a state file, split at "|" and line breaks, cannot hold."""
+    for field_name, value in names.items():
+        if "|" in value or "\n" in value or "\r" in value:
+            raise RegistrarError(f"{field_name} {value!r} may not hold '|' or a line break")
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,7 @@ class Directory:
 
     def assign(self, number: str, user: str, tsp: str) -> Subscription:
         """A TSP assigns the number: phone service on, ENUM off, fresh token."""
+        _check_storable(user=user, tsp=tsp)
         sub = Subscription(number=number, user=user, tsp=tsp, token=f"tok-{number}")
         self.subscriptions[number] = sub
         return sub
@@ -147,6 +157,13 @@ class Directory:
 
     def get(self, number: str) -> Subscription | None:
         return self.subscriptions.get(number)
+
+    def subscription(self, number: str) -> Subscription:
+        """The number's subscription; :class:`UnknownSubscription` if none."""
+        sub = self.subscriptions.get(number)
+        if sub is None:
+            raise UnknownSubscription(f"no subscription for {number!r}")
+        return sub
 
 
 class TransferState(Enum):
@@ -257,20 +274,14 @@ class RegistrarActor:
 
     # ------------------------------------------------------------ internals
 
-    def _subscription(self, number: str) -> Subscription:
-        sub = self.directory.get(number)
-        if sub is None:
-            raise UnknownSubscription(f"no subscription for {number!r}")
-        return sub
-
     def _subscriber_of(self, number: str, user: str) -> Subscription:
-        sub = self._subscription(number)
+        sub = self.directory.subscription(number)
         if sub.user != user:
             raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
         return sub
 
     def _active_here(self, number: str) -> Subscription:
-        sub = self._subscription(number)
+        sub = self.directory.subscription(number)
         if not sub.enum_active:
             raise EnumInactive(f"{number!r} has no active ENUM service")
         if sub.serving_registrar != self.actor_id:
@@ -286,25 +297,21 @@ class RegistrarActor:
                 f"{self.ctx.model_id}"
             )
 
-    def _write_rights(self, sub: Subscription, actor: str, service: str) -> bool:
+    def _may(
+        self, sub: Subscription, actor: str, service: str, needed: frozenset[str]
+    ) -> bool:
+        """Whether *actor* holds one of the *needed* rights over *service*:
+        the subscriber and this registrar hold all, in the TSP models the
+        number's TSP may write network-related services, others need a grant."""
         if actor == sub.user or actor == self.actor_id:
             return True
         if (
-            self.ctx.tsp_implicit_grant
+            PROVISION_RIGHT in needed
+            and self.ctx.tsp_implicit_grant
             and actor == sub.tsp
             and service in self.ctx.network_related
         ):
             return True
-        needed = frozenset({PROVISION_RIGHT, CHANGE_RIGHT})
-        return any(
-            g.grantee == actor and g.covers(service, needed)
-            for g in self.grants.get(sub.number, ())
-        )
-
-    def _read_restricted(self, sub: Subscription, actor: str, service: str) -> bool:
-        if actor == sub.user or actor == self.actor_id:
-            return True
-        needed = frozenset({ACCESS_RIGHT})
         return any(
             g.grantee == actor and g.covers(service, needed)
             for g in self.grants.get(sub.number, ())
@@ -355,19 +362,16 @@ class RegistrarActor:
         sub.serving_registrar = self.actor_id
         sub.check()
         self.store.setdefault(number, [])
-        net.send(
-            Frame(
-                kind=REGISTER,
-                src=self.actor_id,
-                dst=self.home_registry,
-                req_id=net.next_req_id(),
-                fields={
-                    "number": number,
-                    "registrar": self.actor_id,
-                    "payer": payer or self.actor_id,
-                    "event": event,
-                },
-            )
+        net.post(
+            self.actor_id,
+            self.home_registry,
+            REGISTER,
+            {
+                "number": number,
+                "registrar": self.actor_id,
+                "payer": payer or self.actor_id,
+                "event": event,
+            },
         )
         return sub
 
@@ -383,7 +387,7 @@ class RegistrarActor:
         for rec in records:
             if not isinstance(rec, NaptrRecord):
                 raise InvalidRecord(f"not a record: {rec!r}")
-            if not self._write_rights(sub, actor, rec.service):
+            if not self._may(sub, actor, rec.service, WRITE_RIGHTS):
                 raise AccessDenied(
                     f"{actor!r} may not provision {rec.service} for {number!r}"
                 )
@@ -421,7 +425,7 @@ class RegistrarActor:
                 if selector.matches(rec.service)
                 and (
                     rec.visibility is Visibility.PUBLIC
-                    or self._read_restricted(sub, actor, rec.service)
+                    or self._may(sub, actor, rec.service, READ_RIGHTS)
                 )
             )
         return NaptrRecordSet(number=parse_number("+" + number), records=visible)
@@ -438,6 +442,7 @@ class RegistrarActor:
         grant_id: str,
     ) -> AuthorizationGrant:
         self._subscriber_of(number, user)
+        _check_storable(grantee=grantee, scope=scope.service)
         grant = AuthorizationGrant(
             grant_id=grant_id,
             grantor=user,
@@ -464,7 +469,7 @@ class RegistrarActor:
         self, user: str, number: str, transfer_id: str
     ) -> TransferRecord:
         """Open a registrar change toward this registrar (state Requested)."""
-        sub = self._subscription(number)
+        sub = self.directory.subscription(number)
         if not sub.enum_active:
             raise EnumInactive(f"{number!r} has no active ENUM service")
         if sub.user != user:
@@ -482,13 +487,19 @@ class RegistrarActor:
         self.transfers[transfer_id] = record
         return record
 
-    def _delegation_owner(self, number: str, net: Network) -> str:
-        resp = net.request(
-            self.actor_id, self.home_registry, LOOKUP, {"number": number}
+    def _repoint(
+        self, number: str, new: str, old: str, net: Network, **fields: str
+    ) -> Frame | None:
+        """Ask the registry that owns the number's delegation (the home
+        registry when the lookup fails) to repoint it from *old* to *new*."""
+        resp = net.request(self.actor_id, self.home_registry, LOOKUP, {"number": number})
+        owner = resp.get("owner") if resp is not None and resp.ok else ""
+        return net.request(
+            self.actor_id,
+            owner or self.home_registry,
+            CHANGE,
+            {"number": number, "new": new, "old": old, **fields},
         )
-        if resp is not None and resp.ok:
-            return resp.get("owner") or self.home_registry
-        return self.home_registry
 
     def step_transfer(self, transfer_id: str, net: Network, event: str = "") -> TransferRecord:
         """Advance the transfer one state; unreachable old registrars are
@@ -540,18 +551,9 @@ class RegistrarActor:
             return record
 
         if record.state is TransferState.RECORDS_MIGRATED:
-            owner = self._delegation_owner(record.number, net)
-            resp = net.request(
-                self.actor_id,
-                owner,
-                CHANGE,
-                {
-                    "number": record.number,
-                    "new": self.actor_id,
-                    "old": record.from_registrar,
-                    "payer": self.actor_id,
-                    "event": event,
-                },
+            resp = self._repoint(
+                record.number, self.actor_id, record.from_registrar, net,
+                payer=self.actor_id, event=event,
             )
             if resp is None or not resp.ok:
                 status = "timeout" if resp is None else resp.status
@@ -559,7 +561,7 @@ class RegistrarActor:
                     f"registry update failed for transfer {transfer_id!r}: {status}"
                 )
             self.store[record.number] = list(record.migrated)
-            sub = self._subscription(record.number)
+            sub = self.directory.subscription(record.number)
             sub.serving_registrar = self.actor_id
             record._advance(TransferState.REGISTRY_UPDATED)
             return record
@@ -596,20 +598,9 @@ class RegistrarActor:
             raise AlreadyComplete(f"transfer {transfer_id!r} is {record.state.value}")
 
         if record.state is TransferState.REGISTRY_UPDATED:
-            owner = self._delegation_owner(record.number, net)
-            net.request(
-                self.actor_id,
-                owner,
-                CHANGE,
-                {
-                    "number": record.number,
-                    "new": record.from_registrar,
-                    "old": self.actor_id,
-                    "rollback": "1",
-                },
-            )
+            self._repoint(record.number, record.from_registrar, self.actor_id, net, rollback="1")
             self.store.pop(record.number, None)
-            sub = self._subscription(record.number)
+            sub = self.directory.subscription(record.number)
             sub.serving_registrar = record.from_registrar
 
         if record.state in (
@@ -651,9 +642,8 @@ class RegistrarActor:
             raise UnknownSubscription(
                 f"{number!r} is served by {sub.serving_registrar}, not {self.actor_id}"
             )
-        had_enum = sub.enum_active and sub.serving_registrar == self.actor_id
+        had_enum = sub.enum_active
         sub.enum_active = False
-        serving = sub.serving_registrar
         sub.serving_registrar = None
         self.store.pop(number, None)
         self.grants.pop(number, None)
@@ -661,15 +651,12 @@ class RegistrarActor:
             sub.phone_active = False
             sub.token = ""
         sub.check()
-        if had_enum and serving == self.actor_id:
-            net.send(
-                Frame(
-                    kind=REGISTER,
-                    src=self.actor_id,
-                    dst=self.home_registry,
-                    req_id=net.next_req_id(),
-                    fields={"number": number, "registrar": self.actor_id, "op": "remove"},
-                )
+        if had_enum:
+            net.post(
+                self.actor_id,
+                self.home_registry,
+                REGISTER,
+                {"number": number, "registrar": self.actor_id, "op": "remove"},
             )
         return sub
 
@@ -682,12 +669,7 @@ class RegistrarActor:
                     f"{frame.kind} at {frame.src} failed: {frame.status}"
                 )
             return
-        try:
-            reply = self._dispatch(frame, net)
-        except EnumStackError as exc:
-            net.send(frame.err_reply(exc))
-            return
-        net.send(reply)
+        net.answer(frame, self._dispatch)
 
     def _dispatch(self, frame: Frame, net: Network) -> Frame:
         number = frame.get("number")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .e164 import ApexConfig, DEFAULT_APEX
 from .errors import (
-    EnumStackError,
     NoDelegation,
     NotAuthoritative,
     StaleOldRegistrar,
@@ -50,10 +49,6 @@ class Tier0Table:
                 raise UnknownCountryCode(f"bad tier-0 prefix {prefix!r}")
             if not registries:
                 raise UnknownCountryCode(f"tier-0 prefix {prefix!r} maps to no registry")
-
-    @property
-    def prefixes(self) -> tuple[str, ...]:
-        return tuple(self.entries)
 
 
 def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
@@ -126,13 +121,49 @@ class RegistryState:
     def serves(self, number: str) -> bool:
         return any(number.startswith(p) for p in self.served_prefixes)
 
-    def _observe(self, number: str, serial: int) -> None:
-        self.observed_serials.setdefault(number, []).append(serial)
-
     def _local_serial(self, number: str) -> int:
         existing = self.delegations.get(number)
         serial = existing.serial if existing else 0
         return max(serial, self.tombstones.get(number, 0))
+
+    def _apply(self, delegation: Delegation, kind: str) -> None:
+        """Install *delegation*, or its tombstone when *kind* is REMOVED, and
+        record its serial as observed here.
+
+        The one write rule for the owner's own changes and for replicas.
+        """
+        number = delegation.number
+        if kind == REMOVED:
+            self.delegations.pop(number, None)
+            self.tombstones[number] = delegation.serial
+        else:
+            self.delegations[number] = delegation
+            self.tombstones.pop(number, None)
+        self.observed_serials.setdefault(number, []).append(delegation.serial)
+
+    def _publish(
+        self, number: str, registrar: RegistrarId, serial: int, now: int, kind: str
+    ) -> Delegation:
+        """Apply an owned change and queue it for the peers."""
+        delegation = Delegation(number, registrar, self.id, serial, now)
+        self._apply(delegation, kind)
+        self.outbox.append(PeerUpdate(delegation, kind))
+        return delegation
+
+    def _owned(self, number: str, registrar: RegistrarId) -> Delegation:
+        """This registry's own delegation for *number*, which must point at
+        *registrar*."""
+        existing = self.lookup_delegation(number)
+        if existing.owning_registry != self.id:
+            raise NotAuthoritative(
+                f"{existing.owning_registry} owns the delegation for {number!r}"
+            )
+        if existing.registrar != registrar:
+            raise StaleOldRegistrar(
+                f"delegation for {number!r} points at {existing.registrar!r},"
+                f" not {registrar!r}"
+            )
+        return existing
 
     def ledger_total(self) -> float:
         return sum(entry.amount for entry in self.billing_ledger)
@@ -157,22 +188,11 @@ class RegistryState:
             raise NotAuthoritative(
                 f"{existing.owning_registry} owns the delegation for {number!r}"
             )
-        serial = self._local_serial(number) + 1
-        delegation = Delegation(
-            number=number,
-            registrar=registrar,
-            owning_registry=self.id,
-            serial=serial,
-            updated_at=now,
-        )
-        self.delegations[number] = delegation
-        self.tombstones.pop(number, None)
         self.billing_ledger.append(BillingEntry(payer, self.flat_fee, number, cause))
-        self._observe(number, serial)
-        self.outbox.append(
-            PeerUpdate(delegation, CREATED if existing is None else CHANGED)
+        return self._publish(
+            number, registrar, self._local_serial(number) + 1, now,
+            CREATED if existing is None else CHANGED,
         )
-        return delegation
 
     def lookup_delegation(self, number: str) -> Delegation:
         """Local or replicated delegation for the number."""
@@ -196,28 +216,9 @@ class RegistryState:
         Rollbacks pass ``billed=False``: the fee was charged on the way
         forward and a dispute must not charge again.
         """
-        existing = self.delegations.get(number)
-        if existing is None:
-            raise NoDelegation(f"no delegation for {number!r} at {self.id}")
-        if existing.owning_registry != self.id:
-            raise NotAuthoritative(
-                f"{existing.owning_registry} owns the delegation for {number!r}"
-            )
-        if existing.registrar != old_registrar:
-            raise StaleOldRegistrar(
-                f"delegation for {number!r} points at {existing.registrar!r},"
-                f" not {old_registrar!r}"
-            )
+        existing = self._owned(number, old_registrar)
         if new_registrar not in self.accredited:
             raise UnaccreditedRegistrar(f"{new_registrar!r} not accredited at {self.id}")
-        delegation = Delegation(
-            number=number,
-            registrar=new_registrar,
-            owning_registry=self.id,
-            serial=existing.serial + 1,
-            updated_at=now,
-        )
-        self.delegations[number] = delegation
         if billed:
             self.billing_ledger.append(
                 BillingEntry(payer or new_registrar, self.flat_fee, number, cause)
@@ -225,39 +226,14 @@ class RegistryState:
         self.notices.append(
             Notice(old_registrar, number, f"registrar changed to {new_registrar}")
         )
-        self._observe(number, delegation.serial)
-        self.outbox.append(PeerUpdate(delegation, CHANGED))
-        return delegation
+        return self._publish(number, new_registrar, existing.serial + 1, now, CHANGED)
 
     def remove_delegation(
         self, number: str, registrar: RegistrarId, now: int = 0
     ) -> Delegation:
         """Withdraw a delegation (disconnect); not billed."""
-        existing = self.delegations.get(number)
-        if existing is None:
-            raise NoDelegation(f"no delegation for {number!r} at {self.id}")
-        if existing.owning_registry != self.id:
-            raise NotAuthoritative(
-                f"{existing.owning_registry} owns the delegation for {number!r}"
-            )
-        if existing.registrar != registrar:
-            raise StaleOldRegistrar(
-                f"delegation for {number!r} points at {existing.registrar!r},"
-                f" not {registrar!r}"
-            )
-        serial = existing.serial + 1
-        tombstone = Delegation(
-            number=number,
-            registrar=registrar,
-            owning_registry=self.id,
-            serial=serial,
-            updated_at=now,
-        )
-        del self.delegations[number]
-        self.tombstones[number] = serial
-        self._observe(number, serial)
-        self.outbox.append(PeerUpdate(tombstone, REMOVED))
-        return tombstone
+        existing = self._owned(number, registrar)
+        return self._publish(number, registrar, existing.serial + 1, now, REMOVED)
 
     def peer_sync(self, updates: list[PeerUpdate]) -> int:
         """Apply peer updates whose serial beats the local replica's.
@@ -267,21 +243,15 @@ class RegistryState:
         """
         applied = 0
         for update in updates:
-            origin = update.delegation.owning_registry
+            delegation = update.delegation
+            origin = delegation.owning_registry
             if origin == self.id:
                 continue
             if origin not in self.peers:
                 raise UnknownPeer(f"{origin!r} is not a configured peer of {self.id}")
-            number = update.delegation.number
-            if update.delegation.serial <= self._local_serial(number):
+            if delegation.serial <= self._local_serial(delegation.number):
                 continue
-            if update.kind == REMOVED:
-                self.delegations.pop(number, None)
-                self.tombstones[number] = update.delegation.serial
-            else:
-                self.delegations[number] = update.delegation
-                self.tombstones.pop(number, None)
-            self._observe(number, update.delegation.serial)
+            self._apply(delegation, update.kind)
             applied += 1
         return applied
 
@@ -297,14 +267,11 @@ class Tier0Actor:
         self.table = table
 
     def handle_frame(self, frame: Frame, net: Network) -> None:
-        if frame.is_response:
-            return
-        try:
-            registries = tier0_discover(frame.get("cc"), self.table)
-        except EnumStackError as exc:
-            net.send(frame.err_reply(exc))
-            return
-        net.send(frame.ok_reply(registries=",".join(registries)))
+        if not frame.is_response:
+            net.answer(frame, self._dispatch)
+
+    def _dispatch(self, frame: Frame, net: Network) -> Frame:
+        return frame.ok_reply(registries=",".join(tier0_discover(frame.get("cc"), self.table)))
 
 
 class RegistryActor:
@@ -317,34 +284,24 @@ class RegistryActor:
     def _flush_outbox(self, net: Network) -> None:
         updates, self.state.outbox = self.state.outbox, []
         for update in updates:
+            delegation = update.delegation
+            fields = {
+                "number": delegation.number,
+                "registrar": delegation.registrar,
+                "owner": delegation.owning_registry,
+                "serial": str(delegation.serial),
+                "updated": str(delegation.updated_at),
+                "update_kind": update.kind,
+            }
             for peer in self.state.peers:
-                net.send(
-                    Frame(
-                        kind=PEER_UPDATE,
-                        src=self.actor_id,
-                        dst=peer,
-                        req_id=net.next_req_id(),
-                        fields={
-                            "number": update.delegation.number,
-                            "registrar": update.delegation.registrar,
-                            "owner": update.delegation.owning_registry,
-                            "serial": str(update.delegation.serial),
-                            "updated": str(update.delegation.updated_at),
-                            "update_kind": update.kind,
-                        },
-                    )
-                )
+                net.post(self.actor_id, peer, PEER_UPDATE, fields)
 
     def handle_frame(self, frame: Frame, net: Network) -> None:
         if frame.is_response:
             # async acknowledgements (e.g. peer update receipts)
             return
-        try:
-            reply = self._dispatch(frame, net)
-        except EnumStackError as exc:
-            net.send(frame.err_reply(exc))
-            return
-        net.send(reply)
+        net.answer(frame, self._dispatch)
+        # A dispatch that raised queued nothing, so this sends nothing then.
         self._flush_outbox(net)
 
     def _dispatch(self, frame: Frame, net: Network) -> Frame:
@@ -357,31 +314,6 @@ class RegistryActor:
                 owner=delegation.owning_registry,
                 serial=str(delegation.serial),
             )
-        if frame.kind == REGISTER:
-            if frame.get("op") == "remove":
-                tombstone = state.remove_delegation(
-                    number, frame.get("registrar"), now=net.clock
-                )
-                return frame.ok_reply(serial=str(tombstone.serial))
-            delegation = state.register_delegation(
-                number,
-                frame.get("registrar"),
-                frame.get("payer") or frame.get("registrar"),
-                now=net.clock,
-                cause=frame.get("event"),
-            )
-            return frame.ok_reply(serial=str(delegation.serial))
-        if frame.kind == CHANGE:
-            delegation = state.notify_registrar_change(
-                number,
-                frame.get("new"),
-                frame.get("old"),
-                payer=frame.get("payer") or frame.get("new"),
-                now=net.clock,
-                cause=frame.get("event"),
-                billed=frame.get("rollback") != "1",
-            )
-            return frame.ok_reply(serial=str(delegation.serial))
         if frame.kind == PEER_UPDATE:
             update = PeerUpdate(
                 delegation=Delegation(
@@ -395,4 +327,26 @@ class RegistryActor:
             )
             applied = state.peer_sync([update])
             return frame.ok_reply(applied=str(applied))
-        raise NoDelegation(f"registry {state.id} cannot handle {frame.kind}")
+        if frame.kind == REGISTER and frame.get("op") == "remove":
+            delegation = state.remove_delegation(number, frame.get("registrar"), now=net.clock)
+        elif frame.kind == REGISTER:
+            delegation = state.register_delegation(
+                number,
+                frame.get("registrar"),
+                frame.get("payer") or frame.get("registrar"),
+                now=net.clock,
+                cause=frame.get("event"),
+            )
+        elif frame.kind == CHANGE:
+            delegation = state.notify_registrar_change(
+                number,
+                frame.get("new"),
+                frame.get("old"),
+                payer=frame.get("payer") or frame.get("new"),
+                now=net.clock,
+                cause=frame.get("event"),
+                billed=frame.get("rollback") != "1",
+            )
+        else:
+            raise NoDelegation(f"registry {state.id} cannot handle {frame.kind}")
+        return frame.ok_reply(serial=str(delegation.serial))

@@ -24,16 +24,14 @@ from .wire import DISCOVER, Frame, GET, LOOKUP
 class Hop:
     tier: str
     target: str
-    request: Frame | None = None
     response: Frame | None = None
     note: str = ""
 
     def render(self) -> str:
-        req = f" req={self.request.req_id}" if self.request is not None else ""
         out = self.response.fields if self.response is not None else {}
         summary = ";".join(f"{k}={v}" for k, v in sorted(out.items()))
         note = f" ({self.note})" if self.note else ""
-        return f"{self.tier} {self.target}{req} -> {summary or 'timeout'}{note}"
+        return f"{self.tier} {self.target} -> {summary or 'timeout'}{note}"
 
 
 @dataclass
@@ -72,48 +70,37 @@ def _fetch_records(
     domain = to_domain(number, apex)
     trace = ResolutionTrace(number=number.render(), domain=domain.render())
 
-    hop = Hop(tier="tier0", target=tier0_id)
-    response = net.request(client_id, tier0_id, DISCOVER, {"cc": number.full_digits})
-    hop.response = response
-    trace.hops.append(hop)
+    def ask(tier: str, target: str, kind: str, fields: dict[str, str]) -> Frame | None:
+        """One traced hop: the response, or None on timeout. An error
+        response raises the error it names."""
+        response = net.request(client_id, target, kind, fields)
+        trace.hops.append(Hop(tier=tier, target=target, response=response))
+        if response is not None and not response.ok:
+            raise status_error(response.status, response.get("message"))
+        return response
+
+    response = ask("tier0", tier0_id, DISCOVER, {"cc": number.full_digits})
     if response is None:
         raise HopTimeout("tier-0 discovery timed out")
-    if not response.ok:
-        raise status_error(response.status, response.get("message"))
     registries = [r for r in response.get("registries").split(",") if r]
 
-    registrar = ""
-    registry = ""
-    for reg_id in registries:
-        hop = Hop(tier="tier1", target=reg_id)
-        response = net.request(client_id, reg_id, LOOKUP, {"number": number.full_digits})
-        hop.response = response
-        if response is None:
-            hop.note = "timeout, trying next registry"
-            trace.hops.append(hop)
-            continue
-        trace.hops.append(hop)
-        if not response.ok:
-            raise status_error(response.status, response.get("message"))
-        registrar = response.get("registrar")
-        registry = reg_id
-        break
+    for registry in registries:
+        response = ask("tier1", registry, LOOKUP, {"number": number.full_digits})
+        if response is not None:
+            registrar = response.get("registrar")
+            break
+        trace.hops[-1].note = "timeout, trying next registry"
     else:
         raise HopTimeout(f"no registry answered for {number.full_digits}")
 
-    hop = Hop(tier="tier2", target=registrar)
-    response = net.request(
-        client_id,
+    response = ask(
+        "tier2",
         registrar,
         GET,
         {"number": number.full_digits, "actor": client_id, "service": service},
     )
-    hop.response = response
-    trace.hops.append(hop)
     if response is None:
         raise HopTimeout(f"registrar {registrar} timed out")
-    if not response.ok:
-        raise status_error(response.status, response.get("message"))
 
     return Resolution(
         number=number,

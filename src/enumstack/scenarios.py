@@ -37,7 +37,6 @@ from .errors import (
     InvalidRecord,
     NaptrError,
     ScenarioError,
-    UnknownSubscription,
     status_error,
 )
 from .naptr import NaptrRecord, Visibility
@@ -502,9 +501,7 @@ class Topology:
         return _Step(self, kind, number, detail)
 
     def _serving(self, digits: str) -> str:
-        sub = self.directory.get(digits)
-        if sub is None:
-            raise UnknownSubscription(f"no subscription for {digits!r}")
+        sub = self.directory.subscription(digits)
         if not sub.serving_registrar:
             raise EnumInactive(f"{digits!r} has no serving registrar")
         return sub.serving_registrar
@@ -583,10 +580,12 @@ class Topology:
             parsed = parse_store_lines(line)
             if not parsed:
                 raise InvalidRecord(f"empty record line {line!r}")
-            rec = parsed[0]
             if visibility:
-                rec = dataclasses.replace(rec, visibility=Visibility(visibility))
-            records.append(rec)
+                parsed = [
+                    dataclasses.replace(rec, visibility=Visibility(visibility))
+                    for rec in parsed
+                ]
+            records += parsed
         return records
 
     def provision(
@@ -771,9 +770,7 @@ class Topology:
 
     def disconnect(self, number: str, user: str, kind: str) -> dict[str, str]:
         with self._step("disconnect", number, user=user, kind=kind) as step:
-            sub = self.directory.get(step.digits)
-            if sub is None:
-                raise UnknownSubscription(f"no subscription for {step.digits!r}")
+            sub = self.directory.subscription(step.digits)
             target = sub.serving_registrar or next(iter(self.registrars), "")
             self._request(
                 f"client:{user}",

@@ -8,8 +8,9 @@ schedules byte for byte.
 
 Actors may be taken offline (manually or through configured fault
 windows); frames addressed to an offline actor are dropped, never retried
-by the network itself. Request/response pairing and retries are the
-caller's business via :meth:`Network.request`.
+by the network itself. Every request leaves through :meth:`Network.post`,
+and every actor answers through :meth:`Network.answer`; pairing a request
+with its response, and retries, are :meth:`Network.request`'s business.
 
 The network keeps no copy of a frame it delivers. ``Network.counts``
 counts every frame it pops by ``(kind, status)``, where the status is
@@ -26,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import EnumStackError
 from .wire import Frame, decode_frame, encode_frame
 
 DELIVERED = "delivered"
@@ -121,6 +123,24 @@ class Network:
             (self.clock + self._min_delay + r, self._seq, encode_frame(frame)),
         )
 
+    def post(
+        self, src: str, dst: str, kind: str, fields: dict[str, str] | None = None
+    ) -> int:
+        """Send a request frame under the next request id; returns the id."""
+        req_id = self.next_req_id()
+        # send() encodes the frame at once, so the caller's dict is not shared.
+        self.send(Frame(kind=kind, src=src, dst=dst, req_id=req_id, fields=fields or {}))
+        return req_id
+
+    def answer(self, request: Frame, dispatch: Callable[[Frame, Network], Frame]) -> None:
+        """Send *dispatch*'s reply to *request*, or the error reply for the
+        :class:`EnumStackError` it raises; any other exception propagates."""
+        try:
+            reply = dispatch(request, self)
+        except EnumStackError as exc:
+            reply = request.err_reply(exc)
+        self.send(reply)
+
     def pending(self) -> int:
         return len(self._queue)
 
@@ -184,11 +204,8 @@ class Network:
         no response), e.g. because the target is offline.
         """
         for _ in range(retries + 1):
-            req_id = self.next_req_id()
-            # send() encodes the frame at once, so the caller's dict is not shared.
-            frame = Frame(kind=kind, src=src, dst=dst, req_id=req_id, fields=fields or {})
+            req_id = self.post(src, dst, kind, fields)
             self._rpc_waiting.add(req_id)
-            self.send(frame)
             while req_id not in self._rpc_responses and self._queue:
                 self.step()
             self._rpc_waiting.discard(req_id)

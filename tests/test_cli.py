@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -142,6 +143,16 @@ class TestMarket:
             capsys, "market", "report", "--fixtures", str(tmp_path / "missing")
         )
         assert code == 2
+
+    # sha256 of the whole report on the shipped fixtures.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "72b8bdaf3c8225527b47bd8be0aa3cb6d91b222c99a2b23082c6e60e4694229d"),
+        ("csv", "4163600c1c705e65da864f27614a4802f6f46a15a7acab1a065fde21b31a9efd"),
+    ])
+    def test_report_matches_golden_digest(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "market", "report", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def package_env():
@@ -367,6 +378,17 @@ def test_record_split_by_a_newline_is_refused_and_state_stays_readable(
     code, out, err = run(capsys, "resolve", "+1-315-443-4473", "--state-dir", str(state))
     assert (code, out, err) == (0, "sip:info@example.com\n", "")
 
+
+def test_every_line_of_a_multi_line_record_argument_is_provisioned(capsys, tmp_path):
+    state = tmp_path / "state"
+    tel = '210 10 "u" "E2U+tel" "!^.*$!tel:+13154434473!" .'
+    code, _, err = run(capsys, "provision", "+1-315-443-4473", "--actor", "alice",
+                       "--record", SIP_RECORD + "\n" + tel, "--state-dir", str(state))
+    assert (code, err) == (0, "")
+    assert "services=E2U+mailto,E2U+tel;" in (state / EVENTS_LOG).read_text(encoding="utf-8")
+    code, out, err = run(capsys, "resolve", "+1-315-443-4473", "--service", "E2U+tel",
+                         "--state-dir", str(state))
+    assert (code, out, err) == (0, "tel:+13154434473\n", "")
 
 # Holds the lock on a state directory until killed.
 LOCK_HOLDER = """

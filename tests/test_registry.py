@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumstack.audit import replicas_converged
 from enumstack.errors import (
+    EnumStackError,
     NoDelegation,
     NotAuthoritative,
     StaleOldRegistrar,
@@ -229,6 +232,48 @@ class TestPeerSync:
             serials = reg.observed_serials[NUM]
             assert serials == sorted(set(serials))
 
+
+
+NUMBERS = ("13154434473", "13154434474", "13154434475")
+REGISTRARS = ("T2a", "T2b")
+# (operation, number, registrar); the owner rejects the steps that do not
+# apply to its state, as it would a bad request.
+OWNER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("register", "change", "remove")),
+        st.sampled_from(NUMBERS),
+        st.sampled_from(REGISTRARS),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=OWNER_STEPS, data=st.data())
+def test_peers_fed_the_outbox_in_any_order_equal_the_owner(steps, data):
+    owner = registry("R1", peers=("R2", "R3"))
+    peers = [registry("R2", peers=("R1", "R3")), registry("R3", peers=("R1", "R2"))]
+    for op, number, registrar in steps:
+        try:
+            if op == "register":
+                owner.register_delegation(number, registrar, payer=registrar)
+            elif op == "change":
+                current = owner.lookup_delegation(number).registrar
+                owner.notify_registrar_change(number, registrar, current)
+            else:
+                owner.remove_delegation(number, registrar)
+        except EnumStackError:
+            pass
+    updates = list(owner.outbox)
+    for peer in peers:
+        repeats = data.draw(st.lists(st.sampled_from(updates), max_size=5)) if updates else []
+        for update in data.draw(st.permutations(updates + repeats)):
+            peer.peer_sync([update])
+        assert peer.delegations == owner.delegations
+        assert peer.tombstones == owner.tombstones
+    for state in [owner, *peers]:
+        for serials in state.observed_serials.values():
+            assert all(a < b for a, b in zip(serials, serials[1:]))
 
 def test_converged_replicas_report_clean():
     r1 = registry("R1", peers=("R2",))

@@ -296,6 +296,59 @@ def test_red_invariant_report_matches_golden():
     assert sha(report.render_lines()) == GOLDEN_RED_INVARIANTS
 
 
+# Replication steps for the multi-registry models: a disconnect leaves a
+# tombstone, a re-subscribe at another registrar writes over it, a
+# subscribe and a transfer run while R2 is offline, another transfer after
+# it is back, a grant and revoke, and a final telephone disconnect leaves a
+# tombstone in both registries.
+REPLICATION_EVENTS = (
+    "step disconnect number=+13154434474 user=bob kind=enum_only\n"
+    "step subscribe number=+13154434474 user=bob registrar=reg1 token=auto\n"
+    'step provision number=+13154434474 actor=bob record=100 10 "u" "E2U+sip"'
+    ' "!^.*$!sip:bob@sip.example.net!" .\n'
+    "step offline actor=R2\n"
+    "step assign number=+1-315-443-4476 user=alice tsp=tsp1\n"
+    "step subscribe number=+13154434476 user=alice registrar=reg1 token=auto\n"
+    "step transfer number=+13154434473 user=alice to=reg2\n"
+    "step online actor=R2\n"
+    "step transfer number=+13154434475 user=carol to=reg2\n"
+    "step grant number=+13154434474 user=bob grantee=asp1 rights=access scope=E2U+sip\n"
+    "step revoke number=+13154434474 user=bob grant=g2\n"
+    "step resolve number=+13154434474 service=*\n"
+    "step resolve number=+13154434475 service=*\n"
+    "step disconnect number=+13154434476 user=alice kind=telephone\n"
+)
+# (log bytes, state_hash(), registry replicas) of that run at seed 0; the
+# replicas are every registry's delegations, tombstones and observed serials.
+_REPLICATION_DIGESTS = (
+    "2930facda746aa856c7cc881d64b64ba2795bc6f91851b7ebf3bb1d6ac788436",
+    "0890d42a01b438d16036fe49b28a796098662b40a12b338614f4fb7a41ecf659",
+    "b17e2dc5a115765c31ad67acd9c907d0df11f9efc4df73c5a371508411f58965",
+)
+GOLDEN_REPLICATION = {4: _REPLICATION_DIGESTS, 5: _REPLICATION_DIGESTS, 6: _REPLICATION_DIGESTS}
+
+
+def replica_lines(topology):
+    lines = []
+    for reg_id in sorted(topology.registries):
+        state = topology.registries[reg_id].state
+        lines.append(f"registry {reg_id}")
+        lines += [f"  {d}" for _, d in sorted(state.delegations.items())]
+        lines += [f"  tomb {n} {s}" for n, s in sorted(state.tombstones.items())]
+        lines += [f"  seen {n} {s}" for n, s in sorted(state.observed_serials.items())]
+    return lines
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_REPLICATION))
+def test_replication_run_matches_golden_digests(model):
+    topology, log = run_model(model, canonical_events() + REPLICATION_EVENTS, seed=0)
+    assert (
+        hashlib.sha256(log.render_bytes()).hexdigest(),
+        topology.state_hash(),
+        sha(replica_lines(topology)),
+    ) == GOLDEN_REPLICATION[model]
+
+
 @pytest.mark.parametrize("model", sorted(GOLDEN_WIRE))
 def test_canonical_run_matches_golden_wire_bytes(model, popped_frames):
     run_model(model, seed=0)
@@ -480,3 +533,17 @@ class TestStateHash:
             '120 10 "u" "E2U+tel" "!^.*$!tel:+13154434473!" .',
         )
         assert topology.state_hash() != before
+
+
+class TestProvision:
+    TEL = '110 10 "u" "E2U+tel" "!^.*$!tel:+13154434473!" .'
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_line_of_a_multi_line_record_is_provisioned(self, newline):
+        topology, _ = run_model(1)
+        detail = topology.provision("+13154434473", "alice", SIP + newline + self.TEL)
+        assert topology.log[-1].status == "ok"
+        assert detail["services"] == "E2U+sip,E2U+tel"
+        stored = topology.registrars["reg1"].store["13154434473"]
+        assert [r.service for r in stored] == ["E2U+sip", "E2U+mailto", "E2U+mailto", "E2U+tel"]
+        assert topology.resolve("+13154434473", "E2U+tel")["uris"] == "tel:+13154434473"

@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
+from enumstack.errors import NoDelegation
 from enumstack.simulator import DELIVERED, DROPPED, Network
-from enumstack.wire import Frame
+from enumstack.wire import Frame, encode_frame
 
 
 class Echo:
@@ -36,6 +37,56 @@ def test_request_response():
     assert resp.get("who") == "a"
     assert actors["a"].seen[0].get("number") == "123"
 
+
+
+def test_post_numbers_requests_and_sends_the_frame_a_caller_would_build(popped_frames):
+    net, _ = make_net()
+    fields = {"number": "123", "note": "a;b=c"}
+    ids = [net.post("client", "a", "GET", fields), net.post("client", "b", "LOOKUP")]
+    assert ids == [1, 2] and net.next_req_id() == 3
+    net.run_until_idle()
+    requests = [r.frame for r in popped_frames if not r.frame.is_response]
+    assert [encode_frame(f) for f in requests] == [
+        encode_frame(Frame(kind="GET", src="client", dst="a", req_id=1, fields=fields)),
+        encode_frame(Frame(kind="LOOKUP", src="client", dst="b", req_id=2)),
+    ]
+
+
+class Answering:
+    """Answers every request through ``Network.answer`` with *dispatch*."""
+
+    def __init__(self, dispatch):
+        self.dispatch = dispatch
+
+    def handle_frame(self, frame, net):
+        if not frame.is_response:
+            net.answer(frame, self.dispatch)
+
+
+def test_answer_sends_the_reply_or_the_package_error():
+    def dispatch(frame, net):
+        if frame.get("number") == "0":
+            raise NoDelegation("no delegation for '0'")
+        return frame.ok_reply(number=frame.get("number"))
+
+    net = Network()
+    net.register("r", Answering(dispatch).handle_frame)
+    assert net.request("client", "r", "LOOKUP", {"number": "7"}).fields == {
+        "status": "ok", "number": "7",
+    }
+    assert net.request("client", "r", "LOOKUP", {"number": "0"}).fields == {
+        "status": "NoDelegation", "message": "no delegation for '0'",
+    }
+
+
+def test_answer_lets_a_non_package_error_propagate():
+    def dispatch(frame, net):
+        raise KeyError("bug")
+
+    net = Network()
+    net.register("r", Answering(dispatch).handle_frame)
+    with pytest.raises(KeyError):
+        net.request("client", "r", "LOOKUP")
 
 def test_same_seed_same_schedule(popped_frames):
     def run(seed):

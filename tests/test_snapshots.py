@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumstack.errors import AccessDenied, SnapshotError
+from enumstack.errors import AccessDenied, RegistrarError, SnapshotError
 from enumstack.scenarios import (
     build_topology,
     builtin_config,
@@ -141,6 +141,31 @@ def test_line_separators_in_logged_and_stored_text_round_trip(sep, tmp_path):
         topology._event_n, topology._transfer_n, topology._grant_n
     )
 
+
+
+@pytest.mark.parametrize("sep", ["|", "\n", "\r"])
+@pytest.mark.parametrize("where", ["user", "tsp", "grantee", "scope"])
+def test_name_holding_a_state_file_separator_is_refused(sep, where, tmp_path):
+    topology = populated()
+    name = f"da{sep}ve"
+    if where in ("user", "tsp"):
+        names = {"user": "dave", "tsp": "tsp1", where: name}
+        with pytest.raises(RegistrarError):
+            topology.assign("+13154434476", names["user"], names["tsp"])
+    else:
+        names = {"grantee": "asp1", "scope": "E2U+sip", where: name}
+        with pytest.raises(RegistrarError):
+            topology.grant("+13154434473", "alice", names["grantee"], "access", names["scope"])
+    refused = topology.log[-1]
+    assert refused.status == "RegistrarError"
+    assert refused.detail["message"] == (
+        f"{where} {name!r} may not hold '|' or a line break"
+    )
+    fresh = reload_into_fresh(topology, tmp_path)
+    assert fresh.directory.subscriptions == topology.directory.subscriptions
+    for registrar_id, actor in topology.registrars.items():
+        assert fresh.registrars[registrar_id].grants == actor.grants
+    assert [r.render() for r in read_log(tmp_path)] == [r.render() for r in topology.log]
 
 def test_line_separator_does_not_shift_error_line_numbers(tmp_path):
     text = "e1|t0|assign|ok|user=a\u2028b\ne2|t0|assign|ok|user=c\ngarbage\n"

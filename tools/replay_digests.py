@@ -1,0 +1,122 @@
+"""Print the replay digests of a checkout, one line per seeded run.
+
+Usage: python3 tools/replay_digests.py <repo>
+
+Runs the package found under ``<repo>/src`` and prints, for models 1-6,
+seeds 0-9 and each script (the canonical script alone, and followed by
+each extra script pinned in this checkout's ``tests/test_scenarios.py``),
+one line with the sha256 of the log bytes, ``state_hash()``, the sha256 of
+the invariant report, the final clock and the sha256 of every frame's
+bytes as the network popped it. Two small model-6 churn runs from
+``<repo>/bench/inputs.py`` follow. A change that claims byte identity
+runs this at both commits and diffs the two outputs.
+
+The scripts come from this checkout, not from *repo*, so both commits
+replay the same steps. They are read with :mod:`ast`, without importing
+the test module, so a test file that needs names the other commit lacks
+does not matter.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+EXTRA_SCRIPTS = ("EXTENDED_EVENTS", "RED_EVENTS", "REPLICATION_EVENTS")
+MODELS = range(1, 7)
+SEEDS = range(10)
+CHURN_SEEDS = (3, 5)
+CHURN_NUMBERS = 100
+
+
+def pinned_scripts(test_file: Path = HERE / "tests" / "test_scenarios.py") -> dict[str, str]:
+    """The module-level string constants named in EXTRA_SCRIPTS."""
+    found: dict[str, str] = {}
+    for node in ast.parse(test_file.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in EXTRA_SCRIPTS:
+                found[target.id] = ast.literal_eval(node.value)
+    return {name: found[name] for name in EXTRA_SCRIPTS if name in found}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class WireRecorder:
+    """Hashes the bytes of every frame any ``Network`` pops."""
+
+    def __init__(self, simulator) -> None:
+        self.digest = hashlib.sha256()
+        decode = simulator.decode_frame
+
+        def recording_decode(data: bytes):
+            self.digest.update(data)
+            return decode(data)
+
+        simulator.decode_frame = recording_decode
+
+    def take(self) -> str:
+        value, self.digest = self.digest.hexdigest(), hashlib.sha256()
+        return value
+
+
+def digest_line(es, wire: WireRecorder, label: str, topology, log) -> str:
+    report = es.assert_invariants(topology)
+    return (
+        f"{label} log={sha(log.render_bytes())} state={topology.state_hash()}"
+        f" invariants={sha(chr(10).join(report.render_lines()).encode('utf-8'))}"
+        f" clock={topology.net.clock} wire={wire.take()}"
+    )
+
+
+def replay(es, wire: WireRecorder, model: int, seed: int, name: str, script: str) -> str:
+    wire.take()
+    topology = es.build_topology(es.builtin_config(model), seed=seed)
+    log = es.run_events(topology, es.canonical_events() + script)
+    return digest_line(es, wire, f"model={model} seed={seed} script={name}", topology, log)
+
+
+def churn(es, inputs, wire: WireRecorder, seed: int) -> str:
+    """A small ``provision_churn`` pass: subscribe the numbers, run the script."""
+    rng = random.Random(f"churn-setup-{seed}")
+    owners = {d: rng.choice(inputs.USERS) for d in inputs.draw_numbers(rng, CHURN_NUMBERS)}
+    serving = {d: rng.choice(inputs.REGISTRARS) for d in owners}
+    script = inputs.ChurnScript(seed, owners, serving).generate(4 * CHURN_NUMBERS)
+    wire.take()
+    topology = es.build_topology(es.builtin_config(6), seed=seed)
+    for digits, user in owners.items():
+        topology.assign("+" + digits, user, "tsp1")
+        topology.subscribe("+" + digits, user, serving[digits], token="auto")
+    log = es.run_events(topology, script)
+    return digest_line(es, wire, f"churn seed={seed} numbers={CHURN_NUMBERS}", topology, log)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    repo = Path(argv[0]).resolve()
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    import enumstack as es
+    from enumstack import simulator
+    import inputs
+
+    wire = WireRecorder(simulator)
+    scripts = {"canonical": "", **pinned_scripts()}
+    for model in MODELS:
+        for seed in SEEDS:
+            for name, script in scripts.items():
+                print(replay(es, wire, model, seed, name, script))
+    for seed in CHURN_SEEDS:
+        print(churn(es, inputs, wire, seed))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
