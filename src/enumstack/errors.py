@@ -137,10 +137,6 @@ class NoPhoneService(RegistrarError):
     """Number has no active telephone assignment."""
 
 
-class RegistrarKindForbidden(RegistrarError):
-    """Registrar kind is not permitted by the active administration model."""
-
-
 class VerificationFailed(RegistrarError):
     """Subscriber identity / number assignment could not be verified."""
 

@@ -27,7 +27,6 @@ from .errors import (
     NoPhoneService,
     NotSubscriber,
     RegistrarError,
-    RegistrarKindForbidden,
     SameRegistrar,
     UnaccreditedRegistrar,
     UnknownGrant,
@@ -67,7 +66,6 @@ class Role(Enum):
     USER = "User"
     TSP = "TSP"
     ASP = "ASP"
-    ISP = "ISP"
     INDEPENDENT = "IndependentRegistrar"
     REGISTRY = "Registry"
 
@@ -203,27 +201,6 @@ class TransferRecord:
         self.history.append(state)
 
 
-@dataclass(frozen=True)
-class ModelContext:
-    """Administration-model knobs a registrar needs at request time."""
-
-    model_id: int
-    registrar_kind: Role
-    extra_kinds: frozenset[Role] = frozenset()
-    network_related: frozenset[str] = frozenset({"E2U+sip", "E2U+tel"})
-    accreditation: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    @property
-    def permitted_kinds(self) -> frozenset[Role]:
-        return frozenset({self.registrar_kind}) | self.extra_kinds
-
-    @property
-    def tsp_implicit_grant(self) -> bool:
-        # Only the TSP-registrar model family gives the TSP standing
-        # provisioning rights over network-related services.
-        return self.registrar_kind is Role.TSP
-
-
 def render_store_lines(records: list[NaptrRecord]) -> str:
     return "\n".join(render_stored_line(r) for r in records)
 
@@ -251,21 +228,28 @@ def parse_store_lines(text: str) -> list[NaptrRecord]:
 
 
 class RegistrarActor:
-    """One Tier-2 registrar: record host, ACL enforcement, transfers."""
+    """One Tier-2 registrar: record host, ACL enforcement, transfers.
+
+    *kind* is the model's registrar kind, and *accredited* is the home
+    registry's accreditation list; :class:`~enumstack.scenarios.Topology`
+    builds both from the scenario config.
+    """
 
     def __init__(
         self,
         registrar_id: str,
         kind: Role,
         home_registry: str,
-        ctx: ModelContext,
         directory: Directory,
+        network_related: frozenset[str],
+        accredited: frozenset[str],
     ):
         self.actor_id = registrar_id
         self.kind = kind
         self.home_registry = home_registry
-        self.ctx = ctx
         self.directory = directory
+        self.network_related = network_related
+        self.accredited = accredited
         self.store: dict[str, list[NaptrRecord]] = {}
         self.grants: dict[str, list[AuthorizationGrant]] = {}
         self.transfers: dict[str, TransferRecord] = {}
@@ -290,13 +274,6 @@ class RegistrarActor:
             )
         return sub
 
-    def _check_kind_permitted(self) -> None:
-        if self.kind not in self.ctx.permitted_kinds:
-            raise RegistrarKindForbidden(
-                f"registrar kind {self.kind.value} not permitted in model "
-                f"{self.ctx.model_id}"
-            )
-
     def _may(
         self, sub: Subscription, actor: str, service: str, needed: frozenset[str]
     ) -> bool:
@@ -307,9 +284,9 @@ class RegistrarActor:
             return True
         if (
             PROVISION_RIGHT in needed
-            and self.ctx.tsp_implicit_grant
+            and self.kind is Role.TSP
             and actor == sub.tsp
-            and service in self.ctx.network_related
+            and service in self.network_related
         ):
             return True
         return any(
@@ -340,7 +317,6 @@ class RegistrarActor:
             raise NoPhoneService(f"{number!r} has no telephone assignment")
         if sub.user != user:
             raise VerificationFailed(f"{number!r} is assigned to another subscriber")
-        self._check_kind_permitted()
         if sub.enum_active and sub.serving_registrar != self.actor_id:
             raise AlreadySubscribed(
                 f"{number!r} is served by {sub.serving_registrar}; transfer instead"
@@ -353,8 +329,7 @@ class RegistrarActor:
             raise VerificationFailed(
                 f"cannot verify assignment of {number!r} to {user!r}"
             )
-        accredited = self.ctx.accreditation.get(self.home_registry)
-        if accredited is not None and self.actor_id not in accredited:
+        if self.actor_id not in self.accredited:
             raise UnaccreditedRegistrar(
                 f"{self.actor_id} not accredited at {self.home_registry}"
             )
@@ -476,7 +451,6 @@ class RegistrarActor:
             raise NotSubscriber(f"{user!r} is not the subscriber of {number!r}")
         if sub.serving_registrar == self.actor_id:
             raise SameRegistrar(f"{number!r} is already served by {self.actor_id}")
-        self._check_kind_permitted()
         record = TransferRecord(
             transfer_id=transfer_id,
             number=number,

@@ -24,6 +24,7 @@ from .errors import (
     UnaccreditedRegistrar,
     UnknownCountryCode,
     UnknownPeer,
+    WireError,
 )
 from .simulator import Network
 from .wire import CHANGE, Frame, LOOKUP, PEER_UPDATE, REGISTER
@@ -315,13 +316,21 @@ class RegistryActor:
                 serial=str(delegation.serial),
             )
         if frame.kind == PEER_UPDATE:
+            try:
+                serial = int(frame.get("serial", "0"))
+                updated_at = int(frame.get("updated", "0"))
+            except ValueError:
+                raise WireError(
+                    f"{PEER_UPDATE} serial {frame.get('serial')!r} or updated"
+                    f" {frame.get('updated')!r} is not an integer"
+                ) from None
             update = PeerUpdate(
                 delegation=Delegation(
                     number=number,
                     registrar=frame.get("registrar"),
                     owning_registry=frame.get("owner"),
-                    serial=int(frame.get("serial", "0")),
-                    updated_at=int(frame.get("updated", "0")),
+                    serial=serial,
+                    updated_at=updated_at,
                 ),
                 kind=frame.get("update_kind", CHANGED),
             )

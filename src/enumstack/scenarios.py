@@ -36,17 +36,18 @@ from .errors import (
     InvalidModelCombination,
     InvalidRecord,
     NaptrError,
+    RegistrarError,
     ScenarioError,
     status_error,
 )
 from .naptr import NaptrRecord, Visibility
 from .registrar import (
     Directory,
-    ModelContext,
     Party,
     RegistrarActor,
     Role,
     TransferState,
+    _check_storable,
     parse_store_lines,
     render_store_lines,
     render_stored_line,
@@ -80,7 +81,6 @@ _KIND_NAMES = {
     "ASP": Role.ASP,
     "Independent": Role.INDEPENDENT,
     "IndependentRegistrar": Role.INDEPENDENT,
-    "ISP": Role.ISP,
 }
 
 
@@ -100,7 +100,6 @@ class ScenarioConfig:
     flat_fee: float = 1.0
     user_fee: float = 1.0
     network_related: frozenset[str] = frozenset({"E2U+sip", "E2U+tel"})
-    extra_registrar_kinds: tuple[Role, ...] = ()
     fault_plan: tuple[tuple[str, int, int], ...] = ()
     apex: str = "e164.arpa"
 
@@ -198,18 +197,16 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"model {model_id} implies {multiplicity} registry multiplicity"
             )
 
-    extra_kinds: list[Role] = []
-    if parser.has_option("model", "extra_kinds"):
-        for name in _split_list(parser.get("model", "extra_kinds")):
-            role = _KIND_NAMES.get(name)
-            if role is None:
-                raise ScenarioError(f"unknown registrar kind {name!r}")
-            extra_kinds.append(role)
-
     def actor_list(option: str) -> tuple[str, ...]:
-        if parser.has_option("actors", option):
-            return _split_list(parser.get("actors", option))
-        return ()
+        if not parser.has_option("actors", option):
+            return ()
+        ids = _split_list(parser.get("actors", option))
+        try:
+            for actor_id in ids:
+                _check_storable(**{option: actor_id})
+        except RegistrarError as exc:
+            raise ScenarioError(f"[actors] {exc}") from None
+        return ids
 
     def section(name: str) -> list[tuple[str, str]]:
         return parser.items(name) if parser.has_section(name) else []
@@ -232,17 +229,12 @@ def parse_config(text: str) -> ScenarioConfig:
     }
     homes = {registrar: registry_id(value.strip()) for registrar, value in section("homes")}
 
-    def fee(option: str, default: float) -> float:
-        if not parser.has_option("fees", option):
-            return default
-        try:
-            return parser.getfloat("fees", option)
-        except ValueError:
-            raise ScenarioError(f"fee {option} is not a number") from None
-
-    network_related = frozenset({"E2U+sip", "E2U+tel"})
+    # An option the text leaves out keeps ScenarioConfig's default.
+    given: dict[str, Any] = {}
     if parser.has_option("access", "network_related"):
-        network_related = frozenset(_split_list(parser.get("access", "network_related")))
+        given["network_related"] = frozenset(
+            _split_list(parser.get("access", "network_related"))
+        )
 
     fault_plan: list[tuple[str, int, int]] = []
     for actor, value in section("faults"):
@@ -252,9 +244,14 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError:
             raise ScenarioError(f"fault window {value!r} is not start:end") from None
 
-    apex = "e164.arpa"
     if parser.has_option("model", "apex"):
-        apex = parser.get("model", "apex").strip()
+        given["apex"] = parser.get("model", "apex").strip()
+    for option in ("flat_fee", "user_fee"):
+        if parser.has_option("fees", option):
+            try:
+                given[option] = parser.getfloat("fees", option)
+            except ValueError:
+                raise ScenarioError(f"fee {option} is not a number") from None
 
     return ScenarioConfig(
         model_id=model_id,
@@ -266,12 +263,8 @@ def parse_config(text: str) -> ScenarioConfig:
         tier0_entries=tier0_entries,
         accreditation=accreditation,
         homes=homes,
-        flat_fee=fee("flat_fee", 1.0),
-        user_fee=fee("user_fee", 1.0),
-        network_related=network_related,
-        extra_registrar_kinds=tuple(extra_kinds),
         fault_plan=tuple(fault_plan),
-        apex=apex,
+        **given,
     )
 
 
@@ -436,6 +429,7 @@ class Topology:
                 prefix for prefix, regs in cfg.tier0_entries.items() if reg_id in regs
             )
             peers = tuple(r for r in cfg.registries if r != reg_id) if multiple else ()
+            # A registry with no [accreditation] row accredits every registrar.
             accredited = cfg.accreditation.get(reg_id, frozenset(cfg.registrar_ids))
             state = RegistryState(
                 id=reg_id,
@@ -448,21 +442,16 @@ class Topology:
             self.registries[reg_id] = actor
             self.net.register(reg_id, actor.handle_frame)
 
-        self.ctx = ModelContext(
-            model_id=cfg.model_id,
-            registrar_kind=cfg.registrar_kind,
-            extra_kinds=frozenset(cfg.extra_registrar_kinds),
-            network_related=cfg.network_related,
-            accreditation=dict(cfg.accreditation),
-        )
         self.registrars: dict[str, RegistrarActor] = {}
         for registrar_id in cfg.registrar_ids:
+            home = cfg.home_of(registrar_id)
             actor = RegistrarActor(
                 registrar_id=registrar_id,
                 kind=cfg.registrar_kind,
-                home_registry=cfg.home_of(registrar_id),
-                ctx=self.ctx,
+                home_registry=home,
                 directory=self.directory,
+                network_related=cfg.network_related,
+                accredited=self.registries[home].state.accredited,
             )
             self.registrars[registrar_id] = actor
             self.net.register(registrar_id, actor.handle_frame)
@@ -809,7 +798,7 @@ class Topology:
         with self._step(
             "cooperate", payer=payer, tsp=tsp, approach=approach, amount=shown
         ) as step:
-            if self.cfg.model_id not in (2, 5):
+            if self.cfg.registrar_kind is not Role.ASP:
                 raise InvalidModelCombination(
                     "cooperation side-payments only arise in the ASP-registrar models"
                 )

@@ -12,7 +12,7 @@ import pytest
 
 import enumstack
 from enumstack.cli import main
-from enumstack.scenarios import build_topology, builtin_config
+from enumstack.scenarios import build_topology, builtin_config, model_fixture_text
 from enumstack.snapshots import EVENTS_LOG, LOCK_FILE, REGISTRY_SNAP, SCENARIO_FILE, StateLock
 
 SIP_RECORD = '200 10 "u" "E2U+mailto" "!^.*$!mailto:alice@example.net!" .'
@@ -52,6 +52,13 @@ class TestResolve:
         code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(bad))
         assert code == 2
         assert err.startswith("ScenarioError: fault window")
+
+    def test_actor_id_holding_a_separator_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(model_fixture_text(1).replace("reg1", "reg|1"))
+        code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(bad))
+        assert code == 2
+        assert err == "ScenarioError: [actors] registrars 'reg|1' may not hold '|' or a line break\n"
 
     def test_non_utf8_scenario_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"

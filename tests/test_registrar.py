@@ -6,7 +6,6 @@ from enumstack.errors import (
     EnumInactive,
     NoPhoneService,
     NotSubscriber,
-    RegistrarKindForbidden,
     SameRegistrar,
     UnknownGrant,
     UnknownSubscription,
@@ -17,7 +16,6 @@ from enumstack.naptr import ServiceSelector, Visibility, parse_record
 from enumstack.registrar import (
     AlreadySubscribed,
     Directory,
-    ModelContext,
     RegistrarActor,
     Role,
     TransferState,
@@ -30,12 +28,13 @@ NUM = "13154434473"
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:user@example.com!" .'
 MAILTO = '50 10 "u" "E2U+mailto" "!^.*$!mailto:user@example.com!" .'
 TEL = '60 10 "u" "E2U+tel" "!^.*$!tel:+13154434473!" .'
+NETWORK_RELATED = frozenset({"E2U+sip", "E2U+tel"})
 
 
 class Rig:
     """One registry, two registrars, a TSP-assigned number for alice."""
 
-    def __init__(self, kind=Role.TSP, model_id=1, assign=True):
+    def __init__(self, kind=Role.TSP, assign=True):
         self.net = Network(seed=1)
         self.directory = Directory()
         self.registry = RegistryActor(
@@ -46,17 +45,18 @@ class Rig:
             )
         )
         self.net.register("R1", self.registry.handle_frame)
-        ctx = ModelContext(
-            model_id=model_id,
-            registrar_kind=kind,
-            accreditation={"R1": frozenset({"T2a", "T2b", "tspA"})},
-        )
-        self.a = RegistrarActor("T2a", kind, "R1", ctx, self.directory)
-        self.b = RegistrarActor("T2b", kind, "R1", ctx, self.directory)
+        self.a = self.registrar("T2a", kind)
+        self.b = self.registrar("T2b", kind)
         self.net.register("T2a", self.a.handle_frame)
         self.net.register("T2b", self.b.handle_frame)
         if assign:
             self.sub = self.directory.assign(NUM, "alice", "tspA")
+
+    def registrar(self, registrar_id, kind):
+        return RegistrarActor(
+            registrar_id, kind, "R1", self.directory, NETWORK_RELATED,
+            self.registry.state.accredited,
+        )
 
     def subscribe(self, registrar=None, **kw):
         registrar = registrar or self.a
@@ -75,7 +75,7 @@ class Rig:
 class TestSubscribe:
     def test_own_tsp_auto_verifies(self):
         rig = Rig()
-        tsp_registrar = RegistrarActor("tspA", Role.TSP, "R1", rig.a.ctx, rig.directory)
+        tsp_registrar = rig.registrar("tspA", Role.TSP)
         rig.net.register("tspA", tsp_registrar.handle_frame)
         sub = tsp_registrar.subscribe_enum("alice", NUM, rig.net)  # no token needed
         rig.net.run_until_idle()
@@ -89,7 +89,7 @@ class TestSubscribe:
         assert rig.registry.state.lookup_delegation(NUM).registrar == "T2a"
 
     def test_tsp_confirmation_verifies(self):
-        rig = Rig(kind=Role.ASP, model_id=2)
+        rig = Rig(kind=Role.ASP)
         rig.directory.confirm(NUM, "T2a")
         sub = rig.a.subscribe_enum("alice", NUM, rig.net, confirmed=True)
         assert sub.enum_active
@@ -108,28 +108,6 @@ class TestSubscribe:
         rig = Rig()
         with pytest.raises(VerificationFailed):
             rig.a.subscribe_enum("mallory", NUM, rig.net, token=rig.sub.token)
-
-    def test_kind_forbidden(self):
-        rig = Rig(kind=Role.TSP, model_id=1)
-        rogue_ctx = ModelContext(model_id=2, registrar_kind=Role.ASP)
-        rogue = RegistrarActor("T2c", Role.TSP, "R1", rogue_ctx, rig.directory)
-        with pytest.raises(RegistrarKindForbidden):
-            rogue.subscribe_enum("alice", NUM, rig.net, token=rig.sub.token)
-
-    def test_extra_kind_permitted(self):
-        ctx = ModelContext(
-            model_id=2, registrar_kind=Role.ASP, extra_kinds=frozenset({Role.TSP}),
-            accreditation={"R1": frozenset({"T2c"})},
-        )
-        rig = Rig(kind=Role.ASP, model_id=2)
-        extra = RegistrarActor("T2c", Role.TSP, "R1", ctx, rig.directory)
-        rig.net.register("T2c", extra.handle_frame)
-        rig.registry.state = RegistryState(
-            id="R1", served_prefixes=("1",),
-            accredited=frozenset({"T2a", "T2b", "T2c"}),
-        )
-        sub = extra.subscribe_enum("alice", NUM, rig.net, token=rig.sub.token)
-        assert sub.serving_registrar == "T2c"
 
     def test_active_elsewhere_requires_transfer(self):
         rig = Rig()
@@ -164,19 +142,19 @@ class TestProvision:
             rig.provision(SIP, actor="aspX")
 
     def test_tsp_implicit_grant_network_related(self):
-        rig = Rig(kind=Role.TSP, model_id=1)
+        rig = Rig(kind=Role.TSP)
         rig.subscribe()
         result = rig.provision(SIP, actor="tspA")  # E2U+sip is network-related
         assert len(result) == 1
 
     def test_tsp_implicit_grant_limited_to_network_services(self):
-        rig = Rig(kind=Role.TSP, model_id=1)
+        rig = Rig(kind=Role.TSP)
         rig.subscribe()
         with pytest.raises(AccessDenied):
             rig.provision(MAILTO, actor="tspA")
 
     def test_no_implicit_grant_outside_tsp_models(self):
-        rig = Rig(kind=Role.ASP, model_id=2)
+        rig = Rig(kind=Role.ASP)
         rig.directory.confirm(NUM, "T2a")
         rig.a.subscribe_enum("alice", NUM, rig.net, confirmed=True)
         with pytest.raises(AccessDenied):

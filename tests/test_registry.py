@@ -24,6 +24,8 @@ from enumstack.registry import (
     Tier0Table,
     tier0_discover,
 )
+from enumstack.scenarios import build_topology, builtin_config, canonical_events, run_events
+from enumstack.wire import PEER_UPDATE
 
 NUM = "13154434473"
 
@@ -232,6 +234,20 @@ class TestPeerSync:
             serials = reg.observed_serials[NUM]
             assert serials == sorted(set(serials))
 
+
+@pytest.mark.parametrize("field", ["serial", "updated"])
+def test_peer_update_with_non_integer_field_gets_error_reply(field, popped_frames):
+    topology = build_topology(builtin_config(4))
+    run_events(topology, canonical_events())
+    before = dict(topology.registries["R2"].state.delegations)
+    fields = {"number": NUM, "registrar": "reg2", "owner": "R1", "serial": "9",
+              "updated": "0", "update_kind": CHANGED, field: "x"}
+    topology.net.post("R1", "R2", PEER_UPDATE, fields)
+    topology.net.run_until_idle()
+    assert topology.registries["R2"].state.delegations == before
+    reply = popped_frames[-1].frame
+    assert (reply.kind, reply.dst, reply.status) == (PEER_UPDATE, "R1", "WireError")
+    assert f"{field} 'x'" in reply.get("message")
 
 
 NUMBERS = ("13154434473", "13154434474", "13154434475")

@@ -11,6 +11,7 @@ from enumstack.scenarios import (
     build_topology,
     builtin_config,
     canonical_events,
+    model_fixture_text,
     parse_config,
     parse_events,
     run_events,
@@ -38,9 +39,34 @@ class TestConfig:
             builtin_config(7)
 
     def test_kind_contradiction_rejected(self):
-        text = "[model]\nid = 2\nregistrar_kind = TSP\n[actors]\nregistries = R1\n"
-        with pytest.raises(InvalidModelCombination):
+        for stated in ("registrar_kind = TSP", "registry_multiplicity = multiple"):
+            text = f"[model]\nid = 2\n{stated}\n[actors]\nregistries = R1\n"
+            with pytest.raises(InvalidModelCombination):
+                parse_config(text)
+
+    def test_registrars_take_model_kind_and_home_accreditation(self):
+        for model in MODEL_GRID:
+            cfg = builtin_config(model)
+            topology = build_topology(cfg)
+            assert list(topology.registrars) == list(cfg.registrar_ids)
+            for actor in topology.registrars.values():
+                assert actor.kind is cfg.registrar_kind
+                home = topology.registries[actor.home_registry].state
+                assert actor.accredited is home.accredited
+
+    @pytest.mark.parametrize("sep", ["|", "\n", "\r"])
+    @pytest.mark.parametrize("option", ["users", "tsps", "asps", "registrars", "registries"])
+    def test_actor_id_holding_a_state_file_separator_rejected(self, option, sep):
+        name = f"x{sep}1"
+        value = name.replace("\n", "\n ")  # an indented line continues the value
+        text = f"[model]\nid = 1\n[actors]\nregistries = R1\n{option} = {value}\n"
+        if option == "registries":
+            text = text.replace("registries = R1\n", "")
+        with pytest.raises(ScenarioError) as excinfo:
             parse_config(text)
+        assert str(excinfo.value) == (
+            f"[actors] {option} {name!r} may not hold '|' or a line break"
+        )
 
     def test_multiplicity_contradiction_rejected(self):
         with pytest.raises(InvalidModelCombination):
@@ -136,6 +162,33 @@ class TestEventScripts:
         log = run_events(topology, line + "\nstep advance ticks=2\n")
         assert [rec.status for rec in log.records] == [status, "ok"]
         assert log.records[0].detail["message"]
+
+    def test_confirm_step_verifies_subscribe(self):
+        assign = "step assign number=+13154434473 user=alice tsp=tsp1\n"
+        confirm = "step confirm number=+13154434473 registrar=reg2\n"
+        subscribe = (
+            "step subscribe number=+13154434473 user=alice registrar=reg2 confirmed=1\n"
+        )
+        for script, status in ((assign + confirm, "ok"), (assign, "VerificationFailed")):
+            topology = build_topology(builtin_config(1))
+            log = run_events(topology, script + subscribe)
+            statuses = [rec.status for rec in log.records]
+            assert statuses == ["ok"] * (len(statuses) - 1) + [status]
+            assert topology.directory.get("13154434473").enum_active is (status == "ok")
+
+    def test_unaccredited_registrar_subscribe_logged(self):
+        text = model_fixture_text(1).replace("R1 = reg1, reg2", "R1 = reg2")
+        topology = build_topology(parse_config(text))
+        log = run_events(
+            topology,
+            "step assign number=+13154434473 user=alice tsp=tsp1\n"
+            "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n",
+        )
+        refused = log.records[-1]
+        assert (refused.kind, refused.status) == ("subscribe", "UnaccreditedRegistrar")
+        assert refused.render().endswith(";message=reg1 not accredited at R1")
+        assert topology.directory.get("13154434473").enum_active is False
+        assert not topology.registries["R1"].state.delegations
 
     def test_unknown_transfer_steps_logged(self):
         script = "step transfer_step transfer=x9\nstep dispute transfer=x9 by=reg1\nstep advance\n"
