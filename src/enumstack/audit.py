@@ -273,9 +273,8 @@ def _single_store(topology: Topology) -> list[str]:
     violations: list[str] = []
     holders: dict[str, list[str]] = {}
     for registrar_id, actor in topology.registrars.items():
-        for number, records in actor.store.items():
-            if records:
-                holders.setdefault(number, []).append(registrar_id)
+        for number in actor.store.numbers_with_records():
+            holders.setdefault(number, []).append(registrar_id)
     for number, where in sorted(holders.items()):
         if len(where) > 1:
             violations.append(f"{number} stored at {', '.join(where)}")

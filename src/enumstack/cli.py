@@ -92,12 +92,15 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
         snapshots.load_state(topology, state_dir)
     else:
         _bootstrap_demo(topology)
-        snapshots.save_state(topology, state_dir, scenario_text=text)
         snapshots.append_log(state_dir, topology.log)
+        snapshots.save_state(topology, state_dir, scenario_text=text)
     return topology, text
 
 
 def _persisting_op(args: argparse.Namespace, fn) -> int:
+    """Run *fn* on the directory's topology under its lock, then persist:
+    the log lines first, then the snapshots and, last, the checkpoint
+    that describes them all (see :mod:`enumstack.snapshots`)."""
     state_dir = Path(args.state_dir)
     with snapshots.StateLock(state_dir):
         topology, text = _topology_for_state(args)
@@ -105,8 +108,8 @@ def _persisting_op(args: argparse.Namespace, fn) -> int:
         try:
             fn(topology)
         finally:
-            snapshots.save_state(topology, state_dir, scenario_text=text)
             snapshots.append_log(state_dir, topology.log[before:])
+            snapshots.save_state(topology, state_dir, scenario_text=text)
     return EXIT_OK
 
 

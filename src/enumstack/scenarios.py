@@ -51,6 +51,7 @@ from .registrar import (
     parse_store_lines,
     render_store_lines,
     render_stored_line,
+    translate_newlines,
 )
 from .registry import RegistryActor, RegistryState, Tier0Actor, Tier0Table
 from .simulator import Network
@@ -66,6 +67,9 @@ from .wire import (
     _escape,
     _unescape,
 )
+
+# The tier-0 actor's network id; a [faults] window may name it.
+TIER0_ID = "tier0"
 
 MODEL_GRID: dict[int, tuple[Role, str]] = {
     1: (Role.TSP, "single"),
@@ -211,13 +215,23 @@ def parse_config(text: str) -> ScenarioConfig:
     def section(name: str) -> list[tuple[str, str]]:
         return parser.items(name) if parser.has_section(name) else []
 
+    users, tsps, asps = actor_list("users"), actor_list("tsps"), actor_list("asps")
     registries = actor_list("registries")
-    # configparser lowercases keys; registry ids keep their case from the
+    registrar_ids = actor_list("registrars")
+    # configparser lowercases keys; actor ids keep their case from the
     # [actors] section, so match them case-insensitively.
     id_map = {name.lower(): name for name in registries}
 
     def registry_id(name: str) -> str:
         return id_map.get(name.lower(), name)
+
+    def configured(key: str, ids: tuple[str, ...], section_name: str) -> str:
+        """The one id in *ids* that the option *key* names."""
+        matches = list(dict.fromkeys(i for i in ids if i.lower() == key.lower()))
+        if len(matches) != 1:
+            what = "names no configured actor" if not matches else "is ambiguous"
+            raise ScenarioError(f"[{section_name}] {key!r} {what}")
+        return matches[0]
 
     tier0_entries = {
         prefix: tuple(registry_id(reg) for reg in _split_list(value))
@@ -227,7 +241,10 @@ def parse_config(text: str) -> ScenarioConfig:
         registry_id(registry): frozenset(_split_list(value))
         for registry, value in section("accreditation")
     }
-    homes = {registrar: registry_id(value.strip()) for registrar, value in section("homes")}
+    homes = {
+        configured(registrar, registrar_ids, "homes"): registry_id(value.strip())
+        for registrar, value in section("homes")
+    }
 
     # An option the text leaves out keeps ScenarioConfig's default.
     given: dict[str, Any] = {}
@@ -237,12 +254,14 @@ def parse_config(text: str) -> ScenarioConfig:
         )
 
     fault_plan: list[tuple[str, int, int]] = []
+    actor_ids = (TIER0_ID, *users, *tsps, *asps, *registrar_ids, *registries)
     for actor, value in section("faults"):
         start_text, _, end_text = value.partition(":")
         try:
-            fault_plan.append((actor, int(start_text), int(end_text)))
+            window = (int(start_text), int(end_text))
         except ValueError:
             raise ScenarioError(f"fault window {value!r} is not start:end") from None
+        fault_plan.append((configured(actor, actor_ids, "faults"), *window))
 
     if parser.has_option("model", "apex"):
         given["apex"] = parser.get("model", "apex").strip()
@@ -255,10 +274,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         model_id=model_id,
-        users=actor_list("users"),
-        tsps=actor_list("tsps"),
-        asps=actor_list("asps"),
-        registrar_ids=actor_list("registrars"),
+        users=users,
+        tsps=tsps,
+        asps=asps,
+        registrar_ids=registrar_ids,
         registries=registries,
         tier0_entries=tier0_entries,
         accreditation=accreditation,
@@ -414,12 +433,15 @@ class Topology:
         self._grant_n = 0
         self._transfer_n = 0
         self._transfer_host: dict[str, str] = {}
+        # The state files this topology last read or wrote, kept by
+        # enumstack.snapshots so that a save rewrites only what changed.
+        self.snapshot_seen = None
 
         table = Tier0Table(
             entries={p: tuple(r) for p, r in cfg.tier0_entries.items()},
             apex=self.apex,
         )
-        self.tier0 = Tier0Actor("tier0", table)
+        self.tier0 = Tier0Actor(TIER0_ID, table)
         self.net.register(self.tier0.actor_id, self.tier0.handle_frame)
 
         self.registries: dict[str, RegistryActor] = {}
@@ -776,7 +798,7 @@ class Topology:
             result = resolver_mod.resolve(
                 "+" + step.digits,
                 self.net,
-                tier0_id="tier0",
+                tier0_id=TIER0_ID,
                 apex=self.apex,
                 service=service,
             )
@@ -899,10 +921,12 @@ def parse_events(text: str) -> list[Event]:
     """Parse a line-delimited script: ``step <kind> key=value ...``.
 
     A ``record=`` or ``reason=`` argument captures the rest of the line
-    verbatim, so zone lines keep their internal spaces.
+    verbatim, so zone lines keep their internal spaces. Lines break as in
+    a state file (see :func:`translate_newlines`), so a record may hold
+    U+2028 or another character :meth:`str.splitlines` breaks at.
     """
     events: list[Event] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(translate_newlines(text).split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

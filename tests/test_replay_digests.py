@@ -1,9 +1,10 @@
-"""Smoke test of tools/replay_digests.py on one seeded run."""
+"""Smoke tests of tools/replay_digests.py: one seeded run, and the state-directory calls."""
 
 import importlib.util
 from pathlib import Path
 
 import enumstack
+import enumstack.cli
 from enumstack import simulator
 
 from test_scenarios import GOLDEN, GOLDEN_INVARIANTS, GOLDEN_WIRE
@@ -30,3 +31,19 @@ def test_one_replay_line_carries_the_golden_digests(monkeypatch):
     assert fields["log"] == GOLDEN[1][0]
     assert fields["invariants"] == GOLDEN_INVARIANTS
     assert fields["wire"] == GOLDEN_WIRE[1]
+
+
+def test_state_dir_lines_cover_every_call_and_state_file():
+    tool = load_tool()
+    lines = tool.state_dir_lines(enumstack.cli)
+    assert len(lines) == len(tool.STATE_CALLS)
+    files = {"events.log", "registry.snap", "registrar-reg1.snap", "registrar-reg2.snap",
+             "scenario.cfg", "subscriptions.snap"}
+    for k, (line, call) in enumerate(zip(lines, tool.STATE_CALLS)):
+        tag, *parts = line.split(" ")
+        fields = dict(part.split("=", 1) for part in parts if "=" in part)
+        assert tag == "state" and fields["call"] == str(k) and call[0] in parts
+        assert set(fields) == {"call", "exit", "stdout"} | files
+    # The last call resolves the number the disconnect withdrew.
+    assert [line.split(" ")[3] for line in lines[-3:]] == ["exit=0", "exit=0", "exit=1"]
+    assert lines == tool.state_dir_lines(enumstack.cli)

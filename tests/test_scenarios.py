@@ -18,6 +18,8 @@ from enumstack.scenarios import (
 )
 from enumstack.wire import encode_frame
 
+from test_snapshots import LINE_SEPARATORS
+
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:alice@example.com!" .'
 
 
@@ -113,6 +115,28 @@ class TestConfig:
         text = "[model]\nid = 1\n[actors]\nregistries = R1\nusers = a%b, %(x)s\n"
         assert parse_config(text).users == ("a%b", "%(x)s")
 
+    def test_homes_and_faults_keep_the_case_of_actor_ids(self):
+        # configparser lowercases option names; the ids keep [actors]' case.
+        text = (
+            model_fixture_text(4).replace("reg1", "RegA").replace("RegA = R1", "RegA = R2")
+            + "\n[faults]\nRegA = 0:100\nTIER0 = 200:201\n"
+        )
+        cfg = parse_config(text)
+        assert cfg.homes == {"RegA": "R2", "reg2": "R2"}
+        assert cfg.home_of("RegA") == "R2"
+        assert cfg.fault_plan == (("RegA", 0, 100), ("tier0", 200, 201))
+        topology = build_topology(cfg)
+        assert topology.registrars["RegA"].home_registry == "R2"
+        assert topology.net.is_offline("RegA", 5)
+        assert not topology.net.is_offline("reg2", 5)
+
+    @pytest.mark.parametrize("section", ["homes", "faults"])
+    def test_homes_or_faults_key_naming_no_actor_is_scenario_error(self, section):
+        value = "R1" if section == "homes" else "0:10"
+        text = model_fixture_text(4).replace("[homes]\n", "[homes-old]\n")
+        with pytest.raises(ScenarioError, match=f"\\[{section}\\] 'reg9' names no configured"):
+            parse_config(text + f"\n[{section}]\nreg9 = {value}\n")
+
 
 class TestEventScripts:
     def test_parse_record_tail(self):
@@ -122,6 +146,18 @@ class TestEventScripts:
         )
         assert events[0].kind == "provision"
         assert events[0].args["record"].startswith("100 10")
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_line_separator_in_a_record_tail_stays_in_the_step(self, sep):
+        uri = f"sip:a{sep}b@example.com"
+        script = canonical_events() + (
+            f'step provision number=+13154434473 actor=alice'
+            f' record=150 10 "u" "E2U+sip" "!^.*$!{uri}!" .\n'
+        )
+        topology, log = run_model(1, script)
+        assert log.records[-1].kind == "provision" and log.records[-1].status == "ok"
+        uris = topology.resolve("+13154434473", "E2U+sip")["uris"].split("\n")
+        assert uri in uris
 
     def test_comments_and_blank_lines_skipped(self):
         events = parse_events("# comment\n\nstep assign number=+123 user=u tsp=t\n")

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumstack.audit import assert_invariants
+from enumstack.cli import main
 from enumstack.errors import AccessDenied, RegistrarError, SnapshotError
 from enumstack.scenarios import (
     build_topology,
@@ -15,11 +20,14 @@ from enumstack.scenarios import (
     run_events,
 )
 from enumstack.snapshots import (
+    CHECKPOINT,
     EVENTS_LOG,
     REGISTRY_SNAP,
     SCENARIO_FILE,
     SUBSCRIPTIONS_SNAP,
+    _restore_id_counters,
     load_state,
+    read_checkpoint,
     read_log,
     read_state_text,
     append_log,
@@ -409,3 +417,273 @@ def test_counter_scan_on_canonical_logs():
             assert counters_by_load(Path(tmp)) == (
                 topology._event_n, topology._transfer_n, topology._grant_n
             )
+
+
+# ---------------------------------------------------------------- the checkpoint
+
+
+def _record(order, regexp_user, service="E2U+sip"):
+    return f'{order} 10 "u" "{service}" "!^.*$!sip:{regexp_user}@example.com!" .'
+
+
+# Steps over the canonical script's numbers, including records that the
+# saved shape renders differently from how they were written (extra
+# spaces, leading zeros) and records whose stored line is not in the
+# shape a trusted load parses without checks (a bare replacement that
+# opens with a quote).
+_STEPS = st.sampled_from(
+    [
+        f"step provision number=+13154434473 actor=alice record={_record(120, 'a1')}",
+        f"step provision number=+13154434474 actor=bob record={_record(121, 'b1')}",
+        f"step provision number=+13154434475 actor=carol record={_record(122, 'c1')}",
+        "step provision number=+13154434473 actor=alice record=130  10 \"u\" \"E2U+sip\""
+        ' "!^.*$!sip:spaced@example.com!"  .',
+        f"step provision number=+13154434474 actor=bob record=0{_record(131, 'zero')}",
+        'step provision number=+13154434475 actor=carol record=140 10 "" "E2U+web" "" "abc',
+        'step provision number=+13154434474 actor=bob'
+        ' record=141 10 "" "E2U+ftp" "" ftp.example.org',
+        f"step provision number=+13154434473 actor=alice visibility=restricted"
+        f" record={_record(150, 'hidden', 'E2U+tel')}",
+        f"step provision number=+13154434473 actor=alice record={_record(160, 'a b')}",
+        "step grant number=+13154434474 user=bob grantee=asp1 rights=access scope=E2U+sip",
+        "step revoke number=+13154434474 user=bob grant=g2",
+        "step transfer number=+13154434474 user=bob to=reg1",
+        "step transfer number=+13154434473 user=alice to=reg2",
+        "step disconnect number=+13154434475 user=carol",
+        "step subscribe number=+13154434475 user=carol registrar=reg2 token=auto",
+        "step resolve number=+13154434473 service=*",
+        "step get number=+13154434474 actor=asp1 service=E2U+sip",
+    ]
+)
+_SCRIPTS = st.lists(_STEPS, max_size=6).map(lambda steps: "".join(s + "\n" for s in steps))
+
+
+def persist(topology, state_dir, text):
+    """What a persisting command does: append the log, then save."""
+    append_log(state_dir, topology.log)
+    save_state(topology, state_dir, scenario_text=text)
+
+
+def loaded(model, state_dir):
+    topology = build_topology(builtin_config(model), seed=0)
+    load_state(topology, state_dir)
+    return topology
+
+
+def state_of(topology):
+    """Everything a load restores, in comparable form."""
+    return (
+        {rid: dict(actor.store.items()) for rid, actor in topology.registrars.items()},
+        {rid: actor.grants for rid, actor in topology.registrars.items()},
+        topology.directory.subscriptions,
+        {rid: (a.state.delegations, a.state.observed_serials)
+         for rid, a in topology.registries.items()},
+        (topology._event_n, topology._transfer_n, topology._grant_n),
+        topology.state_hash(),
+    )
+
+
+def files_of(state_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(state_dir).iterdir())}
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.integers(1, 6), before=_SCRIPTS, after=_SCRIPTS)
+def test_trusted_load_equals_validating_load(model, before, after):
+    text = model_fixture_text(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        trusted, plain = Path(tmp) / "trusted", Path(tmp) / "plain"
+        topology = build_topology(builtin_config(model), seed=0)
+        run_events(topology, canonical_events() + before)
+        persist(topology, trusted, text)
+        assert read_checkpoint(trusted)[EVENTS_LOG][0] == (trusted / EVENTS_LOG).stat().st_size
+        shutil.copytree(trusted, plain)
+        (plain / CHECKPOINT).unlink()
+
+        first, second = loaded(model, trusted), loaded(model, plain)
+        checkpoint = read_checkpoint(trusted)
+        for registrar_id, actor in first.registrars.items():
+            if f"registrar-{registrar_id}.snap" in checkpoint:
+                held = actor.store.numbers_with_records()
+                assert all(actor.store.unread_text(n) is not None for n in held)
+        assert state_of(first) == state_of(second)
+        # Saving either, after more steps, writes the same bytes: a trusted
+        # load reuses the text of numbers nothing read, and the other
+        # renders every record.
+        first, second = loaded(model, trusted), loaded(model, plain)
+        run_events(first, after)
+        run_events(second, after)
+        persist(first, trusted, text)
+        persist(second, plain, text)
+        assert files_of(trusted) == files_of(plain)
+        assert state_of(first) == state_of(second)
+        # So does a save into a directory this topology has never seen.
+        fresh = Path(tmp) / "fresh"
+        save_state(loaded(model, trusted), fresh, scenario_text=text)
+        expected = files_of(trusted)
+        del expected[EVENTS_LOG], expected[CHECKPOINT]
+        written = files_of(fresh)
+        del written[CHECKPOINT]
+        assert written == expected
+
+
+def load_outcome(model, state_dir):
+    try:
+        return ("ok", state_of(loaded(model, state_dir)))
+    except Exception as exc:  # the validating path raises what it raises
+        message = str(exc).replace(str(state_dir), "<dir>")
+        return (type(exc).__name__, message, getattr(exc, "lineno", None))
+
+
+@pytest.fixture(scope="module")
+def saved_dir(tmp_path_factory):
+    """A model-4 state directory with grants, a transfer and restricted records."""
+    state_dir = tmp_path_factory.mktemp("saved")
+    topology = build_topology(builtin_config(4), seed=0)
+    run_events(
+        topology,
+        canonical_events()
+        + "step grant number=+13154434474 user=bob grantee=asp1 rights=access scope=E2U+tel\n"
+        + "step transfer number=+13154434475 user=carol to=reg2\n",
+    )
+    topology.provision("+13154434474", "bob", RESTRICTED)
+    persist(topology, state_dir, model_fixture_text(4))
+    return state_dir
+
+
+CHECKED_FILES = [
+    REGISTRY_SNAP, SUBSCRIPTIONS_SNAP, "registrar-reg1.snap", "registrar-reg2.snap",
+    EVENTS_LOG, CHECKPOINT,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CHECKED_FILES), data=st.data())
+def test_corrupt_file_loads_as_without_a_checkpoint(saved_dir, name, data):
+    original = (saved_dir / name).read_bytes()
+    append = data.draw(st.booleans(), label="append a line")
+    if append:
+        line = data.draw(
+            st.sampled_from(
+                ["", "garbage", "number|13154434499", "e99|t1|assign|ok|number=1",
+                 "13154434499|reg1|R1|1", "record|public 1 1 \"u\" \"x\" \"!a!b!\" ."]
+            ),
+            label="line",
+        )
+        corrupt = original + line.encode("utf-8") + b"\n"
+    else:
+        at = data.draw(st.integers(0, len(original) - 1), label="byte")
+        bit = data.draw(st.sampled_from([0x01, 0x02, 0x10, 0x80]), label="bit")
+        corrupt = original[:at] + bytes([original[at] ^ bit]) + original[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        trusted, plain = Path(tmp) / "trusted", Path(tmp) / "plain"
+        shutil.copytree(saved_dir, trusted)
+        (trusted / name).write_bytes(corrupt)
+        shutil.copytree(trusted, plain)
+        (plain / CHECKPOINT).unlink(missing_ok=True)
+        assert load_outcome(4, trusted) == load_outcome(4, plain)
+
+
+def test_untouched_registrar_file_is_not_rewritten(tmp_path):
+    topology = build_topology(builtin_config(1), seed=0)
+    run_events(topology, canonical_events())
+    persist(topology, tmp_path, model_fixture_text(1))
+    fresh = loaded(1, tmp_path)
+    assert fresh.registrars["reg2"].store.unread_text("13154434474") is not None
+    stamps = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+    before = len(fresh.log)
+    fresh.provision("+13154434473", "alice", _record(170, "new"))
+    append_log(tmp_path, fresh.log[before:])
+    save_state(fresh, tmp_path, scenario_text=model_fixture_text(1))
+    rewritten = {p.name for p in tmp_path.iterdir() if stamps.get(p.name) != p.stat().st_ino}
+    assert rewritten == {"registrar-reg1.snap", CHECKPOINT}
+    # Nothing read reg2's numbers, so its text was never parsed.
+    assert fresh.registrars["reg2"].store.unread_text("13154434474") is not None
+
+
+def test_record_line_off_the_stored_shape_keeps_its_file_unchecked(tmp_path):
+    topology = populated()
+    odd = '140 10 "" "E2U+web" "" "abc'  # a bare replacement opening with a quote
+    assert topology.provision("+13154434473", "alice", odd)["services"] == "E2U+web"
+    persist(topology, tmp_path, model_fixture_text(1))
+    checkpoint = read_checkpoint(tmp_path)
+    assert "registrar-reg1.snap" not in checkpoint and "registrar-reg2.snap" in checkpoint
+    fresh = loaded(1, tmp_path)
+    assert fresh.registrars["reg1"].store.unread_text("13154434473") is None
+    assert state_of(fresh) == state_of(loaded(1, tmp_path))
+
+
+def test_audit_of_a_trusted_load_reads_no_record_and_misses_nothing(tmp_path):
+    topology = populated()
+    # reg2 now holds records for a number reg1 serves: single_store is red.
+    topology.backdoor_provision("reg2", "+13154434473", _record(180, "stray"), "mallory")
+    persist(topology, tmp_path, model_fixture_text(1))
+    fresh = loaded(1, tmp_path)
+    fresh.log = read_log(tmp_path)
+    report = assert_invariants(fresh)
+    assert report.result("single_store").violations == ["13154434473 stored at reg1, reg2"]
+    assert all(
+        actor.store.unread_text(n) is not None
+        for actor in fresh.registrars.values()
+        for n in actor.store.numbers_with_records()
+    )
+    plain = tmp_path / "plain"
+    shutil.copytree(tmp_path, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    validated = loaded(1, plain)
+    validated.log = read_log(plain)
+    assert report.render_lines() == assert_invariants(validated).render_lines()
+
+
+def test_every_byte_of_the_checkpoint_is_checked(tmp_path):
+    topology = populated()
+    persist(topology, tmp_path, model_fixture_text(1))
+    original = (tmp_path / CHECKPOINT).read_bytes()
+    (tmp_path / CHECKPOINT).unlink()
+    expected = load_outcome(1, tmp_path)
+    for at in range(len(original)):
+        flipped = original[:at] + bytes([original[at] ^ 0x01]) + original[at + 1:]
+        (tmp_path / CHECKPOINT).write_bytes(flipped)
+        assert read_checkpoint(tmp_path) == {}, at
+        assert load_outcome(1, tmp_path) == expected
+
+
+def test_unreadable_checkpoint_is_ignored(tmp_path):
+    topology = populated()
+    persist(topology, tmp_path, model_fixture_text(1))
+    expected = state_of(loaded(1, tmp_path))
+    for data in [b"", b"\xff\n", b"crc|0\n", b"enumstack checkpoint 1\n"]:
+        (tmp_path / CHECKPOINT).write_bytes(data)
+        assert read_checkpoint(tmp_path) == {}
+        assert state_of(loaded(1, tmp_path)) == expected
+    (tmp_path / CHECKPOINT).unlink()
+    assert state_of(loaded(1, tmp_path)) == expected
+
+
+_CLI_CALLS = st.sampled_from(
+    [
+        ("provision", "+1-315-443-4473", "--actor", "alice", "--record", _record(120, "a1")),
+        ("provision", "+13154434474", "--actor", "bob", "--record", _record(130, "b1")),
+        ("provision", "+13154434474", "--actor", "alice", "--record", _record(131, "no")),
+        ("transfer", "+13154434474", "--user", "bob", "--to", "reg1"),
+        ("transfer", "+13154434473", "--user", "alice", "--to", "reg2"),
+        ("disconnect", "+13154434473", "--user", "alice"),
+        ("resolve", "+13154434474"),
+    ]
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(calls=st.lists(_CLI_CALLS, max_size=6))
+def test_checkpoint_counters_equal_a_full_log_scan(calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        state_dir = Path(tmp)
+        # The first persisting call creates the directory's state.
+        for call in [("disconnect", "+13154434474", "--user", "bob"), *calls]:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main([*call, "--state-dir", str(state_dir)])
+            entry = read_checkpoint(state_dir)[EVENTS_LOG]
+            scanned = _restore_id_counters(
+                build_topology(builtin_config(1), seed=0), state_dir / EVENTS_LOG
+            )
+            assert entry == scanned

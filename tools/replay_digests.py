@@ -8,8 +8,12 @@ each extra script pinned in this checkout's ``tests/test_scenarios.py``),
 one line with the sha256 of the log bytes, ``state_hash()``, the sha256 of
 the invariant report, the final clock and the sha256 of every frame's
 bytes as the network popped it. Two small model-6 churn runs from
-``<repo>/bench/inputs.py`` follow. A change that claims byte identity
-runs this at both commits and diffs the two outputs.
+``<repo>/bench/inputs.py`` follow. Last, the ``cli_state`` mix of
+command-line calls runs through ``enumstack.cli.main`` on a fresh model-4
+state directory, with one line per call: the sha256 of its stdout, its
+exit code, and the sha256 of each state file but ``checkpoint``. A change
+that claims byte identity runs this at both commits and diffs the two
+outputs.
 
 The scripts come from this checkout, not from *repo*, so both commits
 replay the same steps. They are read with :mod:`ast`, without importing
@@ -20,9 +24,12 @@ does not matter.
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -31,6 +38,22 @@ MODELS = range(1, 7)
 SEEDS = range(10)
 CHURN_SEEDS = (3, 5)
 CHURN_NUMBERS = 100
+# The cli_state mix on the two numbers a fresh state directory holds.
+_SIP = '"u" "E2U+sip" "!^.*$!sip:{}@example.net!" .'
+STATE_CALLS = (
+    ("provision", "+1-315-443-4473", "--actor", "alice", "--record", "120 10 " + _SIP.format("a1"),
+     "--model", "4"),
+    ("transfer", "+1 315 443 4474", "--user", "bob", "--to", "reg1"),
+    ("provision", "+13154434474", "--actor", "bob", "--record", "130 10 " + _SIP.format("b1"),
+     "--visibility", "restricted"),
+    ("resolve", "+1.315.443.4474", "--service", "E2U+sip"),
+    ("disconnect", "+1-315-443-4473", "--user", "alice"),
+    ("provision", "+13154434474", "--actor", "bob", "--record", "140 10 " + _SIP.format("b2")),
+    ("scenario", "report"),
+    ("resolve", "+13154434474"),
+    ("resolve", "+13154434473"),
+)
+UNHASHED_STATE_FILES = ("checkpoint", ".lock")
 
 
 def pinned_scripts(test_file: Path = HERE / "tests" / "test_scenarios.py") -> dict[str, str]:
@@ -97,6 +120,27 @@ def churn(es, inputs, wire: WireRecorder, seed: int) -> str:
     return digest_line(es, wire, f"churn seed={seed} numbers={CHURN_NUMBERS}", topology, log)
 
 
+def state_dir_lines(cli) -> list[str]:
+    """Run STATE_CALLS on a fresh state directory; one line per call."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        state_dir = Path(tmp) / "state"
+        for k, call in enumerate(STATE_CALLS):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*call, "--state-dir", str(state_dir)])
+            files = " ".join(
+                f"{path.name}={sha(path.read_bytes())}"
+                for path in sorted(state_dir.iterdir())
+                if path.name not in UNHASHED_STATE_FILES
+            )
+            lines.append(
+                f"state call={k} {call[0]} exit={code}"
+                f" stdout={sha(out.getvalue().encode('utf-8'))} {files}"
+            )
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -104,7 +148,7 @@ def main(argv: list[str]) -> int:
     repo = Path(argv[0]).resolve()
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     import enumstack as es
-    from enumstack import simulator
+    from enumstack import cli, simulator
     import inputs
 
     wire = WireRecorder(simulator)
@@ -115,6 +159,8 @@ def main(argv: list[str]) -> int:
                 print(replay(es, wire, model, seed, name, script))
     for seed in CHURN_SEEDS:
         print(churn(es, inputs, wire, seed))
+    for line in state_dir_lines(cli):
+        print(line)
     return 0
 
 
