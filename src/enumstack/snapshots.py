@@ -44,6 +44,7 @@ import re
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Iterable, Iterator
 
 try:
     import fcntl
@@ -76,6 +77,7 @@ _NUMBER_TAG = "number|"
 _RECORD_TAG = "record|"
 _GRANT_TAG = "grant|"
 _CRC_CHUNK = 1 << 16
+_PIECE_LINES = 256
 
 _ID_RE = re.compile(r"^[ex](\d+)$")
 _GRANT_ID_RE = re.compile(r"^g(\d+)$")
@@ -87,7 +89,7 @@ _PLAIN_LOG_LINE = re.compile(
 )
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, pieces: list[bytes]) -> None:
     handle = tempfile.NamedTemporaryFile(
         "wb",
         dir=path.parent,
@@ -96,7 +98,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         delete=False,
     )
     try:
-        handle.write(data)
+        handle.writelines(pieces)
         handle.flush()
         os.fsync(handle.fileno())
     finally:
@@ -104,16 +106,36 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(handle.name, path)
 
 
-def _write_if_changed(path: Path, data: bytes, changed: bool = False) -> None:
-    """Write *data* unless *path* already holds exactly these bytes; with
-    *changed*, the caller knows it does not."""
+def _write_if_changed(
+    path: Path, pieces: list[bytes], length: int, changed: bool = False
+) -> None:
+    """Write *pieces*, *length* bytes in all, unless *path* already holds
+    exactly these bytes; with *changed*, the caller knows it does not."""
     if not changed:
         try:
-            if os.stat(path).st_size == len(data) and path.read_bytes() == data:
+            if os.stat(path).st_size == length and path.read_bytes() == b"".join(pieces):
                 return
         except OSError:
             pass
-    _atomic_write(path, data)
+    _atomic_write(path, pieces)
+
+
+def _encode_lines(lines: Iterable[str]) -> list[bytes]:
+    """*lines*, each ended by a line break, as UTF-8 in pieces of at most
+    _PIECE_LINES lines, so a file is rendered without one copy of all of
+    it as text and another as bytes."""
+    pieces: list[bytes] = []
+    batch: list[str] = []
+    for line in lines:
+        batch.append(line)
+        if len(batch) == _PIECE_LINES:
+            batch.append("")
+            pieces.append("\n".join(batch).encode("utf-8"))
+            batch.clear()
+    if batch:
+        batch.append("")
+        pieces.append("\n".join(batch).encode("utf-8"))
+    return pieces
 
 
 class StateLock:
@@ -238,51 +260,52 @@ def _checkpoint_bytes(entries: dict[str, tuple[int, ...]]) -> bytes:
     return body + b"crc|%d\n" % zlib.crc32(body)
 
 
-def _registry_text(topology: Topology) -> str:
-    lines = []
+def _registry_lines(topology: Topology) -> Iterator[str]:
     for actor in topology.registries.values():
         for number in sorted(actor.state.delegations):
             d = actor.state.delegations[number]
             if d.owning_registry == actor.state.id:
-                lines.append(f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}")
-    return "\n".join(lines) + ("\n" if lines else "")
+                yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
 
 
-def _registrar_text(actor: RegistrarActor) -> tuple[str, bool]:
-    """One registrar's snapshot text, and whether every record line in it
-    is in the shape :func:`parse_verified_line` takes (only then may the
-    file be checkpointed). A number nothing has read keeps its text."""
+def _registrar_pieces(actor: RegistrarActor) -> tuple[list[bytes], bool]:
+    """One registrar's snapshot (see :func:`_encode_lines`), and whether
+    every record line in it is in the shape :func:`parse_verified_line`
+    takes (only then may the file be checkpointed). A number nothing has
+    read keeps its text."""
     store = actor.store
     verifiable = True
-    blocks: list[str] = []
-    for number in sorted(set(store) | set(actor.grants)):
-        blocks.append(f"{_NUMBER_TAG}{number}")
-        for grant in actor.grants.get(number, ()):
-            rights = ",".join(sorted(grant.rights))
-            blocks.append(
-                f"{_GRANT_TAG}{grant.grant_id}|{grant.grantor}|{grant.grantee}|"
-                f"{rights}|{grant.scope.service}"
-            )
-        text = store.unread_text(number)
-        if text is not None:
-            blocks.append(text)
-            continue
-        for rec in store.get(number, ()):
-            line = render_stored_line(rec)
-            verifiable = verifiable and in_stored_shape(line)
-            blocks.append(_RECORD_TAG + line)
-    return "\n".join(blocks) + ("\n" if blocks else ""), verifiable
+
+    def lines() -> Iterator[str]:
+        nonlocal verifiable
+        for number in sorted(set(store) | set(actor.grants)):
+            yield f"{_NUMBER_TAG}{number}"
+            for grant in actor.grants.get(number, ()):
+                rights = ",".join(sorted(grant.rights))
+                yield (
+                    f"{_GRANT_TAG}{grant.grant_id}|{grant.grantor}|{grant.grantee}|"
+                    f"{rights}|{grant.scope.service}"
+                )
+            text = store.unread_text(number)
+            if text is not None:
+                yield text
+                continue
+            for rec in store.get(number, ()):
+                line = render_stored_line(rec)
+                verifiable = verifiable and in_stored_shape(line)
+                yield _RECORD_TAG + line
+
+    pieces = _encode_lines(lines())
+    return pieces, verifiable
 
 
-def _subscriptions_text(topology: Topology) -> str:
-    lines = []
+def _subscriptions_lines(topology: Topology) -> Iterator[str]:
     for number in sorted(topology.directory.subscriptions):
         sub = topology.directory.subscriptions[number]
-        lines.append(
+        yield (
             f"{number}|{sub.user}|{sub.tsp}|{int(sub.enum_active)}|"
             f"{int(sub.phone_active)}|{sub.serving_registrar or ''}|{sub.token}"
         )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _log_entry(path: Path, seen: tuple[int, ...] | None) -> tuple[int, ...] | None:
@@ -327,24 +350,28 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
     written = _Seen(where)
     entries: dict[str, tuple[int, ...]] = {}
 
-    def write(name: str, text: str, verifiable: bool = True) -> None:
-        data = text.encode("utf-8")
-        mark = (len(data), zlib.crc32(data))
-        _write_if_changed(state_dir / name, data, seen.files.get(name) not in (None, mark))
+    def write(name: str, pieces: list[bytes], verifiable: bool = True) -> None:
+        crc = 0
+        for piece in pieces:
+            crc = zlib.crc32(piece, crc)
+        mark = (sum(map(len, pieces)), crc)
+        changed = seen.files.get(name) not in (None, mark)
+        _write_if_changed(state_dir / name, pieces, mark[0], changed)
         written.files[name] = mark
         if verifiable:
             entries[name] = mark
 
-    write(REGISTRY_SNAP, _registry_text(topology))
+    write(REGISTRY_SNAP, _encode_lines(_registry_lines(topology)))
     for registrar_id, actor in topology.registrars.items():
-        write(f"registrar-{registrar_id}.snap", *_registrar_text(actor))
-    write(SUBSCRIPTIONS_SNAP, _subscriptions_text(topology))
+        write(f"registrar-{registrar_id}.snap", *_registrar_pieces(actor))
+    write(SUBSCRIPTIONS_SNAP, _encode_lines(_subscriptions_lines(topology)))
     if scenario_text is not None:
-        write(SCENARIO_FILE, scenario_text, verifiable=False)
+        write(SCENARIO_FILE, [scenario_text.encode("utf-8")], verifiable=False)
     written.log = _log_entry(state_dir / EVENTS_LOG, seen.log)
     if written.log is not None:
         entries[EVENTS_LOG] = written.log
-    _write_if_changed(state_dir / CHECKPOINT, _checkpoint_bytes(entries))
+    checkpoint = _checkpoint_bytes(entries)
+    _write_if_changed(state_dir / CHECKPOINT, [checkpoint], len(checkpoint))
     topology.snapshot_seen = written
 
 
@@ -380,17 +407,31 @@ def read_state_text(path: Path) -> str:
 
 
 def read_log(state_dir: Path) -> list[LogRecord]:
+    """Every record of ``events.log``, parsed.
+
+    The log is read a line at a time, its line breaks translated as
+    :func:`read_state_text` translates them, so no copy of the whole file
+    is held beside the records. Bytes that are not UTF-8 are the
+    :class:`SnapshotError` :func:`read_state_text` raises.
+    """
     path = Path(state_dir) / EVENTS_LOG
     if not path.exists():
         return []
     records = []
-    for lineno, line in enumerate(read_state_text(path).split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            records.append(LogRecord.parse(line))
-        except Exception as exc:
-            raise SnapshotError(str(path), lineno, str(exc)) from exc
+    try:
+        with open(path, encoding="utf-8", newline=None) as handle:
+            for lineno, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                if line[-1] == "\n":
+                    line = line[:-1]
+                try:
+                    records.append(LogRecord.parse(line))
+                except Exception as exc:
+                    raise SnapshotError(str(path), lineno, str(exc)) from exc
+    except UnicodeDecodeError:
+        read_state_text(path)  # raises, naming the line of the bad byte
+        raise
     return records
 
 
@@ -515,8 +556,11 @@ def _load_unread_registrar(actor: RegistrarActor, text: str) -> int | None:
         blocks = text.split("\n" + _NUMBER_TAG)
         blocks[0] = blocks[0][len(_NUMBER_TAG):]
         blocks[-1] = blocks[-1][:-1]
-        for block in blocks:
-            number, _, body = block.partition("\n")
+        # Taken from the end, each block is freed as its body is copied
+        # out, so the blocks and the bodies are not all held at once.
+        blocks.reverse()
+        while blocks:
+            number, _, body = blocks.pop().partition("\n")
             while body.startswith(_GRANT_TAG):
                 line, _, body = body.partition("\n")
                 try:
