@@ -92,6 +92,9 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
         snapshots.load_state(topology, state_dir)
     else:
         _bootstrap_demo(topology)
+        # A log left by a bootstrap killed before its save is replaced, not
+        # appended to, so the demo's events are logged once.
+        (state_dir / snapshots.EVENTS_LOG).unlink(missing_ok=True)
         snapshots.append_log(state_dir, topology.log)
         snapshots.save_state(topology, state_dir, scenario_text=text)
     return topology, text

@@ -57,7 +57,8 @@ class NaptrError(EnumStackError):
 
 
 class FieldCount(NaptrError):
-    """Zone line does not have the six expected fields."""
+    """Zone line does not have the six expected fields, or a record holds a
+    field its zone line could not."""
 
 
 class BadInteger(NaptrError):

@@ -32,12 +32,9 @@ _TOKEN_RE = re.compile(r'"([^"]*)"|(\S+)')
 # service and regexp, and a bare replacement. Any line it does not match
 # in full goes through the general tokenizer.
 _RECORD_RE = re.compile(r'([0-9]+) ([0-9]+) "([^"]*)" "([^"]*)" "([^"]*)" ([^"\s]\S*)')
-# A stored line in that shape, led by a visibility token, with no line
-# break inside a quoted field: one line of a state file, which parses
-# only one way.
-_STORED_RE = re.compile(
-    r'(public|restricted) ([0-9]+) ([0-9]+) "([^"\n\r]*)" "([^"\n\r]*)" "([^"\n\r]*)" ([^"\s]\S*)'
-)
+# What a bare replacement may not hold: whitespace, or an opening quote
+# that a later quote closes (the tokenizer would read a quoted field).
+_NOT_BARE = re.compile(r'\s|^".*"')
 # A backslash and the character it escapes.
 _ESCAPED_PAIR = re.compile(r"\\.", re.DOTALL)
 
@@ -122,6 +119,15 @@ class NaptrRecord:
                 re.compile(pattern)
             except re.error as exc:
                 raise BadDelimiter(f"unparseable pattern {pattern!r}: {exc}") from exc
+        # The stored line quotes flags, service and regexp and ends with the
+        # bare replacement, so that every record parses back from it.
+        quoted = self.service + regexp
+        if '"' in quoted or "\n" in quoted or "\r" in quoted:
+            raise FieldCount(
+                f"service {self.service!r} or regexp {regexp!r} holds a quote or a line break"
+            )
+        if has_replacement and _NOT_BARE.search(self.replacement):
+            raise FieldCount(f"replacement {self.replacement!r} is not one bare token")
 
     @property
     def terminal(self) -> bool:
@@ -230,35 +236,6 @@ def parse_stored_line(text: str) -> NaptrRecord:
 
 def render_stored_line(rec: NaptrRecord) -> str:
     return f"{rec.visibility.value} {render_record(rec)}"
-
-
-def in_stored_shape(line: str) -> bool:
-    """Whether *line* is in the one shape :func:`parse_verified_line` builds
-    a record from without checks."""
-    return _STORED_RE.fullmatch(line) is not None
-
-
-def parse_verified_line(text: str) -> NaptrRecord:
-    """Parse a stored line from a state file whose checksum matched.
-
-    Such a line is what :func:`render_stored_line` wrote from a record
-    that passed :meth:`NaptrRecord.__post_init__`; in the stored shape it
-    parses only one way, so its record is rebuilt without running the
-    checks again. Any other line goes through :func:`parse_stored_line`.
-    """
-    m = _STORED_RE.fullmatch(text)
-    if m is None:
-        return parse_stored_line(text)
-    visibility, order, preference, flags, service, regexp, replacement = m.groups()
-    rec = object.__new__(NaptrRecord)
-    rec.order = int(order)
-    rec.preference = int(preference)
-    rec.flags = flags
-    rec.service = service
-    rec.regexp = regexp
-    rec.replacement = replacement
-    rec.visibility = _VISIBILITY[visibility]
-    return rec
 
 
 # ---------------------------------------------------------------- operations

@@ -245,8 +245,8 @@ class RecordStore(dict):
 
 
 class LazyRecordStore(RecordStore):
-    """A record store, loaded from a checksum-verified snapshot, that
-    parses a number's records on first read.
+    """A record store, loaded from a snapshot, that parses a number's
+    records on first read.
 
     Each number starts *unread*: its stored text waits, unparsed, until
     something reads the number, and *parse* then turns it into records.

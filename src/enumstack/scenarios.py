@@ -433,8 +433,9 @@ class Topology:
         self._grant_n = 0
         self._transfer_n = 0
         self._transfer_host: dict[str, str] = {}
-        # The state files this topology last read or wrote, kept by
-        # enumstack.snapshots so that a save rewrites only what changed.
+        # The state directory this topology last read or wrote, and the
+        # checkpoint entries of its files then, kept by enumstack.snapshots
+        # so that a save rewrites only what changed.
         self.snapshot_seen = None
 
         table = Tier0Table(

@@ -10,31 +10,32 @@ delegation), one ``registrar-<id>.snap`` per registrar (blocks of
 The checkpoint lists each snapshot file and ``events.log`` with its
 byte length and CRC-32, and for ``events.log`` also the largest event,
 transfer and grant ids a scan of it gives; its last line is the CRC-32 of
-the lines above it. A load trusts a file whose bytes match its entry and
-validates any other file in full, as if there were no checkpoint:
+the lines above it. A missing or corrupt checkpoint, or one from another
+version, is ignored and never an error. Each file is read one way, and
+the checkpoint decides only how much of that work waits:
 
-- a trusted ``registrar-<id>.snap`` keeps each number's record lines as
-  unparsed text in a :class:`~enumstack.registrar.LazyRecordStore` until
-  something reads that number (the save wrote them from records that had
-  passed every check, so they are not checked again), and a trusted
-  ``events.log`` gives the id counters without a line scan;
-- ``registry.snap`` and ``subscriptions.snap`` are parsed the same way
-  either way;
-- a hand-edited file no longer matches, so the next load validates it
-  in full, and the next save checkpoints it again;
-- a missing or corrupt checkpoint, or one from another version, is
-  ignored and never an error: every file is then validated.
+- one loader reads each ``registrar-<id>.snap``. When the file matches
+  its entry, each number's record lines stay text in a
+  :class:`~enumstack.registrar.LazyRecordStore` until something reads
+  the number; otherwise they are parsed as the file loads. Every
+  registrar file is checkpointed: :class:`~enumstack.naptr.NaptrRecord`
+  refuses a field its stored line could not hold, so every record
+  parses back from the line it is saved as;
+- one routine gives the id counters of ``events.log`` at load and at
+  save. When the log opens with the prefix its entry describes, only the
+  lines after that prefix are scanned; otherwise the whole log is;
+- ``registry.snap`` and ``subscriptions.snap`` are parsed in full.
 
 A persisting call first appends its log lines, then :func:`save_state`
 rewrites each snapshot file whose content changed, reusing the text of
-every number nothing read, and writes the checkpoint last. The log comes
-first so that the checkpoint describes it as the call leaves it. Every
-file is written to a temporary file and renamed into place, so a killed
-process never leaves a half-written file visible; a file rewritten after
-the last checkpoint no longer matches it and is validated on the next
-load. A lock on ``.lock`` that dies with its holder serializes concurrent
-invocations against one directory. :func:`read_log` parses the log in
-full for reports and audits.
+every number nothing read, and writes the checkpoint last, so that it
+describes the log as the call leaves it. Every file is written to a
+temporary file and renamed into place, so a killed process never leaves
+a half-written file visible; a file rewritten after the last checkpoint
+no longer matches it, and the next load checks every line of it. A lock
+on ``.lock`` that dies with its holder serializes concurrent invocations
+against one directory. :func:`read_log` parses the log in full for
+reports and audits.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ try:
 except ImportError:  # not a POSIX host: the lock file's existence is the lock
     fcntl = None
 
-from .errors import LockHeld, RegistrarError, SnapshotError
-from .naptr import NaptrRecord, ServiceSelector, in_stored_shape, parse_verified_line
+from .errors import LockHeld, SnapshotError
+from .naptr import NaptrRecord, ServiceSelector
 from .registrar import (
     AuthorizationGrant,
     LazyRecordStore,
@@ -76,6 +77,8 @@ _CHECKPOINT_HEADER = "enumstack checkpoint 1"
 _NUMBER_TAG = "number|"
 _RECORD_TAG = "record|"
 _GRANT_TAG = "grant|"
+_BLOCK_SEP = "\n" + _NUMBER_TAG
+_RECORD_SEP = "\n" + _RECORD_TAG
 _CRC_CHUNK = 1 << 16
 _PIECE_LINES = 256
 
@@ -98,22 +101,23 @@ def _atomic_write(path: Path, pieces: list[bytes]) -> None:
         delete=False,
     )
     try:
-        handle.writelines(pieces)
-        handle.flush()
-        os.fsync(handle.fileno())
-    finally:
-        handle.close()
-    os.replace(handle.name, path)
+        with handle:
+            handle.writelines(pieces)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
 
 
-def _write_if_changed(
-    path: Path, pieces: list[bytes], length: int, changed: bool = False
-) -> None:
-    """Write *pieces*, *length* bytes in all, unless *path* already holds
-    exactly these bytes; with *changed*, the caller knows it does not."""
+def _write_if_changed(path: Path, pieces: list[bytes], changed: bool = False) -> None:
+    """Write *pieces* unless *path* already holds exactly these bytes; with
+    *changed*, the caller knows it does not."""
     if not changed:
         try:
-            if os.stat(path).st_size == length and path.read_bytes() == b"".join(pieces):
+            size = sum(map(len, pieces))
+            if os.stat(path).st_size == size and path.read_bytes() == b"".join(pieces):
                 return
         except OSError:
             pass
@@ -211,19 +215,6 @@ def has_state(state_dir: Path) -> bool:
     return (Path(state_dir) / SUBSCRIPTIONS_SNAP).exists()
 
 
-class _Seen:
-    """What one topology last read from or wrote to one state directory:
-    each file's (length, CRC-32), and the checkpoint entry of
-    ``events.log`` (see :func:`read_checkpoint`)."""
-
-    __slots__ = ("state_dir", "files", "log")
-
-    def __init__(self, state_dir: Path) -> None:
-        self.state_dir = state_dir
-        self.files: dict[str, tuple[int, int]] = {}
-        self.log: tuple[int, ...] | None = None
-
-
 def read_checkpoint(state_dir: Path) -> dict[str, tuple[int, ...]]:
     """The checkpoint's entries: file name -> (length, CRC-32), and for
     ``events.log`` -> (length, CRC-32, event, transfer, grant).
@@ -268,35 +259,23 @@ def _registry_lines(topology: Topology) -> Iterator[str]:
                 yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
 
 
-def _registrar_pieces(actor: RegistrarActor) -> tuple[list[bytes], bool]:
-    """One registrar's snapshot (see :func:`_encode_lines`), and whether
-    every record line in it is in the shape :func:`parse_verified_line`
-    takes (only then may the file be checkpointed). A number nothing has
-    read keeps its text."""
+def _registrar_lines(actor: RegistrarActor) -> Iterator[str]:
+    """One registrar's snapshot; a number nothing has read keeps its text."""
     store = actor.store
-    verifiable = True
-
-    def lines() -> Iterator[str]:
-        nonlocal verifiable
-        for number in sorted(set(store) | set(actor.grants)):
-            yield f"{_NUMBER_TAG}{number}"
-            for grant in actor.grants.get(number, ()):
-                rights = ",".join(sorted(grant.rights))
-                yield (
-                    f"{_GRANT_TAG}{grant.grant_id}|{grant.grantor}|{grant.grantee}|"
-                    f"{rights}|{grant.scope.service}"
-                )
-            text = store.unread_text(number)
-            if text is not None:
-                yield text
-                continue
-            for rec in store.get(number, ()):
-                line = render_stored_line(rec)
-                verifiable = verifiable and in_stored_shape(line)
-                yield _RECORD_TAG + line
-
-    pieces = _encode_lines(lines())
-    return pieces, verifiable
+    for number in sorted(set(store) | set(actor.grants)):
+        yield f"{_NUMBER_TAG}{number}"
+        for grant in actor.grants.get(number, ()):
+            rights = ",".join(sorted(grant.rights))
+            yield (
+                f"{_GRANT_TAG}{grant.grant_id}|{grant.grantor}|{grant.grantee}|"
+                f"{rights}|{grant.scope.service}"
+            )
+        text = store.unread_text(number)
+        if text is not None:
+            yield text
+            continue
+        for rec in store.get(number, ()):
+            yield _RECORD_TAG + render_stored_line(rec)
 
 
 def _subscriptions_lines(topology: Topology) -> Iterator[str]:
@@ -308,71 +287,44 @@ def _subscriptions_lines(topology: Topology) -> Iterator[str]:
         )
 
 
-def _log_entry(path: Path, seen: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    """The checkpoint entry of ``events.log`` as it is now, or None when it
-    is missing or a line in it does not parse.
-
-    When *seen* describes a prefix of the log that ends at a line break,
-    only the lines appended after it are read and scanned; otherwise the
-    whole log is.
-    """
-    try:
-        handle = open(path, "rb")
-    except FileNotFoundError:
-        return None
-    with handle:
-        length, crc, counters = 0, 0, (0, 0, 0)
-        if seen is not None and 0 < seen[0] <= os.fstat(handle.fileno()).st_size:
-            handle.seek(seen[0] - 1)
-            if handle.read(1) in (b"\n", b"\r"):
-                length, crc, counters = seen[0], seen[1], seen[2:]
-        handle.seek(length)
-        tail = handle.read()
-    try:
-        counters = _scan_id_counters(_decode_state(path, tail), path, counters)
-    except SnapshotError:
-        return None
-    return (length + len(tail), zlib.crc32(tail, crc), *counters)
-
-
 def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = None) -> None:
     """Write every snapshot file whose content changed, then the checkpoint.
 
     Call it after :func:`append_log`, so that the checkpoint covers the
-    log as it stands.
+    log as it stands. The topology keeps the directory and the checkpoint
+    entries it last read or wrote there, which tell a later save what
+    changed.
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     where = state_dir.resolve()
-    seen = topology.snapshot_seen
-    if seen is None or seen.state_dir != where:
-        seen = _Seen(where)
-    written = _Seen(where)
+    seen_dir, seen = topology.snapshot_seen or (None, {})
+    if seen_dir != where:
+        seen = {}
     entries: dict[str, tuple[int, ...]] = {}
 
-    def write(name: str, pieces: list[bytes], verifiable: bool = True) -> None:
+    def write(name: str, lines: Iterable[str]) -> None:
+        pieces = _encode_lines(lines)
         crc = 0
         for piece in pieces:
             crc = zlib.crc32(piece, crc)
-        mark = (sum(map(len, pieces)), crc)
-        changed = seen.files.get(name) not in (None, mark)
-        _write_if_changed(state_dir / name, pieces, mark[0], changed)
-        written.files[name] = mark
-        if verifiable:
-            entries[name] = mark
+        mark = entries[name] = (sum(map(len, pieces)), crc)
+        _write_if_changed(state_dir / name, pieces, seen.get(name) not in (None, mark))
 
-    write(REGISTRY_SNAP, _encode_lines(_registry_lines(topology)))
+    write(REGISTRY_SNAP, _registry_lines(topology))
     for registrar_id, actor in topology.registrars.items():
-        write(f"registrar-{registrar_id}.snap", *_registrar_pieces(actor))
-    write(SUBSCRIPTIONS_SNAP, _encode_lines(_subscriptions_lines(topology)))
+        write(f"registrar-{registrar_id}.snap", _registrar_lines(actor))
+    write(SUBSCRIPTIONS_SNAP, _subscriptions_lines(topology))
     if scenario_text is not None:
-        write(SCENARIO_FILE, [scenario_text.encode("utf-8")], verifiable=False)
-    written.log = _log_entry(state_dir / EVENTS_LOG, seen.log)
-    if written.log is not None:
-        entries[EVENTS_LOG] = written.log
-    checkpoint = _checkpoint_bytes(entries)
-    _write_if_changed(state_dir / CHECKPOINT, [checkpoint], len(checkpoint))
-    topology.snapshot_seen = written
+        _write_if_changed(state_dir / SCENARIO_FILE, [scenario_text.encode("utf-8")])
+    try:
+        log = _log_entry(state_dir / EVENTS_LOG, seen.get(EVENTS_LOG))
+    except SnapshotError:  # a log this topology did not read, with a bad line
+        log = None
+    if log is not None:
+        entries[EVENTS_LOG] = log
+    _write_if_changed(state_dir / CHECKPOINT, [_checkpoint_bytes(entries)])
+    topology.snapshot_seen = (where, entries)
 
 
 def append_log(state_dir: Path, records: list[LogRecord]) -> None:
@@ -501,90 +453,91 @@ def _grant_number(grant: AuthorizationGrant) -> int:
     return int(match.group(1)) if match else 0
 
 
-def _load_registrar(actor: RegistrarActor, path: Path, text: str) -> int:
-    """Fill one registrar's store and grants, checking every line; returns
-    its largest grant number."""
-    max_grant = 0
-    current: str | None = None
-    records: list[NaptrRecord] = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        tag, _, rest = line.partition("|")
-        if tag == "record":
-            if current is None:
-                raise SnapshotError(str(path), lineno, "record before number line")
-            try:
-                records.append(parse_stored_line(rest))
-            except Exception as exc:
-                raise SnapshotError(str(path), lineno, str(exc)) from exc
-        elif tag == "number":
-            current = rest
-            records = actor.store.setdefault(current, [])
-        elif not line.strip():
-            continue
-        elif tag == "grant":
-            if current is None:
-                raise SnapshotError(str(path), lineno, "grant before number line")
-            try:
-                grant = _parse_grant(rest, current)
-            except (ValueError, RegistrarError) as exc:
-                raise SnapshotError(str(path), lineno, str(exc)) from exc
-            actor.grants.setdefault(current, []).append(grant)
-            max_grant = max(max_grant, _grant_number(grant))
-        else:
-            raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
-    return max_grant
+def _parse_records(text: str) -> list[NaptrRecord]:
+    """The records of one number's ``record|`` lines."""
+    return [parse_stored_line(line[len(_RECORD_TAG):]) for line in text.split("\n")]
 
 
-def _parse_unread(text: str) -> list[NaptrRecord]:
-    """The records of one number's ``record|`` lines in a trusted file."""
-    return [parse_verified_line(line[len(_RECORD_TAG):]) for line in text.split("\n")]
+def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool) -> int:
+    """Fill one registrar's store and grants from its snapshot *text*;
+    returns its largest grant number.
 
-
-def _load_unread_registrar(actor: RegistrarActor, text: str) -> int | None:
-    """Fill one registrar from a file that matched the checkpoint, leaving
-    each number's record lines unread; returns its largest grant number.
-
-    Returns None, having changed nothing, when the text is not laid out
-    as :func:`save_state` writes it; the caller then validates it.
+    The text splits into blocks at its ``number|`` lines. A block laid out
+    as :func:`save_state` writes it (the number line, its grant lines,
+    then its record lines) is taken whole: when *trusted* (the file
+    matches its checkpoint entry), its record lines stay unread until
+    something reads the number, and otherwise they are parsed now. Any
+    other block, or one holding a bad line, is read a line at a time, and
+    the first bad line is a :class:`SnapshotError` naming it.
     """
     unread: dict[str, str] = {}
-    empty: list[str] = []
+    store = actor.store = LazyRecordStore(unread, _parse_records)
     grants: list[AuthorizationGrant] = []
-    if text:
-        if not text.startswith(_NUMBER_TAG) or not text.endswith("\n"):
-            return None
-        blocks = text.split("\n" + _NUMBER_TAG)
-        blocks[0] = blocks[0][len(_NUMBER_TAG):]
+
+    def by_line(index: int, block: str) -> None:
+        """Read the text's *index*-th block (from 0) a line at a time."""
+        start = 0
+        for _ in range(index):
+            start = text.index(_BLOCK_SEP, start) + 1
+        current: str | None = None
+        for lineno, line in enumerate(block.split("\n"), text.count("\n", 0, start) + 1):
+            tag, _, rest = line.partition("|")
+            if tag == "number":
+                current = rest
+                records = store.setdefault(current, [])
+            elif tag not in ("record", "grant"):
+                if line.strip():
+                    raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+            elif current is None:
+                raise SnapshotError(str(path), lineno, f"{tag} before number line")
+            else:
+                try:
+                    if tag == "record":
+                        records.append(parse_stored_line(rest))
+                    else:
+                        grants.append(_parse_grant(rest, current))
+                except Exception as exc:
+                    raise SnapshotError(str(path), lineno, str(exc)) from exc
+
+    # Taken from the end, each block is freed once it is read, so the
+    # blocks and the text kept from them are not all held at once.
+    blocks = text.split(_BLOCK_SEP)
+    count = len(blocks)
+    if text.endswith("\n"):
         blocks[-1] = blocks[-1][:-1]
-        # Taken from the end, each block is freed as its body is copied
-        # out, so the blocks and the bodies are not all held at once.
-        blocks.reverse()
-        while blocks:
-            number, _, body = blocks.pop().partition("\n")
+    blocks.reverse()
+    if text.startswith(_NUMBER_TAG):
+        blocks[-1] = blocks[-1][len(_NUMBER_TAG):]
+    else:  # lines before the first number line
+        by_line(0, blocks.pop())
+    while blocks:
+        block = blocks.pop()
+        number, _, body = block.partition("\n")
+        taken = len(grants)
+        try:
             while body.startswith(_GRANT_TAG):
                 line, _, body = body.partition("\n")
-                try:
-                    grants.append(_parse_grant(line[len(_GRANT_TAG):], number))
-                except (ValueError, RegistrarError):
-                    return None
-            if not body:
-                empty.append(number)
-            elif body.startswith(_RECORD_TAG) and body.count("\n") == body.count(
-                "\n" + _RECORD_TAG
-            ):
-                unread[number] = body
-            else:
-                return None
-    actor.store = LazyRecordStore(unread, _parse_unread)
-    for number in empty:
-        actor.store[number] = []
+                grants.append(_parse_grant(line[len(_GRANT_TAG):], number))
+            # "number in store", without the store's Python-level __contains__.
+            if not (number in unread or dict.__contains__(store, number) or body and (
+                not body.startswith(_RECORD_TAG) or body.count("\n") != body.count(_RECORD_SEP)
+            )):
+                if trusted and body:
+                    unread[number] = body
+                else:
+                    store[number] = _parse_records(body) if body else []
+                continue
+        except Exception:  # a bad line
+            pass
+        del grants[taken:]
+        by_line(count - len(blocks) - 1, _NUMBER_TAG + block)
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)
     return max(map(_grant_number, grants), default=0)
 
 
 def _scan_id_counters(
-    text: str, path: Path, counters: tuple[int, ...] = (0, 0, 0)
+    text: str, path: Path, counters: tuple[int, ...]
 ) -> tuple[int, int, int]:
     """The largest event, transfer and grant numbers in the log *text*, or
     in *counters* where those are larger.
@@ -622,46 +575,54 @@ def _scan_id_counters(
     return event_n, transfer_n, grant_n
 
 
-def _raise_counters(topology: Topology, counters: tuple[int, ...]) -> None:
-    event_n, transfer_n, grant_n = counters
-    topology._event_n = max(topology._event_n, event_n)
-    topology._transfer_n = max(topology._transfer_n, transfer_n)
-    topology._grant_n = max(topology._grant_n, grant_n)
+def _log_entry(path: Path, known: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The checkpoint entry of ``events.log`` as it is now: its length,
+    CRC-32 and id counters (see :func:`read_checkpoint`), or None when
+    there is no log. A line that does not parse is a :class:`SnapshotError`
+    numbered from the start of the file.
 
-
-def _restore_id_counters(topology: Topology, path: Path) -> tuple[int, ...]:
-    """Raise the event, transfer and grant counters past every id in the
-    log, scanning all of it; returns the log's checkpoint entry."""
-    data = path.read_bytes()
-    counters = _scan_id_counters(_decode_state(path, data), path)
-    _raise_counters(topology, counters)
-    return (len(data), zlib.crc32(data), *counters)
-
-
-def _log_matches(path: Path, entry: tuple[int, ...] | None) -> bool:
-    """Whether the log's length and CRC-32 are those of *entry*; the log
-    is read in chunks, never whole."""
-    if entry is None or len(entry) != 5:
-        return False
-    with open(path, "rb") as handle:
-        if os.fstat(handle.fileno()).st_size != entry[0]:
-            return False
-        crc = 0
-        while chunk := handle.read(_CRC_CHUNK):
-            crc = zlib.crc32(chunk, crc)
-    return crc == entry[1]
+    When the log opens with the prefix *known*, an earlier entry,
+    describes (its CRC-32 taken in chunks), and that prefix ends at a line
+    break, only the lines after it are read and scanned; otherwise the
+    whole log is.
+    """
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with handle:
+        length = crc = 0
+        counters: tuple[int, ...] = (0, 0, 0)
+        if known and len(known) == 5:
+            left, chunk = known[0], b""
+            while left > 0 and (chunk := handle.read(min(_CRC_CHUNK, left))):
+                crc = zlib.crc32(chunk, crc)
+                left -= len(chunk)
+            if not left and crc == known[1] and chunk[-1:] in (b"\n", b"\r"):
+                length, counters = known[0], known[2:]
+            else:
+                crc = 0
+        handle.seek(length)
+        tail = handle.read()
+    try:
+        counters = _scan_id_counters(_decode_state(path, tail), path, counters)
+    except SnapshotError:
+        if not length:
+            raise
+        return _log_entry(path, None)  # the same error, its line counted from the start
+    return (length + len(tail), zlib.crc32(tail, crc), *counters)
 
 
 def load_state(topology: Topology, state_dir: Path) -> None:
     """Apply snapshots onto a freshly built topology."""
     state_dir = Path(state_dir)
     checkpoint = read_checkpoint(state_dir)
-    seen = _Seen(state_dir.resolve())
+    seen: dict[str, tuple[int, ...]] = {}
 
     def read(path: Path) -> tuple[str, bool]:
         """The file's text, and whether it matches its checkpoint entry."""
         data = path.read_bytes()
-        mark = seen.files[path.name] = (len(data), zlib.crc32(data))
+        mark = seen[path.name] = (len(data), zlib.crc32(data))
         return _decode_state(path, data), checkpoint.get(path.name) == mark
 
     path = state_dir / SUBSCRIPTIONS_SNAP
@@ -670,23 +631,16 @@ def load_state(topology: Topology, state_dir: Path) -> None:
     path = state_dir / REGISTRY_SNAP
     if path.exists():
         _load_delegations(topology, path, read(path)[0])
-    max_grant = 0
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
         if path.exists():
-            text, trusted = read(path)
-            grant_n = _load_unread_registrar(actor, text) if trusted and not actor.store else None
-            if grant_n is None:
-                grant_n = _load_registrar(actor, path, text)
-            max_grant = max(max_grant, grant_n)
-    topology._grant_n = max(topology._grant_n, max_grant)
-    path = state_dir / EVENTS_LOG
-    if path.exists():
-        entry = checkpoint.get(EVENTS_LOG)
-        if _log_matches(path, entry):
-            _raise_counters(topology, entry[2:])
-            seen.log = entry
-        else:
-            seen.log = _restore_id_counters(topology, path)
+            grant_n = _load_registrar(actor, path, *read(path))
+            topology._grant_n = max(topology._grant_n, grant_n)
+    log = _log_entry(state_dir / EVENTS_LOG, checkpoint.get(EVENTS_LOG))
+    if log is not None:
+        seen[EVENTS_LOG] = log
+        topology._event_n = max(topology._event_n, log[2])
+        topology._transfer_n = max(topology._transfer_n, log[3])
+        topology._grant_n = max(topology._grant_n, log[4])
     topology.completed = True
-    topology.snapshot_seen = seen
+    topology.snapshot_seen = (state_dir.resolve(), seen)

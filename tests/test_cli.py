@@ -11,9 +11,17 @@ from pathlib import Path
 import pytest
 
 import enumstack
-from enumstack.cli import main
+from enumstack.cli import _bootstrap_demo, main
 from enumstack.scenarios import build_topology, builtin_config, model_fixture_text
-from enumstack.snapshots import EVENTS_LOG, LOCK_FILE, REGISTRY_SNAP, SCENARIO_FILE, StateLock
+from enumstack.snapshots import (
+    EVENTS_LOG,
+    LOCK_FILE,
+    REGISTRY_SNAP,
+    SCENARIO_FILE,
+    StateLock,
+    append_log,
+    read_log,
+)
 
 SIP_RECORD = '200 10 "u" "E2U+mailto" "!^.*$!mailto:alice@example.net!" .'
 
@@ -349,6 +357,22 @@ class TestStatefulCommands:
             "--user", "alice", "--to", "reg2", "--state-dir", str(state))
         second = (state / EVENTS_LOG).read_text().count("\n")
         assert second > first
+
+    def test_bootstrap_killed_before_its_save_is_logged_once(self, capsys, tmp_path):
+        # The first call's bootstrap appended its log, then died before saving.
+        killed, clean = tmp_path / "killed", tmp_path / "clean"
+        topology = build_topology(builtin_config(1), seed=0)
+        _bootstrap_demo(topology)
+        append_log(killed, topology.log)
+        reports = []
+        for state in (killed, clean):
+            code, _, _ = run(capsys, "disconnect", "+13154434474", "--user", "bob",
+                             "--state-dir", str(state))
+            assert code == 0
+            ids = [rec.event_id for rec in read_log(state)]
+            assert len(ids) == len(set(ids))
+            reports.append(run(capsys, "scenario", "report", "--state-dir", str(state)))
+        assert reports[0] == reports[1]
 
 
 # Characters str.splitlines() breaks at besides "\n" and "\r".

@@ -474,9 +474,10 @@ def test_apply_regexp_matches_oracle(pattern, replacement):
 
 # ---------------------------------------------------------------- slotted records
 # NaptrRecord's checks and the substitution splitter's escaped-pair path
-# as they ran while the record was a frozen dataclass. The slotted record
-# and the splitter's one-split fast path must give the same fields, or
-# the same error with the same message.
+# as they ran while the record was a frozen dataclass, followed by the
+# rule that a record holds only fields its stored line can. The slotted
+# record and the splitter's one-split fast path must give the same
+# fields, or the same error with the same message.
 
 ESCAPED_PAIR = re.compile(r"\\.", re.DOTALL)
 
@@ -517,6 +518,14 @@ def oracle_record(order, preference, flags, service, regexp, replacement, visibi
             re.compile(pattern)
         except re.error as exc:
             raise BadDelimiter(f"unparseable pattern {pattern!r}: {exc}") from exc
+    if any(ch in '"\n\r' for ch in service + regexp):
+        raise FieldCount(
+            f"service {service!r} or regexp {regexp!r} holds a quote or a line break"
+        )
+    if any(ch.isspace() for ch in replacement) or (
+        replacement.startswith('"') and '"' in replacement[1:]
+    ):
+        raise FieldCount(f"replacement {replacement!r} is not one bare token")
     return (order, preference, flags, service, regexp, replacement, visibility)
 
 
@@ -550,6 +559,10 @@ _integers = st.one_of(
          regexp="!(!x!", replacement=".", visibility=Visibility.PUBLIC)
 @example(order=True, preference=0, flags="", service="",
          regexp="", replacement="example.net", visibility=Visibility.RESTRICTED)
+@example(order=1, preference=1, flags="", service="E2U+web",
+         regexp="", replacement='"a"b', visibility=Visibility.PUBLIC)
+@example(order=1, preference=1, flags="", service="E2U+web",
+         regexp="", replacement="a\u2028b", visibility=Visibility.PUBLIC)
 def test_record_checks_match_frozen_oracle(
     order, preference, flags, service, regexp, replacement, visibility
 ):

@@ -47,3 +47,11 @@ def test_state_dir_lines_cover_every_call_and_state_file():
     # The last call resolves the number the disconnect withdrew.
     assert [line.split(" ")[3] for line in lines[-3:]] == ["exit=0", "exit=0", "exit=1"]
     assert lines == tool.state_dir_lines(enumstack.cli)
+
+
+def test_state_dir_lines_without_a_checkpoint_match_the_checkpointed_run():
+    tool = load_tool()
+    lines = tool.state_dir_lines(enumstack.cli)
+    plain = tool.state_dir_lines(enumstack.cli, "state-plain")
+    assert [line.split(" ", 1)[0] for line in plain] == ["state-plain"] * len(lines)
+    assert [line.split(" ", 1)[1] for line in plain] == [line.split(" ", 1)[1] for line in lines]

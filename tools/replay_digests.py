@@ -11,9 +11,12 @@ bytes as the network popped it. Two small model-6 churn runs from
 ``<repo>/bench/inputs.py`` follow. Last, the ``cli_state`` mix of
 command-line calls runs through ``enumstack.cli.main`` on a fresh model-4
 state directory, with one line per call: the sha256 of its stdout, its
-exit code, and the sha256 of each state file but ``checkpoint``. A change
-that claims byte identity runs this at both commits and diffs the two
-outputs.
+exit code, and the sha256 of each state file but ``checkpoint``. The mix
+then runs again, tagged ``state-plain``, with ``checkpoint`` deleted
+before each call, so that every call loads the directory without it; its
+lines match the ``state`` lines when both load modes write the same
+bytes. A change that claims byte identity runs this at both commits and
+diffs the two outputs.
 
 The scripts come from this checkout, not from *repo*, so both commits
 replay the same steps. They are read with :mod:`ast`, without importing
@@ -120,12 +123,15 @@ def churn(es, inputs, wire: WireRecorder, seed: int) -> str:
     return digest_line(es, wire, f"churn seed={seed} numbers={CHURN_NUMBERS}", topology, log)
 
 
-def state_dir_lines(cli) -> list[str]:
-    """Run STATE_CALLS on a fresh state directory; one line per call."""
+def state_dir_lines(cli, tag: str = "state") -> list[str]:
+    """Run STATE_CALLS on a fresh state directory; one line per call. With
+    the tag ``state-plain``, each call starts without a checkpoint."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         for k, call in enumerate(STATE_CALLS):
+            if tag == "state-plain":
+                (state_dir / "checkpoint").unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([*call, "--state-dir", str(state_dir)])
@@ -135,7 +141,7 @@ def state_dir_lines(cli) -> list[str]:
                 if path.name not in UNHASHED_STATE_FILES
             )
             lines.append(
-                f"state call={k} {call[0]} exit={code}"
+                f"{tag} call={k} {call[0]} exit={code}"
                 f" stdout={sha(out.getvalue().encode('utf-8'))} {files}"
             )
     return lines
@@ -159,8 +165,9 @@ def main(argv: list[str]) -> int:
                 print(replay(es, wire, model, seed, name, script))
     for seed in CHURN_SEEDS:
         print(churn(es, inputs, wire, seed))
-    for line in state_dir_lines(cli):
-        print(line)
+    for tag in ("state", "state-plain"):
+        for line in state_dir_lines(cli, tag):
+            print(line)
     return 0
 
 
