@@ -25,6 +25,7 @@ from .errors import (
     SnapshotError,
 )
 from .scenarios import (
+    _STEPS,
     ScenarioConfig,
     Topology,
     build_topology,
@@ -98,22 +99,6 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
         snapshots.append_log(state_dir, topology.log)
         snapshots.save_state(topology, state_dir, scenario_text=text)
     return topology, text
-
-
-def _persisting_op(args: argparse.Namespace, fn) -> int:
-    """Run *fn* on the directory's topology under its lock, then persist:
-    the log lines first, then the snapshots and, last, the checkpoint
-    that describes them all (see :mod:`enumstack.snapshots`)."""
-    state_dir = Path(args.state_dir)
-    with snapshots.StateLock(state_dir):
-        topology, text = _topology_for_state(args)
-        before = len(topology.log)
-        try:
-            fn(topology)
-        finally:
-            snapshots.append_log(state_dir, topology.log[before:])
-            snapshots.save_state(topology, state_dir, scenario_text=text)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -199,27 +184,24 @@ def cmd_market(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_provision(args: argparse.Namespace) -> int:
-    def op(topology: Topology) -> None:
-        topology.provision(
-            args.number, args.actor, args.record, visibility=args.visibility
-        )
-
-    return _persisting_op(args, op)
-
-
-def cmd_transfer(args: argparse.Namespace) -> int:
-    def op(topology: Topology) -> None:
-        topology.transfer(args.number, args.user, args.to)
-
-    return _persisting_op(args, op)
-
-
-def cmd_disconnect(args: argparse.Namespace) -> int:
-    def op(topology: Topology) -> None:
-        topology.disconnect(args.number, args.user, args.kind)
-
-    return _persisting_op(args, op)
+def cmd_step(args: argparse.Namespace) -> int:
+    """Run the script step the command names (``provision``, ``transfer``
+    or ``disconnect``) on the directory's topology under its lock, then
+    persist: the log lines first, then the snapshots and, last, the
+    checkpoint that describes them all (see :mod:`enumstack.snapshots`).
+    The command's arguments are the step's keys."""
+    method, required, defaults = _STEPS[args.command]
+    kwargs = {key: getattr(args, key) for key in (*required, *defaults)}
+    state_dir = Path(args.state_dir)
+    with snapshots.StateLock(state_dir):
+        topology, text = _topology_for_state(args)
+        before = len(topology.log)
+        try:
+            getattr(topology, method)(**kwargs)
+        finally:
+            snapshots.append_log(state_dir, topology.log[before:])
+            snapshots.save_state(topology, state_dir, scenario_text=text)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
@@ -280,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visibility", choices=("public", "restricted"))
     p.add_argument("--state-dir", required=True)
     add_topology_args(p)
-    p.set_defaults(fn=cmd_provision)
+    p.set_defaults(fn=cmd_step)
 
     p = sub.add_parser("transfer", help="move a number to another registrar")
     p.add_argument("number")
@@ -288,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
     p.add_argument("--state-dir", required=True)
     add_topology_args(p)
-    p.set_defaults(fn=cmd_transfer)
+    p.set_defaults(fn=cmd_step)
 
     p = sub.add_parser("disconnect", help="disconnect ENUM or telephone service")
     p.add_argument("number")
@@ -296,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("enum_only", "telephone"), default="enum_only")
     p.add_argument("--state-dir", required=True)
     add_topology_args(p)
-    p.set_defaults(fn=cmd_disconnect)
+    p.set_defaults(fn=cmd_step)
 
     return parser
 

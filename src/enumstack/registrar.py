@@ -15,9 +15,9 @@ record lives at exactly one registrar.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .errors import (
     AccessDenied,
@@ -228,140 +228,66 @@ def parse_store_lines(text: str) -> list[NaptrRecord]:
     return [parse_stored_line(line) for line in lines if line.strip()]
 
 
-class RecordStore(dict):
-    """A registrar's ``number -> records`` map: a dict, plus the two
-    queries a snapshot save and the auditor make of any store."""
+class RecordStore(MutableMapping):
+    """A registrar's ``number -> records`` map.
 
-    __slots__ = ()
-
-    def unread_text(self, number: str) -> str | None:
-        """The stored text of a number nothing has read yet (see
-        :class:`LazyRecordStore`); never one here."""
-        return None
-
-    def numbers_with_records(self) -> list[str]:
-        """The numbers holding at least one record."""
-        return [n for n, records in self.items() if records]
-
-
-class LazyRecordStore(RecordStore):
-    """A record store, loaded from a snapshot, that parses a number's
-    records on first read.
-
-    Each number starts *unread*: its stored text waits, unparsed, until
-    something reads the number, and *parse* then turns it into records.
-    Reading one number (``[]``, ``get``, ``setdefault``, ``pop``) parses
-    that number only; membership, length, iteration over numbers and
-    :meth:`numbers_with_records` parse nothing. Any view of the values
-    (``items``, ``values``, ``==``) parses every unread number once.
+    A store loaded from a snapshot starts with *unread* numbers: each
+    number's stored text waits, unparsed, until something reads the
+    number, and *parse* then turns it into records. Reading one number
+    (``[]``, ``get``, ``setdefault``, ``pop``) parses that number only;
+    membership, length, iteration over numbers, assignment, ``del``,
+    :meth:`unread_text` and :meth:`numbers_with_records` parse nothing.
+    A view of the values (``items``, ``values``, ``==``) parses every
+    unread number. A parse that fails leaves the number unread.
     """
 
-    __slots__ = ("_unread", "_parse")
+    __slots__ = ("_records", "_unread", "_parse")
 
     def __init__(
-        self, unread: dict[str, str], parse: Callable[[str], list[NaptrRecord]]
+        self,
+        records: dict[str, list[NaptrRecord]] | None = None,
+        unread: dict[str, str] | None = None,
+        parse: Callable[[str], list[NaptrRecord]] | None = None,
     ) -> None:
-        super().__init__()
-        self._unread = unread
+        """Adopt *records* (parsed) and *unread* (stored text, for *parse*);
+        the caller hands both over and keeps neither."""
+        self._records = {} if records is None else records
+        self._unread = {} if unread is None else unread
         self._parse = parse
 
+    def __getitem__(self, number: str) -> list[NaptrRecord]:
+        records = self._records.get(number)
+        if records is None:
+            # Parse before dropping the text, so a failed parse leaves it.
+            records = self._records[number] = self._parse(self._unread[number])
+            del self._unread[number]
+        return records
+
+    def __setitem__(self, number: str, records: list[NaptrRecord]) -> None:
+        self._unread.pop(number, None)
+        self._records[number] = records
+
+    def __delitem__(self, number: str) -> None:
+        if self._unread.pop(number, None) is None:
+            del self._records[number]
+
+    def __contains__(self, number: object) -> bool:
+        return number in self._records or number in self._unread
+
+    def __len__(self) -> int:
+        return len(self._records) + len(self._unread)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter([*self._records, *self._unread])
+
     def unread_text(self, number: str) -> str | None:
+        """The stored text of a number nothing has read yet, else None."""
         return self._unread.get(number)
 
     def numbers_with_records(self) -> list[str]:
         """The numbers holding at least one record; an unread number
         holds one, and stays unread."""
-        return [*(n for n, records in dict.items(self) if records), *self._unread]
-
-    def _read(self, number: str) -> list[NaptrRecord]:
-        records = self._parse(self._unread[number])
-        del self._unread[number]
-        dict.__setitem__(self, number, records)
-        return records
-
-    def read_all(self) -> None:
-        for number in list(self._unread):
-            self._read(number)
-
-    def __missing__(self, number: str) -> list[NaptrRecord]:
-        if number in self._unread:
-            return self._read(number)
-        raise KeyError(number)
-
-    def get(self, number, default=None):
-        if number in self._unread:
-            return self._read(number)
-        return dict.get(self, number, default)
-
-    def setdefault(self, number, default=None):
-        if number in self._unread:
-            return self._read(number)
-        return dict.setdefault(self, number, default)
-
-    def pop(self, number, *default):
-        if number in self._unread:
-            self._read(number)
-        return dict.pop(self, number, *default)
-
-    def __setitem__(self, number, records) -> None:
-        self._unread.pop(number, None)
-        dict.__setitem__(self, number, records)
-
-    def __delitem__(self, number) -> None:
-        if number in self._unread:
-            del self._unread[number]
-        else:
-            dict.__delitem__(self, number)
-
-    def __contains__(self, number) -> bool:
-        return dict.__contains__(self, number) or number in self._unread
-
-    def __len__(self) -> int:
-        return dict.__len__(self) + len(self._unread)
-
-    def __iter__(self):
-        return iter([*dict.keys(self), *self._unread])
-
-    def keys(self):
-        self.read_all()
-        return dict.keys(self)
-
-    def values(self):
-        self.read_all()
-        return dict.values(self)
-
-    def items(self):
-        self.read_all()
-        return dict.items(self)
-
-    def __eq__(self, other) -> bool:
-        self.read_all()
-        if isinstance(other, LazyRecordStore):
-            other.read_all()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __repr__(self) -> str:
-        self.read_all()
-        return dict.__repr__(self)
-
-    def copy(self) -> dict[str, list[NaptrRecord]]:
-        self.read_all()
-        return dict(self)
-
-    def update(self, *args, **kwargs) -> None:
-        for number, records in dict(*args, **kwargs).items():
-            self[number] = records
-
-    def popitem(self):
-        self.read_all()
-        return dict.popitem(self)
-
-    def clear(self) -> None:
-        self._unread.clear()
-        dict.clear(self)
+        return [*(n for n, records in self._records.items() if records), *self._unread]
 
 
 class RegistrarActor:

@@ -238,7 +238,7 @@ def parse_config(text: str) -> ScenarioConfig:
         for prefix, value in section("tier0")
     }
     accreditation = {
-        registry_id(registry): frozenset(_split_list(value))
+        configured(registry, registries, "accreditation"): frozenset(_split_list(value))
         for registry, value in section("accreditation")
     }
     homes = {

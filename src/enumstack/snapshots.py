@@ -15,9 +15,9 @@ version, is ignored and never an error. Each file is read one way, and
 the checkpoint decides only how much of that work waits:
 
 - one loader reads each ``registrar-<id>.snap``. When the file matches
-  its entry, each number's record lines stay text in a
-  :class:`~enumstack.registrar.LazyRecordStore` until something reads
-  the number; otherwise they are parsed as the file loads. Every
+  its entry, each number's record lines stay text in the registrar's
+  :class:`~enumstack.registrar.RecordStore` until something reads the
+  number; otherwise they are parsed as the file loads. Every
   registrar file is checkpointed: :class:`~enumstack.naptr.NaptrRecord`
   refuses a field its stored line could not hold, so every record
   parses back from the line it is saved as;
@@ -56,7 +56,7 @@ from .errors import LockHeld, SnapshotError
 from .naptr import NaptrRecord, ServiceSelector
 from .registrar import (
     AuthorizationGrant,
-    LazyRecordStore,
+    RecordStore,
     RegistrarActor,
     Subscription,
     parse_stored_line,
@@ -470,21 +470,28 @@ def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool)
     other block, or one holding a bad line, is read a line at a time, and
     the first bad line is a :class:`SnapshotError` naming it.
     """
+    records: dict[str, list[NaptrRecord]] = {}
     unread: dict[str, str] = {}
-    store = actor.store = LazyRecordStore(unread, _parse_records)
     grants: list[AuthorizationGrant] = []
+
+    # The last block by_line read: its index, offset and first line number.
+    reached = [0, 0, 1]
 
     def by_line(index: int, block: str) -> None:
         """Read the text's *index*-th block (from 0) a line at a time."""
-        start = 0
-        for _ in range(index):
-            start = text.index(_BLOCK_SEP, start) + 1
+        k, start, first = reached
+        while k < index:  # blocks come in order, so the text is walked once
+            end = text.index(_BLOCK_SEP, start) + 1
+            k, start, first = k + 1, end, first + text.count("\n", start, end)
+        reached[:] = k, start, first
         current: str | None = None
-        for lineno, line in enumerate(block.split("\n"), text.count("\n", 0, start) + 1):
+        for lineno, line in enumerate(block.split("\n"), first):
             tag, _, rest = line.partition("|")
             if tag == "number":
                 current = rest
-                records = store.setdefault(current, [])
+                if current in unread:  # a number repeated after a block kept unread
+                    records[current] = _parse_records(unread.pop(current))
+                held = records.setdefault(current, [])
             elif tag not in ("record", "grant"):
                 if line.strip():
                     raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
@@ -493,7 +500,7 @@ def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool)
             else:
                 try:
                     if tag == "record":
-                        records.append(parse_stored_line(rest))
+                        held.append(parse_stored_line(rest))
                     else:
                         grants.append(_parse_grant(rest, current))
                 except Exception as exc:
@@ -518,19 +525,19 @@ def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool)
             while body.startswith(_GRANT_TAG):
                 line, _, body = body.partition("\n")
                 grants.append(_parse_grant(line[len(_GRANT_TAG):], number))
-            # "number in store", without the store's Python-level __contains__.
-            if not (number in unread or dict.__contains__(store, number) or body and (
+            if not (number in unread or number in records or body and (
                 not body.startswith(_RECORD_TAG) or body.count("\n") != body.count(_RECORD_SEP)
             )):
                 if trusted and body:
                     unread[number] = body
                 else:
-                    store[number] = _parse_records(body) if body else []
+                    records[number] = _parse_records(body) if body else []
                 continue
         except Exception:  # a bad line
             pass
         del grants[taken:]
         by_line(count - len(blocks) - 1, _NUMBER_TAG + block)
+    actor.store = RecordStore(records, unread, _parse_records)
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)
     return max(map(_grant_number, grants), default=0)

@@ -4,6 +4,7 @@ from enumstack.errors import (
     AccessDenied,
     AlreadyComplete,
     EnumInactive,
+    NaptrError,
     NoPhoneService,
     NotSubscriber,
     SameRegistrar,
@@ -16,6 +17,7 @@ from enumstack.naptr import ServiceSelector, Visibility, parse_record
 from enumstack.registrar import (
     AlreadySubscribed,
     Directory,
+    RecordStore,
     RegistrarActor,
     Role,
     TransferState,
@@ -421,3 +423,88 @@ def test_parse_store_lines_splits_on_newline_only():
     assert parse_store_lines(line) == [record]
     assert parse_store_lines(f"{line}\n\n {line}\n") == [record, record]
     assert parse_store_lines(f"{line}\r\n{line}\r{line}") == [record, record, record]
+
+
+def counting_store():
+    """A store with two parsed numbers (one empty) and two unread ones,
+    and the list of texts its parse function has been given."""
+    calls = []
+
+    def parse(text):
+        calls.append(text)
+        return parse_store_lines(text)
+
+    parsed = {"100": parse_store_lines(TEL), "101": []}
+    store = RecordStore(parsed, {"200": SIP, "201": MAILTO}, parse)
+    return store, calls
+
+
+class TestRecordStore:
+    def test_membership_length_iteration_and_queries_parse_nothing(self):
+        store, calls = counting_store()
+        assert "100" in store and "200" in store and "999" not in store
+        assert len(store) == 4
+        assert list(store) == list(store.keys()) == ["100", "101", "200", "201"]
+        assert store.unread_text("200") == SIP and store.unread_text("100") is None
+        assert store.numbers_with_records() == ["100", "200", "201"]
+        assert calls == []
+
+    @pytest.mark.parametrize("read", [
+        lambda store: store["200"],
+        lambda store: store.get("200"),
+        lambda store: store.setdefault("200", []),
+        lambda store: store.pop("200"),
+    ])
+    def test_reading_a_number_parses_that_number_only(self, read):
+        store, calls = counting_store()
+        assert read(store) == parse_store_lines(SIP)
+        assert calls == [SIP]
+        assert store.unread_text("200") is None
+        assert store.unread_text("201") == MAILTO
+
+    def test_writes_and_misses_parse_nothing(self):
+        store, calls = counting_store()
+        del store["200"]
+        store["201"] = parse_store_lines(TEL)
+        assert store.setdefault("300", []) == [] and store.pop("100") == parse_store_lines(TEL)
+        assert store.get("999") is None and store.pop("999", None) is None
+        with pytest.raises(KeyError):
+            store["999"]
+        with pytest.raises(KeyError):
+            del store["999"]
+        assert calls == []
+        assert list(store) == ["101", "201", "300"] and store.unread_text("201") is None
+        assert store["201"] == parse_store_lines(TEL)
+
+    def test_items_and_equality_parse_every_number(self):
+        expected = {
+            "100": parse_store_lines(TEL),
+            "101": [],
+            "200": parse_store_lines(SIP),
+            "201": parse_store_lines(MAILTO),
+        }
+        store, calls = counting_store()
+        assert dict(store.items()) == expected
+        assert calls == [SIP, MAILTO]
+        store, calls = counting_store()
+        assert store == expected and expected == store
+        assert calls == [SIP, MAILTO]
+        assert store != {**expected, "101": parse_store_lines(TEL)}
+        assert store == counting_store()[0]
+
+    def test_a_failed_parse_leaves_the_number_unread(self):
+        store = RecordStore(unread={"200": "garbage"}, parse=parse_store_lines)
+        for read in (lambda: store["200"], lambda: store.get("200"), lambda: store.pop("200")):
+            with pytest.raises(NaptrError):
+                read()
+            assert store.unread_text("200") == "garbage"
+            assert "200" in store and len(store) == 1
+
+    def test_a_store_without_unread_numbers_is_a_plain_map(self):
+        store = RecordStore()
+        store.setdefault(NUM, []).extend(parse_store_lines(SIP))
+        assert store[NUM] is store.get(NUM)
+        assert store == {NUM: parse_store_lines(SIP)}
+        assert store.numbers_with_records() == [NUM]
+        store[NUM] = []
+        assert store.numbers_with_records() == [] and len(store) == 1

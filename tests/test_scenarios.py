@@ -137,6 +137,19 @@ class TestConfig:
         with pytest.raises(ScenarioError, match=f"\\[{section}\\] 'reg9' names no configured"):
             parse_config(text + f"\n[{section}]\nreg9 = {value}\n")
 
+    def test_accreditation_key_naming_no_registry_is_scenario_error(self):
+        text = model_fixture_text(4).replace("R2 = reg1, reg2\n", "R2 = reg1, reg2\nR9 = reg1\n")
+        with pytest.raises(ScenarioError, match=r"\[accreditation\] 'r9' names no configured"):
+            parse_config(text)
+        # A registrar id is not a registry either.
+        with pytest.raises(ScenarioError, match=r"\[accreditation\] 'reg1' names no configured"):
+            parse_config(text.replace("R9 = reg1\n", "reg1 = reg1\n"))
+        # Keys match the [actors] registry ids whatever their case.
+        assert parse_config(model_fixture_text(4)).accreditation == {
+            "R1": frozenset({"reg1", "reg2"}),
+            "R2": frozenset({"reg1", "reg2"}),
+        }
+
 
 class TestEventScripts:
     def test_parse_record_tail(self):

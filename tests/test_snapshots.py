@@ -729,6 +729,20 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
         assert registrar_load(text, trusted=True) == expected
 
 
+def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
+    # A blank line after each block sends every block down the line-by-line path.
+    lines = []
+    for i in range(300):
+        lines += [f"number|1315443{i:04d}", *_SAVED_LINES[1:4 if i % 3 else 3], ""]
+    lines[-2] = "record|garbage"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(SnapshotError) as excinfo:
+        line_by_line_load(Path("reg.snap"), text)
+    expected = ("SnapshotError", str(excinfo.value), len(lines) - 1)
+    assert excinfo.value.lineno == expected[2]
+    assert registrar_load(text, trusted=False) == registrar_load(text, trusted=True) == expected
+
+
 def test_untouched_registrar_file_is_not_rewritten(tmp_path):
     topology = build_topology(builtin_config(1), seed=0)
     run_events(topology, canonical_events())
