@@ -194,10 +194,12 @@ class RunIncomplete(ScenarioError):
 
 
 class SnapshotError(ScenarioError):
-    """Snapshot file is corrupt; carries the offending line number."""
+    """Snapshot file is corrupt; carries the offending line number, or None
+    for text a store parsed after the file loaded."""
 
-    def __init__(self, path: str, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
+    def __init__(self, path: str, lineno: int | None, message: str):
+        where = path if lineno is None else f"{path}:{lineno}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.lineno = lineno
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TypeVar
 
 from .errors import (
     AccessDenied,
@@ -141,7 +142,7 @@ class Directory:
     """Shared subscriber ledger: assignments, subscriptions, confirmations."""
 
     def __init__(self) -> None:
-        self.subscriptions: dict[str, Subscription] = {}
+        self.subscriptions: RecordStore[Subscription] = RecordStore()
         self.tsp_confirmations: set[tuple[str, str]] = set()  # (number, registrar)
 
     def assign(self, number: str, user: str, tsp: str) -> Subscription:
@@ -228,26 +229,31 @@ def parse_store_lines(text: str) -> list[NaptrRecord]:
     return [parse_stored_line(line) for line in lines if line.strip()]
 
 
-class RecordStore(MutableMapping):
-    """A registrar's ``number -> records`` map.
+V = TypeVar("V")
+
+
+class RecordStore(MutableMapping[str, V]):
+    """A lazy ``number -> value`` map: a registrar's records, a registry's
+    delegations or the directory's subscriptions.
 
     A store loaded from a snapshot starts with *unread* numbers: each
     number's stored text waits, unparsed, until something reads the
-    number, and *parse* then turns it into records. Reading one number
-    (``[]``, ``get``, ``setdefault``, ``pop``) parses that number only;
-    membership, length, iteration over numbers, assignment, ``del``,
-    :meth:`unread_text` and :meth:`numbers_with_records` parse nothing.
-    A view of the values (``items``, ``values``, ``==``) parses every
-    unread number. A parse that fails leaves the number unread.
+    number, and *parse* then turns it into the number's value. Reading
+    one number (``[]``, ``get``, ``setdefault``, ``pop``) parses that
+    number only; membership, length, iteration over numbers, assignment,
+    ``del``, :meth:`unread_text` and :meth:`numbers_with_records` parse
+    nothing. A view of the values (``items``, ``values``, ``==``) parses
+    every unread number. A parse that fails leaves the number unread.
+    In-process topologies use the same class with no unread text.
     """
 
     __slots__ = ("_records", "_unread", "_parse")
 
     def __init__(
         self,
-        records: dict[str, list[NaptrRecord]] | None = None,
+        records: dict[str, V] | None = None,
         unread: dict[str, str] | None = None,
-        parse: Callable[[str], list[NaptrRecord]] | None = None,
+        parse: Callable[[str], V] | None = None,
     ) -> None:
         """Adopt *records* (parsed) and *unread* (stored text, for *parse*);
         the caller hands both over and keeps neither."""
@@ -255,17 +261,23 @@ class RecordStore(MutableMapping):
         self._unread = {} if unread is None else unread
         self._parse = parse
 
-    def __getitem__(self, number: str) -> list[NaptrRecord]:
-        records = self._records.get(number)
-        if records is None:
+    def __getitem__(self, number: str) -> V:
+        value = self._records.get(number)
+        if value is None:
             # Parse before dropping the text, so a failed parse leaves it.
-            records = self._records[number] = self._parse(self._unread[number])
+            value = self._records[number] = self._parse(self._unread[number])
             del self._unread[number]
-        return records
+        return value
 
-    def __setitem__(self, number: str, records: list[NaptrRecord]) -> None:
+    def get(self, number: str, default: V | None = None) -> V | None:
+        # Mapping.get would raise and catch a KeyError on every miss.
+        if number in self._unread:
+            return self[number]
+        return self._records.get(number, default)
+
+    def __setitem__(self, number: str, value: V) -> None:
         self._unread.pop(number, None)
-        self._records[number] = records
+        self._records[number] = value
 
     def __delitem__(self, number: str) -> None:
         if self._unread.pop(number, None) is None:
@@ -285,8 +297,8 @@ class RecordStore(MutableMapping):
         return self._unread.get(number)
 
     def numbers_with_records(self) -> list[str]:
-        """The numbers holding at least one record; an unread number
-        holds one, and stays unread."""
+        """For a store of record lists: the numbers holding at least one
+        record; an unread number holds one, and stays unread."""
         return [*(n for n, records in self._records.items() if records), *self._unread]
 
 

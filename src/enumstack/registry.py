@@ -26,6 +26,7 @@ from .errors import (
     UnknownPeer,
     WireError,
 )
+from .registrar import RecordStore
 from .simulator import Network
 from .wire import CHANGE, Frame, LOOKUP, PEER_UPDATE, REGISTER
 
@@ -109,12 +110,14 @@ class RegistryState:
     peers: tuple[RegistryId, ...] = ()
     accredited: frozenset[RegistrarId] = frozenset()
     flat_fee: float = 1.0
-    delegations: dict[str, Delegation] = field(default_factory=dict)
+    delegations: RecordStore[Delegation] = field(default_factory=RecordStore)
     tombstones: dict[str, int] = field(default_factory=dict)
     billing_ledger: list[BillingEntry] = field(default_factory=list)
     notices: list[Notice] = field(default_factory=list)
     outbox: list[PeerUpdate] = field(default_factory=list)
-    # serials as observed locally, per number; must be strictly increasing
+    # serials as observed locally, per number; must be strictly increasing.
+    # A number loaded from a snapshot enters at its first change, loaded
+    # serial first.
     observed_serials: dict[str, list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------ helpers
@@ -134,13 +137,17 @@ class RegistryState:
         The one write rule for the owner's own changes and for replicas.
         """
         number = delegation.number
+        observed = self.observed_serials.get(number)
+        if observed is None:
+            loaded = self.delegations.get(number)
+            observed = self.observed_serials[number] = [] if loaded is None else [loaded.serial]
         if kind == REMOVED:
             self.delegations.pop(number, None)
             self.tombstones[number] = delegation.serial
         else:
             self.delegations[number] = delegation
             self.tombstones.pop(number, None)
-        self.observed_serials.setdefault(number, []).append(delegation.serial)
+        observed.append(delegation.serial)
 
     def _publish(
         self, number: str, registrar: RegistrarId, serial: int, now: int, kind: str

@@ -238,7 +238,9 @@ def parse_config(text: str) -> ScenarioConfig:
         for prefix, value in section("tier0")
     }
     accreditation = {
-        configured(registry, registries, "accreditation"): frozenset(_split_list(value))
+        configured(registry, registries, "accreditation"): frozenset(
+            configured(name, registrar_ids, "accreditation") for name in _split_list(value)
+        )
         for registry, value in section("accreditation")
     }
     homes = {
@@ -329,9 +331,10 @@ def canonical_events() -> str:
 # ---------------------------------------------------------------- run log
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
-    """One structured, replayable log line."""
+    """One structured, replayable log line. Slotted, as a report reads
+    every line of a long log into one."""
 
     event_id: str
     tick: int
@@ -358,7 +361,7 @@ class LogRecord:
                 key, sep, value = chunk.partition("=")
                 if not sep:
                     raise ScenarioError(f"bad log detail {chunk!r}")
-                detail[key] = _unescape(value)
+                detail[key] = _unescape(value) if "%" in value else value
         return cls(
             event_id=parts[0],
             tick=int(parts[1][1:]),

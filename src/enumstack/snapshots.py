@@ -14,27 +14,31 @@ the lines above it. A missing or corrupt checkpoint, or one from another
 version, is ignored and never an error. Each file is read one way, and
 the checkpoint decides only how much of that work waits:
 
-- one loader reads each ``registrar-<id>.snap``. When the file matches
-  its entry, each number's record lines stay text in the registrar's
-  :class:`~enumstack.registrar.RecordStore` until something reads the
-  number; otherwise they are parsed as the file loads. Every
+- the three kinds of snapshot file load the same way, each into
+  :class:`~enumstack.registrar.RecordStore` maps: the records of each
+  registrar, the delegations of each registry (a ``registry.snap`` line
+  goes to its owner's map and to each of the owner's peers') and the
+  directory's subscriptions. When the file matches its entry, each
+  number's text stays unread in its map until something reads the
+  number, and a parse that fails then is a :class:`SnapshotError`
+  naming the file. Otherwise every line is parsed as the file loads,
+  and the first bad line is a :class:`SnapshotError` naming it. Every
   registrar file is checkpointed: :class:`~enumstack.naptr.NaptrRecord`
   refuses a field its stored line could not hold, so every record
   parses back from the line it is saved as;
 - one routine gives the id counters of ``events.log`` at load and at
   save. When the log opens with the prefix its entry describes, only the
-  lines after that prefix are scanned; otherwise the whole log is;
-- ``registry.snap`` and ``subscriptions.snap`` are parsed in full.
+  lines after that prefix are scanned; otherwise the whole log is.
 
 A persisting call first appends its log lines, then :func:`save_state`
-rewrites each snapshot file whose content changed, reusing the text of
-every number nothing read, and writes the checkpoint last, so that it
-describes the log as the call leaves it. Every file is written to a
-temporary file and renamed into place, so a killed process never leaves
-a half-written file visible; a file rewritten after the last checkpoint
-no longer matches it, and the next load checks every line of it. A lock
-on ``.lock`` that dies with its holder serializes concurrent invocations
-against one directory. :func:`read_log` parses the log in full for
+rewrites each snapshot file whose content changed, writing back the
+stored text of every number nothing read, and writes the checkpoint
+last, so that it describes the log as the call leaves it. Every file is
+written to a temporary file and renamed into place, so a killed process
+never leaves a half-written file visible; a file rewritten after the
+last checkpoint no longer matches it, and the next load checks every
+line of it. A lock on ``.lock`` that dies with its holder serializes
+concurrent invocations against one directory. :func:`read_log` parses the log in full for
 reports and audits.
 """
 
@@ -44,8 +48,9 @@ import os
 import re
 import tempfile
 import zlib
+from sys import intern
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 try:
     import fcntl
@@ -63,8 +68,10 @@ from .registrar import (
     render_stored_line,
     translate_newlines,
 )
-from .registry import Delegation, RegistryState
+from .registry import Delegation
 from .scenarios import LogRecord, Topology
+
+V = TypeVar("V")
 
 REGISTRY_SNAP = "registry.snap"
 SUBSCRIPTIONS_SNAP = "subscriptions.snap"
@@ -252,11 +259,19 @@ def _checkpoint_bytes(entries: dict[str, tuple[int, ...]]) -> bytes:
 
 
 def _registry_lines(topology: Topology) -> Iterator[str]:
+    """Each registry's own delegations; a number nothing has read keeps
+    its line."""
     for actor in topology.registries.values():
-        for number in sorted(actor.state.delegations):
-            d = actor.state.delegations[number]
-            if d.owning_registry == actor.state.id:
-                yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
+        owner, delegations = actor.state.id, actor.state.delegations
+        unread_text = delegations.unread_text
+        for number in sorted(delegations):
+            line = unread_text(number)
+            if line is None:
+                d = delegations[number]
+                if d.owning_registry == owner:
+                    yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
+            elif line.rsplit("|", 2)[1] == owner:  # number|registrar|owner|serial
+                yield line
 
 
 def _registrar_lines(actor: RegistrarActor) -> Iterator[str]:
@@ -279,12 +294,17 @@ def _registrar_lines(actor: RegistrarActor) -> Iterator[str]:
 
 
 def _subscriptions_lines(topology: Topology) -> Iterator[str]:
-    for number in sorted(topology.directory.subscriptions):
-        sub = topology.directory.subscriptions[number]
-        yield (
-            f"{number}|{sub.user}|{sub.tsp}|{int(sub.enum_active)}|"
-            f"{int(sub.phone_active)}|{sub.serving_registrar or ''}|{sub.token}"
-        )
+    """Every subscription; a number nothing has read keeps its line."""
+    subscriptions = topology.directory.subscriptions
+    for number in sorted(subscriptions):
+        line = subscriptions.unread_text(number)
+        if line is None:
+            sub = subscriptions[number]
+            line = (
+                f"{number}|{sub.user}|{sub.tsp}|{int(sub.enum_active)}|"
+                f"{int(sub.phone_active)}|{sub.serving_registrar or ''}|{sub.token}"
+            )
+        yield line
 
 
 def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = None) -> None:
@@ -387,48 +407,131 @@ def read_log(state_dir: Path) -> list[LogRecord]:
     return records
 
 
-def _load_subscriptions(topology: Topology, path: Path, text: str) -> None:
-    subscriptions = topology.directory.subscriptions
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        parts = line.split("|")
-        if len(parts) != 7:
-            raise SnapshotError(str(path), lineno, f"expected 7 fields, got {len(parts)}")
-        number, user, tsp, enum_flag, phone_flag, serving, token = parts
-        if enum_flag not in ("0", "1") or phone_flag not in ("0", "1"):
-            raise SnapshotError(str(path), lineno, "flags must be 0 or 1")
-        subscriptions[number] = Subscription(
-            number, user, tsp, token, phone_flag == "1", enum_flag == "1", serving or None
-        )
+def _fields(line: str, count: int) -> list[str]:
+    """*line* split at ``|``; ValueError unless it has *count* fields."""
+    parts = line.split("|")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} fields, got {len(parts)}")
+    return parts
 
 
-def _load_delegations(topology: Topology, path: Path, text: str) -> None:
-    # Owner id -> the states of the owner and its peers, in that order.
-    replicas: dict[str, list[RegistryState]] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        parts = line.split("|")
-        if len(parts) != 4:
-            raise SnapshotError(str(path), lineno, f"expected 4 fields, got {len(parts)}")
-        number, registrar, owner, serial_text = parts
+# The actor ids in a parsed line are interned: a few ids recur on every
+# line, and each replica of a registry parses its own copy of a line.
+
+
+def _subscription(line: str) -> Subscription:
+    """The subscription of one ``subscriptions.snap`` line; ValueError
+    naming the fault when the line holds none."""
+    number, user, tsp, enum_flag, phone_flag, serving, token = _fields(line, 7)
+    if enum_flag not in ("0", "1") or phone_flag not in ("0", "1"):
+        raise ValueError("flags must be 0 or 1")
+    return Subscription(
+        number, intern(user), intern(tsp), token, phone_flag == "1", enum_flag == "1",
+        intern(serving) or None,
+    )
+
+
+def _delegation(line: str) -> Delegation:
+    """The delegation of one ``registry.snap`` line; ValueError naming the
+    fault when the line holds none."""
+    number, registrar, owner, serial = _fields(line, 4)
+    try:
+        return Delegation(number, intern(registrar), intern(owner), int(serial))
+    except ValueError:
+        raise ValueError(f"bad serial {serial!r}") from None
+
+
+def _deferred(path: Path, parse: Callable[[str], V]) -> Callable[[str], V]:
+    """*parse* as the parse function of a store holding text from *path*:
+    any failure is a :class:`SnapshotError` naming the file."""
+
+    def read(text: str) -> V:
         try:
-            serial = int(serial_text)
-        except ValueError:
-            raise SnapshotError(str(path), lineno, f"bad serial {serial_text!r}") from None
-        states = replicas.get(owner)
-        if states is None:
-            if owner not in topology.registries:
+            return parse(text)
+        except Exception as exc:
+            raise SnapshotError(str(path), None, str(exc)) from exc
+
+    return read
+
+
+def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool) -> None:
+    """Fill the directory's subscriptions from ``subscriptions.snap``.
+
+    When *trusted* (the file matches its checkpoint entry, so a save wrote
+    it, one line per number), each line stays unread until something
+    reads its number. Otherwise every line is parsed now, and a bad line
+    is a :class:`SnapshotError` naming it.
+    """
+    parsed: dict[str, Subscription] = {}
+    unread: dict[str, str] = {}
+    if trusted:
+        unread = {line.partition("|")[0]: line for line in text.split("\n")[:-1]}
+    else:
+        for lineno, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                sub = _subscription(line)
+            except ValueError as exc:
+                raise SnapshotError(str(path), lineno, str(exc)) from None
+            parsed[sub.number] = sub
+    topology.directory.subscriptions = RecordStore(
+        parsed, unread, _deferred(path, _subscription)
+    )
+
+
+def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) -> None:
+    """Fill every registry's delegations from ``registry.snap``, whose
+    lines are each owner's own delegations: a line goes to the states of
+    its owner and of the owner's peers.
+
+    When *trusted*, the file is only split, and each state keeps the line
+    unread until something reads its number. A file a save would not have
+    written (a line without four fields or naming no configured owner, or
+    a number that reaches one state twice) is parsed as an untrusted one
+    is: every line now, a bad one a :class:`SnapshotError` naming it, and
+    a state that a number reaches twice observes each line's serial in
+    turn, as if it had applied the lines.
+    """
+    registries = topology.registries
+    # Owner id -> the ids of the states its lines go to.
+    replicas = {reg_id: [reg_id, *actor.state.peers] for reg_id, actor in registries.items()}
+    parsed: dict[str, dict[str, Delegation]] = {reg_id: {} for reg_id in registries}
+    unread: dict[str, dict[str, str]] = {reg_id: {} for reg_id in registries}
+    if trusted:
+        routed = 0
+        try:
+            for line in text.split("\n")[:-1]:
+                number, _, owner, _ = line.split("|")
+                ids = replicas[owner]
+                routed += len(ids)
+                for reg_id in ids:
+                    unread[reg_id][number] = line
+        except (ValueError, KeyError):
+            routed = -1
+        if sum(map(len, unread.values())) != routed:
+            return _load_delegations(topology, path, text, False)
+    else:
+        for lineno, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                delegation = _delegation(line)
+            except ValueError as exc:
+                raise SnapshotError(str(path), lineno, str(exc)) from None
+            owner, number = delegation.owning_registry, delegation.number
+            if owner not in replicas:
                 raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}")
-            owner_state = topology.registries[owner].state
-            states = replicas[owner] = [owner_state] + [
-                topology.registries[peer].state for peer in owner_state.peers
-            ]
-        delegation = Delegation(number, registrar, owner, serial)
-        for state in states:
-            state.delegations[number] = delegation
-            state.observed_serials.setdefault(number, []).append(serial)
+            for reg_id in replicas[owner]:
+                previous = parsed[reg_id].get(number)
+                if previous is not None:
+                    registries[reg_id].state.observed_serials.setdefault(
+                        number, [previous.serial]
+                    ).append(delegation.serial)
+                parsed[reg_id][number] = delegation
+    read = _deferred(path, _delegation)
+    for reg_id, actor in registries.items():
+        actor.state.delegations = RecordStore(parsed[reg_id], unread[reg_id], read)
 
 
 def _parse_grant(rest: str, number: str) -> AuthorizationGrant:
@@ -537,7 +640,7 @@ def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool)
             pass
         del grants[taken:]
         by_line(count - len(blocks) - 1, _NUMBER_TAG + block)
-    actor.store = RecordStore(records, unread, _parse_records)
+    actor.store = RecordStore(records, unread, _deferred(path, _parse_records))
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)
     return max(map(_grant_number, grants), default=0)
@@ -634,10 +737,10 @@ def load_state(topology: Topology, state_dir: Path) -> None:
 
     path = state_dir / SUBSCRIPTIONS_SNAP
     if path.exists():
-        _load_subscriptions(topology, path, read(path)[0])
+        _load_subscriptions(topology, path, *read(path))
     path = state_dir / REGISTRY_SNAP
     if path.exists():
-        _load_delegations(topology, path, read(path)[0])
+        _load_delegations(topology, path, *read(path))
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
         if path.exists():

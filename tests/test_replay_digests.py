@@ -55,3 +55,13 @@ def test_state_dir_lines_without_a_checkpoint_match_the_checkpointed_run():
     plain = tool.state_dir_lines(enumstack.cli, "state-plain")
     assert [line.split(" ", 1)[0] for line in plain] == ["state-plain"] * len(lines)
     assert [line.split(" ", 1)[1] for line in plain] == [line.split(" ", 1)[1] for line in lines]
+
+
+def test_state_dir_holds_the_demo_numbers_and_more(tmp_path):
+    tool = load_tool()
+    tool.populate_state_dir(enumstack.cli, tmp_path)
+    lines = (tmp_path / "subscriptions.snap").read_text(encoding="utf-8").split("\n")[:-1]
+    assert len(lines) == tool.STATE_NUMBERS + 2
+    assert {"13154434473", "13154434474"} <= {line.split("|")[0] for line in lines}
+    log = (tmp_path / "events.log").read_text(encoding="utf-8").split("\n")[:-1]
+    assert all("|ok|" in line for line in log)

@@ -150,6 +150,19 @@ class TestConfig:
             "R2": frozenset({"reg1", "reg2"}),
         }
 
+    def test_accreditation_value_naming_no_registrar_is_scenario_error(self):
+        text = model_fixture_text(4)
+        # Registrar names in a value match the [actors] ids whatever their case.
+        assert parse_config(text.replace("R1 = reg1, reg2", "R1 = REG1")).accreditation == {
+            "R1": frozenset({"reg1"}),
+            "R2": frozenset({"reg1", "reg2"}),
+        }
+        with pytest.raises(ScenarioError, match=r"\[accreditation\] 'reg9' names no configured"):
+            parse_config(text.replace("R1 = reg1, reg2", "R1 = reg1, reg9"))
+        # A registry id is not a registrar either.
+        with pytest.raises(ScenarioError, match=r"\[accreditation\] 'R2' names no configured"):
+            parse_config(text.replace("R1 = reg1, reg2", "R1 = reg1, R2"))
+
 
 class TestEventScripts:
     def test_parse_record_tail(self):

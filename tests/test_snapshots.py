@@ -4,6 +4,7 @@ import re
 import shutil
 import tempfile
 import types
+import zlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from enumstack.audit import assert_invariants
 from enumstack.cli import main
 from enumstack.errors import AccessDenied, InvalidRecord, NaptrError, RegistrarError, SnapshotError
 from enumstack.naptr import NaptrRecord, parse_stored_line
+from enumstack.registry import CHANGED, Delegation
 from enumstack.scenarios import (
     build_topology,
     builtin_config,
@@ -27,6 +29,7 @@ from enumstack.snapshots import (
     REGISTRY_SNAP,
     SCENARIO_FILE,
     SUBSCRIPTIONS_SNAP,
+    _checkpoint_bytes,
     _load_registrar,
     _log_entry,
     _parse_grant,
@@ -845,3 +848,160 @@ def test_checkpoint_counters_equal_a_full_log_scan(calls):
                 main([*call, "--state-dir", str(state_dir)])
             entry = read_checkpoint(state_dir)[EVENTS_LOG]
             assert entry == _log_entry(state_dir / EVENTS_LOG, None)
+
+
+# ---------------------------------------------------------------- deferred reads
+
+
+def populate_model4(state_dir, count=40):
+    """Persist a model-4 run of the canonical script plus *count* more
+    numbers, half at each registrar (so half owned by each registry), each
+    with one record."""
+    topology = build_topology(builtin_config(4), seed=0)
+    run_events(topology, canonical_events())
+    for k in range(count):
+        number, user = f"+1212555{k:04d}", ("alice", "bob", "carol")[k % 3]
+        topology.assign(number, user, "tsp1")
+        topology.subscribe(number, user, ("reg1", "reg2")[k % 2], token="auto")
+        topology.provision(number, user, _record(100, f"n{k}"))
+    persist(topology, state_dir, model_fixture_text(4))
+
+
+@pytest.fixture(scope="module")
+def model4_dir(tmp_path_factory):
+    state_dir = tmp_path_factory.mktemp("model4")
+    populate_model4(state_dir)
+    return state_dir
+
+
+def test_a_resolve_after_a_trusted_load_reads_only_its_number(model4_dir):
+    checkpoint = read_checkpoint(model4_dir)
+    assert {REGISTRY_SNAP, SUBSCRIPTIONS_SNAP, "registrar-reg1.snap"} <= set(checkpoint)
+    fresh = loaded(4, model4_dir)
+    resolved = "12125550003"
+    assert fresh.resolve("+" + resolved)["uris"] == "sip:n3@example.com"
+    stores = {
+        **{f"registry {rid}": a.state.delegations for rid, a in fresh.registries.items()},
+        "subscriptions": fresh.directory.subscriptions,
+        **{f"registrar {rid}": a.store for rid, a in fresh.registrars.items()},
+    }
+    for name, store in stores.items():
+        assert len(store) > 20, name
+        # A number saved with no records has no text to leave unread.
+        read = [n for n in store if store.unread_text(n) is None and store[n]]
+        assert read in ([], [resolved]), name
+
+
+def test_serials_of_a_loaded_number_are_checked_when_it_changes(model4_dir):
+    fresh = loaded(4, model4_dir)
+    fresh.log = read_log(model4_dir)
+    number = "13154434474"  # bob's, at reg2, so owned by R2 and replicated at R1
+    loaded_serial = fresh.registries["R2"].state.delegations[number].serial
+    assert fresh.transfer("+" + number, "bob", "reg1")["state"] == "Complete"
+    for state in (fresh.registries["R2"].state, fresh.registries["R1"].state):
+        assert state.delegations[number].owning_registry == "R2"
+        assert state.observed_serials[number] == [loaded_serial, loaded_serial + 1]
+    assert assert_invariants(fresh).result("serial_monotonicity").passed
+    # A replica that goes back below the serial it loaded is caught.
+    other = "12125550001"
+    state = fresh.registries["R1"].state
+    planted = state.delegations[other]
+    state._apply(Delegation(other, "reg1", planted.owning_registry, planted.serial - 1), CHANGED)
+    assert assert_invariants(fresh).result("serial_monotonicity").violations == [
+        f"R1 observed {other} serials {planted.serial} -> {planted.serial - 1}"
+    ]
+
+
+def vouch(state_dir, name, data):
+    """Write *data* to the state file *name* with a checkpoint entry that
+    matches it, as if a save had written it."""
+    (state_dir / name).write_bytes(data)
+    entries = read_checkpoint(state_dir)
+    entries[name] = (len(data), zlib.crc32(data))
+    (state_dir / CHECKPOINT).write_bytes(_checkpoint_bytes(entries))
+
+
+@pytest.mark.parametrize(
+    "name, good, bad, read",
+    [
+        (REGISTRY_SNAP, "12125550001|reg2|R2|1", "12125550001|reg2|R2|x",
+         lambda t: t.registries["R1"].state.delegations["12125550001"]),
+        (SUBSCRIPTIONS_SNAP, "12125550001|bob|tsp1|1|", "12125550001|bob|tsp1|2|",
+         lambda t: t.directory.subscriptions["12125550001"]),
+        ("registrar-reg2.snap", '"!^.*$!sip:n1@example.com!" .', '"!^.*$!sip:n1@example.com!"',
+         lambda t: t.registrars["reg2"].store["12125550001"]),
+    ],
+    ids=["registry", "subscriptions", "registrar"],
+)
+def test_a_bad_line_in_a_trusted_file_fails_when_read(model4_dir, tmp_path, name, good, bad, read):
+    path = tmp_path / name
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    data = path.read_bytes()
+    assert data.count(good.encode()) == 1
+    vouch(tmp_path, name, data.replace(good.encode(), bad.encode()))
+    fresh = loaded(4, tmp_path)  # the line stays unread
+    with pytest.raises(SnapshotError, match=re.escape(f"{path}: ")):
+        read(fresh)
+    with pytest.raises(SnapshotError):  # and it stays so
+        read(fresh)
+    (tmp_path / CHECKPOINT).unlink()
+    with pytest.raises(SnapshotError, match=re.escape(f"{path}:") + r"\d+: "):
+        loaded(4, tmp_path)
+
+
+def test_a_number_two_owners_claim_is_observed_at_both_serials(model4_dir, tmp_path):
+    # R1 owns 12125550000 at serial 1; a second line claims it for R2, and
+    # both registries hold both lines, so each observes serial 1 twice.
+    trusted, plain = tmp_path / "trusted", tmp_path / "plain"
+    shutil.copytree(model4_dir, trusted)
+    data = (trusted / REGISTRY_SNAP).read_bytes()
+    assert b"12125550000|reg1|R1|1\n" in data
+    vouch(trusted, REGISTRY_SNAP, data + b"12125550000|reg2|R2|1\n")
+    shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    first, second = loaded(4, trusted), loaded(4, plain)
+    assert state_of(first) == state_of(second)
+    assert assert_invariants(first).result("serial_monotonicity").violations == [
+        f"{reg_id} observed 12125550000 serials 1 -> 1" for reg_id in ("R1", "R2")
+    ]
+
+
+_DIR_NUMBERS = st.sampled_from(["+13154434473", "+13154434474", "+12125550000", "+12125550001"])
+_DIR_USERS = st.sampled_from(["alice", "bob"])
+_DIR_CALLS = st.one_of(
+    st.tuples(st.just("provision"), _DIR_NUMBERS, st.just("--actor"), _DIR_USERS,
+              st.just("--record"), st.sampled_from([_record(120, "p1"), _record(130, "p2")])),
+    st.tuples(st.just("transfer"), _DIR_NUMBERS, st.just("--user"), _DIR_USERS,
+              st.just("--to"), st.sampled_from(["reg1", "reg2"])),
+    st.tuples(st.just("disconnect"), _DIR_NUMBERS, st.just("--user"), _DIR_USERS),
+    st.tuples(st.just("resolve"), _DIR_NUMBERS),
+)
+
+
+def cli_run(calls, state_dir, plain):
+    """Each call's exit code, stdout and stderr, the state files but the
+    checkpoint after it, and the loaded state's hash; with *plain*, the
+    checkpoint is deleted before each call."""
+    outcomes = []
+    for call in calls:
+        if plain:
+            (state_dir / CHECKPOINT).unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*call, "--state-dir", str(state_dir)])
+        files = files_of(state_dir)
+        files.pop(CHECKPOINT, None)
+        outcomes.append((
+            code, out.getvalue(), err.getvalue().replace(str(state_dir), "<dir>"), files,
+            loaded(4, state_dir).state_hash(),
+        ))
+    return outcomes
+
+
+@settings(max_examples=15, deadline=None)
+@given(calls=st.lists(_DIR_CALLS, min_size=1, max_size=6))
+def test_cli_calls_with_and_without_a_checkpoint_agree(model4_dir, calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        trusted, plain = Path(tmp) / "trusted", Path(tmp) / "plain"
+        shutil.copytree(model4_dir, trusted)
+        shutil.copytree(model4_dir, plain)
+        assert cli_run(calls, trusted, False) == cli_run(calls, plain, True)

@@ -9,14 +9,16 @@ one line with the sha256 of the log bytes, ``state_hash()``, the sha256 of
 the invariant report, the final clock and the sha256 of every frame's
 bytes as the network popped it. Two small model-6 churn runs from
 ``<repo>/bench/inputs.py`` follow. Last, the ``cli_state`` mix of
-command-line calls runs through ``enumstack.cli.main`` on a fresh model-4
-state directory, with one line per call: the sha256 of its stdout, its
-exit code, and the sha256 of each state file but ``checkpoint``. The mix
-then runs again, tagged ``state-plain``, with ``checkpoint`` deleted
-before each call, so that every call loads the directory without it; its
-lines match the ``state`` lines when both load modes write the same
-bytes. A change that claims byte identity runs this at both commits and
-diffs the two outputs.
+command-line calls runs through ``enumstack.cli.main`` on a model-4 state
+directory holding the demo's two numbers and STATE_NUMBERS more, with one
+line per call: the sha256 of its stdout, its exit code, and the sha256 of
+each state file but ``checkpoint``. The calls touch only the demo's
+numbers, so every other number is loaded and saved without being read.
+The mix then runs again, tagged ``state-plain``, with ``checkpoint``
+deleted before each call, so that every call loads the directory without
+it; its lines match the ``state`` lines when both load modes write the
+same bytes. A change that claims byte identity runs this at both commits
+and diffs the two outputs.
 
 The scripts come from this checkout, not from *repo*, so both commits
 replay the same steps. They are read with :mod:`ast`, without importing
@@ -41,7 +43,9 @@ MODELS = range(1, 7)
 SEEDS = range(10)
 CHURN_SEEDS = (3, 5)
 CHURN_NUMBERS = 100
-# The cli_state mix on the two numbers a fresh state directory holds.
+# The cli_state mix on the demo's two numbers, in a directory holding
+# STATE_NUMBERS more.
+STATE_NUMBERS = 300
 _SIP = '"u" "E2U+sip" "!^.*$!sip:{}@example.net!" .'
 STATE_CALLS = (
     ("provision", "+1-315-443-4473", "--actor", "alice", "--record", "120 10 " + _SIP.format("a1"),
@@ -123,12 +127,35 @@ def churn(es, inputs, wire: WireRecorder, seed: int) -> str:
     return digest_line(es, wire, f"churn seed={seed} numbers={CHURN_NUMBERS}", topology, log)
 
 
+def populate_state_dir(cli, state_dir: Path) -> None:
+    """Save a model-4 state directory holding the demo's numbers and
+    STATE_NUMBERS more, each with one or two records, as a persisting call
+    leaves it: the log first, then the snapshots and the checkpoint."""
+    rng = random.Random("state-dir")
+    text = cli.model_fixture_text(4)
+    topology = cli.build_topology(cli.parse_config(text), seed=0)
+    cli._bootstrap_demo(topology)
+    for k in range(STATE_NUMBERS):
+        number = f"+1{rng.randrange(200, 999)}{rng.randrange(10**7):07d}"
+        user = rng.choice(("alice", "bob", "carol"))
+        topology.assign(number, user, "tsp1")
+        topology.subscribe(number, user, rng.choice(("reg1", "reg2")), token="auto")
+        records = ["100 10 " + _SIP.format(f"n{k}")]
+        if k % 3 == 0:
+            records.append(f'110 10 "u" "E2U+tel" "!^.*$!tel:{number}!" .')
+        topology.provision(number, user, records)
+    cli.snapshots.append_log(state_dir, topology.log)
+    cli.snapshots.save_state(topology, state_dir, scenario_text=text)
+
+
 def state_dir_lines(cli, tag: str = "state") -> list[str]:
-    """Run STATE_CALLS on a fresh state directory; one line per call. With
-    the tag ``state-plain``, each call starts without a checkpoint."""
+    """Run STATE_CALLS on a populated state directory (see
+    :func:`populate_state_dir`); one line per call. With the tag
+    ``state-plain``, each call starts without a checkpoint."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
+        populate_state_dir(cli, state_dir)
         for k, call in enumerate(STATE_CALLS):
             if tag == "state-plain":
                 (state_dir / "checkpoint").unlink(missing_ok=True)
