@@ -15,7 +15,7 @@ record lives at exactly one registrar.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, MutableMapping
+from collections.abc import Callable, Iterable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TypeVar
@@ -203,7 +203,7 @@ class TransferRecord:
         self.history.append(state)
 
 
-def render_store_lines(records: list[NaptrRecord]) -> str:
+def render_store_lines(records: Iterable[NaptrRecord]) -> str:
     return "\n".join(render_stored_line(r) for r in records)
 
 
@@ -469,16 +469,23 @@ class RegistrarActor:
         sub = self.directory.get(number)
         visible: tuple[NaptrRecord, ...] = ()
         if sub is not None and sub.enum_active and sub.serving_registrar == self.actor_id:
-            visible = tuple(
-                rec
-                for rec in self.store.get(number, ())
-                if selector.matches(rec.service)
-                and (
-                    rec.visibility is Visibility.PUBLIC
-                    or self._may(sub, actor, rec.service, READ_RIGHTS)
-                )
-            )
+            visible = self._visible_records(sub, actor, number, selector)
         return NaptrRecordSet(number=parse_number("+" + number), records=visible)
+
+    def _visible_records(
+        self, sub: Subscription, actor: str, number: str, selector: ServiceSelector
+    ) -> tuple[NaptrRecord, ...]:
+        """The records of *number*, whose ENUM service *sub* runs here,
+        that *selector* matches and *actor* may read."""
+        return tuple(
+            rec
+            for rec in self.store.get(number, ())
+            if selector.matches(rec.service)
+            and (
+                rec.visibility is Visibility.PUBLIC
+                or self._may(sub, actor, rec.service, READ_RIGHTS)
+            )
+        )
 
     # ------------------------------------------------------------ grants
 
@@ -749,12 +756,13 @@ class RegistrarActor:
                 return frame.reply(status="NoDelegation", records="")
             if not sub.enum_active:
                 return frame.reply(status="EnumInactive", records="")
-            view = self.get_records(
+            records = self._visible_records(
+                sub,
                 frame.get("actor"),
                 number,
                 ServiceSelector(frame.get("service") or "*"),
             )
-            return frame.ok_reply(records=render_store_lines(list(view.records)))
+            return frame.ok_reply(records=render_store_lines(records))
         if frame.kind == GRANT:
             grant = self.grant_access(
                 frame.get("user"),

@@ -156,27 +156,26 @@ class Network:
         if at > self.clock:
             self.clock = at
         frame = decode_frame(data)
-        if self.is_offline(frame.dst):
+        if (self._offline or self._fault_windows) and self.is_offline(frame.dst):
             self._drop(frame)
             return True
+        counts = self.counts
+        delivered = (frame.kind, DELIVERED)
         if frame.is_response and frame.req_id in self._rpc_waiting:
-            self._count(frame.kind, DELIVERED)
+            counts[delivered] = counts.get(delivered, 0) + 1
             self._rpc_responses[frame.req_id] = frame
             return True
         handler = self._actors.get(frame.dst)
         if handler is None:
             self._drop(frame)
             return True
-        self._count(frame.kind, DELIVERED)
+        counts[delivered] = counts.get(delivered, 0) + 1
         handler(frame, self)
         return True
 
-    def _count(self, kind: str, status: str) -> None:
-        key = (kind, status)
-        self.counts[key] = self.counts.get(key, 0) + 1
-
     def _drop(self, frame: Frame) -> None:
-        self._count(frame.kind, DROPPED)
+        key = (frame.kind, DROPPED)
+        self.counts[key] = self.counts.get(key, 0) + 1
         self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
 
     def run_until_idle(self, limit: int = 1_000_000) -> int:

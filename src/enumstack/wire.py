@@ -6,9 +6,13 @@ the body is ``key=value`` pairs separated by ``;``. Keys and values are
 percent-escaped so records, URIs and free text pass through unharmed:
 ``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
 ``%3D``, ``%0A`` and ``%0D``. Escaping is the identity on a string that
-holds none of those five characters, so most values go out as they are;
-a kind that is one of this module's request-kind constants and the
-integer request id are written without the escape check at all.
+holds none of those five characters, so :func:`encode_frame` checks each
+frame once, not each value: it writes the body unescaped, and that body
+is the escaped one exactly when it holds one ``=`` per pair, one ``;``
+between pairs, and no ``%``, newline or carriage return. A body that
+fails the check is written again with each key and value escaped in
+turn; that per-field path is the only slow one. A key or value that is
+not a ``str`` fails the join and is refused as a :class:`WireError`.
 
 A :class:`Frame` is a plain slotted object compared by value. Callers
 treat it as immutable. Building one checks that no field uses a header
@@ -40,12 +44,6 @@ MIGRATE_REQ = "MIGRATE_REQ"
 MIGRATE_RESP = "MIGRATE_RESP"
 
 _RESERVED = frozenset(("kind", "src", "dst", "req", "resp"))
-# Kinds that hold none of the characters _escape rewrites.
-_KINDS = frozenset((
-    DISCOVER, LOOKUP, REGISTER, CHANGE, PEER_UPDATE, SUBSCRIBE, PROVISION, GET,
-    GRANT, REVOKE, TRANSFER_INIT, TRANSFER_DISPUTE, DISCONNECT, MIGRATE_REQ, MIGRATE_RESP,
-))
-
 STATUS_OK = "ok"
 
 
@@ -146,18 +144,61 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    kind = frame.kind
-    body = ";".join(
-        [
-            "kind=" + (kind if kind in _KINDS else _escape(kind)),
-            "src=" + _escape(frame.src),
-            "dst=" + _escape(frame.dst),
+    """The length-prefixed bytes of *frame*; see the module docstring.
+
+    Raises :class:`WireError` when a key or value is not a ``str``.
+    """
+    fields = frame.fields
+    try:
+        body = ";".join([
+            "kind=" + frame.kind,
+            "src=" + frame.src,
+            "dst=" + frame.dst,
             "req=%d" % frame.req_id,
             "resp=1" if frame.is_response else "resp=0",
-            *[_escape(k) + "=" + _escape(v) for k, v in frame.fields.items()],
-        ]
-    ).encode("utf-8")
-    return str(len(body)).encode("ascii") + b":" + body
+            *map("=".join, fields.items()),
+        ])
+    except TypeError:
+        raise _non_str_error(frame) from None
+    # Unescaped, the body equals the escaped one exactly when every "="
+    # and ";" in it is structural and none of "%", "\n", "\r" occurs.
+    n = len(fields)
+    if (
+        body.count("=") != n + 5
+        or body.count(";") != n + 4
+        or "%" in body
+        or "\n" in body
+        or "\r" in body
+    ):
+        body = _escaped_body(frame)
+    data = body.encode("utf-8")
+    return b"%d:%s" % (len(data), data)
+
+
+def _escaped_body(frame: Frame) -> str:
+    """The body with each key and value escaped in turn: the path
+    :func:`encode_frame` takes when its one check of the whole body fails."""
+    return ";".join([
+        "kind=" + _escape(frame.kind),
+        "src=" + _escape(frame.src),
+        "dst=" + _escape(frame.dst),
+        "req=%d" % frame.req_id,
+        "resp=1" if frame.is_response else "resp=0",
+        *[_escape(key) + "=" + _escape(value) for key, value in frame.fields.items()],
+    ])
+
+
+def _non_str_error(frame: Frame) -> WireError:
+    """The error for a frame that :func:`encode_frame` could not join:
+    it names the first key or value that is not a ``str``."""
+    head = (("kind", frame.kind), ("src", frame.src), ("dst", frame.dst))
+    for key, value in (*head, *frame.fields.items()):
+        if not (isinstance(key, str) and isinstance(value, str)):
+            return WireError(
+                f"frame field {key!r} must map str to str, not "
+                f"{type(key).__name__} to {type(value).__name__}"
+            )
+    return WireError(f"request id {frame.req_id!r} is not a number")
 
 
 _new = object.__new__
@@ -169,8 +210,8 @@ def decode_frame(data: bytes) -> Frame:
     if not sep:
         raise WireError("missing length prefix")
     try:
-        length = int(head.decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        length = int(head)  # int() of bytes accepts the ASCII forms only
+    except ValueError as exc:
         raise WireError(f"bad length prefix {head!r}") from exc
     if length != len(body):
         raise WireError(f"length prefix {length} != body length {len(body)}")

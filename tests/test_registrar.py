@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumstack.errors import (
     AccessDenied,
@@ -25,6 +27,7 @@ from enumstack.registrar import (
 )
 from enumstack.registry import RegistryActor, RegistryState
 from enumstack.simulator import Network
+from enumstack.wire import GET
 
 NUM = "13154434473"
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:user@example.com!" .'
@@ -255,6 +258,42 @@ class TestGetRecords:
     def test_empty_view_for_inactive(self):
         rig = Rig()
         assert rig.a.get_records("alice", NUM).records == ()
+
+
+SERVICES = ("E2U+sip", "E2U+mailto", "E2U+tel", "E2U+web")
+ACTORS = ("alice", "tspA", "aspX", "T2a", "T2b", "anonymous")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(SERVICES), st.integers(10, 13), st.sampled_from(Visibility)),
+        max_size=6,
+    ),
+    grants=st.lists(
+        st.tuples(
+            st.sampled_from(ACTORS),
+            st.frozensets(st.sampled_from(("access", "provision", "change")), min_size=1),
+            st.sampled_from(("*",) + SERVICES),
+        ),
+        max_size=3,
+    ),
+    actor=st.sampled_from(ACTORS),
+    service=st.sampled_from(("", "*", "e2u+SIP") + SERVICES),
+)
+def test_get_reply_holds_the_get_records_view(records, grants, actor, service):
+    rig = Rig()
+    rig.subscribe()
+    for svc, order, visibility in records:
+        line = f'{order} 10 "u" "{svc}" "!^.*$!x:{order}@example.com!" .'
+        rig.provision(line, visibility=visibility)
+    for k, (grantee, rights, scope) in enumerate(grants):
+        rig.a.grant_access("alice", grantee, rights, ServiceSelector(scope), NUM, f"g{k}")
+    reply = rig.net.request("client", "T2a", GET, {"number": NUM, "actor": actor,
+                                                    "service": service})
+    assert reply is not None and reply.ok
+    view = rig.a.get_records(actor, NUM, ServiceSelector(service or "*"))
+    assert tuple(parse_store_lines(reply.get("records"))) == view.records
 
 
 class TestTransfer:

@@ -3,6 +3,9 @@ import pytest
 from enumstack import builtin_config, build_topology
 from enumstack.errors import NoDelegation, UnknownCountryCode
 from enumstack.resolver import resolve, resolve_all
+from enumstack.wire import GET, encode_frame
+
+from test_wire import oracle_encode
 
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:alice@example.com!" .'
 MAILTO = '110 10 "u" "E2U+mailto" "!^.*$!mailto:alice@example.com!" .'
@@ -121,3 +124,26 @@ def test_registry_timeout_falls_through_to_next():
     assert result.registry == "R2"
     assert result.uris == ["sip:alice@example.com"]
     assert any("timeout" in hop.note for hop in result.trace.hops)
+
+
+def test_escaped_path_end_to_end(popped_frames):
+    # A client id and a URI holding ";", "=" and "%", and a reply holding
+    # two records (so a line break), send frames down the escaped path.
+    client = "res;o=l%ver"
+    topology = build_topology(builtin_config(1), seed=2)
+    topology.assign("+13154434473", "alice", "tsp1")
+    topology.subscribe("+13154434473", "alice", "reg1", token="auto")
+    topology.provision(
+        "+13154434473", "alice", '100 10 "u" "E2U+sip" "!^.*$!sip:alice@example.com?a=b;c!" .'
+    )
+    topology.provision("+13154434473", "alice", MAILTO)
+    result = resolve("+13154434473", topology.net, apex=topology.apex, client_id=client)
+    assert result.uris == ["sip:alice@example.com?a=b;c", "mailto:alice@example.com"]
+    assert result.registrar == "reg1"
+    ours = [rec.frame for rec in popped_frames if client in (rec.frame.src, rec.frame.dst)]
+    assert len(ours) == 6
+    reply = ours[-1]
+    assert (reply.kind, reply.is_response) == (GET, True)
+    assert reply.get("records").count("\n") == 1
+    for rec in popped_frames:
+        assert encode_frame(rec.frame) == oracle_encode(rec.frame)

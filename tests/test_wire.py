@@ -59,6 +59,17 @@ def test_non_utf8_body():
         decode_frame(b"3:\xff\xfe\xfd")
 
 
+def test_non_str_key_or_value_is_a_wire_error_naming_the_field():
+    for frame, name in (
+        (Frame(kind="GET", src="a", dst="b", req_id=1, fields={"number": 13154434473}),
+         "'number'"),
+        (Frame(kind="GET", src="a", dst="b", req_id=1, fields={"x": "a;b", 7: "c"}), "7"),
+        (Frame(kind="GET", src=None, dst="b", req_id=1), "'src'"),
+    ):
+        with pytest.raises(WireError, match=f"^frame field {name} must map str to str"):
+            encode_frame(frame)
+
+
 def frame_bytes(body):
     return str(len(body.encode())).encode() + b":" + body.encode()
 
@@ -171,6 +182,20 @@ def test_encode_matches_oracle(kind, src, dst, req_id, is_response, fields):
     data = encode_frame(frame)
     assert data == oracle_encode(frame)
     assert decode_frame(data) == frame
+
+
+def test_one_special_character_anywhere_takes_the_escaped_path():
+    # Random frames rarely hold a special character in one place only, and
+    # the one check of the whole body must catch exactly that.
+    for char in "%;=\n\r":
+        for place in ("kind", "src", "dst", "key", "value"):
+            parts = {"kind": "GET", "src": "a", "dst": "b", "key": "k", "value": "v"}
+            parts[place] += char
+            frame = Frame(
+                kind=parts["kind"], src=parts["src"], dst=parts["dst"], req_id=1,
+                fields={parts["key"]: parts["value"], "n": "1"},
+            )
+            assert encode_frame(frame) == oracle_encode(frame)
 
 
 @settings(max_examples=200)
