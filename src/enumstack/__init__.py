@@ -4,131 +4,56 @@ Telephone-number/domain-name conversion, naming-authority-pointer record
 resolution, a tiered registry/registrar provisioning system over a
 deterministic simulated transport, six configurable administration-model
 scenarios, and the telephony market-estimation arithmetic.
+
+Every public name, and every submodule, loads on first use, so that a
+caller pays only for the modules it reaches: ``enumstack.cli`` and
+``market report`` load none of the topology stack.
 """
 
-from .e164 import (
-    ApexConfig,
-    DEFAULT_APEX,
-    E164Number,
-    EnumDomain,
-    country_code_of,
-    from_domain,
-    parse_number,
-    to_domain,
-)
-from .naptr import (
-    NaptrRecord,
-    NaptrRecordSet,
-    ServiceSelector,
-    Visibility,
-    apply_regexp,
-    parse_record,
-    render_record,
-    resolve_record_set,
-    select,
-)
-from .registry import Delegation, PeerUpdate, RegistryState, Tier0Table, tier0_discover
-from .registrar import (
-    AuthorizationGrant,
-    Directory,
-    Party,
-    RegistrarActor,
-    Role,
-    Subscription,
-    TransferRecord,
-    TransferState,
-)
-from .resolver import Resolution, resolve, resolve_all
-from .scenarios import (
-    ScenarioConfig,
-    Topology,
-    build_topology,
-    builtin_config,
-    canonical_events,
-    load_config,
-    parse_config,
-    parse_events,
-    run_events,
-)
-from .audit import ValueFlowGraph, assert_invariants, value_flow
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The market arithmetic (and its decimal and csv imports) loads on first
-# use, so importing the package for resolution or provisioning skips it.
-_MARKET_NAMES = frozenset({
-    "MarketTable",
-    "PotentialMarketEstimate",
-    "PotentialMarketInputs",
-    "growth_rate",
-    "load_market_table",
-    "load_potential_fixture",
-    "market_report",
-    "potential_market",
-    "share_of",
-})
+# Submodule -> the public names it exports from the package.
+_EXPORTS = {
+    "e164": ("ApexConfig", "DEFAULT_APEX", "E164Number", "EnumDomain", "country_code_of",
+             "from_domain", "parse_number", "to_domain"),
+    "naptr": ("NaptrRecord", "NaptrRecordSet", "ServiceSelector", "Visibility", "apply_regexp",
+              "parse_record", "render_record", "resolve_record_set", "select"),
+    "registry": ("Delegation", "PeerUpdate", "RegistryState", "Tier0Table", "tier0_discover"),
+    "registrar": ("AuthorizationGrant", "Directory", "Party", "RegistrarActor", "Role",
+                  "Subscription", "TransferRecord", "TransferState"),
+    "resolver": ("Resolution", "resolve", "resolve_all"),
+    "scenarios": ("ScenarioConfig", "Topology", "build_topology", "builtin_config",
+                  "canonical_events", "load_config", "parse_config", "parse_events",
+                  "run_events"),
+    "audit": ("ValueFlowGraph", "assert_invariants", "value_flow"),
+    "market": ("MarketTable", "PotentialMarketEstimate", "PotentialMarketInputs", "growth_rate",
+               "load_market_table", "load_potential_fixture", "market_report",
+               "potential_market", "share_of"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _MARKET_NAMES:
-        from . import market
+    """Load a public name's submodule, or a submodule, on first access."""
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+    elif name.isidentifier() and not name.startswith("_"):  # never __main__
+        try:
+            value = import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
-        return getattr(market, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "ApexConfig",
-    "AuthorizationGrant",
-    "DEFAULT_APEX",
-    "Delegation",
-    "Directory",
-    "E164Number",
-    "EnumDomain",
-    "MarketTable",
-    "NaptrRecord",
-    "NaptrRecordSet",
-    "Party",
-    "PeerUpdate",
-    "PotentialMarketEstimate",
-    "PotentialMarketInputs",
-    "RegistrarActor",
-    "RegistryState",
-    "Resolution",
-    "Role",
-    "ScenarioConfig",
-    "ServiceSelector",
-    "Subscription",
-    "Tier0Table",
-    "Topology",
-    "TransferRecord",
-    "TransferState",
-    "ValueFlowGraph",
-    "Visibility",
-    "apply_regexp",
-    "assert_invariants",
-    "build_topology",
-    "builtin_config",
-    "canonical_events",
-    "country_code_of",
-    "from_domain",
-    "growth_rate",
-    "load_config",
-    "load_market_table",
-    "load_potential_fixture",
-    "market_report",
-    "parse_config",
-    "parse_events",
-    "parse_number",
-    "parse_record",
-    "potential_market",
-    "render_record",
-    "resolve",
-    "resolve_all",
-    "resolve_record_set",
-    "run_events",
-    "select",
-    "share_of",
-    "tier0_discover",
-    "to_domain",
-    "value_flow",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

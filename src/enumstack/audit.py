@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 _CHANGE_DONE = {"transfer": "Complete", "transfer_step": "RegistryUpdated"}
 # Kinds whose records can bill: a subscription and a registrar change.
 _BILLING_KINDS = frozenset({"subscribe", *_CHANGE_DONE})
+# The only kinds value_flow_from_log turns into edges: the billing kinds
+# and a cooperation payment.
+VALUE_FLOW_KINDS = frozenset({*_BILLING_KINDS, "cooperate"})
 
 
 def _changes_registrar(rec: LogRecord) -> bool:
@@ -88,9 +91,12 @@ def value_flow_from_log(records: list[LogRecord], cfg: ScenarioConfig) -> ValueF
     Subscriptions pay the serving registrar (in the TSP-registrar models
     an ASP registrant pays instead of the user); every registration and
     completed registrar change pays the registry a flat fee; cooperation
-    events add side payments to TSPs.
+    events add side payments to TSPs. A record of a kind outside
+    :data:`VALUE_FLOW_KINDS` adds no edge.
     """
     roles = {party.id: party.role.value for party in cfg.actors}
+    asp = Role.ASP.value
+    asp_may_pay = cfg.registrar_kind is Role.TSP
     edges: list[ValueFlowEdge] = []
 
     def pay(payer: str, payee: str, amount: float, rec: LogRecord) -> None:
@@ -107,11 +113,7 @@ def value_flow_from_log(records: list[LogRecord], cfg: ScenarioConfig) -> ValueF
         if rec.kind == "subscribe":
             user = rec.detail.get("user", "")
             payer = rec.detail.get("payer", user)
-            if not (
-                payer != user
-                and roles.get(payer) == Role.ASP.value
-                and cfg.registrar_kind is Role.TSP
-            ):
+            if not (asp_may_pay and payer != user and roles.get(payer) == asp):
                 payer = user
             pay(payer, rec.detail.get("registrar", ""), cfg.user_fee, rec)
         elif rec.kind == "cooperate":

@@ -14,8 +14,8 @@ import os
 import sys
 from importlib.resources import files as resource_files
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .audit import assert_invariants, value_flow, value_flow_from_log
 from .errors import (
     EnumStackError,
     InvalidModelCombination,
@@ -24,18 +24,12 @@ from .errors import (
     ScenarioError,
     SnapshotError,
 )
-from .scenarios import (
-    _STEPS,
-    ScenarioConfig,
-    Topology,
-    build_topology,
-    canonical_events,
-    model_fixture_text,
-    parse_config,
-    read_text,
-    run_events,
-)
-from . import snapshots
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioConfig, Topology
+
+# Each command imports the modules it uses when it runs, so a call loads
+# only what its command reads: ``market report`` loads no topology code.
 
 EXIT_OK = 0
 EXIT_OPERATION = 1
@@ -50,6 +44,8 @@ DEMO_NUMBERS = (
 
 def _parse_cfg(text: str) -> ScenarioConfig:
     """Parse scenario config text, then apply the ``ENUM_APEX`` override."""
+    from .scenarios import parse_config
+
     cfg = parse_config(text)
     apex = os.environ.get("ENUM_APEX")
     return dataclasses.replace(cfg, apex=apex) if apex else cfg
@@ -60,6 +56,8 @@ def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:
 
     Returns (config, config text) so state directories can persist it.
     """
+    from .scenarios import model_fixture_text, read_text
+
     path = getattr(args, "scenario_file", None) or getattr(args, "config", None)
     if path:
         text = read_text(path)
@@ -79,6 +77,9 @@ def _bootstrap_demo(topology: Topology) -> None:
 
 def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
     """Build (and bootstrap or load) the topology behind a state directory."""
+    from . import snapshots
+    from .scenarios import build_topology
+
     state_dir = Path(args.state_dir)
     cfg_file = state_dir / snapshots.SCENARIO_FILE
     if snapshots.has_state(state_dir) and cfg_file.exists() and not (
@@ -105,6 +106,9 @@ def _topology_for_state(args: argparse.Namespace) -> tuple[Topology, str]:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    from . import snapshots
+    from .scenarios import build_topology
+
     if args.state_dir and snapshots.has_state(Path(args.state_dir)):
         topology, _ = _topology_for_state(args)
     else:
@@ -124,6 +128,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
+    from .audit import assert_invariants, value_flow
+    from .scenarios import build_topology, canonical_events, read_text, run_events
+
     cfg, _text = _load_cfg(args)
     topology = build_topology(cfg, seed=args.seed or 0)
     if args.script:
@@ -147,17 +154,21 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 def cmd_scenario_report(args: argparse.Namespace) -> int:
     # Billing ledgers live only inside a run (snapshots carry just the
     # delegation lines), so persisted-state reporting is log-derived.
+    from . import snapshots
+    from .audit import VALUE_FLOW_KINDS, value_flow_from_log
+    from .scenarios import parse_config
+
     state_dir = Path(args.state_dir)
     if not snapshots.has_state(state_dir):
         raise ScenarioError(f"no state in {state_dir}")
     cfg = parse_config(snapshots.read_state_text(state_dir / snapshots.SCENARIO_FILE))
-    records = snapshots.read_log(state_dir)
     if args.report == "log":
-        for rec in records:
-            print(rec.render())
-        return EXIT_OK
-    for line in value_flow_from_log(records, cfg).render_lines():
-        print(line)
+        lines = [rec.render() for rec in snapshots.read_log(state_dir)]
+    else:
+        # Only the records that can pay are parsed; every line is checked.
+        records = snapshots.read_log(state_dir, VALUE_FLOW_KINDS)
+        lines = value_flow_from_log(records, cfg).render_lines()
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -190,6 +201,9 @@ def cmd_step(args: argparse.Namespace) -> int:
     persist: the log lines first, then the snapshots and, last, the
     checkpoint that describes them all (see :mod:`enumstack.snapshots`).
     The command's arguments are the step's keys."""
+    from . import snapshots
+    from .scenarios import _STEPS
+
     method, required, defaults = _STEPS[args.command]
     kwargs = {key: getattr(args, key) for key in (*required, *defaults)}
     state_dir = Path(args.state_dir)

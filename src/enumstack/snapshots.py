@@ -38,8 +38,12 @@ written to a temporary file and renamed into place, so a killed process
 never leaves a half-written file visible; a file rewritten after the
 last checkpoint no longer matches it, and the next load checks every
 line of it. A lock on ``.lock`` that dies with its holder serializes
-concurrent invocations against one directory. :func:`read_log` parses the log in full for
-reports and audits.
+concurrent invocations against one directory.
+
+:func:`read_log` parses the log for reports and audits: in full for the
+audit and the log report, and only the records of the kinds that can pay
+(:data:`~enumstack.audit.VALUE_FLOW_KINDS`) for the value-flow report.
+Either read checks every line, so a bad line fails both alike.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import tempfile
 import zlib
 from sys import intern
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, TypeVar
 
 try:
     import fcntl
@@ -378,8 +382,16 @@ def read_state_text(path: Path) -> str:
     return _decode_state(path, Path(path).read_bytes())
 
 
-def read_log(state_dir: Path) -> list[LogRecord]:
-    """Every record of ``events.log``, parsed.
+def read_log(state_dir: Path, kinds: Collection[str] | None = None) -> list[LogRecord]:
+    """The records of ``events.log``, parsed: every record, or with
+    *kinds* only the records of those kinds.
+
+    Every line is checked either way, so both reads fail alike: a line of
+    another kind is skipped only when it is in the shape
+    :meth:`LogRecord.parse` accepts as it stands (``_PLAIN_LOG_LINE``, the
+    test :func:`_scan_id_counters` uses), and any other line is parsed,
+    so a bad line of any kind is the same :class:`SnapshotError`, with
+    the same line number and message.
 
     The log is read a line at a time, its line breaks translated as
     :func:`read_state_text` translates them, so no copy of the whole file
@@ -390,6 +402,7 @@ def read_log(state_dir: Path) -> list[LogRecord]:
     if not path.exists():
         return []
     records = []
+    plain = _PLAIN_LOG_LINE.fullmatch
     try:
         with open(path, encoding="utf-8", newline=None) as handle:
             for lineno, line in enumerate(handle, 1):
@@ -397,10 +410,16 @@ def read_log(state_dir: Path) -> list[LogRecord]:
                     continue
                 if line[-1] == "\n":
                     line = line[:-1]
+                if kinds is not None:
+                    fields = line.split("|", 3)  # event id, tick, kind, rest
+                    if len(fields) == 4 and fields[2] not in kinds and plain(line):
+                        continue
                 try:
-                    records.append(LogRecord.parse(line))
+                    rec = LogRecord.parse(line)
                 except Exception as exc:
                     raise SnapshotError(str(path), lineno, str(exc)) from exc
+                if kinds is None or rec.kind in kinds:
+                    records.append(rec)
     except UnicodeDecodeError:
         read_state_text(path)  # raises, naming the line of the bad byte
         raise

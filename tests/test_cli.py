@@ -473,21 +473,34 @@ def test_lock_of_a_live_holder_blocks_and_names_it(capsys, tmp_path):
                   "another invocation is active\n"
 
 
-# Imports the CLI, then reports what it loaded and uses what loads lazily.
+# Imports the CLI, runs ``market report``, then reports what each step
+# loaded and uses what loads lazily.
 IMPORT_BUDGET = """
 import json, sys
+TOPOLOGY = tuple("enumstack." + m for m in ("scenarios", "registrar", "registry", "snapshots",
+                                            "audit"))
 import enumstack.cli
-loaded = [m for m in ("enumstack.market", "decimal", "csv", "hashlib") if m in sys.modules]
+loaded = [m for m in ("enumstack.market", "decimal", "csv", "hashlib", *TOPOLOGY)
+          if m in sys.modules]
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    code = enumstack.cli.main(["market", "report"])
+after_market = [m for m in TOPOLOGY if m in sys.modules]
 import pytest
 
 import enumstack
+scenarios = enumstack.scenarios.__name__
 from enumstack import market
 from enumstack.scenarios import build_topology, builtin_config
 names = {}
 exec("from enumstack import *", names)
 print(json.dumps({
     "loaded": loaded,
+    "market_exit": code,
+    "after_market": after_market,
+    "scenarios": scenarios,
     "missing": [name for name in enumstack.__all__ if name not in names],
+    "undirred": sorted(set(enumstack.__all__) - set(dir(enumstack))),
     "market_report": enumstack.market_report is market.market_report,
     "state_hash": build_topology(builtin_config(1)).state_hash(),
 }))
@@ -500,7 +513,10 @@ def test_cli_import_leaves_market_and_hashlib_unloaded():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["loaded"] == []
+    assert (report["market_exit"], report["after_market"]) == (0, [])
+    assert report["scenarios"] == "enumstack.scenarios"
     assert report["missing"] == []
+    assert report["undirred"] == []
     assert report["market_report"] is True
     assert report["state_hash"] == build_topology(builtin_config(1)).state_hash()
     assert not hasattr(enumstack, "no_such_name")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumstack.audit import assert_invariants
+from enumstack.audit import VALUE_FLOW_KINDS, assert_invariants, value_flow_from_log
 from enumstack.cli import main
 from enumstack.errors import AccessDenied, InvalidRecord, NaptrError, RegistrarError, SnapshotError
 from enumstack.naptr import NaptrRecord, parse_stored_line
@@ -129,6 +129,35 @@ def test_log_roundtrip(tmp_path):
     append_log(tmp_path, topology.log)
     records = read_log(tmp_path)
     assert [r.render() for r in records] == [r.render() for r in topology.log]
+
+
+@pytest.mark.parametrize("model", range(1, 7))
+@pytest.mark.parametrize("script", [None, "EXTENDED_EVENTS", "REPLICATION_EVENTS"])
+def test_value_flow_from_the_paying_records_equals_the_full_read(model, script, tmp_path):
+    import test_scenarios  # imported here: it imports this module
+
+    topology = build_topology(builtin_config(model), seed=0)
+    run_events(topology, canonical_events() + (getattr(test_scenarios, script) if script else ""))
+    # A cooperation payment (refused outside the ASP-registrar models) and
+    # a paced transfer of alice's number, stepped through RegistryUpdated
+    # to Complete.
+    serving = topology.directory.subscriptions["13154434473"].serving_registrar
+    run_events(topology, "step cooperate payer=asp1 tsp=tsp1 amount=2.5\n"
+                         "step transfer_begin number=+13154434473 user=alice"
+                         f" to={'reg1' if serving == 'reg2' else 'reg2'}\n")
+    transfer = topology.log[-1].detail["transfer"]
+    run_events(topology, f"step transfer_step transfer={transfer}\n" * 4)
+    assert ("transfer_step", "ok", "RegistryUpdated") in [
+        (r.kind, r.status, r.detail.get("state")) for r in topology.log
+    ]
+    append_log(tmp_path, topology.log)
+    full = read_log(tmp_path)
+    paying = read_log(tmp_path, VALUE_FLOW_KINDS)
+    assert [r.render() for r in paying] == [
+        r.render() for r in full if r.kind in VALUE_FLOW_KINDS
+    ]
+    lines = value_flow_from_log(full, topology.cfg).render_lines()
+    assert lines and value_flow_from_log(paying, topology.cfg).render_lines() == lines
 
 
 # Characters str.splitlines() breaks at besides "\n" and "\r".
@@ -391,6 +420,14 @@ def counters_by_load(state_dir):
     return topology._event_n, topology._transfer_n, topology._grant_n
 
 
+def paying_records_by_kinds(state_dir):
+    return [r.render() for r in read_log(state_dir, VALUE_FLOW_KINDS)]
+
+
+def paying_records_of_the_full_read(state_dir):
+    return [r.render() for r in read_log(state_dir) if r.kind in VALUE_FLOW_KINDS]
+
+
 def outcome(fn, state_dir):
     try:
         return fn(state_dir)
@@ -399,15 +436,23 @@ def outcome(fn, state_dir):
 
 
 def assert_counters_match(text):
+    """The id counters of a load equal the full read's fold, and a read of
+    the paying kinds gives the full read's records of those kinds: both
+    fail alike, with the same path, line number and message."""
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp)
         (state_dir / EVENTS_LOG).write_bytes(text.encode("utf-8"))
         assert outcome(counters_by_load, state_dir) == outcome(counters_by_read_log, state_dir)
+        assert outcome(paying_records_by_kinds, state_dir) == outcome(
+            paying_records_of_the_full_read, state_dir
+        )
 
 
 _ids = st.sampled_from(["e1", "e07", "x3", "e12", "g4", "", "e", "e1a", "ex2", "E5", "e٣"])
 _ticks = st.sampled_from(["t0", "t15", "t", "t٣", "t-1", "t 5", "t1_0", "tx", "5", "t+2"])
-_words = st.sampled_from(["ok", "assign", "transfer", "grant", "NoDelegation", "", "a b"])
+_words = st.sampled_from(
+    ["ok", "assign", "transfer", "grant", "subscribe", "NoDelegation", "", "a b"]
+)
 _values = st.sampled_from(
     ["", "x1", "x22", "e9", "x1%3B", "x2%0A", "x%", "x3 ", "reg1", "a|b", "x٤", "y=z",
      "g3", "g14", "g2%3B", "g"]
@@ -436,6 +481,9 @@ _lines = st.one_of(
 @example(["e07|t0|assign|ok|a=b"], "\n")
 @example(["e1|t0|grant|ok|grant=g7", "e2|t0|revoke|ok|grant=g9"], "\n")
 @example(["e٣|t0|assign|ok|a=b"], "\n")
+@example(["e1|t0|subscribe|ok|user=a", "", "e2|t1|assign|ok|number;user=b"], "\r\n")
+@example(["e1|t0|subscribe|ok|user=a", " ", "e2|t1|assign|ok"], "\r\n")
+@example(["", "e1|t0|assign|ok|user=a", "\t", "e2|t1|subscribe|ok|b"], "\n")
 def test_counter_scan_matches_read_log_fold(lines, newline):
     assert_counters_match(newline.join(lines) + newline)
 

@@ -131,9 +131,12 @@ def populate_state_dir(cli, state_dir: Path) -> None:
     """Save a model-4 state directory holding the demo's numbers and
     STATE_NUMBERS more, each with one or two records, as a persisting call
     leaves it: the log first, then the snapshots and the checkpoint."""
+    from enumstack import snapshots
+    from enumstack.scenarios import build_topology, model_fixture_text, parse_config
+
     rng = random.Random("state-dir")
-    text = cli.model_fixture_text(4)
-    topology = cli.build_topology(cli.parse_config(text), seed=0)
+    text = model_fixture_text(4)
+    topology = build_topology(parse_config(text), seed=0)
     cli._bootstrap_demo(topology)
     for k in range(STATE_NUMBERS):
         number = f"+1{rng.randrange(200, 999)}{rng.randrange(10**7):07d}"
@@ -144,8 +147,8 @@ def populate_state_dir(cli, state_dir: Path) -> None:
         if k % 3 == 0:
             records.append(f'110 10 "u" "E2U+tel" "!^.*$!tel:{number}!" .')
         topology.provision(number, user, records)
-    cli.snapshots.append_log(state_dir, topology.log)
-    cli.snapshots.save_state(topology, state_dir, scenario_text=text)
+    snapshots.append_log(state_dir, topology.log)
+    snapshots.save_state(topology, state_dir, scenario_text=text)
 
 
 def state_dir_lines(cli, tag: str = "state") -> list[str]:
