@@ -25,7 +25,7 @@ _EXPORTS = {
                   "Subscription", "TransferRecord", "TransferState"),
     "resolver": ("Resolution", "resolve", "resolve_all"),
     "scenarios": ("ScenarioConfig", "Topology", "build_topology", "builtin_config",
-                  "canonical_events", "load_config", "parse_config", "parse_events",
+                  "canonical_events", "parse_config", "parse_events",
                   "run_events"),
     "audit": ("ValueFlowGraph", "assert_invariants", "value_flow"),
     "market": ("MarketTable", "PotentialMarketEstimate", "PotentialMarketInputs", "growth_rate",

@@ -31,7 +31,7 @@ MIN_DIGITS = 3
 MAX_DIGITS = 15
 
 # Minimal default country-code prefix table. Real assignments are ITU
-# data; callers with broader needs pass their own table.
+# data; country_code_of takes a broader table where one is needed.
 DEFAULT_CC_TABLE: tuple[str, ...] = ("1", "44", "49", "81", "82", "86")
 
 _SEPARATORS = " -.()\t"
@@ -43,11 +43,10 @@ class ApexConfig:
     """A root suffix under which digit labels are hung.
 
     *apex* is a dot-separated label sequence such as ``e164.arpa`` or
-    ``enum.example``; *label* is a human-readable name for the root.
+    ``enum.example``.
     """
 
     apex: str = "e164.arpa"
-    label: str = "default"
 
     def __post_init__(self) -> None:
         if not self.apex:
@@ -115,7 +114,7 @@ class EnumDomain:
         return self.render()
 
 
-def _split_country_code(digits: str, cc_table: tuple[str, ...]) -> str:
+def _split_country_code(digits: str) -> str:
     """Longest-prefix country code, falling back to the first digit.
 
     The fallback keeps parsing total: a number whose code is not in the
@@ -124,16 +123,12 @@ def _split_country_code(digits: str, cc_table: tuple[str, ...]) -> str:
     """
     for width in (3, 2, 1):
         prefix = digits[:width]
-        if prefix in cc_table:
+        if prefix in DEFAULT_CC_TABLE:
             return prefix
     return digits[:1]
 
 
-def parse_number(
-    raw: str,
-    default_country_code: str | None = None,
-    cc_table: tuple[str, ...] = DEFAULT_CC_TABLE,
-) -> E164Number:
+def parse_number(raw: str, default_country_code: str | None = None) -> E164Number:
     """Parse a free-form telephone number string.
 
     A leading ``+`` flags international form. Separators (hyphen, space,
@@ -159,7 +154,7 @@ def parse_number(
 
     if international:
         digits = text
-        cc = _split_country_code(digits, cc_table)
+        cc = _split_country_code(digits)
     else:
         if default_country_code is None:
             raise MissingCountryCode(f"{raw!r} has no '+' and no default country code")
@@ -179,11 +174,7 @@ def to_domain(number: E164Number, apex: ApexConfig = DEFAULT_APEX) -> EnumDomain
     return EnumDomain(digit_labels=tuple(reversed(number.full_digits)), apex=apex)
 
 
-def from_domain(
-    name: str,
-    apex: ApexConfig = DEFAULT_APEX,
-    cc_table: tuple[str, ...] = DEFAULT_CC_TABLE,
-) -> E164Number:
+def from_domain(name: str, apex: ApexConfig = DEFAULT_APEX) -> E164Number:
     """Invert :func:`to_domain`: strip the apex, reverse the digit labels.
 
     ``from_domain(to_domain(n).render())`` returns ``n`` for every valid
@@ -199,7 +190,7 @@ def from_domain(
         if len(lab) != 1 or not lab.isdigit():
             raise NonDigitLabel(f"label {lab!r} is not a single digit")
     digits = "".join(reversed(labels))
-    cc = _split_country_code(digits, cc_table)
+    cc = _split_country_code(digits)
     return E164Number(country_code=cc, national_digits=digits[len(cc):])
 
 

@@ -94,7 +94,6 @@ class PotentialMarketInputs:
     mobile_subscribers: float
     internet_users: float
     penetration: float = DEFAULT_PENETRATION
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not 0 < self.penetration <= 1:
@@ -173,9 +172,7 @@ class PotentialFixture:
         return series.get(year)
 
 
-def load_potential_fixture(
-    path: str | Path, penetration: float = DEFAULT_PENETRATION
-) -> PotentialFixture:
+def load_potential_fixture(path: str | Path) -> PotentialFixture:
     path = Path(path)
     rows, units = _read_rows(path)
     inputs: dict[tuple[str, int], PotentialMarketInputs] = {}
@@ -197,8 +194,6 @@ def load_potential_fixture(
                     main_lines=rows[f"main_lines_{region}"][year],
                     mobile_subscribers=rows[f"mobile_subscribers_{region}"][year],
                     internet_users=rows[f"internet_users_{region}"][year],
-                    penetration=penetration,
-                    label=f"{region} {year}",
                 )
             except KeyError as exc:
                 raise MarketError(f"{path}: missing component row {exc}") from exc

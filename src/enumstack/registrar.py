@@ -86,10 +86,6 @@ ALL_RIGHTS = frozenset({PROVISION_RIGHT, ACCESS_RIGHT, CHANGE_RIGHT})
 WRITE_RIGHTS = frozenset({PROVISION_RIGHT, CHANGE_RIGHT})
 READ_RIGHTS = frozenset({ACCESS_RIGHT})
 
-# Retries of each request a transfer step sends to the old registrar; when
-# they all time out the step goes on with a warning.
-TRANSFER_RETRIES = 1
-
 
 class AlreadySubscribed(RegistrarError):
     """Number already has ENUM service at another registrar; transfer instead."""
@@ -578,7 +574,6 @@ class RegistrarActor:
                     "transfer": transfer_id,
                     "user": record.user,
                 },
-                retries=TRANSFER_RETRIES,
             )
             if resp is None:
                 record.warnings.append(
@@ -593,7 +588,6 @@ class RegistrarActor:
                 record.from_registrar,
                 MIGRATE_REQ,
                 {"number": record.number, "transfer": transfer_id},
-                retries=TRANSFER_RETRIES,
             )
             if resp is None or not resp.ok:
                 record.warnings.append(
@@ -624,12 +618,6 @@ class RegistrarActor:
 
         record._advance(TransferState.COMPLETE)
         return record
-
-    def run_transfer(
-        self, user: str, number: str, transfer_id: str, net: Network, event: str = ""
-    ) -> TransferRecord:
-        self.begin_transfer(user, number, transfer_id)
-        return self.finish_transfer(transfer_id, net, event=event)
 
     def finish_transfer(self, transfer_id: str, net: Network, event: str = "") -> TransferRecord:
         """Step an open transfer until it completes or is disputed."""
@@ -672,7 +660,6 @@ class RegistrarActor:
                     "number": record.number,
                     "records": render_store_lines(list(record.migrated)),
                 },
-                retries=TRANSFER_RETRIES,
             )
             if resp is None:
                 record.warnings.append(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .e164 import ApexConfig, DEFAULT_APEX
 from .errors import (
     NoDelegation,
     NotAuthoritative,
@@ -43,7 +42,6 @@ class Tier0Table:
     """Country-code prefix -> authoritative registries."""
 
     entries: dict[str, tuple[RegistryId, ...]]
-    apex: ApexConfig = DEFAULT_APEX
 
     def __post_init__(self) -> None:
         for prefix, registries in self.entries.items():

@@ -17,7 +17,7 @@ from .errors import HopTimeout, status_error
 from .naptr import NaptrRecordSet, ServiceSelector, resolve_record_set, Visibility
 from .registrar import parse_store_lines
 from .simulator import Network
-from .wire import DISCOVER, Frame, GET, LOOKUP
+from .wire import DISCOVER, Frame, GET, LOOKUP, TIER0_ID
 
 
 @dataclass
@@ -60,7 +60,6 @@ class Resolution:
 def _fetch_records(
     net: Network,
     client_id: str,
-    tier0_id: str,
     apex: ApexConfig,
     raw_number: str,
     service: str,
@@ -79,7 +78,7 @@ def _fetch_records(
             raise status_error(response.status, response.get("message"))
         return response
 
-    response = ask("tier0", tier0_id, DISCOVER, {"cc": number.full_digits})
+    response = ask("tier0", TIER0_ID, DISCOVER, {"cc": number.full_digits})
     if response is None:
         raise HopTimeout("tier-0 discovery timed out")
     registries = [r for r in response.get("registries").split(",") if r]
@@ -116,7 +115,6 @@ def _fetch_records(
 def resolve(
     raw_number: str,
     net: Network,
-    tier0_id: str = "tier0",
     apex: ApexConfig = ApexConfig(),
     service: str = "*",
     client_id: str = "resolver",
@@ -129,7 +127,7 @@ def resolve(
     empty list, not an error.
     """
     result = _fetch_records(
-        net, client_id, tier0_id, apex, raw_number, service, default_country_code
+        net, client_id, apex, raw_number, service, default_country_code
     )
     number = result.number
     record_set = NaptrRecordSet(
@@ -145,14 +143,13 @@ def resolve(
 def resolve_all(
     raw_number: str,
     net: Network,
-    tier0_id: str = "tier0",
     apex: ApexConfig = ApexConfig(),
     client_id: str = "resolver",
     default_country_code: str | None = None,
 ) -> dict[str, list[str]]:
     """Wildcard resolution grouped by service field."""
     fetched = _fetch_records(
-        net, client_id, tier0_id, apex, raw_number, "*", default_country_code
+        net, client_id, apex, raw_number, "*", default_country_code
     )
     number = fetched.number
     records = parse_store_lines(fetched.record_lines)

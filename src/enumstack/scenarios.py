@@ -62,14 +62,12 @@ from .wire import (
     PROVISION,
     REVOKE,
     SUBSCRIBE,
+    TIER0_ID,
     TRANSFER_DISPUTE,
     TRANSFER_INIT,
     _escape,
     _unescape,
 )
-
-# The tier-0 actor's network id; a [faults] window may name it.
-TIER0_ID = "tier0"
 
 MODEL_GRID: dict[int, tuple[Role, str]] = {
     1: (Role.TSP, "single"),
@@ -298,10 +296,6 @@ def read_text(path: str | Path) -> str:
         raise ScenarioError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
 
 
-def load_config(path: str) -> ScenarioConfig:
-    return parse_config(read_text(path))
-
-
 def model_fixture_text(model_id: int) -> str:
     """The config text of one of the six shipped scenario fixtures."""
     if model_id not in MODEL_GRID:
@@ -441,10 +435,7 @@ class Topology:
         # so that a save rewrites only what changed.
         self.snapshot_seen = None
 
-        table = Tier0Table(
-            entries={p: tuple(r) for p, r in cfg.tier0_entries.items()},
-            apex=self.apex,
-        )
+        table = Tier0Table(entries={p: tuple(r) for p, r in cfg.tier0_entries.items()})
         self.tier0 = Tier0Actor(TIER0_ID, table)
         self.net.register(self.tier0.actor_id, self.tier0.handle_frame)
 
@@ -802,7 +793,6 @@ class Topology:
             result = resolver_mod.resolve(
                 "+" + step.digits,
                 self.net,
-                tier0_id=TIER0_ID,
                 apex=self.apex,
                 service=service,
             )

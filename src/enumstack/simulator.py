@@ -10,7 +10,8 @@ Actors may be taken offline (manually or through configured fault
 windows); frames addressed to an offline actor are dropped, never retried
 by the network itself. Every request leaves through :meth:`Network.post`,
 and every actor answers through :meth:`Network.answer`; pairing a request
-with its response, and retries, are :meth:`Network.request`'s business.
+with its response, and the one retry after a timeout, are
+:meth:`Network.request`'s business.
 
 The network keeps no copy of a frame it delivers. ``Network.counts``
 counts every frame it pops by ``(kind, status)``, where the status is
@@ -32,6 +33,7 @@ from .wire import Frame, decode_frame, encode_frame
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
+IDLE_STEP_LIMIT = 1_000_000  # deliveries before run_until_idle gives up
 
 Handler = Callable[[Frame, "Network"], None]
 
@@ -178,11 +180,11 @@ class Network:
         self.counts[key] = self.counts.get(key, 0) + 1
         self.frame_log.append(DeliveryRecord(self.clock, frame, DROPPED))
 
-    def run_until_idle(self, limit: int = 1_000_000) -> int:
+    def run_until_idle(self) -> int:
         steps = 0
         while self._queue:
-            if steps >= limit:
-                raise RuntimeError(f"simulator did not quiesce within {limit} steps")
+            if steps >= IDLE_STEP_LIMIT:
+                raise RuntimeError(f"simulator did not quiesce within {IDLE_STEP_LIMIT} steps")
             self.step()
             steps += 1
         return steps
@@ -195,14 +197,14 @@ class Network:
         dst: str,
         kind: str,
         fields: dict[str, str] | None = None,
-        retries: int = 1,
     ) -> Frame | None:
         """Send a request and pump the network until its response arrives.
 
-        Returns None after the final attempt times out (queue drained with
-        no response), e.g. because the target is offline.
+        An attempt times out when the queue drains with no response, e.g.
+        because the target is offline; the request is then sent once more
+        under a new id. Returns None when that retry times out too.
         """
-        for _ in range(retries + 1):
+        for _ in range(2):
             req_id = self.post(src, dst, kind, fields)
             self._rpc_waiting.add(req_id)
             while req_id not in self._rpc_responses and self._queue:

@@ -11,21 +11,25 @@ The checkpoint lists each snapshot file and ``events.log`` with its
 byte length and CRC-32, and for ``events.log`` also the largest event,
 transfer and grant ids a scan of it gives; its last line is the CRC-32 of
 the lines above it. A missing or corrupt checkpoint, or one from another
-version, is ignored and never an error. Each file is read one way, and
-the checkpoint decides only how much of that work waits:
+version, is ignored and never an error. The checkpoint chooses how each
+file is read:
 
-- the three kinds of snapshot file load the same way, each into
+- the three kinds of snapshot file each load into
   :class:`~enumstack.registrar.RecordStore` maps: the records of each
   registrar, the delegations of each registry (a ``registry.snap`` line
   goes to its owner's map and to each of the owner's peers') and the
-  directory's subscriptions. When the file matches its entry, each
-  number's text stays unread in its map until something reads the
-  number, and a parse that fails then is a :class:`SnapshotError`
-  naming the file. Otherwise every line is parsed as the file loads,
-  and the first bad line is a :class:`SnapshotError` naming it. Every
-  registrar file is checkpointed: :class:`~enumstack.naptr.NaptrRecord`
-  refuses a field its stored line could not hold, so every record
-  parses back from the line it is saved as;
+  directory's subscriptions. Each file is read by one of two routines,
+  never both. When the file matches its entry and the whole of it is
+  in the layout a save writes, it is only split: each number's text
+  stays unread in its map until something reads the number, and a
+  parse that fails then is a :class:`SnapshotError` naming the file,
+  after which the topology's saves write no entry for that file.
+  Otherwise the whole file is read line by line, every line parsed as
+  the file loads, and the first bad line is a :class:`SnapshotError`
+  naming it. Every registrar file is checkpointed:
+  :class:`~enumstack.naptr.NaptrRecord` refuses a field its stored line
+  could not hold, so every record parses back from the line it is saved
+  as;
 - one routine gives the id counters of ``events.log`` at load and at
   save. When the log opens with the prefix its entry describes, only the
   lines after that prefix are scanned; otherwise the whole log is.
@@ -257,7 +261,8 @@ def read_checkpoint(state_dir: Path) -> dict[str, tuple[int, ...]]:
 def _checkpoint_bytes(entries: dict[str, tuple[int, ...]]) -> bytes:
     lines = [_CHECKPOINT_HEADER]
     for name in sorted(entries):
-        lines.append("|".join([name, *map(str, entries[name])]))
+        if entries[name]:  # () marks a file whose stored text failed to parse
+            lines.append("|".join([name, *map(str, entries[name])]))
     body = ("\n".join(lines) + "\n").encode("utf-8")
     return body + b"crc|%d\n" % zlib.crc32(body)
 
@@ -317,14 +322,14 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
     Call it after :func:`append_log`, so that the checkpoint covers the
     log as it stands. The topology keeps the directory and the checkpoint
     entries it last read or wrote there, which tell a later save what
-    changed.
+    changed; a file whose stored text failed to parse gets no entry.
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     where = state_dir.resolve()
     seen_dir, seen = topology.snapshot_seen or (None, {})
-    if seen_dir != where:
-        seen = {}
+    if seen_dir != where:  # keep only the files no entry may vouch for
+        seen = {name: () for name, mark in seen.items() if mark == ()}
     entries: dict[str, tuple[int, ...]] = {}
 
     def write(name: str, lines: Iterable[str]) -> None:
@@ -332,8 +337,10 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         crc = 0
         for piece in pieces:
             crc = zlib.crc32(piece, crc)
-        mark = entries[name] = (sum(map(len, pieces)), crc)
-        _write_if_changed(state_dir / name, pieces, seen.get(name) not in (None, mark))
+        mark = (sum(map(len, pieces)), crc)
+        known = seen.get(name)
+        entries[name] = () if known == () else mark
+        _write_if_changed(state_dir / name, pieces, known not in (None, (), mark))
 
     write(REGISTRY_SNAP, _registry_lines(topology))
     for registrar_id, actor in topology.registrars.items():
@@ -460,14 +467,17 @@ def _delegation(line: str) -> Delegation:
         raise ValueError(f"bad serial {serial!r}") from None
 
 
-def _deferred(path: Path, parse: Callable[[str], V]) -> Callable[[str], V]:
+def _deferred(topology: Topology, path: Path, parse: Callable[[str], V]) -> Callable[[str], V]:
     """*parse* as the parse function of a store holding text from *path*:
-    any failure is a :class:`SnapshotError` naming the file."""
+    any failure is a :class:`SnapshotError` naming the file, and from then
+    on the topology's saves write no checkpoint entry for the file, so
+    the next load reads it line by line and names the bad line."""
 
     def read(text: str) -> V:
         try:
             return parse(text)
         except Exception as exc:
+            topology.snapshot_seen[1][path.name] = ()
             raise SnapshotError(str(path), None, str(exc)) from exc
 
     return read
@@ -476,15 +486,18 @@ def _deferred(path: Path, parse: Callable[[str], V]) -> Callable[[str], V]:
 def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool) -> None:
     """Fill the directory's subscriptions from ``subscriptions.snap``.
 
-    When *trusted* (the file matches its checkpoint entry, so a save wrote
-    it, one line per number), each line stays unread until something
-    reads its number. Otherwise every line is parsed now, and a bad line
-    is a :class:`SnapshotError` naming it.
+    When *trusted* (the file matches its checkpoint entry) and laid out
+    as a save writes it (every line ended by a line break, none empty),
+    each line stays unread until something reads its number. Otherwise
+    every line is parsed now, and a bad line is a :class:`SnapshotError`
+    naming it.
     """
     parsed: dict[str, Subscription] = {}
     unread: dict[str, str] = {}
-    if trusted:
+    if trusted and text.endswith("\n"):
         unread = {line.partition("|")[0]: line for line in text.split("\n")[:-1]}
+        if "" in unread:  # an empty line
+            return _load_subscriptions(topology, path, text, False)
     else:
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
@@ -495,7 +508,7 @@ def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool
                 raise SnapshotError(str(path), lineno, str(exc)) from None
             parsed[sub.number] = sub
     topology.directory.subscriptions = RecordStore(
-        parsed, unread, _deferred(path, _subscription)
+        parsed, unread, _deferred(topology, path, _subscription)
     )
 
 
@@ -506,18 +519,19 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
 
     When *trusted*, the file is only split, and each state keeps the line
     unread until something reads its number. A file a save would not have
-    written (a line without four fields or naming no configured owner, or
-    a number that reaches one state twice) is parsed as an untrusted one
-    is: every line now, a bad one a :class:`SnapshotError` naming it, and
-    a state that a number reaches twice observes each line's serial in
-    turn, as if it had applied the lines.
+    written (a last line with no line break, a line without four fields
+    or naming no configured owner, or a number that reaches one state
+    twice) is parsed as an untrusted one is: every line now, a bad one a
+    :class:`SnapshotError` naming it, and a state that a number reaches
+    twice observes each line's serial in turn, as if it had applied the
+    lines.
     """
     registries = topology.registries
     # Owner id -> the ids of the states its lines go to.
     replicas = {reg_id: [reg_id, *actor.state.peers] for reg_id, actor in registries.items()}
     parsed: dict[str, dict[str, Delegation]] = {reg_id: {} for reg_id in registries}
     unread: dict[str, dict[str, str]] = {reg_id: {} for reg_id in registries}
-    if trusted:
+    if trusted and text.endswith("\n"):
         routed = 0
         try:
             for line in text.split("\n")[:-1]:
@@ -548,7 +562,7 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
                         number, [previous.serial]
                     ).append(delegation.serial)
                 parsed[reg_id][number] = delegation
-    read = _deferred(path, _delegation)
+    read = _deferred(topology, path, _delegation)
     for reg_id, actor in registries.items():
         actor.state.delegations = RecordStore(parsed[reg_id], unread[reg_id], read)
 
@@ -580,86 +594,94 @@ def _parse_records(text: str) -> list[NaptrRecord]:
     return [parse_stored_line(line[len(_RECORD_TAG):]) for line in text.split("\n")]
 
 
-def _load_registrar(actor: RegistrarActor, path: Path, text: str, trusted: bool) -> int:
-    """Fill one registrar's store and grants from its snapshot *text*;
-    returns its largest grant number.
+def _split_registrar(
+    text: str,
+) -> tuple[dict[str, list[NaptrRecord]], dict[str, str], list[AuthorizationGrant]] | None:
+    """The records (of numbers with none), unread record text and grants
+    of a registrar file in the layout :func:`save_state` writes, or None
+    when the text or one of its blocks breaks that layout or a grant line
+    does not parse.
 
-    The text splits into blocks at its ``number|`` lines. A block laid out
-    as :func:`save_state` writes it (the number line, its grant lines,
-    then its record lines) is taken whole: when *trusted* (the file
-    matches its checkpoint entry), its record lines stay unread until
-    something reads the number, and otherwise they are parsed now. Any
-    other block, or one holding a bad line, is read a line at a time, and
-    the first bad line is a :class:`SnapshotError` naming it.
+    The text splits into blocks at its ``number|`` lines; a block is the
+    number line, its grant lines, then its record lines, each number in
+    one block. Taken from the end, each block is freed once it is read,
+    so the blocks and the text kept from them are not all held at once.
     """
+    if not (text.startswith(_NUMBER_TAG) and text.endswith("\n")):
+        return None
     records: dict[str, list[NaptrRecord]] = {}
     unread: dict[str, str] = {}
     grants: list[AuthorizationGrant] = []
-
-    # The last block by_line read: its index, offset and first line number.
-    reached = [0, 0, 1]
-
-    def by_line(index: int, block: str) -> None:
-        """Read the text's *index*-th block (from 0) a line at a time."""
-        k, start, first = reached
-        while k < index:  # blocks come in order, so the text is walked once
-            end = text.index(_BLOCK_SEP, start) + 1
-            k, start, first = k + 1, end, first + text.count("\n", start, end)
-        reached[:] = k, start, first
-        current: str | None = None
-        for lineno, line in enumerate(block.split("\n"), first):
-            tag, _, rest = line.partition("|")
-            if tag == "number":
-                current = rest
-                if current in unread:  # a number repeated after a block kept unread
-                    records[current] = _parse_records(unread.pop(current))
-                held = records.setdefault(current, [])
-            elif tag not in ("record", "grant"):
-                if line.strip():
-                    raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
-            elif current is None:
-                raise SnapshotError(str(path), lineno, f"{tag} before number line")
-            else:
-                try:
-                    if tag == "record":
-                        held.append(parse_stored_line(rest))
-                    else:
-                        grants.append(_parse_grant(rest, current))
-                except Exception as exc:
-                    raise SnapshotError(str(path), lineno, str(exc)) from exc
-
-    # Taken from the end, each block is freed once it is read, so the
-    # blocks and the text kept from them are not all held at once.
     blocks = text.split(_BLOCK_SEP)
-    count = len(blocks)
-    if text.endswith("\n"):
-        blocks[-1] = blocks[-1][:-1]
+    blocks[0] = blocks[0][len(_NUMBER_TAG):]
+    blocks[-1] = blocks[-1][:-1]
     blocks.reverse()
-    if text.startswith(_NUMBER_TAG):
-        blocks[-1] = blocks[-1][len(_NUMBER_TAG):]
-    else:  # lines before the first number line
-        by_line(0, blocks.pop())
     while blocks:
         block = blocks.pop()
+        if block.endswith("\n"):  # an empty line after the block
+            return None
         number, _, body = block.partition("\n")
-        taken = len(grants)
-        try:
-            while body.startswith(_GRANT_TAG):
-                line, _, body = body.partition("\n")
+        while body.startswith(_GRANT_TAG):
+            line, _, body = body.partition("\n")
+            try:
                 grants.append(_parse_grant(line[len(_GRANT_TAG):], number))
-            if not (number in unread or number in records or body and (
-                not body.startswith(_RECORD_TAG) or body.count("\n") != body.count(_RECORD_SEP)
-            )):
-                if trusted and body:
-                    unread[number] = body
+            except Exception:  # a bad grant line
+                return None
+        if number in records or number in unread:
+            return None
+        if not body:
+            records[number] = []
+        elif body.startswith(_RECORD_TAG) and body.count("\n") == body.count(_RECORD_SEP):
+            unread[number] = body
+        else:
+            return None
+    return records, unread, grants
+
+
+def _walk_registrar(
+    path: Path, text: str
+) -> tuple[dict[str, list[NaptrRecord]], dict[str, str], list[AuthorizationGrant]]:
+    """What :func:`_split_registrar` gives, with nothing unread: the file
+    read a line at a time, every line parsed now, and the first bad line
+    a :class:`SnapshotError` naming it."""
+    records: dict[str, list[NaptrRecord]] = {}
+    grants: list[AuthorizationGrant] = []
+    current: str | None = None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tag, _, rest = line.partition("|")
+        if tag == "number":
+            current = rest
+            held = records.setdefault(current, [])
+        elif tag not in ("record", "grant"):
+            if line.strip():
+                raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+        elif current is None:
+            raise SnapshotError(str(path), lineno, f"{tag} before number line")
+        else:
+            try:
+                if tag == "record":
+                    held.append(parse_stored_line(rest))
                 else:
-                    records[number] = _parse_records(body) if body else []
-                continue
-        except Exception:  # a bad line
-            pass
-        del grants[taken:]
-        by_line(count - len(blocks) - 1, _NUMBER_TAG + block)
-    actor.store = RecordStore(records, unread, _deferred(path, _parse_records))
+                    grants.append(_parse_grant(rest, current))
+            except Exception as exc:
+                raise SnapshotError(str(path), lineno, str(exc)) from exc
+    return records, {}, grants
+
+
+def _load_registrar(
+    topology: Topology, actor: RegistrarActor, path: Path, text: str, trusted: bool
+) -> int:
+    """Fill one registrar's store and grants from its snapshot *text*;
+    returns its largest grant number.
+
+    When *trusted* (the file matches its checkpoint entry) and the whole
+    file is in the saved layout, it is only split, and each number's
+    record lines stay unread until something reads the number. Otherwise
+    the whole file is read a line at a time by :func:`_walk_registrar`.
+    """
+    split = _split_registrar(text) if trusted else None
+    records, unread, grants = split or _walk_registrar(path, text)
+    actor.store = RecordStore(records, unread, _deferred(topology, path, _parse_records))
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)
     return max(map(_grant_number, grants), default=0)
@@ -763,7 +785,7 @@ def load_state(topology: Topology, state_dir: Path) -> None:
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
         if path.exists():
-            grant_n = _load_registrar(actor, path, *read(path))
+            grant_n = _load_registrar(topology, actor, path, *read(path))
             topology._grant_n = max(topology._grant_n, grant_n)
     log = _log_entry(state_dir / EVENTS_LOG, checkpoint.get(EVENTS_LOG))
     if log is not None:

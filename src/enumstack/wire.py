@@ -43,6 +43,10 @@ DISCONNECT = "DISCONNECT"
 MIGRATE_REQ = "MIGRATE_REQ"
 MIGRATE_RESP = "MIGRATE_RESP"
 
+# The tier-0 actor's network id: resolvers ask it first, and a [faults]
+# window may name it.
+TIER0_ID = "tier0"
+
 _RESERVED = frozenset(("kind", "src", "dst", "req", "resp"))
 STATUS_OK = "ok"
 

@@ -79,7 +79,7 @@ class TestDomainConversion:
 
     def test_alternate_root(self):
         n = e164.parse_number("+1-315-443-4473")
-        apex = e164.ApexConfig("enum.example", "alternate")
+        apex = e164.ApexConfig("enum.example")
         assert e164.to_domain(n, apex).render() == "3.7.4.4.3.4.4.5.1.3.1.enum.example"
 
     def test_label_count(self):

@@ -26,8 +26,8 @@ from enumstack.registrar import (
     parse_store_lines,
 )
 from enumstack.registry import RegistryActor, RegistryState
-from enumstack.simulator import Network
-from enumstack.wire import GET
+from enumstack.simulator import DROPPED, Network
+from enumstack.wire import GET, MIGRATE_REQ, TRANSFER_INIT
 
 NUM = "13154434473"
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:user@example.com!" .'
@@ -305,7 +305,8 @@ class TestTransfer:
         return rig
 
     def run_transfer(self, rig):
-        record = rig.b.run_transfer("alice", NUM, "x1", rig.net)
+        rig.b.begin_transfer("alice", NUM, "x1")
+        record = rig.b.finish_transfer("x1", rig.net)
         rig.net.run_until_idle()
         return record
 
@@ -343,11 +344,15 @@ class TestTransfer:
     def test_unreachable_old_completes_empty_with_warning(self):
         rig = self.ready_rig()
         rig.net.set_offline("T2a")
-        record = rig.b.run_transfer("alice", NUM, "x1", rig.net)
+        rig.b.begin_transfer("alice", NUM, "x1")
+        record = rig.b.finish_transfer("x1", rig.net)
         assert record.state is TransferState.COMPLETE
         assert record.migrated == ()
         assert rig.b.store[NUM] == []
         assert any("unreachable" in w for w in record.warnings)
+        # Each request to the old registrar is sent once and retried once.
+        counts = rig.net.counts
+        assert counts[(TRANSFER_INIT, DROPPED)] == counts[(MIGRATE_REQ, DROPPED)] == 2
 
     def test_state_sequence_is_monotone(self):
         rig = self.ready_rig()

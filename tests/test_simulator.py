@@ -113,7 +113,7 @@ def test_clock_advances_monotonically(popped_frames):
 def test_offline_drops_frames():
     net, actors = make_net()
     net.set_offline("a")
-    resp = net.request("client", "a", "GET", {}, retries=1)
+    resp = net.request("client", "a", "GET", {})
     assert resp is None
     assert actors["a"].seen == []
     dropped = [r for r in net.frame_log if r.status == DROPPED]
@@ -205,7 +205,7 @@ def test_counts_sum_to_frames_popped(popped_frames):
     net.add_fault_window("b", 0, 30)
     for i in range(30):
         kind = ("GET", "LOOKUP", "PROVISION")[i % 3]
-        net.request("client", "abcx"[i % 4], kind, {"i": str(i)}, retries=i % 2)
+        net.request("client", "abcx"[i % 4], kind, {"i": str(i)})
         net.advance(i % 3)
     assert sum(net.counts.values()) == len(popped_frames)
     dropped = sum(n for (_, status), n in net.counts.items() if status == DROPPED)

@@ -735,8 +735,9 @@ def line_by_line_load(path, text):
 
 def registrar_load(text, trusted):
     actor = types.SimpleNamespace(store=None, grants={})
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
     try:
-        max_grant = _load_registrar(actor, Path("reg.snap"), text, trusted)
+        max_grant = _load_registrar(topology, actor, Path("reg.snap"), text, trusted)
     except SnapshotError as exc:
         return ("SnapshotError", str(exc), exc.lineno)
     return dict(actor.store.items()), actor.grants, max_grant
@@ -767,6 +768,7 @@ _ODD_LINES = _SAVED_LINES + [
 @example(lines=["number|13154434473", "", _SAVED_LINES[2], "number|13154434473",
                 _SAVED_LINES[3]], end="\n")
 @example(lines=[_SAVED_LINES[2], "number|13154434473"], end="")
+@example(lines=[*_SAVED_LINES[:4], "", *_SAVED_LINES[4:]], end="\n")  # a blank line after a block
 def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
     text = "\n".join(lines) + end
     try:
@@ -778,6 +780,13 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
     # bad record line; any text the checks accept loads the same.
     if expected[0] != "SnapshotError":
         assert registrar_load(text, trusted=True) == expected
+        # It splits the whole file or reads it all line by line: every
+        # number's records stay unread, or none do.
+        actor = types.SimpleNamespace(store=None, grants={})
+        topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+        _load_registrar(topology, actor, Path("reg.snap"), text, True)
+        unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
+        assert unread in (set(), {n for n, records in expected[0].items() if records})
 
 
 def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
@@ -995,6 +1004,33 @@ def test_a_bad_line_in_a_trusted_file_fails_when_read(model4_dir, tmp_path, name
     (tmp_path / CHECKPOINT).unlink()
     with pytest.raises(SnapshotError, match=re.escape(f"{path}:") + r"\d+: "):
         loaded(4, tmp_path)
+
+
+def test_a_file_whose_stored_text_failed_to_parse_is_no_longer_vouched_for(capsys, tmp_path):
+    provision = ["provision", "+1-315-443-4473", "--actor", "alice",
+                 "--record", _record(120, "p1"), "--state-dir", str(tmp_path)]
+    assert main(provision) == 0
+    path = tmp_path / SUBSCRIPTIONS_SNAP
+    data = path.read_bytes()
+    vouch(tmp_path, SUBSCRIPTIONS_SNAP, data.replace(b"|tsp1|1|1|", b"|tsp1|7|1|", 1))
+    capsys.readouterr()
+    assert main(provision) == 2  # the number's line is read, and fails
+    assert f"{path}: flags must be 0 or 1" in capsys.readouterr().err
+    assert SUBSCRIPTIONS_SNAP not in read_checkpoint(tmp_path)
+    log = (tmp_path / EVENTS_LOG).read_bytes()
+    assert main(provision) == 2  # now the load fails, naming the line
+    assert f"{path}:1: flags must be 0 or 1" in capsys.readouterr().err
+    assert (tmp_path / EVENTS_LOG).read_bytes() == log
+
+
+@pytest.mark.parametrize("name", [REGISTRY_SNAP, SUBSCRIPTIONS_SNAP])
+def test_a_trusted_file_without_its_last_line_break_loses_no_line(model4_dir, tmp_path, name):
+    trusted, plain = tmp_path / "trusted", tmp_path / "plain"
+    shutil.copytree(model4_dir, trusted)
+    data = (trusted / name).read_bytes()
+    vouch(trusted, name, data[:-1])
+    shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    assert state_of(loaded(4, trusted)) == state_of(loaded(4, plain))
 
 
 def test_a_number_two_owners_claim_is_observed_at_both_serials(model4_dir, tmp_path):
