@@ -178,6 +178,10 @@ class UnknownSubscription(RegistrarError):
     """No subscription exists for the number."""
 
 
+class AlreadySubscribed(RegistrarError):
+    """Number already has ENUM service at another registrar; transfer instead."""
+
+
 # ---------------------------------------------------------------- scenarios
 
 

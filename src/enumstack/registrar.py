@@ -23,6 +23,7 @@ from typing import TypeVar
 from .errors import (
     AccessDenied,
     AlreadyComplete,
+    AlreadySubscribed,
     EnumInactive,
     InvalidRecord,
     NaptrError,
@@ -85,10 +86,6 @@ ALL_RIGHTS = frozenset({PROVISION_RIGHT, ACCESS_RIGHT, CHANGE_RIGHT})
 # A party needs one of these rights to write records, or to read restricted ones.
 WRITE_RIGHTS = frozenset({PROVISION_RIGHT, CHANGE_RIGHT})
 READ_RIGHTS = frozenset({ACCESS_RIGHT})
-
-
-class AlreadySubscribed(RegistrarError):
-    """Number already has ENUM service at another registrar; transfer instead."""
 
 
 def _check_storable(**names: str) -> None:

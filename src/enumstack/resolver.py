@@ -63,9 +63,8 @@ def _fetch_records(
     apex: ApexConfig,
     raw_number: str,
     service: str,
-    default_country_code: str | None = None,
 ) -> Resolution:
-    number = parse_number(raw_number, default_country_code=default_country_code)
+    number = parse_number(raw_number)
     domain = to_domain(number, apex)
     trace = ResolutionTrace(number=number.render(), domain=domain.render())
 
@@ -118,7 +117,6 @@ def resolve(
     apex: ApexConfig = ApexConfig(),
     service: str = "*",
     client_id: str = "resolver",
-    default_country_code: str | None = None,
 ) -> Resolution:
     """Resolve a number to the URIs for *service* ("*" for all).
 
@@ -126,9 +124,7 @@ def resolve(
     EnumInactive, HopTimeout); a service with no matching records is an
     empty list, not an error.
     """
-    result = _fetch_records(
-        net, client_id, apex, raw_number, service, default_country_code
-    )
+    result = _fetch_records(net, client_id, apex, raw_number, service)
     number = result.number
     record_set = NaptrRecordSet(
         number=number, records=tuple(parse_store_lines(result.record_lines))
@@ -145,12 +141,9 @@ def resolve_all(
     net: Network,
     apex: ApexConfig = ApexConfig(),
     client_id: str = "resolver",
-    default_country_code: str | None = None,
 ) -> dict[str, list[str]]:
     """Wildcard resolution grouped by service field."""
-    fetched = _fetch_records(
-        net, client_id, apex, raw_number, "*", default_country_code
-    )
+    fetched = _fetch_records(net, client_id, apex, raw_number, "*")
     number = fetched.number
     records = parse_store_lines(fetched.record_lines)
     record_set = NaptrRecordSet(number=number, records=tuple(records))

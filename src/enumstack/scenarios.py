@@ -30,6 +30,7 @@ from . import resolver as resolver_mod
 from .audit import AccessOracle, assert_invariants  # re-exported
 from .e164 import ApexConfig, parse_number
 from .errors import (
+    E164Error,
     EnumInactive,
     EnumStackError,
     HopTimeout,
@@ -129,6 +130,11 @@ class ScenarioConfig:
                 raise InvalidModelCombination(
                     f"registrar {registrar!r} home {home!r} is not a registry"
                 )
+        try:  # here, not when a topology is built from the config
+            Tier0Table(self.tier0_entries)
+            ApexConfig(self.apex)
+        except E164Error as exc:  # a malformed tier-0 prefix or apex
+            raise ScenarioError(str(exc)) from None
 
     @property
     def registrar_kind(self) -> Role:
@@ -307,10 +313,9 @@ def model_fixture_text(model_id: int) -> str:
     )
 
 
-def builtin_config(model_id: int, apex: str | None = None) -> ScenarioConfig:
+def builtin_config(model_id: int) -> ScenarioConfig:
     """One of the six shipped scenario fixtures."""
-    cfg = parse_config(model_fixture_text(model_id))
-    return dataclasses.replace(cfg, apex=apex) if apex else cfg
+    return parse_config(model_fixture_text(model_id))
 
 
 def canonical_events() -> str:

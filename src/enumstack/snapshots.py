@@ -18,15 +18,16 @@ file is read:
   :class:`~enumstack.registrar.RecordStore` maps: the records of each
   registrar, the delegations of each registry (a ``registry.snap`` line
   goes to its owner's map and to each of the owner's peers') and the
-  directory's subscriptions. Each file is read by one of two routines,
-  never both. When the file matches its entry and the whole of it is
-  in the layout a save writes, it is only split: each number's text
-  stays unread in its map until something reads the number, and a
-  parse that fails then is a :class:`SnapshotError` naming the file,
-  after which the topology's saves write no entry for that file.
-  Otherwise the whole file is read line by line, every line parsed as
-  the file loads, and the first bad line is a :class:`SnapshotError`
-  naming it. Every registrar file is checkpointed:
+  directory's subscriptions. Each file is read a line at a time, and
+  the checkpoint decides only when its lines are parsed. When the file
+  matches its entry and the whole of it is in the layout a save writes,
+  each number's text stays unread in its map until something reads the
+  number, and a parse that fails then is a :class:`SnapshotError`
+  naming the file, after which the topology's saves write no entry for
+  that file. Otherwise, a vouched file off that layout included, every
+  line is parsed as the file loads, and the first bad line is a
+  :class:`SnapshotError` naming it; no file loads part parsed and part
+  unread. Every registrar file is checkpointed:
   :class:`~enumstack.naptr.NaptrRecord` refuses a field its stored line
   could not hold, so every record parses back from the line it is saved
   as;
@@ -92,8 +93,6 @@ _CHECKPOINT_HEADER = "enumstack checkpoint 1"
 _NUMBER_TAG = "number|"
 _RECORD_TAG = "record|"
 _GRANT_TAG = "grant|"
-_BLOCK_SEP = "\n" + _NUMBER_TAG
-_RECORD_SEP = "\n" + _RECORD_TAG
 _CRC_CHUNK = 1 << 16
 _PIECE_LINES = 256
 
@@ -487,7 +486,7 @@ def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool
     """Fill the directory's subscriptions from ``subscriptions.snap``.
 
     When *trusted* (the file matches its checkpoint entry) and laid out
-    as a save writes it (every line ended by a line break, none empty),
+    as a save writes it (every line ended by a line break, none blank),
     each line stays unread until something reads its number. Otherwise
     every line is parsed now, and a bad line is a :class:`SnapshotError`
     naming it.
@@ -496,7 +495,7 @@ def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool
     unread: dict[str, str] = {}
     if trusted and text.endswith("\n"):
         unread = {line.partition("|")[0]: line for line in text.split("\n")[:-1]}
-        if "" in unread:  # an empty line
+        if not all(map(str.strip, unread)):  # a blank line
             return _load_subscriptions(topology, path, text, False)
     else:
         for lineno, line in enumerate(text.split("\n"), 1):
@@ -594,93 +593,72 @@ def _parse_records(text: str) -> list[NaptrRecord]:
     return [parse_stored_line(line[len(_RECORD_TAG):]) for line in text.split("\n")]
 
 
-def _split_registrar(
-    text: str,
-) -> tuple[dict[str, list[NaptrRecord]], dict[str, str], list[AuthorizationGrant]] | None:
-    """The records (of numbers with none), unread record text and grants
-    of a registrar file in the layout :func:`save_state` writes, or None
-    when the text or one of its blocks breaks that layout or a grant line
-    does not parse.
-
-    The text splits into blocks at its ``number|`` lines; a block is the
-    number line, its grant lines, then its record lines, each number in
-    one block. Taken from the end, each block is freed once it is read,
-    so the blocks and the text kept from them are not all held at once.
-    """
-    if not (text.startswith(_NUMBER_TAG) and text.endswith("\n")):
-        return None
-    records: dict[str, list[NaptrRecord]] = {}
-    unread: dict[str, str] = {}
-    grants: list[AuthorizationGrant] = []
-    blocks = text.split(_BLOCK_SEP)
-    blocks[0] = blocks[0][len(_NUMBER_TAG):]
-    blocks[-1] = blocks[-1][:-1]
-    blocks.reverse()
-    while blocks:
-        block = blocks.pop()
-        if block.endswith("\n"):  # an empty line after the block
-            return None
-        number, _, body = block.partition("\n")
-        while body.startswith(_GRANT_TAG):
-            line, _, body = body.partition("\n")
-            try:
-                grants.append(_parse_grant(line[len(_GRANT_TAG):], number))
-            except Exception:  # a bad grant line
-                return None
-        if number in records or number in unread:
-            return None
-        if not body:
-            records[number] = []
-        elif body.startswith(_RECORD_TAG) and body.count("\n") == body.count(_RECORD_SEP):
-            unread[number] = body
-        else:
-            return None
-    return records, unread, grants
-
-
-def _walk_registrar(
-    path: Path, text: str
-) -> tuple[dict[str, list[NaptrRecord]], dict[str, str], list[AuthorizationGrant]]:
-    """What :func:`_split_registrar` gives, with nothing unread: the file
-    read a line at a time, every line parsed now, and the first bad line
-    a :class:`SnapshotError` naming it."""
-    records: dict[str, list[NaptrRecord]] = {}
-    grants: list[AuthorizationGrant] = []
-    current: str | None = None
-    for lineno, line in enumerate(text.split("\n"), 1):
-        tag, _, rest = line.partition("|")
-        if tag == "number":
-            current = rest
-            held = records.setdefault(current, [])
-        elif tag not in ("record", "grant"):
-            if line.strip():
-                raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
-        elif current is None:
-            raise SnapshotError(str(path), lineno, f"{tag} before number line")
-        else:
-            try:
-                if tag == "record":
-                    held.append(parse_stored_line(rest))
-                else:
-                    grants.append(_parse_grant(rest, current))
-            except Exception as exc:
-                raise SnapshotError(str(path), lineno, str(exc)) from exc
-    return records, {}, grants
-
-
 def _load_registrar(
     topology: Topology, actor: RegistrarActor, path: Path, text: str, trusted: bool
 ) -> int:
     """Fill one registrar's store and grants from its snapshot *text*;
     returns its largest grant number.
 
-    When *trusted* (the file matches its checkpoint entry) and the whole
-    file is in the saved layout, it is only split, and each number's
-    record lines stay unread until something reads the number. Otherwise
-    the whole file is read a line at a time by :func:`_walk_registrar`.
+    The file is read a line at a time, each line freed once it is read.
+    When *trusted* (the file matches its checkpoint entry), each number's
+    ``record|`` lines are joined, once the next number opens, and stay
+    unread until something reads the number. A trusted file off the layout
+    :func:`save_state` writes (no final line break, a blank or untagged
+    line, a first line that is not a ``number|`` line, a number in two
+    blocks, a grant line after a record line, or a grant line that does
+    not parse) is read again untrusted, so every number stays unread or
+    none does. Untrusted, every line is parsed as it is read, and the
+    first bad line is a :class:`SnapshotError` naming it.
     """
-    split = _split_registrar(text) if trusted else None
-    records, unread, grants = split or _walk_registrar(path, text)
+    trusted = trusted and text.startswith(_NUMBER_TAG) and text.endswith("\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the "" after a final line break
+    lines.reverse()
+    records: dict[str, list[NaptrRecord]] = {}
+    unread: dict[str, str] = {}
+    grants: list[AuthorizationGrant] = []
+    number: str | None = None
+    held: list = []  # the open number's record lines, or its records when untrusted
+    try:
+        for lineno in range(1, len(lines) + 1):
+            line = lines.pop()
+            if trusted and line.startswith(_RECORD_TAG):
+                held.append(line)
+                continue
+            tag, sep, rest = line.partition("|")
+            if tag == "number" and (sep or not trusted):
+                if trusted and held:
+                    unread[number] = "\n".join(held)
+                elif number is not None:
+                    records.setdefault(number, []).extend(held)
+                held = []
+                if trusted and (rest in records or rest in unread):
+                    raise SnapshotError(str(path), lineno, f"number {rest} in two blocks")
+                number = rest
+            elif tag not in ("record", "grant") or trusted and not sep:
+                if trusted or line.strip():
+                    raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+            elif number is None:
+                raise SnapshotError(str(path), lineno, f"{tag} before number line")
+            elif trusted and held:
+                raise SnapshotError(str(path), lineno, "grant after record line")
+            else:
+                try:
+                    if tag == "record":
+                        held.append(parse_stored_line(rest))
+                    else:
+                        grants.append(_parse_grant(rest, number))
+                except Exception as exc:
+                    raise SnapshotError(str(path), lineno, str(exc)) from exc
+    except SnapshotError:  # trusted, the file is off the saved layout
+        if not trusted:
+            raise
+        return _load_registrar(topology, actor, path, text, False)
+    if trusted and held:
+        unread[number] = "\n".join(held)
+    elif number is not None:
+        records.setdefault(number, []).extend(held)
     actor.store = RecordStore(records, unread, _deferred(topology, path, _parse_records))
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)

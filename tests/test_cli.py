@@ -89,6 +89,26 @@ class TestResolve:
         assert "enum.example" in out
         assert "e164.arpa" not in out
 
+    @pytest.mark.parametrize(
+        "old, new, env, message",
+        [
+            ("1 = R1", "1x = R1", None, "bad tier-0 prefix '1x'"),
+            ("1 = R1", "1 =", None, "tier-0 prefix '1' maps to no registry"),
+            ("id = 1", "id = 1\napex = bad..apex", None, "bad apex label ''"),
+            ("", "", "a..b", "bad apex label ''"),
+        ],
+        ids=["tier0-prefix", "tier0-empty", "apex", "apex-env"],
+    )
+    def test_malformed_tier0_or_apex_exit_2(self, capsys, monkeypatch, tmp_path,
+                                            old, new, env, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(model_fixture_text(1).replace(old, new, 1))
+        if env is not None:
+            monkeypatch.setenv("ENUM_APEX", env)
+        code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(cfg))
+        assert code == 2
+        assert err == f"ScenarioError: {message}\n"
+
 
 class TestScenario:
     def test_model1_valueflow(self, capsys):

@@ -252,6 +252,18 @@ class TestEventScripts:
         assert topology.directory.get("13154434473").enum_active is False
         assert not topology.registries["R1"].state.delegations
 
+    def test_subscribe_served_elsewhere_logged_by_its_class(self):
+        topology = build_topology(builtin_config(3))
+        log = run_events(
+            topology,
+            "step assign number=+13154434473 user=alice tsp=tsp1\n"
+            "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n"
+            "step subscribe number=+13154434473 user=alice registrar=reg2 token=auto\n",
+        )
+        refused = log.records[-1]
+        assert (refused.kind, refused.status) == ("subscribe", "AlreadySubscribed")
+        assert refused.detail["message"] == "'13154434473' is served by reg1; transfer instead"
+
     def test_unknown_transfer_steps_logged(self):
         script = "step transfer_step transfer=x9\nstep dispute transfer=x9 by=reg1\nstep advance\n"
         topology = build_topology(builtin_config(1))

@@ -756,6 +756,19 @@ _ODD_LINES = _SAVED_LINES + [
     'record|public 1 1 "x" "E2U+sip" "!a!b!" .', "grant|g9|alice|asp1|bogus|*",
     "grant|g10|alice|asp1|access", "grant|gx|a|b|access|*", "bogus|x", "record",
 ]
+# Registrar files a save would not write, one per shape that sends a
+# trusted load to the line-by-line read.
+_OFF_LAYOUT = {
+    "no-final-break": dict(lines=_SAVED_LINES, end=""),
+    "blank-line": dict(lines=[*_SAVED_LINES[:4], " ", *_SAVED_LINES[4:]], end="\n"),
+    "untagged-line": dict(lines=[*_SAVED_LINES, "number"], end="\n"),
+    "first-line": dict(lines=["number", *_SAVED_LINES], end="\n"),
+    "number-twice": dict(lines=[*_SAVED_LINES, _SAVED_LINES[0], _SAVED_LINES[6]], end="\n"),
+    "grant-after-record": dict(
+        lines=[_SAVED_LINES[0], _SAVED_LINES[2], _SAVED_LINES[1], *_SAVED_LINES[3:]], end="\n"
+    ),
+    "bad-grant": dict(lines=[*_SAVED_LINES, "grant|g10|alice|asp1|access"], end="\n"),
+}
 
 
 @settings(max_examples=300, deadline=None)
@@ -769,6 +782,13 @@ _ODD_LINES = _SAVED_LINES + [
                 _SAVED_LINES[3]], end="\n")
 @example(lines=[_SAVED_LINES[2], "number|13154434473"], end="")
 @example(lines=[*_SAVED_LINES[:4], "", *_SAVED_LINES[4:]], end="\n")  # a blank line after a block
+@example(**_OFF_LAYOUT["no-final-break"])
+@example(**_OFF_LAYOUT["blank-line"])
+@example(**_OFF_LAYOUT["untagged-line"])
+@example(**_OFF_LAYOUT["first-line"])
+@example(**_OFF_LAYOUT["number-twice"])
+@example(**_OFF_LAYOUT["grant-after-record"])
+@example(**_OFF_LAYOUT["bad-grant"])
 def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
     text = "\n".join(lines) + end
     try:
@@ -787,6 +807,20 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
         _load_registrar(topology, actor, Path("reg.snap"), text, True)
         unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
         assert unread in (set(), {n for n, records in expected[0].items() if records})
+
+
+@pytest.mark.parametrize("shape", _OFF_LAYOUT.values(), ids=_OFF_LAYOUT)
+def test_a_trusted_registrar_file_off_the_saved_layout_is_read_line_by_line(shape):
+    text = "\n".join(shape["lines"]) + shape["end"]
+    actor = types.SimpleNamespace(store=None, grants={})
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+    try:
+        _load_registrar(topology, actor, Path("reg.snap"), text, True)
+    except SnapshotError as exc:  # the grant line that does not parse, named
+        assert registrar_load(text, trusted=False) == ("SnapshotError", str(exc), exc.lineno)
+    else:
+        assert [n for n in actor.store if actor.store.unread_text(n) is not None] == []
+        assert registrar_load(text, trusted=True) == registrar_load(text, trusted=False)
 
 
 def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
@@ -1021,6 +1055,17 @@ def test_a_file_whose_stored_text_failed_to_parse_is_no_longer_vouched_for(capsy
     assert main(provision) == 2  # now the load fails, naming the line
     assert f"{path}:1: flags must be 0 or 1" in capsys.readouterr().err
     assert (tmp_path / EVENTS_LOG).read_bytes() == log
+
+
+def test_a_trusted_whitespace_line_is_no_subscription(tmp_path):
+    trusted, plain = tmp_path / "trusted", tmp_path / "plain"
+    assert main(["provision", "+1-315-443-4473", "--actor", "alice",
+                 "--record", _record(120, "p1"), "--state-dir", str(trusted)]) == 0
+    vouch(trusted, SUBSCRIPTIONS_SNAP, (trusted / SUBSCRIPTIONS_SNAP).read_bytes() + b" \n")
+    shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    numbers = sorted(loaded(1, plain).directory.subscriptions)
+    assert numbers == ["13154434473", "13154434474"]
+    assert sorted(loaded(1, trusted).directory.subscriptions) == numbers
 
 
 @pytest.mark.parametrize("name", [REGISTRY_SNAP, SUBSCRIPTIONS_SNAP])
