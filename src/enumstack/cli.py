@@ -48,7 +48,12 @@ def _parse_cfg(text: str) -> ScenarioConfig:
 
     cfg = parse_config(text)
     apex = os.environ.get("ENUM_APEX")
-    return dataclasses.replace(cfg, apex=apex) if apex else cfg
+    if not apex:
+        return cfg
+    try:
+        return dataclasses.replace(cfg, apex=apex)
+    except ScenarioError as exc:
+        raise ScenarioError(f"ENUM_APEX={apex!r}: {exc}") from None
 
 
 def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:

@@ -9,8 +9,9 @@ Subscriptions and number assignments live in a shared :class:`Directory`:
 the simulator is single-threaded, and keeping the subscriber ledger in
 one place mirrors how the artifact snapshots it. Record stores and grants
 are strictly per-registrar; a transfer *moves* the record set (the old
-registrar hands records over and drops them), so at quiescence every
-record lives at exactly one registrar.
+registrar hands records over and drops them, and keeps the number's grants
+aside for a dispute to restore), so at quiescence every record lives at
+exactly one registrar.
 """
 
 from __future__ import annotations
@@ -229,70 +230,67 @@ class RecordStore(MutableMapping[str, V]):
     """A lazy ``number -> value`` map: a registrar's records, a registry's
     delegations or the directory's subscriptions.
 
-    A store loaded from a snapshot starts with *unread* numbers: each
-    number's stored text waits, unparsed, until something reads the
-    number, and *parse* then turns it into the number's value. Reading
-    one number (``[]``, ``get``, ``setdefault``, ``pop``) parses that
-    number only; membership, length, iteration over numbers, assignment,
-    ``del``, :meth:`unread_text` and :meth:`numbers_with_records` parse
-    nothing. A view of the values (``items``, ``values``, ``==``) parses
-    every unread number. A parse that fails leaves the number unread.
-    In-process topologies use the same class with no unread text.
+    A number's value is held as its stored text, a ``str``, until
+    something reads the number, and *parse* then turns the text into the
+    value, which replaces it. No value a store holds (a record list, a
+    :class:`~enumstack.registry.Delegation`, a :class:`Subscription`) is a
+    ``str``, so the type alone tells text from value. Reading one number
+    (``[]``, ``get``, ``setdefault``, ``pop``) parses that number only;
+    membership, length, iteration over numbers, assignment, ``del``,
+    :meth:`unread_text` and :meth:`numbers_with_records` parse nothing. A
+    view of the values (``items``, ``values``, ``==``) parses every unread
+    number. A parse that fails leaves the text in place. In-process
+    topologies use the same class with no text.
     """
 
-    __slots__ = ("_records", "_unread", "_parse")
+    __slots__ = ("_values", "_parse")
 
     def __init__(
-        self,
-        records: dict[str, V] | None = None,
-        unread: dict[str, str] | None = None,
-        parse: Callable[[str], V] | None = None,
+        self, values: dict[str, V | str] | None = None, parse: Callable[[str], V] | None = None
     ) -> None:
-        """Adopt *records* (parsed) and *unread* (stored text, for *parse*);
-        the caller hands both over and keeps neither."""
-        self._records = {} if records is None else records
-        self._unread = {} if unread is None else unread
+        """Adopt *values* (values, or stored text for *parse*); the caller
+        hands the dict over and keeps no reference to it."""
+        self._values = {} if values is None else values
         self._parse = parse
 
     def __getitem__(self, number: str) -> V:
-        value = self._records.get(number)
-        if value is None:
-            # Parse before dropping the text, so a failed parse leaves it.
-            value = self._records[number] = self._parse(self._unread[number])
-            del self._unread[number]
+        value = self._values[number]
+        if value.__class__ is str:
+            value = self._values[number] = self._parse(value)
         return value
 
     def get(self, number: str, default: V | None = None) -> V | None:
-        # Mapping.get would raise and catch a KeyError on every miss.
-        if number in self._unread:
-            return self[number]
-        return self._records.get(number, default)
+        # One dict lookup for a value; Mapping.get would raise and catch a
+        # KeyError on every miss.
+        value = self._values.get(number, default)
+        if value.__class__ is str and number in self._values:  # not a str default
+            value = self._values[number] = self._parse(value)
+        return value
 
     def __setitem__(self, number: str, value: V) -> None:
-        self._unread.pop(number, None)
-        self._records[number] = value
+        self._values[number] = value
 
     def __delitem__(self, number: str) -> None:
-        if self._unread.pop(number, None) is None:
-            del self._records[number]
+        del self._values[number]
 
     def __contains__(self, number: object) -> bool:
-        return number in self._records or number in self._unread
+        return number in self._values
 
     def __len__(self) -> int:
-        return len(self._records) + len(self._unread)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[str]:
-        return iter([*self._records, *self._unread])
+        return iter(self._values)
 
     def unread_text(self, number: str) -> str | None:
         """The stored text of a number nothing has read yet, else None."""
-        return self._unread.get(number)
+        value = self._values.get(number)
+        return value if value.__class__ is str else None
 
     def numbers_with_records(self) -> list[str]:
         """For a store of record lists: the numbers holding at least one
-        record; an unread number holds one, and stays unread."""
-        return [*(n for n, records in self._records.items() if records), *self._unread]
+        record; a number's text holds one, and stays unread."""
+        return [number for number, value in self._values.items() if value]
 
 
 class RegistrarActor:
@@ -320,6 +318,10 @@ class RegistrarActor:
         self.accredited = accredited
         self.store = RecordStore()
         self.grants: dict[str, list[AuthorizationGrant]] = {}
+        # The grants MIGRATE_REQ took from each number, which a dispute's
+        # MIGRATE_RESP restore=1 puts back; the number's next MIGRATE_REQ
+        # replaces them.
+        self._migrated_grants: dict[str, list[AuthorizationGrant] | tuple[()]] = {}
         self.transfers: dict[str, TransferRecord] = {}
         self.transfer_notices: list[tuple[str, str, str]] = []  # (tid, number, to)
         self.warnings: list[str] = []
@@ -780,9 +782,12 @@ class RegistrarActor:
             return frame.ok_reply()
         if frame.kind == MIGRATE_REQ:
             records = self.store.pop(number, [])
-            self.grants.pop(number, None)
+            self._migrated_grants[number] = self.grants.pop(number, ())
             return frame.ok_reply(records=render_store_lines(records))
         if frame.kind == MIGRATE_RESP and frame.get("restore") == "1":
             self.store[number] = parse_store_lines(frame.get("records"))
+            taken = self._migrated_grants.pop(number, ())
+            if taken:  # before any grant made since
+                self.grants[number] = [*taken, *self.grants.get(number, ())]
             return frame.ok_reply()
         raise RegistrarError(f"registrar {self.actor_id} cannot handle {frame.kind}")

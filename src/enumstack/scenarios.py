@@ -21,6 +21,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
 from pathlib import Path
@@ -172,6 +173,14 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _amount(text: str) -> float:
+    """A fee or payment: a finite number >= 0; ValueError otherwise."""
+    amount = float(text)
+    if not (math.isfinite(amount) and amount >= 0):
+        raise ValueError(f"{text!r} is not a finite amount >= 0")
+    return amount
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a scenario config document (INI sections).
 
@@ -274,9 +283,9 @@ def parse_config(text: str) -> ScenarioConfig:
     for option in ("flat_fee", "user_fee"):
         if parser.has_option("fees", option):
             try:
-                given[option] = parser.getfloat("fees", option)
+                given[option] = _amount(parser.get("fees", option))
             except ValueError:
-                raise ScenarioError(f"fee {option} is not a number") from None
+                raise ScenarioError(f"fee {option} is not a finite number >= 0") from None
 
     return ScenarioConfig(
         model_id=model_id,
@@ -436,8 +445,9 @@ class Topology:
         self._transfer_n = 0
         self._transfer_host: dict[str, str] = {}
         # The state directory this topology last read or wrote, and the
-        # checkpoint entries of its files then, kept by enumstack.snapshots
-        # so that a save rewrites only what changed.
+        # checkpoint entries enumstack.snapshots keeps from then: a save
+        # scans only the log lines after the log's entry, and writes no
+        # entry for a file marked ().
         self.snapshot_seen = None
 
         table = Tier0Table(entries={p: tuple(r) for p, r in cfg.tier0_entries.items()})
@@ -984,7 +994,7 @@ _STEPS: dict[str, tuple[str, tuple[str, ...], dict[str, str | None]]] = {
 # Optional arguments that are not strings; a key means the same in every kind.
 _CONVERTERS: dict[str, Callable[[Any], Any]] = {
     "confirmed": lambda value: value == "1",
-    "amount": lambda value: float(value) if value else None,
+    "amount": lambda value: _amount(value) if value else None,
     "ticks": int,
 }
 

@@ -11,39 +11,40 @@ The checkpoint lists each snapshot file and ``events.log`` with its
 byte length and CRC-32, and for ``events.log`` also the largest event,
 transfer and grant ids a scan of it gives; its last line is the CRC-32 of
 the lines above it. A missing or corrupt checkpoint, or one from another
-version, is ignored and never an error. The checkpoint chooses how each
-file is read:
+version, is ignored and never an error. It decides two things:
 
-- the three kinds of snapshot file each load into
-  :class:`~enumstack.registrar.RecordStore` maps: the records of each
-  registrar, the delegations of each registry (a ``registry.snap`` line
-  goes to its owner's map and to each of the owner's peers') and the
-  directory's subscriptions. Each file is read a line at a time, and
-  the checkpoint decides only when its lines are parsed. When the file
-  matches its entry and the whole of it is in the layout a save writes,
-  each number's text stays unread in its map until something reads the
-  number, and a parse that fails then is a :class:`SnapshotError`
-  naming the file, after which the topology's saves write no entry for
-  that file. Otherwise, a vouched file off that layout included, every
-  line is parsed as the file loads, and the first bad line is a
-  :class:`SnapshotError` naming it; no file loads part parsed and part
-  unread. Every registrar file is checkpointed:
+- when the lines of a snapshot file are parsed. The three kinds of
+  snapshot file each load into :class:`~enumstack.registrar.RecordStore`
+  maps: the records of each registrar, the delegations of each registry
+  (a ``registry.snap`` line goes to its owner's map and to each of the
+  owner's peers') and the directory's subscriptions. Each file is read in
+  one walk, a line at a time, whose rules do not depend on the
+  checkpoint. When the file matches its entry, each number keeps its
+  stored text in its map until something reads the number, and a parse
+  that fails then is a :class:`SnapshotError` naming the file, after
+  which the topology's saves write no entry for that file. Otherwise each
+  line is parsed as it is read, and the first bad line is a
+  :class:`SnapshotError` naming it. Either way, blank lines are skipped,
+  and a line the walk cannot place (an untagged registrar line, a grant
+  or record line before any number line, a ``registry.snap`` line without
+  four fields or naming no configured owner) is a :class:`SnapshotError`
+  naming it. Every registrar file is checkpointed:
   :class:`~enumstack.naptr.NaptrRecord` refuses a field its stored line
   could not hold, so every record parses back from the line it is saved
   as;
-- one routine gives the id counters of ``events.log`` at load and at
-  save. When the log opens with the prefix its entry describes, only the
-  lines after that prefix are scanned; otherwise the whole log is.
+- which lines of ``events.log`` are scanned for the id counters, at load
+  and at save. When the log opens with the prefix its entry describes,
+  only the lines after that prefix are; otherwise the whole log is.
 
 A persisting call first appends its log lines, then :func:`save_state`
-rewrites each snapshot file whose content changed, writing back the
-stored text of every number nothing read, and writes the checkpoint
-last, so that it describes the log as the call leaves it. Every file is
-written to a temporary file and renamed into place, so a killed process
-never leaves a half-written file visible; a file rewritten after the
-last checkpoint no longer matches it, and the next load checks every
-line of it. A lock on ``.lock`` that dies with its holder serializes
-concurrent invocations against one directory.
+rewrites each snapshot file whose bytes changed, writing back the stored
+text of every number nothing read, and writes the checkpoint last, so
+that it describes the log as the call leaves it. Every file is written
+to a temporary file and renamed into place, so a killed process never
+leaves a half-written file visible; a file rewritten after the last
+checkpoint no longer matches it, and the next load parses every line of
+it. A lock on ``.lock`` that dies with its holder serializes concurrent
+invocations against one directory.
 
 :func:`read_log` parses the log for reports and audits: in full for the
 audit and the log report, and only the records of the kinds that can pay
@@ -125,16 +126,14 @@ def _atomic_write(path: Path, pieces: list[bytes]) -> None:
         raise
 
 
-def _write_if_changed(path: Path, pieces: list[bytes], changed: bool = False) -> None:
-    """Write *pieces* unless *path* already holds exactly these bytes; with
-    *changed*, the caller knows it does not."""
-    if not changed:
-        try:
-            size = sum(map(len, pieces))
-            if os.stat(path).st_size == size and path.read_bytes() == b"".join(pieces):
-                return
-        except OSError:
-            pass
+def _write_if_changed(path: Path, pieces: list[bytes]) -> None:
+    """Write *pieces* unless *path* already holds exactly these bytes."""
+    try:
+        size = sum(map(len, pieces))
+        if os.stat(path).st_size == size and path.read_bytes() == b"".join(pieces):
+            return
+    except OSError:
+        pass
     _atomic_write(path, pieces)
 
 
@@ -320,8 +319,9 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
 
     Call it after :func:`append_log`, so that the checkpoint covers the
     log as it stands. The topology keeps the directory and the checkpoint
-    entries it last read or wrote there, which tell a later save what
-    changed; a file whose stored text failed to parse gets no entry.
+    entries it last read or wrote there: the ``events.log`` entry lets a
+    later save scan only the log's new lines, and a file whose stored
+    text failed to parse gets no entry.
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -336,10 +336,8 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         crc = 0
         for piece in pieces:
             crc = zlib.crc32(piece, crc)
-        mark = (sum(map(len, pieces)), crc)
-        known = seen.get(name)
-        entries[name] = () if known == () else mark
-        _write_if_changed(state_dir / name, pieces, known not in (None, (), mark))
+        entries[name] = () if seen.get(name) == () else (sum(map(len, pieces)), crc)
+        _write_if_changed(state_dir / name, pieces)
 
     write(REGISTRY_SNAP, _registry_lines(topology))
     for registrar_id, actor in topology.registrars.items():
@@ -470,7 +468,7 @@ def _deferred(topology: Topology, path: Path, parse: Callable[[str], V]) -> Call
     """*parse* as the parse function of a store holding text from *path*:
     any failure is a :class:`SnapshotError` naming the file, and from then
     on the topology's saves write no checkpoint entry for the file, so
-    the next load reads it line by line and names the bad line."""
+    the next load parses every line and names the bad one."""
 
     def read(text: str) -> V:
         try:
@@ -485,30 +483,19 @@ def _deferred(topology: Topology, path: Path, parse: Callable[[str], V]) -> Call
 def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool) -> None:
     """Fill the directory's subscriptions from ``subscriptions.snap``.
 
-    When *trusted* (the file matches its checkpoint entry) and laid out
-    as a save writes it (every line ended by a line break, none blank),
-    each line stays unread until something reads its number. Otherwise
-    every line is parsed now, and a bad line is a :class:`SnapshotError`
-    naming it.
+    Blank lines are skipped. When *trusted*, each line is kept as its
+    number's text; otherwise each is parsed now, and a bad line is a
+    :class:`SnapshotError` naming it.
     """
-    parsed: dict[str, Subscription] = {}
-    unread: dict[str, str] = {}
-    if trusted and text.endswith("\n"):
-        unread = {line.partition("|")[0]: line for line in text.split("\n")[:-1]}
-        if not all(map(str.strip, unread)):  # a blank line
-            return _load_subscriptions(topology, path, text, False)
-    else:
-        for lineno, line in enumerate(text.split("\n"), 1):
-            if not line.strip():
-                continue
+    values: dict[str, Subscription | str] = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.strip():
             try:
-                sub = _subscription(line)
+                values[line.partition("|")[0]] = line if trusted else _subscription(line)
             except ValueError as exc:
                 raise SnapshotError(str(path), lineno, str(exc)) from None
-            parsed[sub.number] = sub
-    topology.directory.subscriptions = RecordStore(
-        parsed, unread, _deferred(topology, path, _subscription)
-    )
+    read = _deferred(topology, path, _subscription)
+    topology.directory.subscriptions = RecordStore(values, read)
 
 
 def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) -> None:
@@ -516,54 +503,46 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
     lines are each owner's own delegations: a line goes to the states of
     its owner and of the owner's peers.
 
-    When *trusted*, the file is only split, and each state keeps the line
-    unread until something reads its number. A file a save would not have
-    written (a last line with no line break, a line without four fields
-    or naming no configured owner, or a number that reaches one state
-    twice) is parsed as an untrusted one is: every line now, a bad one a
-    :class:`SnapshotError` naming it, and a state that a number reaches
-    twice observes each line's serial in turn, as if it had applied the
-    lines.
+    Blank lines are skipped, and a line without four fields or naming no
+    configured owner is a :class:`SnapshotError` naming it. When
+    *trusted*, each state keeps the line as its number's text; otherwise
+    the line is parsed now, and a bad serial is such an error too. A
+    number that reaches one state twice (two owners claim it) is parsed
+    there, both lines, and the state observes each line's serial in turn,
+    as if it had applied the lines.
     """
     registries = topology.registries
-    # Owner id -> the ids of the states its lines go to.
-    replicas = {reg_id: [reg_id, *actor.state.peers] for reg_id, actor in registries.items()}
-    parsed: dict[str, dict[str, Delegation]] = {reg_id: {} for reg_id in registries}
-    unread: dict[str, dict[str, str]] = {reg_id: {} for reg_id in registries}
-    if trusted and text.endswith("\n"):
-        routed = 0
+    values: dict[str, dict[str, Delegation | str]] = {reg_id: {} for reg_id in registries}
+    # Owner id -> the states its lines go to, each with its values.
+    replicas = {
+        reg_id: [(registries[r].state, values[r]) for r in (reg_id, *actor.state.peers)]
+        for reg_id, actor in registries.items()
+    }
+    for lineno, line in enumerate(text.split("\n"), 1):
         try:
-            for line in text.split("\n")[:-1]:
-                number, _, owner, _ = line.split("|")
-                ids = replicas[owner]
-                routed += len(ids)
-                for reg_id in ids:
-                    unread[reg_id][number] = line
-        except (ValueError, KeyError):
-            routed = -1
-        if sum(map(len, unread.values())) != routed:
-            return _load_delegations(topology, path, text, False)
-    else:
-        for lineno, line in enumerate(text.split("\n"), 1):
+            number, _, owner, _ = line.split("|")
+            value = line if trusted else _delegation(line)
+            for state, held in replicas[owner]:
+                if number in held:  # two owners claim the number
+                    previous = held[number]
+                    if isinstance(previous, str):
+                        previous = _delegation(previous)
+                    value = _delegation(line)
+                    state.observed_serials.setdefault(number, [previous.serial]).append(
+                        value.serial
+                    )
+                held[number] = value
+        except ValueError as exc:  # not four fields, or a bad serial
             if not line.strip():
                 continue
-            try:
-                delegation = _delegation(line)
-            except ValueError as exc:
-                raise SnapshotError(str(path), lineno, str(exc)) from None
-            owner, number = delegation.owning_registry, delegation.number
-            if owner not in replicas:
-                raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}")
-            for reg_id in replicas[owner]:
-                previous = parsed[reg_id].get(number)
-                if previous is not None:
-                    registries[reg_id].state.observed_serials.setdefault(
-                        number, [previous.serial]
-                    ).append(delegation.serial)
-                parsed[reg_id][number] = delegation
+            count = line.count("|") + 1
+            message = str(exc) if count == 4 else f"expected 4 fields, got {count}"
+            raise SnapshotError(str(path), lineno, message) from None
+        except KeyError:
+            raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}") from None
     read = _deferred(topology, path, _delegation)
     for reg_id, actor in registries.items():
-        actor.state.delegations = RecordStore(parsed[reg_id], unread[reg_id], read)
+        actor.state.delegations = RecordStore(values[reg_id], read)
 
 
 def _parse_grant(rest: str, number: str) -> AuthorizationGrant:
@@ -600,66 +579,48 @@ def _load_registrar(
     returns its largest grant number.
 
     The file is read a line at a time, each line freed once it is read.
-    When *trusted* (the file matches its checkpoint entry), each number's
-    ``record|`` lines are joined, once the next number opens, and stay
-    unread until something reads the number. A trusted file off the layout
-    :func:`save_state` writes (no final line break, a blank or untagged
-    line, a first line that is not a ``number|`` line, a number in two
-    blocks, a grant line after a record line, or a grant line that does
-    not parse) is read again untrusted, so every number stays unread or
-    none does. Untrusted, every line is parsed as it is read, and the
-    first bad line is a :class:`SnapshotError` naming it.
+    Blank lines are skipped; a number line opens that number, even one
+    that opened before, and each grant or record line that follows
+    belongs to it. Grant lines are parsed as they are read. When
+    *trusted*, each number's ``record|`` lines are joined, in file order,
+    as its text; otherwise each is parsed as it is read. An untagged line,
+    a grant or record line before any number line, and (parsed) a bad
+    line are a :class:`SnapshotError` naming the line.
     """
-    trusted = trusted and text.startswith(_NUMBER_TAG) and text.endswith("\n")
     lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the "" after a final line break
     lines.reverse()
-    records: dict[str, list[NaptrRecord]] = {}
-    unread: dict[str, str] = {}
+    values: dict[str, list | str] = {}
     grants: list[AuthorizationGrant] = []
     number: str | None = None
-    held: list = []  # the open number's record lines, or its records when untrusted
-    try:
-        for lineno in range(1, len(lines) + 1):
-            line = lines.pop()
-            if trusted and line.startswith(_RECORD_TAG):
-                held.append(line)
-                continue
-            tag, sep, rest = line.partition("|")
-            if tag == "number" and (sep or not trusted):
+    held: list = []  # the open number's records, or its record lines when trusted
+    for lineno in range(1, len(lines) + 1):
+        line = lines.pop()
+        if trusted and line.startswith(_RECORD_TAG) and number is not None:
+            held.append(line)
+            continue
+        tag, _, rest = line.partition("|")
+        try:
+            if tag == "number":
                 if trusted and held:
-                    unread[number] = "\n".join(held)
-                elif number is not None:
-                    records.setdefault(number, []).extend(held)
-                held = []
-                if trusted and (rest in records or rest in unread):
-                    raise SnapshotError(str(path), lineno, f"number {rest} in two blocks")
+                    values[number] = "\n".join(held)
+                held = values.setdefault(rest, [])
+                if isinstance(held, str):  # trusted, a number in two blocks
+                    held = [held]
                 number = rest
-            elif tag not in ("record", "grant") or trusted and not sep:
-                if trusted or line.strip():
-                    raise SnapshotError(str(path), lineno, f"unknown tag {tag!r}")
+            elif tag not in ("record", "grant"):
+                if line.strip():
+                    raise ValueError(f"unknown tag {tag!r}")
             elif number is None:
-                raise SnapshotError(str(path), lineno, f"{tag} before number line")
-            elif trusted and held:
-                raise SnapshotError(str(path), lineno, "grant after record line")
+                raise ValueError(f"{tag} before number line")
+            elif tag == "grant":
+                grants.append(_parse_grant(rest, number))
             else:
-                try:
-                    if tag == "record":
-                        held.append(parse_stored_line(rest))
-                    else:
-                        grants.append(_parse_grant(rest, number))
-                except Exception as exc:
-                    raise SnapshotError(str(path), lineno, str(exc)) from exc
-    except SnapshotError:  # trusted, the file is off the saved layout
-        if not trusted:
-            raise
-        return _load_registrar(topology, actor, path, text, False)
+                held.append(line if trusted else parse_stored_line(rest))
+        except Exception as exc:
+            raise SnapshotError(str(path), lineno, str(exc)) from exc
     if trusted and held:
-        unread[number] = "\n".join(held)
-    elif number is not None:
-        records.setdefault(number, []).extend(held)
-    actor.store = RecordStore(records, unread, _deferred(topology, path, _parse_records))
+        values[number] = "\n".join(held)
+    actor.store = RecordStore(values, _deferred(topology, path, _parse_records))
     for grant in grants:
         actor.grants.setdefault(grant.number, []).append(grant)
     return max(map(_grant_number, grants), default=0)
@@ -746,13 +707,12 @@ def load_state(topology: Topology, state_dir: Path) -> None:
     """Apply snapshots onto a freshly built topology."""
     state_dir = Path(state_dir)
     checkpoint = read_checkpoint(state_dir)
-    seen: dict[str, tuple[int, ...]] = {}
 
     def read(path: Path) -> tuple[str, bool]:
         """The file's text, and whether it matches its checkpoint entry."""
         data = path.read_bytes()
-        mark = seen[path.name] = (len(data), zlib.crc32(data))
-        return _decode_state(path, data), checkpoint.get(path.name) == mark
+        trusted = checkpoint.get(path.name) == (len(data), zlib.crc32(data))
+        return _decode_state(path, data), trusted
 
     path = state_dir / SUBSCRIPTIONS_SNAP
     if path.exists():
@@ -767,9 +727,8 @@ def load_state(topology: Topology, state_dir: Path) -> None:
             topology._grant_n = max(topology._grant_n, grant_n)
     log = _log_entry(state_dir / EVENTS_LOG, checkpoint.get(EVENTS_LOG))
     if log is not None:
-        seen[EVENTS_LOG] = log
         topology._event_n = max(topology._event_n, log[2])
         topology._transfer_n = max(topology._transfer_n, log[3])
         topology._grant_n = max(topology._grant_n, log[4])
     topology.completed = True
-    topology.snapshot_seen = (state_dir.resolve(), seen)
+    topology.snapshot_seen = (state_dir.resolve(), {} if log is None else {EVENTS_LOG: log})

@@ -95,7 +95,7 @@ class TestResolve:
             ("1 = R1", "1x = R1", None, "bad tier-0 prefix '1x'"),
             ("1 = R1", "1 =", None, "tier-0 prefix '1' maps to no registry"),
             ("id = 1", "id = 1\napex = bad..apex", None, "bad apex label ''"),
-            ("", "", "a..b", "bad apex label ''"),
+            ("", "", "a..b", "ENUM_APEX='a..b': bad apex label ''"),
         ],
         ids=["tier0-prefix", "tier0-empty", "apex", "apex-env"],
     )
@@ -108,6 +108,16 @@ class TestResolve:
         code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(cfg))
         assert code == 2
         assert err == f"ScenarioError: {message}\n"
+
+    @pytest.mark.parametrize("option, value", [("flat_fee", "nan"), ("user_fee", "-2")])
+    def test_a_fee_that_is_not_a_finite_number_at_least_zero_exits_2(
+        self, capsys, tmp_path, option, value
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(model_fixture_text(1).replace(f"{option} = 1.0", f"{option} = {value}"))
+        code, _, err = run(capsys, "resolve", "+13154434473", "--scenario-file", str(cfg))
+        assert code == 2
+        assert err == f"ScenarioError: fee {option} is not a finite number >= 0\n"
 
 
 class TestScenario:

@@ -478,8 +478,8 @@ def counting_store():
         calls.append(text)
         return parse_store_lines(text)
 
-    parsed = {"100": parse_store_lines(TEL), "101": []}
-    store = RecordStore(parsed, {"200": SIP, "201": MAILTO}, parse)
+    values = {"100": parse_store_lines(TEL), "101": [], "200": SIP, "201": MAILTO}
+    store = RecordStore(values, parse)
     return store, calls
 
 
@@ -537,7 +537,7 @@ class TestRecordStore:
         assert store == counting_store()[0]
 
     def test_a_failed_parse_leaves_the_number_unread(self):
-        store = RecordStore(unread={"200": "garbage"}, parse=parse_store_lines)
+        store = RecordStore({"200": "garbage"}, parse=parse_store_lines)
         for read in (lambda: store["200"], lambda: store.get("200"), lambda: store.pop("200")):
             with pytest.raises(NaptrError):
                 read()

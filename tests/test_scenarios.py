@@ -29,6 +29,37 @@ def run_model(model, events=None, seed=11):
     return topology, log
 
 
+_GRANTED_TRANSFER = (
+    "step grant number=+13154434473 user=alice grantee=asp1 rights=provision\n"
+    "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+)
+
+
+@pytest.mark.parametrize("steps, state", [(2, "RecordsMigrated"), (3, "RegistryUpdated")])
+def test_a_dispute_after_the_migration_gives_the_old_registrar_its_grants_back(steps, state):
+    topology, _ = run_model(1, canonical_events() + _GRANTED_TRANSFER)
+    reg1 = topology.registrars["reg1"]
+    before = list(reg1.grants["13154434473"])
+    run_events(topology, "step transfer_step transfer=x1\n" * steps)
+    assert topology.log[-1].detail["state"] == state
+    assert "13154434473" not in reg1.grants  # MIGRATE_REQ took them
+    run_events(topology, "step dispute transfer=x1 by=reg1\n")
+    assert topology.log[-1].detail["state"] == "Disputed"
+    assert reg1.grants["13154434473"] == before
+    run_events(topology, f"step provision number=+13154434473 actor=asp1 record={SIP}\n")
+    assert topology.log[-1].ok and topology.log[-1].detail["registrar"] == "reg1"
+
+
+def test_a_completed_transfer_leaves_the_old_registrar_no_grant():
+    topology, _ = run_model(
+        1, canonical_events() + _GRANTED_TRANSFER + "step transfer_step transfer=x1\n" * 4
+    )
+    assert topology.log[-1].detail["state"] == "Complete"
+    assert "13154434473" not in topology.registrars["reg1"].grants
+    run_events(topology, f"step provision number=+13154434473 actor=asp1 record={SIP}\n")
+    assert topology.log[-1].status == "AccessDenied"
+
+
 class TestConfig:
     def test_builtin_fixtures_cover_grid(self):
         for model, (kind, multiplicity) in MODEL_GRID.items():
@@ -103,8 +134,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "section",
-        ["[faults]\nreg1 = a:b\n", "[faults]\nreg1 = 5\n", "[fees]\nflat_fee = x\n"],
-        ids=["fault-not-int", "fault-no-colon", "fee-not-float"],
+        ["[faults]\nreg1 = a:b\n", "[faults]\nreg1 = 5\n", "[fees]\nflat_fee = x\n",
+         "[fees]\nflat_fee = nan\n", "[fees]\nuser_fee = inf\n", "[fees]\nuser_fee = -2\n"],
+        ids=["fault-not-int", "fault-no-colon", "fee-not-float", "fee-nan", "fee-inf",
+             "fee-negative"],
     )
     def test_bad_number_in_config_is_scenario_error(self, section):
         text = "[model]\nid = 1\n[actors]\nregistries = R1\n" + section
@@ -214,10 +247,14 @@ class TestEventScripts:
             ("step assign user=alice tsp=tsp1", "ScenarioError"),
             ("step advance ticks=abc", "ScenarioError"),
             ("step cooperate payer=reg1 tsp=tsp1 amount=x", "ScenarioError"),
+            ("step cooperate payer=reg1 tsp=tsp1 amount=nan", "ScenarioError"),
+            ("step cooperate payer=reg1 tsp=tsp1 amount=inf", "ScenarioError"),
+            ("step cooperate payer=reg1 tsp=tsp1 amount=-2", "ScenarioError"),
             (f"step provision number=+13154434473 actor=alice visibility=secret record={SIP}",
              "InvalidRecord"),
         ],
-        ids=["missing-number", "ticks-not-int", "amount-not-float", "unknown-visibility"],
+        ids=["missing-number", "ticks-not-int", "amount-not-float", "amount-nan", "amount-inf",
+             "amount-negative", "unknown-visibility"],
     )
     def test_malformed_step_logged_and_run_continues(self, line, status):
         topology = build_topology(builtin_config(1))

@@ -756,8 +756,8 @@ _ODD_LINES = _SAVED_LINES + [
     'record|public 1 1 "x" "E2U+sip" "!a!b!" .', "grant|g9|alice|asp1|bogus|*",
     "grant|g10|alice|asp1|access", "grant|gx|a|b|access|*", "bogus|x", "record",
 ]
-# Registrar files a save would not write, one per shape that sends a
-# trusted load to the line-by-line read.
+# Registrar files a save would not write, one per shape a trusted load
+# once sent to a second, parse-everything read.
 _OFF_LAYOUT = {
     "no-final-break": dict(lines=_SAVED_LINES, end=""),
     "blank-line": dict(lines=[*_SAVED_LINES[:4], " ", *_SAVED_LINES[4:]], end="\n"),
@@ -800,17 +800,18 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
     # bad record line; any text the checks accept loads the same.
     if expected[0] != "SnapshotError":
         assert registrar_load(text, trusted=True) == expected
-        # It splits the whole file or reads it all line by line: every
-        # number's records stay unread, or none do.
+        # Every number holding records keeps them unread.
         actor = types.SimpleNamespace(store=None, grants={})
         topology = types.SimpleNamespace(snapshot_seen=(None, {}))
         _load_registrar(topology, actor, Path("reg.snap"), text, True)
         unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
-        assert unread in (set(), {n for n, records in expected[0].items() if records})
+        assert unread == {n for n, records in expected[0].items() if records}
 
 
 @pytest.mark.parametrize("shape", _OFF_LAYOUT.values(), ids=_OFF_LAYOUT)
 def test_a_trusted_registrar_file_off_the_saved_layout_is_read_line_by_line(shape):
+    # One walk reads both: a trusted load equals the untrusted one, or
+    # fails at the same line with the same error.
     text = "\n".join(shape["lines"]) + shape["end"]
     actor = types.SimpleNamespace(store=None, grants={})
     topology = types.SimpleNamespace(snapshot_seen=(None, {}))
@@ -819,12 +820,12 @@ def test_a_trusted_registrar_file_off_the_saved_layout_is_read_line_by_line(shap
     except SnapshotError as exc:  # the grant line that does not parse, named
         assert registrar_load(text, trusted=False) == ("SnapshotError", str(exc), exc.lineno)
     else:
-        assert [n for n in actor.store if actor.store.unread_text(n) is not None] == []
+        unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
+        assert unread == set(actor.store.numbers_with_records())
         assert registrar_load(text, trusted=True) == registrar_load(text, trusted=False)
 
 
 def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
-    # A blank line after each block sends every block down the line-by-line path.
     lines = []
     for i in range(300):
         lines += [f"number|1315443{i:04d}", *_SAVED_LINES[1:4 if i % 3 else 3], ""]
@@ -834,7 +835,20 @@ def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
         line_by_line_load(Path("reg.snap"), text)
     expected = ("SnapshotError", str(excinfo.value), len(lines) - 1)
     assert excinfo.value.lineno == expected[2]
-    assert registrar_load(text, trusted=False) == registrar_load(text, trusted=True) == expected
+    assert registrar_load(text, trusted=False) == expected
+    # Trusted, the file loads; the bad number's first read fails, naming
+    # the file only, and takes the file's checkpoint entry away, so the
+    # next load parses every line and names the bad one.
+    actor = types.SimpleNamespace(store=None, grants={})
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+    _load_registrar(topology, actor, Path("reg.snap"), text, True)
+    bad = "13154430299"
+    assert actor.store.unread_text(bad) is not None
+    with pytest.raises(SnapshotError) as excinfo:
+        actor.store[bad]
+    assert excinfo.value.lineno is None and str(excinfo.value).startswith("reg.snap: ")
+    assert topology.snapshot_seen[1] == {"reg.snap": ()}
+    assert registrar_load(text, trusted=False) == expected
 
 
 def test_untouched_registrar_file_is_not_rewritten(tmp_path):
@@ -1066,6 +1080,45 @@ def test_a_trusted_whitespace_line_is_no_subscription(tmp_path):
     numbers = sorted(loaded(1, plain).directory.subscriptions)
     assert numbers == ["13154434473", "13154434474"]
     assert sorted(loaded(1, trusted).directory.subscriptions) == numbers
+
+
+def _insert_line(data, at, line):
+    lines = data.split(b"\n")
+    lines.insert(at, line)
+    return b"\n".join(lines)
+
+
+def _duplicate_first_number(data):
+    number, _, rest = data.partition(b"\n")[0].partition(b"|")
+    _, _, rest = rest.partition(b"|")  # a second line for the number, with another user
+    return data + number + b"|carol|" + rest + b"\n"
+
+
+@pytest.mark.parametrize(
+    "name, change, failing_line",
+    [
+        (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b""), None),
+        (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b"12125559999|reg1|R9|1"), 21),
+        (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b"12125559999|reg1|R1"), 21),
+        (SUBSCRIPTIONS_SNAP, _duplicate_first_number, None),
+    ],
+    ids=["registry-blank-line", "registry-unknown-owner", "registry-three-fields",
+         "subscriptions-duplicate-number"],
+)
+def test_a_vouched_file_a_save_would_not_write_loads_as_a_plain_one(
+    model4_dir, tmp_path, name, change, failing_line
+):
+    trusted, plain = tmp_path / "trusted", tmp_path / "plain"
+    shutil.copytree(model4_dir, trusted)
+    vouch(trusted, name, change((trusted / name).read_bytes()))
+    shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    assert name in read_checkpoint(trusted)
+    expected = load_outcome(4, plain)
+    assert load_outcome(4, trusted) == expected
+    if failing_line is None:
+        assert expected[0] == "ok"
+    else:
+        assert expected[0] == "SnapshotError" and expected[2] == failing_line
 
 
 @pytest.mark.parametrize("name", [REGISTRY_SNAP, SUBSCRIPTIONS_SNAP])
