@@ -155,6 +155,7 @@ class AccessOracle:
     def check(self, records: list[LogRecord]) -> list[str]:
         subs: dict[str, list[str]] = {}  # number -> [user, tsp, serving registrar]
         grants: dict[str, list[tuple[str, str, frozenset[str], str]]] = {}
+        held: dict[str, list[tuple[str, str, frozenset[str], str]]] = {}  # by transfer
         violations: list[str] = []
 
         def serve(number: str, registrar: str) -> None:
@@ -197,6 +198,7 @@ class AccessOracle:
             elif kind == "dispute":
                 if d.get("from"):
                     serve(number, d["from"])
+                grants[number] = held.pop(d.get("transfer", ""), grants.get(number, []))
             elif kind == "disconnect":
                 serve(number, "")
                 grants.pop(number, None)
@@ -229,7 +231,8 @@ class AccessOracle:
                         )
             elif _changes_registrar(rec):
                 serve(number, d.get("to", ""))
-                grants.pop(number, None)
+                # A dispute of a paced transfer gives the grants back.
+                held[d.get("transfer", "")] = grants.pop(number, [])
         return violations
 
 

@@ -318,15 +318,19 @@ class RegistrarActor:
         self.accredited = accredited
         self.store = RecordStore()
         self.grants: dict[str, list[AuthorizationGrant]] = {}
-        # The grants MIGRATE_REQ took from each number, which a dispute's
-        # MIGRATE_RESP restore=1 puts back; the number's next MIGRATE_REQ
-        # replaces them.
-        self._migrated_grants: dict[str, list[AuthorizationGrant] | tuple[()]] = {}
+        # The grants MIGRATE_REQ took from a number, for a dispute's
+        # MIGRATE_RESP restore=1 to put back.
+        self._migrated_grants: dict[str, list[AuthorizationGrant]] = {}
         self.transfers: dict[str, TransferRecord] = {}
         self.transfer_notices: list[tuple[str, str, str]] = []  # (tid, number, to)
         self.warnings: list[str] = []
 
     # ------------------------------------------------------------ internals
+
+    def _forget_grants(self, number: str) -> None:
+        """Drop the grants, live or set aside, of a number taken or given up."""
+        self.grants.pop(number, None)
+        self._migrated_grants.pop(number, None)
 
     def _subscriber_of(self, number: str, user: str) -> Subscription:
         sub = self.directory.subscription(number)
@@ -403,6 +407,8 @@ class RegistrarActor:
             raise UnaccreditedRegistrar(
                 f"{self.actor_id} not accredited at {self.home_registry}"
             )
+        if sub.serving_registrar != self.actor_id:
+            self._forget_grants(number)
         sub.enum_active = True
         sub.serving_registrar = self.actor_id
         sub.check()
@@ -610,6 +616,7 @@ class RegistrarActor:
                     f"registry update failed for transfer {transfer_id!r}: {status}"
                 )
             self.store[record.number] = list(record.migrated)
+            self._forget_grants(record.number)
             sub = self.directory.subscription(record.number)
             sub.serving_registrar = self.actor_id
             record._advance(TransferState.REGISTRY_UPDATED)
@@ -643,6 +650,7 @@ class RegistrarActor:
         if record.state is TransferState.REGISTRY_UPDATED:
             self._repoint(record.number, record.from_registrar, self.actor_id, net, rollback="1")
             self.store.pop(record.number, None)
+            self._forget_grants(record.number)
             sub = self.directory.subscription(record.number)
             sub.serving_registrar = record.from_registrar
 
@@ -782,11 +790,14 @@ class RegistrarActor:
             return frame.ok_reply()
         if frame.kind == MIGRATE_REQ:
             records = self.store.pop(number, [])
-            self._migrated_grants[number] = self.grants.pop(number, ())
+            taken = self.grants.get(number)
+            self._forget_grants(number)
+            if taken:
+                self._migrated_grants[number] = taken
             return frame.ok_reply(records=render_store_lines(records))
         if frame.kind == MIGRATE_RESP and frame.get("restore") == "1":
             self.store[number] = parse_store_lines(frame.get("records"))
-            taken = self._migrated_grants.pop(number, ())
+            taken = self._migrated_grants.pop(number, None)
             if taken:  # before any grant made since
                 self.grants[number] = [*taken, *self.grants.get(number, ())]
             return frame.ok_reply()

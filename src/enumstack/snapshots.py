@@ -58,6 +58,7 @@ import os
 import re
 import tempfile
 import zlib
+from itertools import islice
 from sys import intern
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, TypeVar
@@ -141,15 +142,9 @@ def _encode_lines(lines: Iterable[str]) -> list[bytes]:
     """*lines*, each ended by a line break, as UTF-8 in pieces of at most
     _PIECE_LINES lines, so a file is rendered without one copy of all of
     it as text and another as bytes."""
+    lines = iter(lines)
     pieces: list[bytes] = []
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) == _PIECE_LINES:
-            batch.append("")
-            pieces.append("\n".join(batch).encode("utf-8"))
-            batch.clear()
-    if batch:
+    while batch := list(islice(lines, _PIECE_LINES)):
         batch.append("")
         pieces.append("\n".join(batch).encode("utf-8"))
     return pieces
@@ -526,7 +521,7 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
                 if number in held:  # two owners claim the number
                     previous = held[number]
                     if isinstance(previous, str):
-                        previous = _delegation(previous)
+                        previous = _earlier_delegation(path, text, previous)
                     value = _delegation(line)
                     state.observed_serials.setdefault(number, [previous.serial]).append(
                         value.serial
@@ -543,6 +538,14 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
     read = _deferred(topology, path, _delegation)
     for reg_id, actor in registries.items():
         actor.state.delegations = RecordStore(values[reg_id], read)
+
+
+def _earlier_delegation(path: Path, text: str, line: str) -> Delegation:
+    """Parse a kept line that a later line claims again; errors name it."""
+    try:
+        return _delegation(line)
+    except ValueError as exc:
+        raise SnapshotError(str(path), text.split("\n").index(line) + 1, str(exc)) from None
 
 
 def _parse_grant(rest: str, number: str) -> AuthorizationGrant:

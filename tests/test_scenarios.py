@@ -48,6 +48,7 @@ def test_a_dispute_after_the_migration_gives_the_old_registrar_its_grants_back(s
     assert reg1.grants["13154434473"] == before
     run_events(topology, f"step provision number=+13154434473 actor=asp1 record={SIP}\n")
     assert topology.log[-1].ok and topology.log[-1].detail["registrar"] == "reg1"
+    assert assert_invariants(topology).passed  # the oracle gives the grants back too
 
 
 def test_a_completed_transfer_leaves_the_old_registrar_no_grant():
@@ -58,6 +59,69 @@ def test_a_completed_transfer_leaves_the_old_registrar_no_grant():
     assert "13154434473" not in topology.registrars["reg1"].grants
     run_events(topology, f"step provision number=+13154434473 actor=asp1 record={SIP}\n")
     assert topology.log[-1].status == "AccessDenied"
+
+
+def test_a_registrar_that_takes_a_number_back_holds_none_of_its_old_grants():
+    # g3 is made at reg1 after MIGRATE_REQ, so x1's completion leaves it
+    # there; a later subscription at reg1 must not bring it back to life.
+    topology, _ = run_model(
+        1,
+        canonical_events()
+        + _GRANTED_TRANSFER
+        + "step transfer_step transfer=x1\n" * 2
+        + "step grant number=+13154434473 user=alice grantee=bob rights=provision\n"
+        + "step transfer_step transfer=x1\n" * 2
+        + "step disconnect number=+13154434473 user=alice kind=enum_only\n"
+        "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n"
+        f"step provision number=+13154434473 actor=bob record={SIP}\n",
+    )
+    assert topology.log[-1].status == "AccessDenied"
+    assert "13154434473" not in topology.registrars["reg1"].grants
+    assert assert_invariants(topology).passed
+
+
+def test_a_dispute_leaves_the_new_registrar_no_grant():
+    topology, _ = run_model(
+        1,
+        canonical_events()
+        + _GRANTED_TRANSFER
+        + "step transfer_step transfer=x1\n" * 3
+        + "step grant number=+13154434473 user=alice grantee=bob rights=provision\n"
+        "step dispute transfer=x1 by=reg1\n",
+    )
+    assert topology.log[-1].detail["state"] == "Disputed"
+    assert "13154434473" not in topology.registrars["reg2"].grants
+    assert [g.grant_id for g in topology.registrars["reg1"].grants["13154434473"]] == ["g1", "g2"]
+    assert assert_invariants(topology).passed
+
+
+def test_a_dispute_gives_back_no_grant_an_earlier_completed_transfer_removed():
+    # x1 moves the number away from reg1 with asp1's grants, x2 brings it
+    # back, and x3 leaves while reg1 is offline, so reg1 loses the
+    # MIGRATE_REQ and keeps its grants in place until the dispute.
+    topology, _ = run_model(
+        1,
+        canonical_events()
+        + _GRANTED_TRANSFER
+        + "step transfer_step transfer=x1\n" * 4
+        + "step transfer number=+13154434473 user=alice to=reg1\n"
+        "step grant number=+13154434473 user=alice grantee=bob rights=provision\n"
+        "step offline actor=reg1\n"
+        "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+        + "step transfer_step transfer=x3\n" * 3
+        + "step online actor=reg1\n"
+        "step dispute transfer=x3 by=reg1\n",
+    )
+    assert topology.log[-1].detail["state"] == "Disputed"
+    reg1 = topology.registrars["reg1"]
+    assert [g.grant_id for g in reg1.grants["13154434473"]] == ["g3"]
+    run_events(
+        topology,
+        f"step provision number=+13154434473 actor=asp1 record={SIP}\n"
+        f"step provision number=+13154434473 actor=bob record={SIP}\n",
+    )
+    assert [r.status for r in topology.log[-2:]] == ["AccessDenied", "ok"]
+    assert assert_invariants(topology).passed
 
 
 class TestConfig:

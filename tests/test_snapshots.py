@@ -1088,6 +1088,14 @@ def _insert_line(data, at, line):
     return b"\n".join(lines)
 
 
+def _bad_serial_on_the_first_of_two_claims(data):
+    # 12125550000 is R1's at serial 1; the line now carries a bad serial,
+    # and a line appended for R2 claims the number too.
+    line = b"12125550000|reg1|R1|1"
+    assert data.split(b"\n").index(line) == 0
+    return data.replace(line + b"\n", line[:-1] + b"x\n") + b"12125550000|reg2|R2|1\n"
+
+
 def _duplicate_first_number(data):
     number, _, rest = data.partition(b"\n")[0].partition(b"|")
     _, _, rest = rest.partition(b"|")  # a second line for the number, with another user
@@ -1100,10 +1108,11 @@ def _duplicate_first_number(data):
         (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b""), None),
         (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b"12125559999|reg1|R9|1"), 21),
         (REGISTRY_SNAP, lambda data: _insert_line(data, 20, b"12125559999|reg1|R1"), 21),
+        (REGISTRY_SNAP, _bad_serial_on_the_first_of_two_claims, 1),
         (SUBSCRIPTIONS_SNAP, _duplicate_first_number, None),
     ],
     ids=["registry-blank-line", "registry-unknown-owner", "registry-three-fields",
-         "subscriptions-duplicate-number"],
+         "registry-bad-serial-first-of-two-owners", "subscriptions-duplicate-number"],
 )
 def test_a_vouched_file_a_save_would_not_write_loads_as_a_plain_one(
     model4_dir, tmp_path, name, change, failing_line
