@@ -145,7 +145,9 @@ class AccessOracle:
     a defect in the registrar's enforcement cannot hide: every successful
     write (and every restricted read) in the log must be justified by the
     subscriber/serving-registrar identities, the implicit TSP rule, or a
-    grant visible in the log at that point.
+    grant visible in the log at that point. A grant counts while the
+    registrar its record names serves the number, and a completed registrar
+    change drops it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -154,8 +156,8 @@ class AccessOracle:
 
     def check(self, records: list[LogRecord]) -> list[str]:
         subs: dict[str, list[str]] = {}  # number -> [user, tsp, serving registrar]
-        grants: dict[str, list[tuple[str, str, frozenset[str], str]]] = {}
-        held: dict[str, list[tuple[str, str, frozenset[str], str]]] = {}  # by transfer
+        # number -> [(grant id, grantee, rights, scope, registrar)]
+        grants: dict[str, list[tuple[str, str, frozenset[str], str, str]]] = {}
         violations: list[str] = []
 
         def serve(number: str, registrar: str) -> None:
@@ -179,9 +181,10 @@ class AccessOracle:
                 return True
             return any(
                 grantee == actor
+                and registrar == serving
                 and rights & needed
                 and (scope == "*" or scope.lower() == service)
-                for _, grantee, rights, scope in grants.get(number, ())
+                for _, grantee, rights, scope, registrar in grants.get(number, ())
             )
 
         for rec in records:
@@ -198,7 +201,6 @@ class AccessOracle:
             elif kind == "dispute":
                 if d.get("from"):
                     serve(number, d["from"])
-                grants[number] = held.pop(d.get("transfer", ""), grants.get(number, []))
             elif kind == "disconnect":
                 serve(number, "")
                 grants.pop(number, None)
@@ -209,6 +211,7 @@ class AccessOracle:
                         d.get("grantee", ""),
                         frozenset(d.get("rights", "").split(",")),
                         d.get("scope", "*"),
+                        d.get("registrar", ""),
                     )
                 )
             elif kind == "revoke":
@@ -229,10 +232,11 @@ class AccessOracle:
                         violations.append(
                             f"{rec.event_id}: {actor} read restricted {service} for {number}"
                         )
-            elif _changes_registrar(rec):
-                serve(number, d.get("to", ""))
-                # A dispute of a paced transfer gives the grants back.
-                held[d.get("transfer", "")] = grants.pop(number, [])
+            elif kind in _CHANGE_DONE:
+                if _changes_registrar(rec):
+                    serve(number, d.get("to", ""))
+                if d.get("state") == "Complete":
+                    grants.pop(number, None)
         return violations
 
 
@@ -274,12 +278,20 @@ class InvariantReport:
 
 def _single_store(topology: Topology) -> list[str]:
     """Each number's records live at exactly one registrar, and an active
-    number's records live at its serving registrar."""
+    number's records live at its serving registrar; the old registrar's
+    copy while its transfer is in ``RegistryUpdated`` is not counted."""
     violations: list[str] = []
+    pending = {
+        (record.number, record.from_registrar)
+        for actor in topology.registrars.values()
+        for record in actor.transfers.values()
+        if record.state is TransferState.REGISTRY_UPDATED
+    }
     holders: dict[str, list[str]] = {}
     for registrar_id, actor in topology.registrars.items():
         for number in actor.store.numbers_with_records():
-            holders.setdefault(number, []).append(registrar_id)
+            if (number, registrar_id) not in pending:
+                holders.setdefault(number, []).append(registrar_id)
     for number, where in sorted(holders.items()):
         if len(where) > 1:
             violations.append(f"{number} stored at {', '.join(where)}")

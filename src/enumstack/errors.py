@@ -182,6 +182,10 @@ class AlreadySubscribed(RegistrarError):
     """Number already has ENUM service at another registrar; transfer instead."""
 
 
+class TransferPending(RegistrarError):
+    """The number's transfer is open: no write or second transfer until it ends."""
+
+
 # ---------------------------------------------------------------- scenarios
 
 

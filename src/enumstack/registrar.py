@@ -5,13 +5,16 @@ enforces user-granted access rights over provisioning and reads, runs the
 registrar-change (transfer) state machine against the old registrar and
 the registry, and implements the two disconnect flavors.
 
-Subscriptions and number assignments live in a shared :class:`Directory`:
-the simulator is single-threaded, and keeping the subscriber ledger in
-one place mirrors how the artifact snapshots it. Record stores and grants
-are strictly per-registrar; a transfer *moves* the record set (the old
-registrar hands records over and drops them, and keeps the number's grants
-aside for a dispute to restore), so at quiescence every record lives at
-exactly one registrar.
+Subscriptions, number assignments and the lock of each number under
+transfer live in a shared :class:`Directory`: the simulator is
+single-threaded, and one ledger mirrors how the artifact snapshots it.
+Record stores and grants are per-registrar. A transfer owns its number
+until it ends, as an EPP object in ``pendingTransfer`` does: no registrar
+takes a write or a second transfer for it (:class:`TransferPending`). The
+old registrar answers ``MIGRATE_REQ`` with a copy and keeps its records
+and grants, drops them at the ``MIGRATE_RESP`` the new one sends at
+``Complete``, and goes on serving after a dispute. A registrar taking a
+number merges the migrated set over a copy a failed migration left there.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import (
     NotSubscriber,
     RegistrarError,
     SameRegistrar,
+    TransferPending,
     UnaccreditedRegistrar,
     UnknownGrant,
     UnknownSubscription,
@@ -138,6 +142,8 @@ class Directory:
     def __init__(self) -> None:
         self.subscriptions: RecordStore[Subscription] = RecordStore()
         self.tsp_confirmations: set[tuple[str, str]] = set()  # (number, registrar)
+        # number -> its latest transfer, which locks it until it is finished
+        self.transfers: dict[str, TransferRecord] = {}
 
     def assign(self, number: str, user: str, tsp: str) -> Subscription:
         """A TSP assigns the number: phone service on, ENUM off, fresh token."""
@@ -178,14 +184,13 @@ class TransferRecord:
     from_registrar: str
     to_registrar: str
     user: str
-    state: TransferState = TransferState.REQUESTED
-    migrated: tuple[NaptrRecord, ...] = ()
+    migrated: tuple[NaptrRecord, ...] | None = None  # None until MIGRATE_REQ is answered
     warnings: list[str] = field(default_factory=list)
-    history: list[TransferState] = field(default_factory=list)
+    history: list[TransferState] = field(default_factory=lambda: [TransferState.REQUESTED])
 
-    def __post_init__(self) -> None:
-        if not self.history:
-            self.history.append(self.state)
+    @property
+    def state(self) -> TransferState:
+        return self.history[-1]
 
     @property
     def finished(self) -> bool:
@@ -193,7 +198,6 @@ class TransferRecord:
         return self.state in (TransferState.COMPLETE, TransferState.DISPUTED)
 
     def _advance(self, state: TransferState) -> None:
-        self.state = state
         self.history.append(state)
 
 
@@ -318,19 +322,15 @@ class RegistrarActor:
         self.accredited = accredited
         self.store = RecordStore()
         self.grants: dict[str, list[AuthorizationGrant]] = {}
-        # The grants MIGRATE_REQ took from a number, for a dispute's
-        # MIGRATE_RESP restore=1 to put back.
-        self._migrated_grants: dict[str, list[AuthorizationGrant]] = {}
         self.transfers: dict[str, TransferRecord] = {}
-        self.transfer_notices: list[tuple[str, str, str]] = []  # (tid, number, to)
         self.warnings: list[str] = []
 
     # ------------------------------------------------------------ internals
 
-    def _forget_grants(self, number: str) -> None:
-        """Drop the grants, live or set aside, of a number taken or given up."""
-        self.grants.pop(number, None)
-        self._migrated_grants.pop(number, None)
+    def _check_unlocked(self, number: str) -> None:
+        latest = self.directory.transfers.get(number)
+        if latest is not None and not latest.finished:
+            raise TransferPending(f"{number!r} is under transfer {latest.transfer_id!r}")
 
     def _subscriber_of(self, number: str, user: str) -> Subscription:
         sub = self.directory.subscription(number)
@@ -408,7 +408,7 @@ class RegistrarActor:
                 f"{self.actor_id} not accredited at {self.home_registry}"
             )
         if sub.serving_registrar != self.actor_id:
-            self._forget_grants(number)
+            self.grants.pop(number, None)
         sub.enum_active = True
         sub.serving_registrar = self.actor_id
         sub.check()
@@ -434,6 +434,7 @@ class RegistrarActor:
         """Merge records into the number's set, replacing by
         (service, order, preference). Every record's service must be
         within the actor's rights."""
+        self._check_unlocked(number)
         sub = self._active_here(number)
         for rec in records:
             if not isinstance(rec, NaptrRecord):
@@ -442,6 +443,10 @@ class RegistrarActor:
                 raise AccessDenied(
                     f"{actor!r} may not provision {rec.service} for {number!r}"
                 )
+        self._merge(number, records)
+        return NaptrRecordSet(number=parse_number("+" + number), records=tuple(self.store[number]))
+
+    def _merge(self, number: str, records: Iterable[NaptrRecord]) -> None:
         current = self.store.setdefault(number, [])
         for rec in records:
             for i, existing in enumerate(current):
@@ -450,13 +455,6 @@ class RegistrarActor:
                     break
             else:
                 current.append(rec)
-        return self.record_set(number)
-
-    def record_set(self, number: str) -> NaptrRecordSet:
-        return NaptrRecordSet(
-            number=parse_number("+" + number),
-            records=tuple(self.store.get(number, ())),
-        )
 
     def get_records(
         self,
@@ -499,6 +497,7 @@ class RegistrarActor:
         number: str,
         grant_id: str,
     ) -> AuthorizationGrant:
+        self._check_unlocked(number)
         self._subscriber_of(number, user)
         _check_storable(grantee=grantee, scope=scope.service)
         grant = AuthorizationGrant(
@@ -513,6 +512,7 @@ class RegistrarActor:
         return grant
 
     def revoke_access(self, user: str, number: str, grant_id: str) -> None:
+        self._check_unlocked(number)
         self._subscriber_of(number, user)
         grants = self.grants.get(number, [])
         for i, grant in enumerate(grants):
@@ -526,7 +526,9 @@ class RegistrarActor:
     def begin_transfer(
         self, user: str, number: str, transfer_id: str
     ) -> TransferRecord:
-        """Open a registrar change toward this registrar (state Requested)."""
+        """Open a registrar change toward this registrar (state Requested),
+        and lock the number until it ends."""
+        self._check_unlocked(number)
         sub = self.directory.subscription(number)
         if not sub.enum_active:
             raise EnumInactive(f"{number!r} has no active ENUM service")
@@ -541,7 +543,7 @@ class RegistrarActor:
             to_registrar=self.actor_id,
             user=user,
         )
-        self.transfers[transfer_id] = record
+        self.transfers[transfer_id] = self.directory.transfers[number] = record
         return record
 
     def _repoint(
@@ -560,7 +562,8 @@ class RegistrarActor:
 
     def step_transfer(self, transfer_id: str, net: Network, event: str = "") -> TransferRecord:
         """Advance the transfer one state; unreachable old registrars are
-        retried, then skipped with a warning rather than blocking."""
+        retried, then skipped with a warning rather than blocking. A failed
+        repoint leaves the transfer, and the number's lock, in place."""
         record = self.transfers.get(transfer_id)
         if record is None:
             raise UnknownTransfer(f"no transfer {transfer_id!r}")
@@ -599,7 +602,6 @@ class RegistrarActor:
                     f"old registrar {record.from_registrar} unreachable for migration;"
                     " proceeding with empty set"
                 )
-                record.migrated = ()
             else:
                 record.migrated = tuple(parse_store_lines(resp.get("records")))
             record._advance(TransferState.RECORDS_MIGRATED)
@@ -613,15 +615,25 @@ class RegistrarActor:
             if resp is None or not resp.ok:
                 status = "timeout" if resp is None else resp.status
                 raise RegistrarError(
-                    f"registry update failed for transfer {transfer_id!r}: {status}"
+                    f"registry update failed for transfer {transfer_id!r}: {status};"
+                    f" {transfer_id} stays in {record.state.value}"
                 )
-            self.store[record.number] = list(record.migrated)
-            self._forget_grants(record.number)
-            sub = self.directory.subscription(record.number)
-            sub.serving_registrar = self.actor_id
+            # A copy a failed migration stranded here stays, under the new one.
+            self._merge(record.number, record.migrated or ())
+            self.grants.pop(record.number, None)
+            self.directory.subscription(record.number).serving_registrar = self.actor_id
             record._advance(TransferState.REGISTRY_UPDATED)
             return record
 
+        if record.migrated is not None:  # the old registrar answered: it holds a copy
+            resp = net.request(
+                self.actor_id, record.from_registrar, MIGRATE_RESP,
+                {"number": record.number, "transfer": transfer_id},
+            )
+            if resp is None:
+                record.warnings.append(
+                    f"old registrar {record.from_registrar} unreachable to drop its copy"
+                )
         record._advance(TransferState.COMPLETE)
         return record
 
@@ -635,8 +647,9 @@ class RegistrarActor:
     def dispute_transfer(
         self, old_registrar: str, transfer_id: str, reason: str, net: Network
     ) -> TransferRecord:
-        """Dispute a pending transfer: roll everything back to the old
-        registrar and park the record in Disputed."""
+        """Dispute a pending transfer: roll the delegation back to the old
+        registrar, which kept its records and grants, drop this registrar's
+        copy, and park the record in Disputed."""
         record = self.transfers.get(transfer_id)
         if record is None:
             raise UnknownTransfer(f"no transfer {transfer_id!r}")
@@ -649,31 +662,12 @@ class RegistrarActor:
 
         if record.state is TransferState.REGISTRY_UPDATED:
             self._repoint(record.number, record.from_registrar, self.actor_id, net, rollback="1")
-            self.store.pop(record.number, None)
-            self._forget_grants(record.number)
-            sub = self.directory.subscription(record.number)
-            sub.serving_registrar = record.from_registrar
-
-        if record.state in (
-            TransferState.RECORDS_MIGRATED,
-            TransferState.REGISTRY_UPDATED,
-        ):
-            resp = net.request(
-                self.actor_id,
-                record.from_registrar,
-                MIGRATE_RESP,
-                {
-                    "restore": "1",
-                    "number": record.number,
-                    "records": render_store_lines(list(record.migrated)),
-                },
-            )
-            if resp is None:
-                record.warnings.append(
-                    f"could not return records to {record.from_registrar}"
-                )
-            record.migrated = ()
-
+            migrated = record.migrated or ()
+            kept = [r for r in self.store.pop(record.number, ()) if r not in migrated]
+            if kept:  # a copy a failed migration left here
+                self.store[record.number] = kept
+            self.grants.pop(record.number, None)
+            self.directory.subscription(record.number).serving_registrar = record.from_registrar
         record._advance(TransferState.DISPUTED)
         return record
 
@@ -772,13 +766,8 @@ class RegistrarActor:
             return frame.ok_reply()
         if frame.kind == TRANSFER_INIT:
             if frame.get("role") == "notice":
-                self.transfer_notices.append(
-                    (frame.get("transfer"), number, frame.get("to"))
-                )
                 return frame.ok_reply()
-            record = self.begin_transfer(
-                frame.get("user"), number, frame.get("transfer")
-            )
+            record = self.begin_transfer(frame.get("user"), number, frame.get("transfer"))
             return frame.ok_reply(transfer=record.transfer_id, state=record.state.value)
         if frame.kind == TRANSFER_DISPUTE:
             record = self.dispute_transfer(
@@ -788,17 +777,11 @@ class RegistrarActor:
         if frame.kind == DISCONNECT:
             self.disconnect(frame.get("user"), number, frame.get("kind_arg"), net)
             return frame.ok_reply()
-        if frame.kind == MIGRATE_REQ:
-            records = self.store.pop(number, [])
-            taken = self.grants.get(number)
-            self._forget_grants(number)
-            if taken:
-                self._migrated_grants[number] = taken
-            return frame.ok_reply(records=render_store_lines(records))
-        if frame.kind == MIGRATE_RESP and frame.get("restore") == "1":
-            self.store[number] = parse_store_lines(frame.get("records"))
-            taken = self._migrated_grants.pop(number, None)
-            if taken:  # before any grant made since
-                self.grants[number] = [*taken, *self.grants.get(number, ())]
+        if frame.kind == MIGRATE_REQ:  # a read: the records stay until Complete
+            return frame.ok_reply(records=render_store_lines(self.store.get(number, ())))
+        if frame.kind == MIGRATE_RESP:  # the transfer completed
+            if self.directory.subscription(number).serving_registrar != self.actor_id:
+                self.store.pop(number, None)
+                self.grants.pop(number, None)
             return frame.ok_reply()
         raise RegistrarError(f"registrar {self.actor_id} cannot handle {frame.kind}")

@@ -737,7 +737,7 @@ class Topology:
                 **opened,
                 "state": record.state.value,
                 "warnings": " / ".join(record.warnings),
-                "migrated": render_store_lines(list(record.migrated)),
+                "migrated": render_store_lines(record.migrated or ()),
                 "registry": self._owner_of(step.digits),
             }
         return step.detail
@@ -765,7 +765,7 @@ class Topology:
                 "warnings": " / ".join(record.warnings),
             }
             if record.state is TransferState.RECORDS_MIGRATED:
-                step.result["migrated"] = render_store_lines(list(record.migrated))
+                step.result["migrated"] = render_store_lines(record.migrated or ())
             if record.state is TransferState.REGISTRY_UPDATED:
                 step.result["registry"] = self._owner_of(record.number)
         return step.detail

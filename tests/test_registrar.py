@@ -10,6 +10,7 @@ from enumstack.errors import (
     NoPhoneService,
     NotSubscriber,
     SameRegistrar,
+    TransferPending,
     UnknownGrant,
     UnknownSubscription,
     UnknownTransfer,
@@ -321,10 +322,33 @@ class TestTransfer:
         assert rig.registry.state.lookup_delegation(NUM).registrar == "T2b"
         assert rig.directory.get(NUM).serving_registrar == "T2b"
 
-    def test_old_registrar_sees_notice(self):
+    def test_a_transfer_locks_its_number_until_it_ends(self):
         rig = self.ready_rig()
-        self.run_transfer(rig)
-        assert ("x1", NUM, "T2b") in rig.a.transfer_notices
+        rig.a.grant_access("alice", "asp1", frozenset({"provision"}), ServiceSelector(), NUM, "g1")
+        rig.b.begin_transfer("alice", NUM, "x1")
+        assert rig.directory.transfers[NUM] is rig.b.transfers["x1"]
+        writes = (
+            lambda: rig.provision(TEL),
+            lambda: rig.a.grant_access("alice", "bob", frozenset({"access"}),
+                                       ServiceSelector(), NUM, "g2"),
+            lambda: rig.a.revoke_access("alice", NUM, "g1"),
+            lambda: rig.b.begin_transfer("alice", NUM, "x2"),
+            lambda: rig.a.begin_transfer("alice", NUM, "x2"),
+        )
+        for state in ("OldNotified", "RecordsMigrated", "RegistryUpdated"):
+            rig.b.step_transfer("x1", rig.net)
+            assert rig.b.transfers["x1"].state.value == state
+            for write in writes:
+                with pytest.raises(TransferPending, match="under transfer 'x1'"):
+                    write()
+            # Reads go on: the old registrar until the repoint, then the new.
+            serving = rig.a if state != "RegistryUpdated" else rig.b
+            assert len(serving.get_records("alice", NUM).records) == 2
+            # MIGRATE_REQ was a read: the old registrar keeps its copy and grants.
+            assert len(rig.a.store[NUM]) == 2 and [g.grant_id for g in rig.a.grants[NUM]] == ["g1"]
+        assert rig.b.step_transfer("x1", rig.net).finished
+        assert NUM not in rig.a.store and NUM not in rig.a.grants  # dropped at Complete
+        rig.provision(TEL, registrar=rig.b)
 
     def test_registry_queues_notice_for_old(self):
         rig = self.ready_rig()
@@ -347,8 +371,9 @@ class TestTransfer:
         rig.b.begin_transfer("alice", NUM, "x1")
         record = rig.b.finish_transfer("x1", rig.net)
         assert record.state is TransferState.COMPLETE
-        assert record.migrated == ()
+        assert record.migrated is None  # MIGRATE_REQ got no answer
         assert rig.b.store[NUM] == []
+        assert len(rig.a.store[NUM]) == 2  # stranded, for single_store to report
         assert any("unreachable" in w for w in record.warnings)
         # Each request to the old registrar is sent once and retried once.
         counts = rig.net.counts

@@ -4,6 +4,8 @@ import pytest
 
 from enumstack.audit import AccessOracle, assert_invariants, value_flow
 from enumstack.errors import InvalidModelCombination, RunIncomplete, ScenarioError
+from enumstack.naptr import render_stored_line
+from enumstack.registrar import parse_store_lines
 from enumstack.scenarios import (
     LogRecord,
     MODEL_GRID,
@@ -33,22 +35,74 @@ _GRANTED_TRANSFER = (
     "step grant number=+13154434473 user=alice grantee=asp1 rights=provision\n"
     "step transfer_begin number=+13154434473 user=alice to=reg2\n"
 )
+ALICE = "13154434473"
+
+
+def lost_records(topology):
+    """The record account: every record that the log's ``provision``,
+    ``assign`` and ``disconnect`` steps leave a number holding, and that no
+    registrar store holds, as ``number: stored line``.
+
+    A provision merges by (service, order, preference), as the registrar
+    does; an assign or a disconnect empties the number's account.
+    """
+    held = {}
+    for rec in topology.log:
+        if not rec.ok:
+            continue
+        number = rec.detail.get("number", "")
+        if rec.kind in ("assign", "disconnect"):
+            held.pop(number, None)
+        elif rec.kind == "provision":
+            for record in parse_store_lines(rec.detail.get("records", "")):
+                held.setdefault(number, {})[record.merge_key()] = render_stored_line(record)
+    stored = {
+        (number, render_stored_line(record))
+        for actor in topology.registrars.values()
+        for number in actor.store
+        for record in actor.store[number]
+    }
+    return [
+        f"{number}: {line}"
+        for number, lines in sorted(held.items())
+        for line in lines.values()
+        if (number, line) not in stored
+    ]
+
+
+def late_writes(topology):
+    """The statuses of the provisions after the canonical script."""
+    steps = len(parse_events(canonical_events()))
+    return [r.status for r in topology.log[steps:] if r.kind == "provision"]
+
+
+def open_transfers(topology):
+    """number -> the id of its transfer still open."""
+    return {
+        number: record.transfer_id
+        for number, record in topology.directory.transfers.items()
+        if not record.finished
+    }
+
+
+def red(topology):
+    return {r.name: r.violations for r in assert_invariants(topology).results if not r.passed}
 
 
 @pytest.mark.parametrize("steps, state", [(2, "RecordsMigrated"), (3, "RegistryUpdated")])
-def test_a_dispute_after_the_migration_gives_the_old_registrar_its_grants_back(steps, state):
+def test_a_dispute_after_the_migration_leaves_the_old_registrar_its_grants(steps, state):
     topology, _ = run_model(1, canonical_events() + _GRANTED_TRANSFER)
     reg1 = topology.registrars["reg1"]
-    before = list(reg1.grants["13154434473"])
+    before = list(reg1.grants[ALICE])
     run_events(topology, "step transfer_step transfer=x1\n" * steps)
     assert topology.log[-1].detail["state"] == state
-    assert "13154434473" not in reg1.grants  # MIGRATE_REQ took them
+    assert reg1.grants[ALICE] == before  # MIGRATE_REQ is a read
     run_events(topology, "step dispute transfer=x1 by=reg1\n")
     assert topology.log[-1].detail["state"] == "Disputed"
-    assert reg1.grants["13154434473"] == before
+    assert reg1.grants[ALICE] == before
     run_events(topology, f"step provision number=+13154434473 actor=asp1 record={SIP}\n")
     assert topology.log[-1].ok and topology.log[-1].detail["registrar"] == "reg1"
-    assert assert_invariants(topology).passed  # the oracle gives the grants back too
+    assert assert_invariants(topology).passed  # the oracle counts reg1's grants again
 
 
 def test_a_completed_transfer_leaves_the_old_registrar_no_grant():
@@ -62,21 +116,23 @@ def test_a_completed_transfer_leaves_the_old_registrar_no_grant():
 
 
 def test_a_registrar_that_takes_a_number_back_holds_none_of_its_old_grants():
-    # g3 is made at reg1 after MIGRATE_REQ, so x1's completion leaves it
-    # there; a later subscription at reg1 must not bring it back to life.
+    # x1 completes while reg1 is offline, so reg1 keeps the number's records
+    # and asp1's grant; a later subscription at reg1 must not bring the
+    # grant back to life.
     topology, _ = run_model(
         1,
         canonical_events()
         + _GRANTED_TRANSFER
-        + "step transfer_step transfer=x1\n" * 2
-        + "step grant number=+13154434473 user=alice grantee=bob rights=provision\n"
-        + "step transfer_step transfer=x1\n" * 2
-        + "step disconnect number=+13154434473 user=alice kind=enum_only\n"
+        + "step transfer_step transfer=x1\n" * 3
+        + "step offline actor=reg1\n"
+        "step transfer_step transfer=x1\n"
+        "step online actor=reg1\n"
+        "step disconnect number=+13154434473 user=alice kind=enum_only\n"
         "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n"
-        f"step provision number=+13154434473 actor=bob record={SIP}\n",
+        f"step provision number=+13154434473 actor=asp1 record={SIP}\n",
     )
     assert topology.log[-1].status == "AccessDenied"
-    assert "13154434473" not in topology.registrars["reg1"].grants
+    assert ALICE not in topology.registrars["reg1"].grants
     assert assert_invariants(topology).passed
 
 
@@ -89,16 +145,17 @@ def test_a_dispute_leaves_the_new_registrar_no_grant():
         + "step grant number=+13154434473 user=alice grantee=bob rights=provision\n"
         "step dispute transfer=x1 by=reg1\n",
     )
+    assert topology.log[-2].status == "TransferPending"
     assert topology.log[-1].detail["state"] == "Disputed"
-    assert "13154434473" not in topology.registrars["reg2"].grants
-    assert [g.grant_id for g in topology.registrars["reg1"].grants["13154434473"]] == ["g1", "g2"]
+    assert ALICE not in topology.registrars["reg2"].grants
+    assert [g.grant_id for g in topology.registrars["reg1"].grants[ALICE]] == ["g1", "g2"]
     assert assert_invariants(topology).passed
 
 
 def test_a_dispute_gives_back_no_grant_an_earlier_completed_transfer_removed():
     # x1 moves the number away from reg1 with asp1's grants, x2 brings it
-    # back, and x3 leaves while reg1 is offline, so reg1 loses the
-    # MIGRATE_REQ and keeps its grants in place until the dispute.
+    # back, and x3 leaves while reg1 is offline, so reg1 never answers
+    # MIGRATE_REQ and keeps its grants in place through the dispute.
     topology, _ = run_model(
         1,
         canonical_events()
@@ -114,7 +171,7 @@ def test_a_dispute_gives_back_no_grant_an_earlier_completed_transfer_removed():
     )
     assert topology.log[-1].detail["state"] == "Disputed"
     reg1 = topology.registrars["reg1"]
-    assert [g.grant_id for g in reg1.grants["13154434473"]] == ["g3"]
+    assert [g.grant_id for g in reg1.grants[ALICE]] == ["g3"]
     run_events(
         topology,
         f"step provision number=+13154434473 actor=asp1 record={SIP}\n"
@@ -122,6 +179,117 @@ def test_a_dispute_gives_back_no_grant_an_earlier_completed_transfer_removed():
     )
     assert [r.status for r in topology.log[-2:]] == ["AccessDenied", "ok"]
     assert assert_invariants(topology).passed
+
+
+_BEGIN = "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+_STEP = "step transfer_step transfer=x1\n"
+_LATE = (
+    "step provision number=+13154434473 actor=alice"
+    ' record=200 10 "u" "E2U+mailto" "!^.*$!mailto:alice@late.example!" .\n'
+)
+# The fault paths of a registrar change, each after the canonical script:
+# (script, records each registrar ends with for alice's number, the red
+# invariants and their violations).
+FAULT_CASES = {
+    "registry offline at the repoint": (
+        "step offline actor=R1\nstep transfer number=+13154434473 user=alice to=reg2\n",
+        {"reg1": 3, "reg2": 0},
+        {},
+    ),
+    "new registrar offline at the migration": (
+        _BEGIN + _STEP + "step offline actor=reg2\n" + _STEP
+        + "step online actor=reg2\n" + _STEP * 2,
+        {"reg1": 3, "reg2": 0},
+        {"single_store": [f"{ALICE} stored at reg1 but served by reg2"]},
+    ),
+    "old registrar offline at the migration, then a dispute": (
+        _BEGIN + _STEP + "step offline actor=reg1\n" + _STEP
+        + "step online actor=reg1\nstep dispute transfer=x1 by=reg1\n",
+        {"reg1": 3, "reg2": 0},
+        {},
+    ),
+    "a write right after transfer_begin": (_BEGIN + _LATE + _STEP * 4, {"reg1": 0, "reg2": 3}, {}),
+    "a write after two steps": (_BEGIN + _STEP * 2 + _LATE + _STEP * 2, {"reg1": 0, "reg2": 3}, {}),
+}
+
+
+@pytest.mark.parametrize("model", [1, 4])
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_a_fault_in_a_transfer_loses_no_record(case, model):
+    script, counts, violations = FAULT_CASES[case]
+    topology, _ = run_model(model, canonical_events() + script)
+    assert lost_records(topology) == []
+    assert {r: len(a.store.get(ALICE, [])) for r, a in topology.registrars.items()} == counts
+    assert red(topology) == violations
+    assert late_writes(topology) == (["TransferPending"] if _LATE in script else [])
+
+
+@pytest.mark.parametrize("model", [1, 4])
+def test_a_failed_repoint_names_the_parked_transfer_and_keeps_the_lock(model):
+    script = FAULT_CASES["registry offline at the repoint"][0]
+    topology, _ = run_model(model, canonical_events() + script)
+    failed = topology.log[-1]
+    assert (failed.kind, failed.status) == ("transfer", "RegistrarError")
+    assert failed.detail["message"] == (
+        "registry update failed for transfer 'x1': timeout; x1 stays in RecordsMigrated"
+    )
+    assert open_transfers(topology) == {ALICE: "x1"}
+    run_events(topology, "step online actor=R1\n" + _LATE + _STEP * 2)
+    assert [r.status for r in topology.log[-3:]] == ["TransferPending", "ok", "ok"]
+    assert topology.log[-1].detail["state"] == "Complete"
+    assert open_transfers(topology) == {}
+    assert lost_records(topology) == [] and red(topology) == {}
+
+
+# The fault paths above, one after another on the canonical numbers, for
+# tools/replay_digests.py: late writes into alice's transfer x1; bob's x2
+# with its new registrar offline at the migration (which strands bob's
+# record at reg2); alice's x3 with its old registrar offline, then
+# disputed; and alice's x4 parked by an offline R1, then stepped to its end.
+TRANSFER_FAULT_EVENTS = (
+    "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+    'step provision number=+13154434473 actor=alice record=200 10 "u" "E2U+mailto"'
+    ' "!^.*$!mailto:alice@late.example!" .\n'
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    'step provision number=+13154434473 actor=alice record=200 10 "u" "E2U+mailto"'
+    ' "!^.*$!mailto:alice@late.example!" .\n'
+    "step transfer_step transfer=x1\n"
+    "step transfer_step transfer=x1\n"
+    "step transfer_begin number=+13154434474 user=bob to=reg1\n"
+    "step transfer_step transfer=x2\n"
+    "step offline actor=reg1\n"
+    "step transfer_step transfer=x2\n"
+    "step online actor=reg1\n"
+    "step transfer_step transfer=x2\n"
+    "step transfer_step transfer=x2\n"
+    "step transfer_begin number=+13154434473 user=alice to=reg1\n"
+    "step transfer_step transfer=x3\n"
+    "step offline actor=reg2\n"
+    "step transfer_step transfer=x3\n"
+    "step online actor=reg2\n"
+    "step dispute transfer=x3 by=reg2\n"
+    "step offline actor=R1\n"
+    "step transfer number=+13154434473 user=alice to=reg1\n"
+    "step online actor=R1\n"
+    'step provision number=+13154434473 actor=alice record=200 10 "u" "E2U+mailto"'
+    ' "!^.*$!mailto:alice@late.example!" .\n'
+    "step transfer_step transfer=x4\n"
+    "step transfer_step transfer=x4\n"
+)
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_GRID))
+def test_the_transfer_fault_script_closes_every_transfer_and_loses_no_record(model):
+    topology, log = run_model(model, canonical_events() + TRANSFER_FAULT_EVENTS, seed=0)
+    assert late_writes(topology) == ["TransferPending"] * 3
+    assert [r.detail["state"] for r in log.records if r.kind == "dispute"] == ["Disputed"]
+    assert open_transfers(topology) == {}
+    assert lost_records(topology) == []
+    assert {r: len(a.store.get(ALICE, [])) for r, a in topology.registrars.items()} == {
+        "reg1": 3, "reg2": 0,
+    }
+    assert red(topology) == {"single_store": ["13154434474 stored at reg2 but served by reg1"]}
 
 
 class TestConfig:
@@ -481,12 +649,12 @@ EXTENDED_EVENTS = (
 )
 # sha256 of the canonical script plus EXTENDED_EVENTS' log bytes at seed 0.
 GOLDEN_EXTENDED = {
-    1: "71dd393936efed73791c2282ce8d99b6f17d56e4d48c7e6b63e9d7b20e4a7900",
-    2: "5d920806d1b406112f25edd838ffaa46fa182681c7f83c5a50cade520c06c3fb",
-    3: "71dd393936efed73791c2282ce8d99b6f17d56e4d48c7e6b63e9d7b20e4a7900",
-    4: "9034300293cbc3fd5640315412a15d59cde73707a8b957d94990f5052bd5c696",
-    5: "c6f249e2cd0b025fe9489f9a8b861739de33c1d639301df4b1a815a40e43e5a8",
-    6: "9034300293cbc3fd5640315412a15d59cde73707a8b957d94990f5052bd5c696",
+    1: "de9a73747245d4d74e07d2a0faf57548662cb8873f5b54c9e3a03d46023c72fa",
+    2: "32258a9df9351f4bfc928fc8c7cf5d11d19ba4557453b12eedff750eaa673cea",
+    3: "de9a73747245d4d74e07d2a0faf57548662cb8873f5b54c9e3a03d46023c72fa",
+    4: "c6e11c546a28984bfeb7be091f201e1ec078cf64364a3254784c5b9cc411b0fc",
+    5: "08f45781ca36175bf4d46e7827910d2bfe2eb8577b13d169f6b4d31dcb14b4c9",
+    6: "c6e11c546a28984bfeb7be091f201e1ec078cf64364a3254784c5b9cc411b0fc",
 }
 
 
@@ -549,8 +717,8 @@ REPLICATION_EVENTS = (
 # (log bytes, state_hash(), registry replicas) of that run at seed 0; the
 # replicas are every registry's delegations, tombstones and observed serials.
 _REPLICATION_DIGESTS = (
-    "2930facda746aa856c7cc881d64b64ba2795bc6f91851b7ebf3bb1d6ac788436",
-    "0890d42a01b438d16036fe49b28a796098662b40a12b338614f4fb7a41ecf659",
+    "6a9972e09b78db06f52c4af1042636807264778ca843d5c3403d3019e3bbba0f",
+    "51485d6e7eab2c285588b6f4ac9acb746d70c135ca97fa6a4495039446abf367",
     "b17e2dc5a115765c31ad67acd9c907d0df11f9efc4df73c5a371508411f58965",
 )
 GOLDEN_REPLICATION = {4: _REPLICATION_DIGESTS, 5: _REPLICATION_DIGESTS, 6: _REPLICATION_DIGESTS}
@@ -726,6 +894,53 @@ class TestInvariants:
         report = assert_invariants(topology)
         # the old registrar still holds the records it could not hand over
         assert not report.result("single_store").passed
+
+    # A paced transfer of alice's number to reg2, stepped to RegistryUpdated:
+    # reg2 serves the number, and reg1 keeps its copy until the end.
+    WINDOW = _GRANTED_TRANSFER + "step transfer_step transfer=x1\n" * 3
+
+    def test_the_old_registrars_copy_in_the_window_is_not_a_second_store(self):
+        topology, _ = run_model(1, canonical_events() + self.WINDOW)
+        assert topology.log[-1].detail["state"] == "RegistryUpdated"
+        assert {r: len(a.store[ALICE]) for r, a in topology.registrars.items()} == {
+            "reg1": 3, "reg2": 3,
+        }
+        assert red(topology) == {}
+
+    def test_a_copy_at_a_third_registrar_in_the_window_is_red(self):
+        text = (
+            model_fixture_text(1)
+            .replace("registrars = reg1, reg2", "registrars = reg1, reg2, reg3")
+            .replace("R1 = reg1, reg2", "R1 = reg1, reg2, reg3")
+        )
+        topology = build_topology(parse_config(text), seed=11)
+        run_events(topology, canonical_events() + self.WINDOW)
+        assert topology.log[-1].detail["state"] == "RegistryUpdated"
+        topology.registrars["reg3"].store[ALICE] = list(topology.registrars["reg1"].store[ALICE])
+        assert red(topology) == {"single_store": [f"{ALICE} stored at reg2, reg3"]}
+
+    def test_the_old_copy_after_complete_is_red(self):
+        # reg1 is offline when the new registrar tells it the transfer is
+        # Complete, so it keeps its copy, and the transfer says so.
+        topology, _ = run_model(
+            1,
+            canonical_events() + self.WINDOW
+            + "step offline actor=reg1\nstep transfer_step transfer=x1\nstep online actor=reg1\n",
+        )
+        complete = topology.log[-2]
+        assert complete.detail["state"] == "Complete"
+        assert complete.detail["warnings"] == "old registrar reg1 unreachable to drop its copy"
+        assert red(topology) == {"single_store": [f"{ALICE} stored at reg1, reg2"]}
+        assert lost_records(topology) == []
+
+    def test_a_write_by_the_grantee_at_the_new_registrar_in_the_window_is_red(self):
+        # asp1's grant was made at reg1; it does not count at reg2.
+        topology, _ = run_model(1, canonical_events() + self.WINDOW)
+        topology.backdoor_provision("reg2", "+13154434473", SIP, actor="asp1")
+        planted = topology.log[-1].event_id
+        assert red(topology) == {
+            "access_soundness": [f"{planted}: asp1 wrote E2U+sip for {ALICE}"],
+        }
 
 
 class TestAccessOracle:

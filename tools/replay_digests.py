@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-EXTRA_SCRIPTS = ("EXTENDED_EVENTS", "RED_EVENTS", "REPLICATION_EVENTS")
+EXTRA_SCRIPTS = ("EXTENDED_EVENTS", "RED_EVENTS", "REPLICATION_EVENTS", "TRANSFER_FAULT_EVENTS")
 MODELS = range(1, 7)
 SEEDS = range(10)
 CHURN_SEEDS = (3, 5)
