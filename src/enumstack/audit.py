@@ -277,9 +277,10 @@ class InvariantReport:
 
 
 def _single_store(topology: Topology) -> list[str]:
-    """Each number's records live at exactly one registrar, and an active
-    number's records live at its serving registrar; the old registrar's
-    copy while its transfer is in ``RegistryUpdated`` is not counted."""
+    """Each number's records live at exactly one registrar: an active
+    number's at its serving registrar, an inactive number's nowhere. The
+    old registrar's copy while its transfer is in ``RegistryUpdated`` is
+    not counted."""
     violations: list[str] = []
     pending = {
         (record.number, record.from_registrar)
@@ -297,7 +298,9 @@ def _single_store(topology: Topology) -> list[str]:
             violations.append(f"{number} stored at {', '.join(where)}")
             continue
         sub = topology.directory.get(number)
-        if sub and sub.enum_active and sub.serving_registrar != where[0]:
+        if sub is None or not sub.enum_active:
+            violations.append(f"{number} stored at {where[0]} but not active")
+        elif sub.serving_registrar != where[0]:
             violations.append(
                 f"{number} stored at {where[0]} but served by {sub.serving_registrar}"
             )

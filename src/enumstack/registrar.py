@@ -10,11 +10,12 @@ transfer live in a shared :class:`Directory`: the simulator is
 single-threaded, and one ledger mirrors how the artifact snapshots it.
 Record stores and grants are per-registrar. A transfer owns its number
 until it ends, as an EPP object in ``pendingTransfer`` does: no registrar
-takes a write or a second transfer for it (:class:`TransferPending`). The
-old registrar answers ``MIGRATE_REQ`` with a copy and keeps its records
-and grants, drops them at the ``MIGRATE_RESP`` the new one sends at
-``Complete``, and goes on serving after a dispute. A registrar taking a
-number merges the migrated set over a copy a failed migration left there.
+takes a write, a subscription, a disconnect or a second transfer for it
+(:class:`TransferPending`). The old registrar answers ``MIGRATE_REQ`` with
+a copy and keeps its records and grants, drops them at the
+``MIGRATE_RESP`` the new one sends at ``Complete``, and goes on serving
+after a dispute. A registrar taking a number merges the migrated set over
+a copy a failed migration left there.
 """
 
 from __future__ import annotations
@@ -386,6 +387,7 @@ class RegistrarActor:
         anyone else needs the assignment proof token or a recorded TSP
         confirmation. Registers the delegation at the home registry.
         """
+        self._check_unlocked(number)
         sub = self.directory.get(number)
         if sub is None or not sub.phone_active:
             raise NoPhoneService(f"{number!r} has no telephone assignment")
@@ -678,6 +680,7 @@ class RegistrarActor:
     ) -> Subscription:
         """``enum_only`` withdraws ENUM service but keeps the phone number;
         ``telephone`` drops both and purges all ENUM state."""
+        self._check_unlocked(number)
         sub = self._subscriber_of(number, user)
         if kind not in ("enum_only", "telephone"):
             raise RegistrarError(f"unknown disconnect kind {kind!r}")

@@ -1,10 +1,17 @@
 """Deterministic message-passing simulator.
 
-All actors live in one process and exchange encoded wire frames through a
-single logical-time event queue. Delivery order is a seeded total order:
-each send draws a small delay from the run's RNG, and ties break on a
-monotone sequence number, so identical (seed, inputs) replay identical
-schedules byte for byte.
+All actors live in one process and exchange frames through a single
+logical-time event queue. Delivery order is a seeded total order: each
+send draws a small delay from the run's RNG, and ties break on a monotone
+sequence number, so identical (seed, inputs) replay identical schedules
+byte for byte.
+
+A send encodes the frame at once, so every
+:class:`~enumstack.errors.WireError` check runs there, and the queue holds
+the frame's exact wire bytes. Beside the bytes the queue holds a copy of
+the frame with its own fields dict, and a delivery hands over that copy:
+nothing is decoded on the way. A sender that changes its dict after the
+send does not change what is delivered.
 
 Actors may be taken offline (manually or through configured fault
 windows); frames addressed to an offline actor are dropped, never retried
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EnumStackError
-from .wire import Frame, decode_frame, encode_frame
+from .wire import Frame, encode_frame
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -65,9 +72,10 @@ class Network:
         self.clock = 0
         self._seq = 0
         self._req_counter = 0
-        # Heap of (delivery tick, send sequence number, encoded frame); the
-        # sequence number is unique, so ties never compare the frames.
-        self._queue: list[tuple[int, int, bytes]] = []
+        # Heap of (delivery tick, send sequence number, encoded frame, the
+        # frame to deliver); the sequence number is unique, so ties never
+        # compare the frames.
+        self._queue: list[tuple[int, int, bytes, Frame]] = []
         self._actors: dict[str, Handler] = {}
         self._offline: set[str] = set()
         self._fault_windows: dict[str, list[_FaultWindow]] = {}
@@ -110,7 +118,7 @@ class Network:
         return self._req_counter
 
     def send(self, frame: Frame) -> None:
-        """Schedule a frame; it travels in encoded form."""
+        """Encode *frame* and schedule a copy of it for delivery."""
         # The draw randint(min_delay, max_delay) makes, without its
         # argument checks: getrandbits until a value falls in the span.
         span = self._delay_span
@@ -122,7 +130,13 @@ class Network:
         self._seq += 1
         heapq.heappush(
             self._queue,
-            (self.clock + self._min_delay + r, self._seq, encode_frame(frame)),
+            (
+                self.clock + self._min_delay + r,
+                self._seq,
+                encode_frame(frame),
+                Frame(frame.kind, frame.src, frame.dst, frame.req_id, frame.is_response,
+                      dict(frame.fields)),
+            ),
         )
 
     def post(
@@ -130,7 +144,7 @@ class Network:
     ) -> int:
         """Send a request frame under the next request id; returns the id."""
         req_id = self.next_req_id()
-        # send() encodes the frame at once, so the caller's dict is not shared.
+        # send() queues a copy of the fields, so the caller's dict is not shared.
         self.send(Frame(kind=kind, src=src, dst=dst, req_id=req_id, fields=fields or {}))
         return req_id
 
@@ -154,10 +168,9 @@ class Network:
         """Deliver the next frame. Returns False when the queue is empty."""
         if not self._queue:
             return False
-        at, _, data = heapq.heappop(self._queue)
+        at, _, _, frame = heapq.heappop(self._queue)
         if at > self.clock:
             self.clock = at
-        frame = decode_frame(data)
         if (self._offline or self._fault_windows) and self.is_offline(frame.dst):
             self._drop(frame)
             return True

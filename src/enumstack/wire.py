@@ -18,6 +18,12 @@ A :class:`Frame` is a plain slotted object compared by value. Callers
 treat it as immutable. Building one checks that no field uses a header
 key; :func:`decode_frame` skips that check, because it has already
 popped the header keys from the fields it hands over.
+
+The simulator runs :func:`encode_frame` on every frame it sends, but it
+delivers a copy of the frame it queued beside the bytes, so nothing in
+the package decodes. :func:`decode_frame` is the format's inverse,
+``decode_frame(encode_frame(f)) == f``, for whatever reads frames back
+from bytes; the tests check each delivered frame against it.
 """
 
 from __future__ import annotations

@@ -23,27 +23,19 @@ def popped_frames(monkeypatch):
     """Every frame any ``Network`` pops, in pop order, with the clock at the pop.
 
     The network keeps no delivered frames, so tests that read the traffic
-    record it here, by wrapping the decode each ``Network.step`` makes.
+    record it here, by wrapping ``Network.step``: the head of the queue is
+    the entry the step pops, and the clock moves to its tick if that is later.
     """
     popped: list[PoppedFrame] = []
-    stepping: list[simulator.Network] = []  # nested steps: innermost last
     step = simulator.Network.step
-    decode = simulator.decode_frame
 
     def recording_step(net):
-        stepping.append(net)
-        try:
-            return step(net)
-        finally:
-            stepping.pop()
-
-    def recording_decode(data):
-        frame = decode(data)
-        popped.append(PoppedFrame(stepping[-1].clock, frame))
-        return frame
+        if net._queue:
+            at, _, _, frame = net._queue[0]
+            popped.append(PoppedFrame(max(at, net.clock), frame))
+        return step(net)
 
     monkeypatch.setattr(simulator.Network, "step", recording_step)
-    monkeypatch.setattr(simulator, "decode_frame", recording_decode)
     return popped
 
 

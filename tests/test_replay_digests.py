@@ -22,8 +22,8 @@ def load_tool():
 def test_one_replay_line_carries_the_golden_digests(monkeypatch):
     tool = load_tool()
     assert set(tool.pinned_scripts()) == set(tool.EXTRA_SCRIPTS)
-    # The recorder replaces the module's decoder; monkeypatch puts it back.
-    monkeypatch.setattr(simulator, "decode_frame", simulator.decode_frame)
+    # The recorder replaces Network.step; monkeypatch puts it back.
+    monkeypatch.setattr(simulator.Network, "step", simulator.Network.step)
     wire = tool.WireRecorder(simulator)
     line = tool.replay(enumstack, wire, 1, 0, "canonical", "")
     fields = dict(part.split("=", 1) for part in line.split(" "))

@@ -189,39 +189,59 @@ _LATE = (
 )
 # The fault paths of a registrar change, each after the canonical script:
 # (script, records each registrar ends with for alice's number, the red
-# invariants and their violations).
+# invariants and their violations, the steps refused with TransferPending).
 FAULT_CASES = {
     "registry offline at the repoint": (
         "step offline actor=R1\nstep transfer number=+13154434473 user=alice to=reg2\n",
         {"reg1": 3, "reg2": 0},
         {},
+        [],
     ),
     "new registrar offline at the migration": (
         _BEGIN + _STEP + "step offline actor=reg2\n" + _STEP
         + "step online actor=reg2\n" + _STEP * 2,
         {"reg1": 3, "reg2": 0},
         {"single_store": [f"{ALICE} stored at reg1 but served by reg2"]},
+        [],
     ),
     "old registrar offline at the migration, then a dispute": (
         _BEGIN + _STEP + "step offline actor=reg1\n" + _STEP
         + "step online actor=reg1\nstep dispute transfer=x1 by=reg1\n",
         {"reg1": 3, "reg2": 0},
         {},
+        [],
     ),
-    "a write right after transfer_begin": (_BEGIN + _LATE + _STEP * 4, {"reg1": 0, "reg2": 3}, {}),
-    "a write after two steps": (_BEGIN + _STEP * 2 + _LATE + _STEP * 2, {"reg1": 0, "reg2": 3}, {}),
+    "a write right after transfer_begin": (
+        _BEGIN + _LATE + _STEP * 4, {"reg1": 0, "reg2": 3}, {}, ["provision"],
+    ),
+    "a write after two steps": (
+        _BEGIN + _STEP * 2 + _LATE + _STEP * 2, {"reg1": 0, "reg2": 3}, {}, ["provision"],
+    ),
+    # Were they taken, the disconnect would drop reg1's records and the
+    # subscribe would let the parked transfer complete, so reg2 would serve
+    # the records withdrawn after the migration.
+    "a disconnect and a subscribe in RecordsMigrated": (
+        _BEGIN + _STEP * 2
+        + "step disconnect number=+13154434473 user=alice kind=enum_only\n" + _STEP
+        + "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n"
+        + _STEP * 2,
+        {"reg1": 0, "reg2": 3},
+        {},
+        ["disconnect", "subscribe"],
+    ),
 }
 
 
 @pytest.mark.parametrize("model", [1, 4])
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
 def test_a_fault_in_a_transfer_loses_no_record(case, model):
-    script, counts, violations = FAULT_CASES[case]
+    script, counts, violations, refused = FAULT_CASES[case]
     topology, _ = run_model(model, canonical_events() + script)
     assert lost_records(topology) == []
     assert {r: len(a.store.get(ALICE, [])) for r, a in topology.registrars.items()} == counts
     assert red(topology) == violations
-    assert late_writes(topology) == (["TransferPending"] if _LATE in script else [])
+    steps = len(parse_events(canonical_events()))
+    assert [r.kind for r in topology.log[steps:] if r.status == "TransferPending"] == refused
 
 
 @pytest.mark.parametrize("model", [1, 4])
@@ -932,6 +952,21 @@ class TestInvariants:
         assert complete.detail["warnings"] == "old registrar reg1 unreachable to drop its copy"
         assert red(topology) == {"single_store": [f"{ALICE} stored at reg1, reg2"]}
         assert lost_records(topology) == []
+
+    def test_the_old_copy_after_complete_stays_red_once_the_number_is_disconnected(self):
+        # reg1 keeps its copy as above; the disconnect at reg2 leaves the
+        # number inactive with reg1 still holding its records.
+        topology, _ = run_model(
+            1,
+            canonical_events() + self.WINDOW
+            + "step offline actor=reg1\nstep transfer_step transfer=x1\nstep online actor=reg1\n"
+            "step disconnect number=+13154434473 user=alice kind=enum_only\n",
+        )
+        assert topology.log[-1].ok
+        assert {r: len(a.store.get(ALICE, [])) for r, a in topology.registrars.items()} == {
+            "reg1": 3, "reg2": 0,
+        }
+        assert red(topology) == {"single_store": [f"{ALICE} stored at reg1 but not active"]}
 
     def test_a_write_by_the_grantee_at_the_new_registrar_in_the_window_is_red(self):
         # asp1's grant was made at reg1; it does not count at reg2.

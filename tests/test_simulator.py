@@ -4,8 +4,17 @@ from collections import Counter
 import pytest
 
 from enumstack.errors import NoDelegation
+from enumstack.scenarios import (
+    MODEL_GRID,
+    build_topology,
+    builtin_config,
+    canonical_events,
+    run_events,
+)
 from enumstack.simulator import DELIVERED, DROPPED, Network
-from enumstack.wire import Frame, encode_frame
+from enumstack.wire import Frame, decode_frame, encode_frame
+
+from test_scenarios import TRANSFER_FAULT_EVENTS
 
 
 class Echo:
@@ -165,7 +174,7 @@ def test_delay_draw_equals_randint(lo, hi):
         for _ in range(40):
             net.send(Frame(kind="GET", src="x", dst="a", req_id=net.next_req_id()))
         # the clock is 0, so each queued tick is the send's delay
-        delays = [tick for tick, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
+        delays = [tick for tick, _, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
         ref = random.Random(seed)
         assert delays == [ref.randint(lo, hi) for _ in range(40)]
         # and the generator is left where randint leaves it
@@ -214,3 +223,41 @@ def test_counts_sum_to_frames_popped(popped_frames):
     for (kind, _), n in net.counts.items():
         by_kind[kind] += n
     assert by_kind == Counter(record.frame.kind for record in popped_frames)
+
+
+# ---------------------------------------------------------------- delivered frames
+
+@pytest.mark.parametrize("script", ["canonical", "transfer faults"])
+@pytest.mark.parametrize("model", sorted(MODEL_GRID))
+def test_every_popped_frame_equals_the_decode_of_its_queued_bytes(model, script, monkeypatch):
+    # The network delivers the frame it queued and never decodes; the
+    # bytes beside it must still decode to that frame, at the pop.
+    popped, mismatched = [], []
+    step = Network.step
+
+    def checking_step(net):
+        if net._queue:
+            _, _, data, frame = net._queue[0]
+            popped.append(data)
+            if decode_frame(data) != frame:
+                mismatched.append((data, frame))
+        return step(net)
+
+    monkeypatch.setattr(Network, "step", checking_step)
+    topology = build_topology(builtin_config(model), seed=0)
+    extra = TRANSFER_FAULT_EVENTS if script == "transfer faults" else ""
+    run_events(topology, canonical_events() + extra)
+    assert mismatched == []
+    assert len(popped) == sum(topology.net.counts.values()) > 0
+    assert any(b"%" in data for data in popped)  # escaped fields are covered
+
+
+def test_a_change_to_the_callers_fields_after_post_is_not_delivered():
+    net, actors = make_net()
+    fields = {"number": "123"}
+    net.post("client", "a", "GET", fields)
+    fields["number"] = "456"
+    fields["extra"] = "x"
+    net.run_until_idle()
+    (delivered,) = actors["a"].seen
+    assert delivered.fields == {"number": "123"}

@@ -79,17 +79,24 @@ def sha(data: bytes) -> str:
 
 
 class WireRecorder:
-    """Hashes the bytes of every frame any ``Network`` pops."""
+    """Hashes the bytes of every frame any ``Network`` pops.
+
+    It wraps ``Network.step`` and reads the encoded frame at the head of the
+    queue, the entry the step pops. The bytes are the third item of a queue
+    entry also in checkouts whose network decodes them on delivery, so one
+    recorder serves both commits of a comparison.
+    """
 
     def __init__(self, simulator) -> None:
         self.digest = hashlib.sha256()
-        decode = simulator.decode_frame
+        step = simulator.Network.step
 
-        def recording_decode(data: bytes):
-            self.digest.update(data)
-            return decode(data)
+        def recording_step(net):
+            if net._queue:
+                self.digest.update(net._queue[0][2])
+            return step(net)
 
-        simulator.decode_frame = recording_decode
+        simulator.Network.step = recording_step
 
     def take(self) -> str:
         value, self.digest = self.digest.hexdigest(), hashlib.sha256()
