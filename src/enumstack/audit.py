@@ -15,7 +15,6 @@ lines, listed once in :data:`INVARIANTS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .e164 import parse_number
@@ -58,14 +57,15 @@ def _billed_registrar(rec: LogRecord) -> str | None:
 # ---------------------------------------------------------------- value flow
 
 
-@dataclass(frozen=True)
 class ValueFlowEdge:
-    payer: str
-    payer_role: str
-    payee: str
-    payee_role: str
-    amount: float
-    cause: str
+    __slots__ = ("payer", "payer_role", "payee", "payee_role", "amount", "cause")
+
+    def __init__(
+        self, payer: str, payer_role: str, payee: str, payee_role: str, amount: float, cause: str
+    ) -> None:
+        self.payer, self.payer_role = payer, payer_role
+        self.payee, self.payee_role = payee, payee_role
+        self.amount, self.cause = amount, cause
 
     def render(self) -> str:
         return (
@@ -74,9 +74,11 @@ class ValueFlowEdge:
         )
 
 
-@dataclass
 class ValueFlowGraph:
-    edges: tuple[ValueFlowEdge, ...]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[ValueFlowEdge, ...]) -> None:
+        self.edges = edges
 
     def role_pairs(self) -> set[tuple[str, str]]:
         return {(e.payer_role, e.payee_role) for e in self.edges}
@@ -243,19 +245,22 @@ class AccessOracle:
 # ---------------------------------------------------------------- invariants
 
 
-@dataclass
 class InvariantResult:
-    name: str
-    violations: list[str]
+    __slots__ = ("name", "violations")
+
+    def __init__(self, name: str, violations: list[str]) -> None:
+        self.name, self.violations = name, violations
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-@dataclass
 class InvariantReport:
-    results: list[InvariantResult]
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[InvariantResult]) -> None:
+        self.results = results
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,6 @@ multiple-root deployments are exercised from the shell.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from importlib.resources import files as resource_files
@@ -44,14 +43,18 @@ DEMO_NUMBERS = (
 
 def _parse_cfg(text: str) -> ScenarioConfig:
     """Parse scenario config text, then apply the ``ENUM_APEX`` override."""
-    from .scenarios import parse_config
+    from .scenarios import ScenarioConfig, parse_config
 
     cfg = parse_config(text)
     apex = os.environ.get("ENUM_APEX")
     if not apex:
         return cfg
     try:
-        return dataclasses.replace(cfg, apex=apex)
+        return ScenarioConfig(
+            cfg.model_id, cfg.users, cfg.tsps, cfg.asps, cfg.registrar_ids, cfg.registries,
+            cfg.tier0_entries, cfg.accreditation, cfg.homes, cfg.flat_fee, cfg.user_fee,
+            cfg.network_related, cfg.fault_plan, apex,
+        )
     except ScenarioError as exc:
         raise ScenarioError(f"ENUM_APEX={apex!r}: {exc}") from None
 

@@ -7,13 +7,13 @@ appended. The apex is configurable because competing trees rooted under
 other suffixes are a recognized deployment shape; ``e164.arpa`` is only
 the default.
 
-All values here are immutable and the conversions are pure functions.
+All values here are immutable by convention, and the conversions are pure
+functions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     BadApex,
@@ -38,7 +38,6 @@ _SEPARATORS = " -.()\t"
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_-]{1,63}$")
 
 
-@dataclass(frozen=True)
 class ApexConfig:
     """A root suffix under which digit labels are hung.
 
@@ -46,14 +45,15 @@ class ApexConfig:
     ``enum.example``.
     """
 
-    apex: str = "e164.arpa"
+    __slots__ = ("apex",)
 
-    def __post_init__(self) -> None:
-        if not self.apex:
+    def __init__(self, apex: str = "e164.arpa") -> None:
+        if not apex:
             raise BadApex("apex must be non-empty")
-        for part in self.apex.split("."):
+        for part in apex.split("."):
             if not _LABEL_RE.match(part):
                 raise BadApex(f"bad apex label {part!r}")
+        self.apex = apex
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -63,7 +63,6 @@ class ApexConfig:
 DEFAULT_APEX = ApexConfig()
 
 
-@dataclass(frozen=True)
 class E164Number:
     """A validated international telephone number.
 
@@ -72,21 +71,29 @@ class E164Number:
     concatenation and is what all conversions operate on.
     """
 
-    country_code: str
-    national_digits: str
+    __slots__ = ("country_code", "national_digits")
 
-    def __post_init__(self) -> None:
-        digits = self.country_code + self.national_digits
+    def __init__(self, country_code: str, national_digits: str) -> None:
+        digits = country_code + national_digits
         if not digits.isascii() or not digits.isdigit():
             raise NonDigitContent(f"non-digit content in {digits!r}")
-        if not 1 <= len(self.country_code) <= 3:
-            raise LengthOutOfRange(
-                f"country code {self.country_code!r} must be 1-3 digits"
-            )
+        if not 1 <= len(country_code) <= 3:
+            raise LengthOutOfRange(f"country code {country_code!r} must be 1-3 digits")
         if not MIN_DIGITS <= len(digits) <= MAX_DIGITS:
             raise LengthOutOfRange(
                 f"{digits!r} has {len(digits)} digits, expected {MIN_DIGITS}-{MAX_DIGITS}"
             )
+        self.country_code, self.national_digits = country_code, national_digits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not E164Number:
+            return NotImplemented
+        return (self.country_code, self.national_digits) == (
+            other.country_code, other.national_digits
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.country_code, self.national_digits))
 
     @property
     def full_digits(self) -> str:
@@ -100,12 +107,21 @@ class E164Number:
         return self.render()
 
 
-@dataclass(frozen=True)
 class EnumDomain:
     """The DNS name for a number: reversed digit labels under an apex."""
 
-    digit_labels: tuple[str, ...]
-    apex: ApexConfig = field(default=DEFAULT_APEX)
+    __slots__ = ("digit_labels", "apex")
+
+    def __init__(self, digit_labels: tuple[str, ...], apex: ApexConfig = DEFAULT_APEX) -> None:
+        self.digit_labels, self.apex = digit_labels, apex
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EnumDomain:
+            return NotImplemented
+        return self.digit_labels == other.digit_labels and self.apex.apex == other.apex.apex
+
+    def __hash__(self) -> int:
+        return hash((self.digit_labels, self.apex.apex))
 
     def render(self) -> str:
         return ".".join(self.digit_labels) + "." + self.apex.apex

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -34,16 +33,15 @@ def round_half_up(value: float, decimals: int) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
 class MarketTable:
     """Named metrics over contiguous year ranges."""
 
-    name: str
-    rows: dict[str, dict[int, float]]
-    units: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "rows", "units")
 
-    def __post_init__(self) -> None:
-        for metric, series in self.rows.items():
+    def __init__(
+        self, name: str, rows: dict[str, dict[int, float]], units: dict[str, str] | None = None
+    ) -> None:
+        for metric, series in rows.items():
             years = sorted(series)
             if not years:
                 raise MarketError(f"{metric!r} has no years")
@@ -52,6 +50,8 @@ class MarketTable:
             for year, value in series.items():
                 if value < 0:
                     raise MarketError(f"{metric!r} {year}: negative value {value}")
+        self.name, self.rows = name, rows
+        self.units = {} if units is None else units
 
     def value(self, metric: str, year: int) -> float:
         series = self.rows.get(metric)
@@ -83,30 +83,34 @@ def share_of(
     return round_half_up(100.0 * numerator / denominator, 2)
 
 
-@dataclass(frozen=True)
 class PotentialMarketInputs:
     """Component magnitudes for one region/year column."""
 
-    total_toll: float
-    mobile_revenue: float
-    other_revenue: float
-    main_lines: float
-    mobile_subscribers: float
-    internet_users: float
-    penetration: float = DEFAULT_PENETRATION
+    __slots__ = REVENUE_COMPONENTS + SUBSCRIBER_COMPONENTS + ("penetration",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.penetration <= 1:
-            raise BadPenetration(f"penetration {self.penetration} outside (0, 1]")
+    def __init__(
+        self, total_toll: float, mobile_revenue: float, other_revenue: float, main_lines: float,
+        mobile_subscribers: float, internet_users: float, penetration: float = DEFAULT_PENETRATION,
+    ) -> None:
+        self.total_toll = total_toll
+        self.mobile_revenue = mobile_revenue
+        self.other_revenue = other_revenue
+        self.main_lines = main_lines
+        self.mobile_subscribers = mobile_subscribers
+        self.internet_users = internet_users
+        self.penetration = penetration
+        if not 0 < penetration <= 1:
+            raise BadPenetration(f"penetration {penetration} outside (0, 1]")
         for name in REVENUE_COMPONENTS + SUBSCRIBER_COMPONENTS:
             if getattr(self, name) < 0:
                 raise MarketError(f"negative {name}")
 
 
-@dataclass(frozen=True)
 class PotentialMarketEstimate:
-    revenue: float  # currency billions
-    subscribers: float  # millions
+    __slots__ = ("revenue", "subscribers")
+
+    def __init__(self, revenue: float, subscribers: float) -> None:
+        self.revenue, self.subscribers = revenue, subscribers  # currency billions, millions
 
 
 def potential_market(inputs: PotentialMarketInputs) -> PotentialMarketEstimate:
@@ -157,13 +161,16 @@ def load_market_table(path: str | Path, name: str | None = None) -> MarketTable:
     return MarketTable(name=name or path.stem, rows=rows, units=units)
 
 
-@dataclass(frozen=True)
 class PotentialFixture:
     """The potential-market table: raw rows plus per-column inputs."""
 
-    rows: dict[str, dict[int, float]]
-    units: dict[str, str]
-    inputs: dict[tuple[str, int], PotentialMarketInputs]
+    __slots__ = ("rows", "units", "inputs")
+
+    def __init__(
+        self, rows: dict[str, dict[int, float]], units: dict[str, str],
+        inputs: dict[tuple[str, int], PotentialMarketInputs],
+    ) -> None:
+        self.rows, self.units, self.inputs = rows, units, inputs
 
     def printed(self, kind: str, region: str, year: int) -> float | None:
         series = self.rows.get(f"printed_potential_{kind}_{region}")

@@ -11,7 +11,6 @@ and replacement-domain chains are represented but never followed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .e164 import E164Number
@@ -79,35 +78,30 @@ def _split_regexp(regexp: str) -> tuple[str, str]:
     return pattern, regexp[middle + 1 : -1].replace(escaped, delim)
 
 
-@dataclass(slots=True)
 class NaptrRecord:
     """One naming-authority-pointer entry for a telephone number.
 
     Immutable by convention: nothing assigns to a field once the record
-    is built, and :func:`dataclasses.replace` builds (and checks) a new
-    one. The class is slotted, so it is cheap to build in bulk, and it
-    compares by value, so it is unhashable.
+    is built, and a changed record is a new one, which the constructor
+    checks again. The class is slotted, so it is cheap to build in bulk,
+    and it compares by value, so it is unhashable.
     """
 
-    order: int
-    preference: int
-    flags: str
-    service: str
-    regexp: str = ""
-    replacement: str = "."
-    visibility: Visibility = Visibility.PUBLIC
+    __slots__ = ("order", "preference", "flags", "service", "regexp", "replacement", "visibility")
 
-    def __post_init__(self) -> None:
-        order, preference, regexp = self.order, self.preference, self.regexp
+    def __init__(
+        self, order: int, preference: int, flags: str, service: str, regexp: str = "",
+        replacement: str = ".", visibility: Visibility = Visibility.PUBLIC,
+    ) -> None:
         if not isinstance(order, int) or not 0 <= order <= _MAX_FIELD:
             raise BadInteger(f"order {order!r} outside 0..{_MAX_FIELD}")
         if not isinstance(preference, int) or not 0 <= preference <= _MAX_FIELD:
             raise BadInteger(f"preference {preference!r} outside 0..{_MAX_FIELD}")
-        if self.flags not in ("", "u"):
-            raise BadFlags(f"unsupported flags {self.flags!r}")
+        if flags not in ("", "u"):
+            raise BadFlags(f"unsupported flags {flags!r}")
         has_regexp = bool(regexp)
-        has_replacement = self.replacement not in ("", ".")
-        if self.flags == "u" and not has_regexp:
+        has_replacement = replacement not in ("", ".")
+        if flags == "u" and not has_regexp:
             raise FlagRegexpConflict("'u' flag requires a substitution expression")
         if has_regexp == has_replacement:
             raise FieldConflict(
@@ -121,13 +115,38 @@ class NaptrRecord:
                 raise BadDelimiter(f"unparseable pattern {pattern!r}: {exc}") from exc
         # The stored line quotes flags, service and regexp and ends with the
         # bare replacement, so that every record parses back from it.
-        quoted = self.service + regexp
+        quoted = service + regexp
         if '"' in quoted or "\n" in quoted or "\r" in quoted:
             raise FieldCount(
-                f"service {self.service!r} or regexp {regexp!r} holds a quote or a line break"
+                f"service {service!r} or regexp {regexp!r} holds a quote or a line break"
             )
-        if has_replacement and _NOT_BARE.search(self.replacement):
-            raise FieldCount(f"replacement {self.replacement!r} is not one bare token")
+        if has_replacement and _NOT_BARE.search(replacement):
+            raise FieldCount(f"replacement {replacement!r} is not one bare token")
+        self.order = order
+        self.preference = preference
+        self.flags = flags
+        self.service = service
+        self.regexp = regexp
+        self.replacement = replacement
+        self.visibility = visibility
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NaptrRecord:
+            return NotImplemented
+        return (
+            self.order, self.preference, self.flags, self.service, self.regexp,
+            self.replacement, self.visibility,
+        ) == (
+            other.order, other.preference, other.flags, other.service, other.regexp,
+            other.replacement, other.visibility,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"NaptrRecord(order={self.order!r}, preference={self.preference!r}, "
+            f"flags={self.flags!r}, service={self.service!r}, regexp={self.regexp!r}, "
+            f"replacement={self.replacement!r}, visibility={self.visibility!r})"
+        )
 
     @property
     def terminal(self) -> bool:
@@ -141,26 +160,33 @@ class NaptrRecord:
         return (self.service.lower(), self.order, self.preference)
 
 
-@dataclass(frozen=True)
 class ServiceSelector:
     """Matches a record's service field; ``*`` matches everything."""
 
-    service: str = "*"
+    __slots__ = ("service",)
 
-    @property
-    def wildcard(self) -> bool:
-        return self.service == "*"
+    def __init__(self, service: str = "*") -> None:
+        self.service = service
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ServiceSelector:
+            return NotImplemented
+        return self.service == other.service
+
+    def __hash__(self) -> int:
+        return hash(self.service)
 
     def matches(self, service: str) -> bool:
-        return self.wildcard or self.service.lower() == service.lower()
+        return self.service == "*" or self.service.lower() == service.lower()
 
 
-@dataclass(frozen=True)
 class NaptrRecordSet:
     """All records for one number; a number's set lives at one registrar."""
 
-    number: E164Number
-    records: tuple[NaptrRecord, ...] = field(default_factory=tuple)
+    __slots__ = ("number", "records")
+
+    def __init__(self, number: E164Number, records: tuple[NaptrRecord, ...] = ()) -> None:
+        self.number, self.records = number, records
 
     def __len__(self) -> int:
         return len(self.records)

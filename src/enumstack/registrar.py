@@ -21,7 +21,6 @@ a copy a failed migration left there.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, MutableMapping
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TypeVar
 
@@ -79,10 +78,11 @@ class Role(Enum):
     REGISTRY = "Registry"
 
 
-@dataclass(frozen=True)
 class Party:
-    id: str
-    role: Role
+    __slots__ = ("id", "role")
+
+    def __init__(self, id: str, role: Role) -> None:
+        self.id, self.role = id, role
 
 
 PROVISION_RIGHT = "provision"
@@ -101,36 +101,68 @@ def _check_storable(**names: str) -> None:
             raise RegistrarError(f"{field_name} {value!r} may not hold '|' or a line break")
 
 
-@dataclass(frozen=True)
 class AuthorizationGrant:
     """A user-issued right for a party to touch records in some service scope."""
 
-    grant_id: str
-    grantor: str
-    grantee: str
-    rights: frozenset[str]
-    scope: ServiceSelector
-    number: str
+    __slots__ = ("grant_id", "grantor", "grantee", "rights", "scope", "number")
 
-    def __post_init__(self) -> None:
-        if not self.rights or not self.rights <= ALL_RIGHTS:
-            raise RegistrarError(f"bad rights {set(self.rights)!r}")
+    def __init__(
+        self, grant_id: str, grantor: str, grantee: str, rights: frozenset[str],
+        scope: ServiceSelector, number: str,
+    ) -> None:
+        if not rights or not rights <= ALL_RIGHTS:
+            raise RegistrarError(f"bad rights {set(rights)!r}")
+        self.grant_id = grant_id
+        self.grantor = grantor
+        self.grantee = grantee
+        self.rights = rights
+        self.scope = scope
+        self.number = number
+
+    def _key(self) -> tuple:
+        return (self.grant_id, self.grantor, self.grantee, self.rights, self.scope, self.number)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AuthorizationGrant:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def covers(self, service: str, needed: frozenset[str]) -> bool:
         return bool(self.rights & needed) and self.scope.matches(service)
 
 
-@dataclass
 class Subscription:
     """Telephone assignment plus ENUM service state for one number."""
 
-    number: str
-    user: str
-    tsp: str
-    token: str
-    phone_active: bool = True
-    enum_active: bool = False
-    serving_registrar: str | None = None
+    __slots__ = (
+        "number", "user", "tsp", "token", "phone_active", "enum_active", "serving_registrar",
+    )
+
+    def __init__(
+        self, number: str, user: str, tsp: str, token: str, phone_active: bool = True,
+        enum_active: bool = False, serving_registrar: str | None = None,
+    ) -> None:
+        self.number = number
+        self.user = user
+        self.tsp = tsp
+        self.token = token
+        self.phone_active = phone_active
+        self.enum_active = enum_active
+        self.serving_registrar = serving_registrar
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Subscription:
+            return NotImplemented
+        return (
+            self.number, self.user, self.tsp, self.token, self.phone_active, self.enum_active,
+            self.serving_registrar,
+        ) == (
+            other.number, other.user, other.tsp, other.token, other.phone_active,
+            other.enum_active, other.serving_registrar,
+        )
 
     def check(self) -> None:
         if self.enum_active and not self.phone_active:
@@ -176,18 +208,27 @@ class TransferState(Enum):
     DISPUTED = "Disputed"
 
 
-@dataclass
 class TransferRecord:
     """One registrar-change in flight, owned by the new registrar."""
 
-    transfer_id: str
-    number: str
-    from_registrar: str
-    to_registrar: str
-    user: str
-    migrated: tuple[NaptrRecord, ...] | None = None  # None until MIGRATE_REQ is answered
-    warnings: list[str] = field(default_factory=list)
-    history: list[TransferState] = field(default_factory=lambda: [TransferState.REQUESTED])
+    __slots__ = (
+        "transfer_id", "number", "from_registrar", "to_registrar", "user", "migrated",
+        "warnings", "history",
+    )
+
+    def __init__(
+        self, transfer_id: str, number: str, from_registrar: str, to_registrar: str, user: str,
+        migrated: tuple[NaptrRecord, ...] | None = None, warnings: list[str] | None = None,
+        history: list[TransferState] | None = None,
+    ) -> None:
+        self.transfer_id = transfer_id
+        self.number = number
+        self.from_registrar = from_registrar
+        self.to_registrar = to_registrar
+        self.user = user
+        self.migrated = migrated  # None until MIGRATE_REQ is answered
+        self.warnings = [] if warnings is None else warnings
+        self.history = [TransferState.REQUESTED] if history is None else history
 
     @property
     def state(self) -> TransferState:
@@ -385,7 +426,8 @@ class RegistrarActor:
 
         The user's own TSP verifies by the existing service relationship;
         anyone else needs the assignment proof token or a recorded TSP
-        confirmation. Registers the delegation at the home registry.
+        confirmation. Registers the delegation at the home registry. A
+        registrar that did not serve the number drops the records and grants it held for it.
         """
         self._check_unlocked(number)
         sub = self.directory.get(number)
@@ -411,6 +453,7 @@ class RegistrarActor:
             )
         if sub.serving_registrar != self.actor_id:
             self.grants.pop(number, None)
+            self.store.pop(number, None)
         sub.enum_active = True
         sub.serving_registrar = self.actor_id
         sub.check()

@@ -14,8 +14,6 @@ collect in ``outbox`` until the actor fans them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     NoDelegation,
     NotAuthoritative,
@@ -37,18 +35,18 @@ CHANGED = "changed"
 REMOVED = "removed"
 
 
-@dataclass(frozen=True)
 class Tier0Table:
     """Country-code prefix -> authoritative registries."""
 
-    entries: dict[str, tuple[RegistryId, ...]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        for prefix, registries in self.entries.items():
+    def __init__(self, entries: dict[str, tuple[RegistryId, ...]]) -> None:
+        for prefix, registries in entries.items():
             if not (prefix.isdigit() and 1 <= len(prefix) <= 3):
                 raise UnknownCountryCode(f"bad tier-0 prefix {prefix!r}")
             if not registries:
                 raise UnknownCountryCode(f"tier-0 prefix {prefix!r} maps to no registry")
+        self.entries = entries
 
 
 def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
@@ -60,63 +58,97 @@ def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
     raise UnknownCountryCode(f"no tier-0 entry for country code {cc!r}")
 
 
-@dataclass(slots=True)
 class Delegation:
     """One number's pointer to its serving registrar.
 
     Immutable by convention, like :class:`~enumstack.naptr.NaptrRecord`:
-    a change is a new delegation with a higher serial. Slotted and
-    compared by value, so unhashable.
+    a change is a new delegation with a higher serial. A plain slotted
+    class, compared by value and so unhashable.
     """
 
-    number: str
-    registrar: RegistrarId
-    owning_registry: RegistryId
-    serial: int
-    updated_at: int = 0
+    __slots__ = ("number", "registrar", "owning_registry", "serial", "updated_at")
+
+    def __init__(
+        self, number: str, registrar: RegistrarId, owning_registry: RegistryId, serial: int,
+        updated_at: int = 0,
+    ) -> None:
+        self.number = number
+        self.registrar = registrar
+        self.owning_registry = owning_registry
+        self.serial = serial
+        self.updated_at = updated_at
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Delegation:
+            return NotImplemented
+        return (
+            self.number, self.registrar, self.owning_registry, self.serial, self.updated_at
+        ) == (other.number, other.registrar, other.owning_registry, other.serial, other.updated_at)
+
+    def __repr__(self) -> str:
+        return (
+            f"Delegation(number={self.number!r}, registrar={self.registrar!r}, "
+            f"owning_registry={self.owning_registry!r}, serial={self.serial!r}, "
+            f"updated_at={self.updated_at!r})"
+        )
 
 
-@dataclass(frozen=True)
 class PeerUpdate:
     """Owner-pushed replication event; receivers apply by serial."""
 
-    delegation: Delegation
-    kind: str  # created / changed / removed
+    __slots__ = ("delegation", "kind")
+
+    def __init__(self, delegation: Delegation, kind: str) -> None:
+        self.delegation, self.kind = delegation, kind  # kind: created / changed / removed
 
 
-@dataclass
 class BillingEntry:
-    payer: RegistrarId
-    amount: float
-    number: str
-    cause: str = ""
+    __slots__ = ("payer", "amount", "number", "cause")
+
+    def __init__(self, payer: RegistrarId, amount: float, number: str, cause: str = "") -> None:
+        self.payer = payer
+        self.amount = amount
+        self.number = number
+        self.cause = cause
 
 
-@dataclass
 class Notice:
-    registrar: RegistrarId
-    number: str
-    message: str
+    __slots__ = ("registrar", "number", "message")
+
+    def __init__(self, registrar: RegistrarId, number: str, message: str) -> None:
+        self.registrar, self.number, self.message = registrar, number, message
 
 
-@dataclass
 class RegistryState:
     """One Tier-1 registry: delegations, billing ledger, peer replication."""
 
-    id: RegistryId
-    served_prefixes: tuple[str, ...] = ()
-    peers: tuple[RegistryId, ...] = ()
-    accredited: frozenset[RegistrarId] = frozenset()
-    flat_fee: float = 1.0
-    delegations: RecordStore[Delegation] = field(default_factory=RecordStore)
-    tombstones: dict[str, int] = field(default_factory=dict)
-    billing_ledger: list[BillingEntry] = field(default_factory=list)
-    notices: list[Notice] = field(default_factory=list)
-    outbox: list[PeerUpdate] = field(default_factory=list)
-    # serials as observed locally, per number; must be strictly increasing.
-    # A number loaded from a snapshot enters at its first change, loaded
-    # serial first.
-    observed_serials: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = (
+        "id", "served_prefixes", "peers", "accredited", "flat_fee", "delegations",
+        "tombstones", "billing_ledger", "notices", "outbox", "observed_serials",
+    )
+
+    def __init__(
+        self, id: RegistryId, served_prefixes: tuple[str, ...] = (),
+        peers: tuple[RegistryId, ...] = (), accredited: frozenset[RegistrarId] = frozenset(),
+        flat_fee: float = 1.0, delegations: RecordStore[Delegation] | None = None,
+        tombstones: dict[str, int] | None = None, billing_ledger: list[BillingEntry] | None = None,
+        notices: list[Notice] | None = None, outbox: list[PeerUpdate] | None = None,
+        observed_serials: dict[str, list[int]] | None = None,
+    ) -> None:
+        self.id = id
+        self.served_prefixes = served_prefixes
+        self.peers = peers
+        self.accredited = accredited
+        self.flat_fee = flat_fee
+        self.delegations = RecordStore() if delegations is None else delegations
+        self.tombstones = {} if tombstones is None else tombstones
+        self.billing_ledger = [] if billing_ledger is None else billing_ledger
+        self.notices = [] if notices is None else notices
+        self.outbox = [] if outbox is None else outbox
+        # serials as observed locally, per number; must be strictly increasing.
+        # A number loaded from a snapshot enters at its first change, loaded
+        # serial first.
+        self.observed_serials = {} if observed_serials is None else observed_serials
 
     # ------------------------------------------------------------ helpers
 

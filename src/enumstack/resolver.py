@@ -10,8 +10,6 @@ answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .e164 import ApexConfig, E164Number, parse_number, to_domain
 from .errors import HopTimeout, status_error
 from .naptr import NaptrRecordSet, ServiceSelector, resolve_record_set, Visibility
@@ -20,12 +18,16 @@ from .simulator import Network
 from .wire import DISCOVER, Frame, GET, LOOKUP, TIER0_ID
 
 
-@dataclass
 class Hop:
-    tier: str
-    target: str
-    response: Frame | None = None
-    note: str = ""
+    __slots__ = ("tier", "target", "response", "note")
+
+    def __init__(
+        self, tier: str, target: str, response: Frame | None = None, note: str = ""
+    ) -> None:
+        self.tier = tier
+        self.target = target
+        self.response = response
+        self.note = note
 
     def render(self) -> str:
         out = self.response.fields if self.response is not None else {}
@@ -34,11 +36,12 @@ class Hop:
         return f"{self.tier} {self.target} -> {summary or 'timeout'}{note}"
 
 
-@dataclass
 class ResolutionTrace:
-    number: str
-    domain: str
-    hops: list[Hop] = field(default_factory=list)
+    __slots__ = ("number", "domain", "hops")
+
+    def __init__(self, number: str, domain: str, hops: list[Hop] | None = None) -> None:
+        self.number, self.domain = number, domain
+        self.hops = [] if hops is None else hops
 
     def render_lines(self) -> list[str]:
         return [f"number {self.number} domain {self.domain}"] + [
@@ -46,15 +49,20 @@ class ResolutionTrace:
         ]
 
 
-@dataclass
 class Resolution:
-    number: E164Number
-    uris: list[str]
-    warnings: list[str]
-    trace: ResolutionTrace
-    registrar: str = ""
-    registry: str = ""
-    record_lines: str = ""
+    __slots__ = ("number", "uris", "warnings", "trace", "registrar", "registry", "record_lines")
+
+    def __init__(
+        self, number: E164Number, uris: list[str], warnings: list[str], trace: ResolutionTrace,
+        registrar: str = "", registry: str = "", record_lines: str = "",
+    ) -> None:
+        self.number = number
+        self.uris = uris
+        self.warnings = warnings
+        self.trace = trace
+        self.registrar = registrar
+        self.registry = registry
+        self.record_lines = record_lines
 
 
 def _fetch_records(

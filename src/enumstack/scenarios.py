@@ -19,10 +19,8 @@ module's name.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import io
 import math
-from dataclasses import dataclass, field
 from importlib.resources import files as resource_files
 from pathlib import Path
 from typing import Any, Callable
@@ -88,26 +86,37 @@ _KIND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One administration model as an executable topology description."""
 
-    model_id: int
-    users: tuple[str, ...] = ()
-    tsps: tuple[str, ...] = ()
-    asps: tuple[str, ...] = ()
-    registrar_ids: tuple[str, ...] = ()
-    registries: tuple[str, ...] = ()
-    tier0_entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    accreditation: dict[str, frozenset[str]] = field(default_factory=dict)
-    homes: dict[str, str] = field(default_factory=dict)
-    flat_fee: float = 1.0
-    user_fee: float = 1.0
-    network_related: frozenset[str] = frozenset({"E2U+sip", "E2U+tel"})
-    fault_plan: tuple[tuple[str, int, int], ...] = ()
-    apex: str = "e164.arpa"
+    __slots__ = (
+        "model_id", "users", "tsps", "asps", "registrar_ids", "registries", "tier0_entries",
+        "accreditation", "homes", "flat_fee", "user_fee", "network_related", "fault_plan", "apex",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, model_id: int, users: tuple[str, ...] = (), tsps: tuple[str, ...] = (),
+        asps: tuple[str, ...] = (), registrar_ids: tuple[str, ...] = (),
+        registries: tuple[str, ...] = (), tier0_entries: dict[str, tuple[str, ...]] | None = None,
+        accreditation: dict[str, frozenset[str]] | None = None, homes: dict[str, str] | None = None,
+        flat_fee: float = 1.0, user_fee: float = 1.0,
+        network_related: frozenset[str] = frozenset({"E2U+sip", "E2U+tel"}),
+        fault_plan: tuple[tuple[str, int, int], ...] = (), apex: str = "e164.arpa",
+    ) -> None:
+        self.model_id = model_id
+        self.users = users
+        self.tsps = tsps
+        self.asps = asps
+        self.registrar_ids = registrar_ids
+        self.registries = registries
+        self.tier0_entries = {} if tier0_entries is None else tier0_entries
+        self.accreditation = {} if accreditation is None else accreditation
+        self.homes = {} if homes is None else homes
+        self.flat_fee = flat_fee
+        self.user_fee = user_fee
+        self.network_related = network_related
+        self.fault_plan = fault_plan
+        self.apex = apex
         if self.model_id not in MODEL_GRID:
             raise InvalidModelCombination(f"model id {self.model_id} not in 1..6")
         multiplicity = self.registry_multiplicity
@@ -339,16 +348,20 @@ def canonical_events() -> str:
 # ---------------------------------------------------------------- run log
 
 
-@dataclass(slots=True)
 class LogRecord:
     """One structured, replayable log line. Slotted, as a report reads
     every line of a long log into one."""
 
-    event_id: str
-    tick: int
-    kind: str
-    status: str
-    detail: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("event_id", "tick", "kind", "status", "detail")
+
+    def __init__(
+        self, event_id: str, tick: int, kind: str, status: str, detail: dict[str, str] | None = None
+    ) -> None:
+        self.event_id = event_id
+        self.tick = tick
+        self.kind = kind
+        self.status = status
+        self.detail = {} if detail is None else detail
 
     @property
     def ok(self) -> bool:
@@ -379,9 +392,11 @@ class LogRecord:
         )
 
 
-@dataclass
 class EventLog:
-    records: list[LogRecord]
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[LogRecord]) -> None:
+        self.records = records
 
     def render_lines(self) -> list[str]:
         return [rec.render() for rec in self.records]
@@ -603,7 +618,10 @@ class Topology:
                 raise InvalidRecord(f"empty record line {line!r}")
             if visibility:
                 parsed = [
-                    dataclasses.replace(rec, visibility=Visibility(visibility))
+                    NaptrRecord(
+                        rec.order, rec.preference, rec.flags, rec.service, rec.regexp,
+                        rec.replacement, Visibility(visibility),
+                    )
                     for rec in parsed
                 ]
             records += parsed
@@ -917,10 +935,11 @@ def build_topology(cfg: ScenarioConfig, seed: int = 0) -> Topology:
 # ---------------------------------------------------------------- event scripts
 
 
-@dataclass(frozen=True)
 class Event:
-    kind: str
-    args: dict[str, str]
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind: str, args: dict[str, str]) -> None:
+        self.kind, self.args = kind, args
 
 
 _TAIL_KEYS = ("record", "reason")

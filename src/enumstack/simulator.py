@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EnumStackError
@@ -45,22 +44,13 @@ IDLE_STEP_LIMIT = 1_000_000  # deliveries before run_until_idle gives up
 Handler = Callable[[Frame, "Network"], None]
 
 
-@dataclass
 class DeliveryRecord:
     """One dropped frame, for traces and fault checks."""
 
-    tick: int
-    frame: Frame
-    status: str
+    __slots__ = ("tick", "frame", "status")
 
-
-@dataclass
-class _FaultWindow:
-    start: int
-    end: int
-
-    def covers(self, tick: int) -> bool:
-        return self.start <= tick < self.end
+    def __init__(self, tick: int, frame: Frame, status: str) -> None:
+        self.tick, self.frame, self.status = tick, frame, status
 
 
 class Network:
@@ -78,7 +68,7 @@ class Network:
         self._queue: list[tuple[int, int, bytes, Frame]] = []
         self._actors: dict[str, Handler] = {}
         self._offline: set[str] = set()
-        self._fault_windows: dict[str, list[_FaultWindow]] = {}
+        self._fault_windows: dict[str, list[tuple[int, int]]] = {}
         self._rpc_waiting: set[int] = set()
         self._rpc_responses: dict[int, Frame] = {}
         if max_delay < min_delay:
@@ -95,7 +85,7 @@ class Network:
         self._actors[actor_id] = handler
 
     def add_fault_window(self, actor_id: str, start: int, end: int) -> None:
-        self._fault_windows.setdefault(actor_id, []).append(_FaultWindow(start, end))
+        self._fault_windows.setdefault(actor_id, []).append((start, end))
 
     def set_offline(self, actor_id: str) -> None:
         self._offline.add(actor_id)
@@ -109,7 +99,7 @@ class Network:
         if not self._fault_windows:
             return False
         at = self.clock if tick is None else tick
-        return any(w.covers(at) for w in self._fault_windows.get(actor_id, ()))
+        return any(start <= at < end for start, end in self._fault_windows.get(actor_id, ()))
 
     # ------------------------------------------------------------ transport
 

@@ -550,3 +550,28 @@ def test_cli_import_leaves_market_and_hashlib_unloaded():
     assert report["market_report"] is True
     assert report["state_hash"] == build_topology(builtin_config(1)).state_hash()
     assert not hasattr(enumstack, "no_such_name")
+
+
+# A cold state-directory call, then every module of the package, in one
+# fresh interpreter; reports the call's exit code and which of
+# `dataclasses` and `inspect` it loaded.
+NO_DATACLASS = """
+import importlib, sys
+from pathlib import Path
+import enumstack.cli
+code = enumstack.cli.main(["resolve", "+13154434473", "--state-dir", sys.argv[1]])
+for path in Path(enumstack.cli.__file__).parent.glob("*.py"):
+    if path.stem != "__init__":
+        importlib.import_module("enumstack." + path.stem)
+print(code, [m for m in ("dataclasses", "inspect") if m in sys.modules])
+"""
+
+
+def test_a_cold_state_dir_call_and_every_module_load_no_dataclasses(capsys, tmp_path):
+    state = tmp_path / "state"
+    run(capsys, "provision", "+1-315-443-4473",
+        "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+    done = subprocess.run([sys.executable, "-c", NO_DATACLASS, str(state)], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2:] == ["0 []", ""]

@@ -229,6 +229,17 @@ FAULT_CASES = {
         {},
         ["disconnect", "subscribe"],
     ),
+    # reg1 misses the drop at Complete; were its copy kept, the subscribe
+    # would serve alice's records again after she withdrew them at reg2.
+    "a subscribe at the old registrar after a lost drop and a disconnect": (
+        _GRANTED_TRANSFER + _STEP * 3 + "step offline actor=reg1\n" + _STEP
+        + "step online actor=reg1\n"
+        "step disconnect number=+13154434473 user=alice kind=enum_only\n"
+        "step subscribe number=+13154434473 user=alice registrar=reg1 token=auto\n",
+        {"reg1": 0, "reg2": 0},
+        {},
+        [],
+    ),
 }
 
 
