@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
+    E164Error,
     EnumStackError,
     InvalidModelCombination,
     LockHeld,
@@ -43,20 +44,18 @@ DEMO_NUMBERS = (
 
 def _parse_cfg(text: str) -> ScenarioConfig:
     """Parse scenario config text, then apply the ``ENUM_APEX`` override."""
-    from .scenarios import ScenarioConfig, parse_config
+    from .e164 import ApexConfig
+    from .scenarios import parse_config
 
     cfg = parse_config(text)
     apex = os.environ.get("ENUM_APEX")
-    if not apex:
-        return cfg
-    try:
-        return ScenarioConfig(
-            cfg.model_id, cfg.users, cfg.tsps, cfg.asps, cfg.registrar_ids, cfg.registries,
-            cfg.tier0_entries, cfg.accreditation, cfg.homes, cfg.flat_fee, cfg.user_fee,
-            cfg.network_related, cfg.fault_plan, apex,
-        )
-    except ScenarioError as exc:
-        raise ScenarioError(f"ENUM_APEX={apex!r}: {exc}") from None
+    if apex:
+        try:
+            ApexConfig(apex)
+        except E164Error as exc:
+            raise ScenarioError(f"ENUM_APEX={apex!r}: {exc}") from None
+        cfg.apex = apex
+    return cfg
 
 
 def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:

@@ -217,18 +217,16 @@ class TransferRecord:
     )
 
     def __init__(
-        self, transfer_id: str, number: str, from_registrar: str, to_registrar: str, user: str,
-        migrated: tuple[NaptrRecord, ...] | None = None, warnings: list[str] | None = None,
-        history: list[TransferState] | None = None,
+        self, transfer_id: str, number: str, from_registrar: str, to_registrar: str, user: str
     ) -> None:
         self.transfer_id = transfer_id
         self.number = number
         self.from_registrar = from_registrar
         self.to_registrar = to_registrar
         self.user = user
-        self.migrated = migrated  # None until MIGRATE_REQ is answered
-        self.warnings = [] if warnings is None else warnings
-        self.history = [TransferState.REQUESTED] if history is None else history
+        self.migrated: tuple[NaptrRecord, ...] | None = None  # until MIGRATE_REQ is answered
+        self.warnings: list[str] = []
+        self.history = [TransferState.REQUESTED]
 
     @property
     def state(self) -> TransferState:

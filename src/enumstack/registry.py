@@ -112,43 +112,32 @@ class BillingEntry:
         self.cause = cause
 
 
-class Notice:
-    __slots__ = ("registrar", "number", "message")
-
-    def __init__(self, registrar: RegistrarId, number: str, message: str) -> None:
-        self.registrar, self.number, self.message = registrar, number, message
-
-
 class RegistryState:
     """One Tier-1 registry: delegations, billing ledger, peer replication."""
 
     __slots__ = (
         "id", "served_prefixes", "peers", "accredited", "flat_fee", "delegations",
-        "tombstones", "billing_ledger", "notices", "outbox", "observed_serials",
+        "tombstones", "billing_ledger", "outbox", "observed_serials",
     )
 
     def __init__(
         self, id: RegistryId, served_prefixes: tuple[str, ...] = (),
         peers: tuple[RegistryId, ...] = (), accredited: frozenset[RegistrarId] = frozenset(),
-        flat_fee: float = 1.0, delegations: RecordStore[Delegation] | None = None,
-        tombstones: dict[str, int] | None = None, billing_ledger: list[BillingEntry] | None = None,
-        notices: list[Notice] | None = None, outbox: list[PeerUpdate] | None = None,
-        observed_serials: dict[str, list[int]] | None = None,
+        flat_fee: float = 1.0,
     ) -> None:
         self.id = id
         self.served_prefixes = served_prefixes
         self.peers = peers
         self.accredited = accredited
         self.flat_fee = flat_fee
-        self.delegations = RecordStore() if delegations is None else delegations
-        self.tombstones = {} if tombstones is None else tombstones
-        self.billing_ledger = [] if billing_ledger is None else billing_ledger
-        self.notices = [] if notices is None else notices
-        self.outbox = [] if outbox is None else outbox
+        self.delegations: RecordStore[Delegation] = RecordStore()
+        self.tombstones: dict[str, int] = {}
+        self.billing_ledger: list[BillingEntry] = []
+        self.outbox: list[PeerUpdate] = []
         # serials as observed locally, per number; must be strictly increasing.
         # A number loaded from a snapshot enters at its first change, loaded
         # serial first.
-        self.observed_serials = {} if observed_serials is None else observed_serials
+        self.observed_serials: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------ helpers
 
@@ -249,10 +238,12 @@ class RegistryState:
         cause: str = "",
         billed: bool = True,
     ) -> Delegation:
-        """Repoint the delegation and queue a notice for the old registrar.
+        """Repoint the delegation from *old_registrar* to *new_registrar*.
 
-        Rollbacks pass ``billed=False``: the fee was charged on the way
-        forward and a dispute must not charge again.
+        The registry queues nothing for the old registrar: the transfer's
+        own ``TRANSFER_INIT role=notice`` tells it. Rollbacks pass
+        ``billed=False``: the fee was charged on the way forward and a
+        dispute must not charge again.
         """
         existing = self._owned(number, old_registrar)
         if new_registrar not in self.accredited:
@@ -261,9 +252,6 @@ class RegistryState:
             self.billing_ledger.append(
                 BillingEntry(payer or new_registrar, self.flat_fee, number, cause)
             )
-        self.notices.append(
-            Notice(old_registrar, number, f"registrar changed to {new_registrar}")
-        )
         return self._publish(number, new_registrar, existing.serial + 1, now, CHANGED)
 
     def remove_delegation(

@@ -21,13 +21,11 @@ from .wire import DISCOVER, Frame, GET, LOOKUP, TIER0_ID
 class Hop:
     __slots__ = ("tier", "target", "response", "note")
 
-    def __init__(
-        self, tier: str, target: str, response: Frame | None = None, note: str = ""
-    ) -> None:
+    def __init__(self, tier: str, target: str, response: Frame | None = None) -> None:
         self.tier = tier
         self.target = target
         self.response = response
-        self.note = note
+        self.note = ""
 
     def render(self) -> str:
         out = self.response.fields if self.response is not None else {}
@@ -39,9 +37,9 @@ class Hop:
 class ResolutionTrace:
     __slots__ = ("number", "domain", "hops")
 
-    def __init__(self, number: str, domain: str, hops: list[Hop] | None = None) -> None:
+    def __init__(self, number: str, domain: str) -> None:
         self.number, self.domain = number, domain
-        self.hops = [] if hops is None else hops
+        self.hops: list[Hop] = []
 
     def render_lines(self) -> list[str]:
         return [f"number {self.number} domain {self.domain}"] + [
@@ -65,13 +63,19 @@ class Resolution:
         self.record_lines = record_lines
 
 
-def _fetch_records(
-    net: Network,
-    client_id: str,
-    apex: ApexConfig,
+def resolve(
     raw_number: str,
-    service: str,
+    net: Network,
+    apex: ApexConfig = ApexConfig(),
+    service: str = "*",
+    client_id: str = "resolver",
 ) -> Resolution:
+    """Resolve a number to the URIs for *service* ("*" for all).
+
+    Raises the underlying tier errors (UnknownCountryCode, NoDelegation,
+    EnumInactive, HopTimeout); a service with no matching records is an
+    empty list, not an error.
+    """
     number = parse_number(raw_number)
     domain = to_domain(number, apex)
     trace = ResolutionTrace(number=number.render(), domain=domain.render())
@@ -108,40 +112,13 @@ def _fetch_records(
     if response is None:
         raise HopTimeout(f"registrar {registrar} timed out")
 
-    return Resolution(
-        number=number,
-        uris=[],
-        warnings=[],
-        trace=trace,
-        registrar=registrar,
-        registry=registry,
-        record_lines=response.get("records"),
-    )
-
-
-def resolve(
-    raw_number: str,
-    net: Network,
-    apex: ApexConfig = ApexConfig(),
-    service: str = "*",
-    client_id: str = "resolver",
-) -> Resolution:
-    """Resolve a number to the URIs for *service* ("*" for all).
-
-    Raises the underlying tier errors (UnknownCountryCode, NoDelegation,
-    EnumInactive, HopTimeout); a service with no matching records is an
-    empty list, not an error.
-    """
-    result = _fetch_records(net, client_id, apex, raw_number, service)
-    number = result.number
-    record_set = NaptrRecordSet(
-        number=number, records=tuple(parse_store_lines(result.record_lines))
-    )
+    record_lines = response.get("records")
+    record_set = NaptrRecordSet(number=number, records=tuple(parse_store_lines(record_lines)))
     # The registrar already filtered visibility for this requester.
-    result.uris, result.warnings = resolve_record_set(
+    uris, warnings = resolve_record_set(
         record_set, ServiceSelector(service), number, Visibility.RESTRICTED
     )
-    return result
+    return Resolution(number, uris, warnings, trace, registrar, registry, record_lines)
 
 
 def resolve_all(
@@ -151,16 +128,12 @@ def resolve_all(
     client_id: str = "resolver",
 ) -> dict[str, list[str]]:
     """Wildcard resolution grouped by service field."""
-    fetched = _fetch_records(net, client_id, apex, raw_number, "*")
-    number = fetched.number
-    records = parse_store_lines(fetched.record_lines)
-    record_set = NaptrRecordSet(number=number, records=tuple(records))
-    services: list[str] = []
-    for rec in records:
-        if rec.service not in services:
-            services.append(rec.service)
+    resolution = resolve(raw_number, net, apex, "*", client_id)
+    number = resolution.number
+    records = tuple(parse_store_lines(resolution.record_lines))
+    record_set = NaptrRecordSet(number=number, records=records)
     grouped: dict[str, list[str]] = {}
-    for service in services:
+    for service in dict.fromkeys(rec.service for rec in records):
         uris, _warnings = resolve_record_set(
             record_set, ServiceSelector(service), number, Visibility.RESTRICTED
         )

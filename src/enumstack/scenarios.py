@@ -449,7 +449,6 @@ class Topology:
 
     def __init__(self, cfg: ScenarioConfig, seed: int = 0):
         self.cfg = cfg
-        self.seed = seed
         self.net = Network(seed=seed)
         self.apex = ApexConfig(cfg.apex)
         self.directory = Directory()
@@ -458,7 +457,6 @@ class Topology:
         self._event_n = 0
         self._grant_n = 0
         self._transfer_n = 0
-        self._transfer_host: dict[str, str] = {}
         # The state directory this topology last read or wrote, and the
         # checkpoint entries enumstack.snapshots keeps from then: a save
         # scans only the log lines after the log's entry, and writes no
@@ -734,14 +732,15 @@ class Topology:
             TRANSFER_INIT,
             {"number": step.digits, "user": user, "transfer": transfer_id, "event": step.event_id},
         )
-        self._transfer_host[transfer_id] = to
         return {"from": old, "to": to, "transfer": transfer_id, "old_snapshot": old_snapshot}
 
     def _transfer_actor(self, transfer: str) -> RegistrarActor:
-        host = self._transfer_host.get(transfer)
-        if host is None:
-            raise ScenarioError(f"unknown transfer {transfer!r}")
-        return self.registrars[host]
+        """The registrar that holds *transfer*, whether or not the reply
+        to its ``TRANSFER_INIT`` came back."""
+        for actor in self.registrars.values():
+            if transfer in actor.transfers:
+                return actor
+        raise ScenarioError(f"unknown transfer {transfer!r}")
 
     def transfer(self, number: str, user: str, to: str) -> dict[str, str]:
         """Run the whole registrar-change state machine."""

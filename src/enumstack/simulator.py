@@ -2,9 +2,9 @@
 
 All actors live in one process and exchange frames through a single
 logical-time event queue. Delivery order is a seeded total order: each
-send draws a small delay from the run's RNG, and ties break on a monotone
-sequence number, so identical (seed, inputs) replay identical schedules
-byte for byte.
+send draws a delay of :data:`MIN_DELAY` to :data:`MAX_DELAY` (1 to 4)
+ticks from the run's RNG, and ties break on a monotone sequence number,
+so identical (seed, inputs) replay identical schedules byte for byte.
 
 A send encodes the frame at once, so every
 :class:`~enumstack.errors.WireError` check runs there, and the queue holds
@@ -40,6 +40,9 @@ from .wire import Frame, encode_frame
 DELIVERED = "delivered"
 DROPPED = "dropped"
 IDLE_STEP_LIMIT = 1_000_000  # deliveries before run_until_idle gives up
+MIN_DELAY, MAX_DELAY = 1, 4  # ticks from a send to its delivery
+_DELAY_SPAN = MAX_DELAY - MIN_DELAY + 1
+_DELAY_BITS = _DELAY_SPAN.bit_length()
 
 Handler = Callable[[Frame, "Network"], None]
 
@@ -56,8 +59,7 @@ class DeliveryRecord:
 class Network:
     """Seeded deterministic frame transport with per-kind frame counts."""
 
-    def __init__(self, seed: int = 0, min_delay: int = 1, max_delay: int = 4):
-        self.seed = seed
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self.clock = 0
         self._seq = 0
@@ -71,11 +73,6 @@ class Network:
         self._fault_windows: dict[str, list[tuple[int, int]]] = {}
         self._rpc_waiting: set[int] = set()
         self._rpc_responses: dict[int, Frame] = {}
-        if max_delay < min_delay:
-            raise ValueError(f"empty delay range [{min_delay}, {max_delay}]")
-        self._min_delay = min_delay
-        self._delay_span = max_delay - min_delay + 1
-        self._delay_bits = self._delay_span.bit_length()
         self.counts: dict[tuple[str, str], int] = {}
         self.frame_log: list[DeliveryRecord] = []
 
@@ -109,19 +106,17 @@ class Network:
 
     def send(self, frame: Frame) -> None:
         """Encode *frame* and schedule a copy of it for delivery."""
-        # The draw randint(min_delay, max_delay) makes, without its
+        # The draw randint(MIN_DELAY, MAX_DELAY) makes, without its
         # argument checks: getrandbits until a value falls in the span.
-        span = self._delay_span
-        k = self._delay_bits
         getrandbits = self.rng.getrandbits
-        r = getrandbits(k)
-        while r >= span:
-            r = getrandbits(k)
+        r = getrandbits(_DELAY_BITS)
+        while r >= _DELAY_SPAN:
+            r = getrandbits(_DELAY_BITS)
         self._seq += 1
         heapq.heappush(
             self._queue,
             (
-                self.clock + self._min_delay + r,
+                self.clock + MIN_DELAY + r,
                 self._seq,
                 encode_frame(frame),
                 Frame(frame.kind, frame.src, frame.dst, frame.req_id, frame.is_response,

@@ -1,7 +1,8 @@
 """The package's record classes: plain slotted classes with a written-out
 constructor. Each keeps the constructor it had as a dataclass (field
 order, keyword names, defaults, a fresh container per instance where the
-default is one), and the classes that are compared or hashed keep value
+default is one), less the state fields no caller sets, which a few classes
+build themselves; and the classes that are compared or hashed keep value
 equality and value hashing."""
 
 import pytest
@@ -27,7 +28,6 @@ from enumstack.registrar import (
 from enumstack.registry import (
     BillingEntry,
     Delegation,
-    Notice,
     PeerUpdate,
     RegistryState,
     Tier0Table,
@@ -61,14 +61,9 @@ CASES = {
     Tier0Table: ({"entries": {"1": ("R1",)}}, {}),
     PeerUpdate: ({"delegation": DELEGATION, "kind": "created"}, {}),
     BillingEntry: ({"payer": "reg1", "amount": 1.0, "number": "13154434473"}, {"cause": ""}),
-    Notice: ({"registrar": "reg1", "number": "13154434473", "message": "moved"}, {}),
     RegistryState: (
         {"id": "R1"},
-        {
-            "served_prefixes": (), "peers": (), "accredited": frozenset(), "flat_fee": 1.0,
-            "delegations": {}, "tombstones": {}, "billing_ledger": [], "notices": [],
-            "outbox": [], "observed_serials": {},
-        },
+        {"served_prefixes": (), "peers": (), "accredited": frozenset(), "flat_fee": 1.0},
     ),
     Party: ({"id": "alice", "role": Role.USER}, {}),
     AuthorizationGrant: (
@@ -88,12 +83,10 @@ CASES = {
             "transfer_id": "x1", "number": "13154434473", "from_registrar": "reg1",
             "to_registrar": "reg2", "user": "alice",
         },
-        {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED]},
+        {},
     ),
-    Hop: ({"tier": "tier0", "target": "tier0"}, {"response": None, "note": ""}),
-    ResolutionTrace: (
-        {"number": "+13154434473", "domain": "3.7.4.4.3.4.4.5.1.3.1.e164.arpa"}, {"hops": []},
-    ),
+    Hop: ({"tier": "tier0", "target": "tier0"}, {"response": None}),
+    ResolutionTrace: ({"number": "+13154434473", "domain": "3.7.4.4.3.4.4.5.1.3.1.e164.arpa"}, {}),
     Resolution: (
         {"number": NUMBER, "uris": ["sip:info@example.com"], "warnings": [], "trace": TRACE},
         {"registrar": "", "registry": "", "record_lines": ""},
@@ -137,6 +130,18 @@ CASES = {
     Event: ({"kind": "assign", "args": {"number": "+13154434473"}}, {}),
 }
 
+# class -> the state fields its constructor builds, each at its start value;
+# they follow the fields of CASES in __slots__, and no argument sets them.
+BUILT = {
+    RegistryState: {
+        "delegations": {}, "tombstones": {}, "billing_ledger": [], "outbox": [],
+        "observed_serials": {},
+    },
+    TransferRecord: {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED]},
+    Hop: {"note": ""},
+    ResolutionTrace: {"hops": []},
+}
+
 # The classes the package or its tests compare, each with a change that
 # makes an unequal instance; the formerly frozen ones among them also hash
 # by value.
@@ -159,16 +164,22 @@ def fields(obj):
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_a_record_class_keeps_its_constructor_and_value_semantics(cls):
     given, defaults = CASES[cls]
-    assert tuple(cls.__slots__) == (*given, *defaults)
+    built = BUILT.get(cls, {})
+    assert tuple(cls.__slots__) == (*given, *defaults, *built)
     positional = cls(*given.values())
     keyword = cls(**given)
     assert not hasattr(positional, "__dict__")
-    assert fields(positional) == fields(keyword) == (*given.values(), *defaults.values())
+    assert fields(positional) == fields(keyword) == (
+        *given.values(), *defaults.values(), *built.values()
+    )
     every = {**given, **defaults}
     assert fields(cls(*every.values())) == fields(cls(**every)) == fields(positional)
-    for name, default in defaults.items():
+    for name, default in {**defaults, **built}.items():
         if isinstance(default, (list, dict)):
             assert getattr(positional, name) is not getattr(keyword, name)
+    for name, start in built.items():
+        with pytest.raises(TypeError):
+            cls(**given, **{name: start})
     if cls in UNEQUAL:
         assert positional == keyword and not positional != keyword
         assert positional != cls(**{**given, **UNEQUAL[cls]})

@@ -350,11 +350,6 @@ class TestTransfer:
         assert NUM not in rig.a.store and NUM not in rig.a.grants  # dropped at Complete
         rig.provision(TEL, registrar=rig.b)
 
-    def test_registry_queues_notice_for_old(self):
-        rig = self.ready_rig()
-        self.run_transfer(rig)
-        assert any(n.registrar == "T2a" for n in rig.registry.state.notices)
-
     def test_transfer_to_self(self):
         rig = self.ready_rig()
         with pytest.raises(SameRegistrar):

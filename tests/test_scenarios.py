@@ -240,6 +240,16 @@ FAULT_CASES = {
         {},
         [],
     ),
+    # The client is offline when the TRANSFER_INIT reply comes back, so the
+    # begin logs HopTimeout, yet reg2 holds x1 and the number is locked: the
+    # dispute must find x1 at reg2 and unlock the number for the provision.
+    "a lost TRANSFER_INIT reply, then a dispute": (
+        "step offline actor=client:alice\n" + _BEGIN + "step online actor=client:alice\n"
+        "step dispute transfer=x1 by=reg1\n" + _LATE,
+        {"reg1": 4, "reg2": 0},
+        {},
+        [],
+    ),
 }
 
 
