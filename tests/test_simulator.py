@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from enumstack import simulator
 from enumstack.errors import NoDelegation
 from enumstack.scenarios import (
     MODEL_GRID,
@@ -162,7 +163,7 @@ def test_run_until_idle_drains_everything():
 
 # ---------------------------------------------------------------- delay draw
 
-def test_delay_draw_equals_randint():
+def assert_draws_equal_randint(lo, hi):
     for seed in range(60):
         net = Network(seed=seed)
         for _ in range(40):
@@ -170,9 +171,29 @@ def test_delay_draw_equals_randint():
         # the clock is 0, so each queued tick is the send's delay
         delays = [tick for tick, _, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
         ref = random.Random(seed)
-        assert delays == [ref.randint(MIN_DELAY, MAX_DELAY) for _ in range(40)]
+        assert delays == [ref.randint(lo, hi) for _ in range(40)]
         # and the generator is left where randint leaves it
         assert net.rng.getstate() == ref.getstate()
+
+
+def test_the_delay_is_randint_of_min_to_max_delay():
+    assert (MIN_DELAY, MAX_DELAY) == (1, 4)
+    assert_draws_equal_randint(MIN_DELAY, MAX_DELAY)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 4), (0, 0), (3, 3), (1, 2), (0, 7), (1, 8), (0, 15), (1, 3), (2, 6), (5, 17),
+     (0, 99), (1, 1000)],
+)
+def test_delay_draw_equals_randint(lo, hi, monkeypatch):
+    # The draw in send is written for any span, so it must stay randint's
+    # if the constants change: spans of 1, of powers of two and of others.
+    span = hi - lo + 1
+    monkeypatch.setattr(simulator, "MIN_DELAY", lo)
+    monkeypatch.setattr(simulator, "_DELAY_SPAN", span)
+    monkeypatch.setattr(simulator, "_DELAY_BITS", span.bit_length())
+    assert_draws_equal_randint(lo, hi)
 
 
 # ---------------------------------------------------------------- transport contract
