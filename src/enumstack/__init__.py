@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "e164": ("ApexConfig", "DEFAULT_APEX", "E164Number", "EnumDomain", "country_code_of",
              "from_domain", "parse_number", "to_domain"),
-    "naptr": ("NaptrRecord", "NaptrRecordSet", "ServiceSelector", "Visibility", "apply_regexp",
-              "parse_record", "render_record", "resolve_record_set", "select"),
+    "naptr": ("NaptrRecord", "ServiceSelector", "Visibility", "apply_regexp", "parse_record",
+              "render_record", "resolve_record_set", "select"),
     "registry": ("Delegation", "PeerUpdate", "RegistryState", "Tier0Table", "tier0_discover"),
     "registrar": ("AuthorizationGrant", "Directory", "Party", "RegistrarActor", "Role",
                   "Subscription", "TransferRecord", "TransferState"),

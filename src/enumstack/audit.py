@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .e164 import parse_number
 from .errors import RunIncomplete
-from .naptr import NaptrRecordSet, ServiceSelector, Visibility, resolve_record_set
+from .naptr import ServiceSelector, Visibility, resolve_record_set
 from .registrar import Role, TransferState, parse_store_lines
 from .wire import PEER_UPDATE
 
@@ -421,13 +420,10 @@ def _model_transparency(topology: Topology) -> list[str]:
     for rec in topology.log:
         if rec.kind != "resolve" or not rec.ok:
             continue
-        records = tuple(parse_store_lines(rec.detail.get("records", "")))
-        number = parse_number("+" + rec.detail["number"])
-        record_set = NaptrRecordSet(number=number, records=records)
         uris, _ = resolve_record_set(
-            record_set,
+            tuple(parse_store_lines(rec.detail.get("records", ""))),
             ServiceSelector(rec.detail.get("service", "*")),
-            number,
+            "+" + rec.detail["number"],
             Visibility.RESTRICTED,
         )
         if "\n".join(uris) != rec.detail.get("uris", ""):

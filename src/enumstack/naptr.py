@@ -180,18 +180,6 @@ class ServiceSelector:
         return self.service == "*" or self.service.lower() == service.lower()
 
 
-class NaptrRecordSet:
-    """All records for one number; a number's set lives at one registrar."""
-
-    __slots__ = ("number", "records")
-
-    def __init__(self, number: E164Number, records: tuple[NaptrRecord, ...] = ()) -> None:
-        self.number, self.records = number, records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 # ---------------------------------------------------------------- zone-line format
 
 
@@ -268,11 +256,12 @@ def render_stored_line(rec: NaptrRecord) -> str:
 
 
 def select(
-    record_set: NaptrRecordSet,
+    records: tuple[NaptrRecord, ...],
     selector: ServiceSelector = ServiceSelector(),
     requester_visibility: Visibility = Visibility.PUBLIC,
 ) -> list[NaptrRecord]:
-    """Filter by service and visibility, sort ascending by (order, preference).
+    """Filter one number's *records* by service and visibility, sort
+    ascending by (order, preference).
 
     The sort is stable: records with equal keys keep insertion order.
     Restricted records never show up for public requesters.
@@ -281,7 +270,7 @@ def select(
         lambda r: r.visibility is Visibility.PUBLIC
         or requester_visibility is Visibility.RESTRICTED
     )
-    filtered = [r for r in record_set.records if selector.matches(r.service) and allowed(r)]
+    filtered = [r for r in records if selector.matches(r.service) and allowed(r)]
     return sorted(filtered, key=NaptrRecord.sort_key)
 
 
@@ -324,12 +313,13 @@ def apply_regexp(rec: NaptrRecord, subject: str | E164Number) -> str:
 
 
 def resolve_record_set(
-    record_set: NaptrRecordSet,
+    records: tuple[NaptrRecord, ...],
     selector: ServiceSelector,
     subject: str | E164Number,
     requester_visibility: Visibility = Visibility.PUBLIC,
 ) -> tuple[list[str], list[str]]:
-    """Select, then rewrite every terminal record to a URI.
+    """Select from one number's *records*, then rewrite every terminal
+    record to a URI for *subject*, that number.
 
     Returns ``(uris, warnings)``. Non-terminal records are skipped (the
     chain is not followed); a rewrite failure skips that record with a
@@ -337,7 +327,7 @@ def resolve_record_set(
     """
     uris: list[str] = []
     warnings: list[str] = []
-    for rec in select(record_set, selector, requester_visibility):
+    for rec in select(records, selector, requester_visibility):
         if not rec.terminal:
             continue
         try:

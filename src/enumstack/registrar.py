@@ -42,10 +42,8 @@ from .errors import (
     UnknownTransfer,
     VerificationFailed,
 )
-from .e164 import parse_number
 from .naptr import (
     NaptrRecord,
-    NaptrRecordSet,
     ServiceSelector,
     Visibility,
     parse_stored_line,
@@ -473,10 +471,10 @@ class RegistrarActor:
 
     def provision_records(
         self, actor: str, number: str, records: list[NaptrRecord]
-    ) -> NaptrRecordSet:
+    ) -> tuple[NaptrRecord, ...]:
         """Merge records into the number's set, replacing by
-        (service, order, preference). Every record's service must be
-        within the actor's rights."""
+        (service, order, preference), and return the merged set. Every
+        record's service must be within the actor's rights."""
         self._check_unlocked(number)
         sub = self._active_here(number)
         for rec in records:
@@ -487,7 +485,7 @@ class RegistrarActor:
                     f"{actor!r} may not provision {rec.service} for {number!r}"
                 )
         self._merge(number, records)
-        return NaptrRecordSet(number=parse_number("+" + number), records=tuple(self.store[number]))
+        return tuple(self.store[number])
 
     def _merge(self, number: str, records: Iterable[NaptrRecord]) -> None:
         current = self.store.setdefault(number, [])
@@ -504,21 +502,14 @@ class RegistrarActor:
         actor: str,
         number: str,
         selector: ServiceSelector = ServiceSelector(),
-    ) -> NaptrRecordSet:
-        """Filtered view: public records for anyone, restricted ones only
-        for actors with access rights. Never raises; inactive or foreign
-        numbers yield an empty view."""
-        sub = self.directory.get(number)
-        visible: tuple[NaptrRecord, ...] = ()
-        if sub is not None and sub.enum_active and sub.serving_registrar == self.actor_id:
-            visible = self._visible_records(sub, actor, number, selector)
-        return NaptrRecordSet(number=parse_number("+" + number), records=visible)
-
-    def _visible_records(
-        self, sub: Subscription, actor: str, number: str, selector: ServiceSelector
     ) -> tuple[NaptrRecord, ...]:
-        """The records of *number*, whose ENUM service *sub* runs here,
-        that *selector* matches and *actor* may read."""
+        """The records of *number* that *selector* matches and *actor* may
+        read: public records for anyone, restricted ones only for actors
+        with access rights. The ``GET`` reply renders this set. Never
+        raises; an inactive or foreign number gives ``()``."""
+        sub = self.directory.get(number)
+        if sub is None or not sub.enum_active or sub.serving_registrar != self.actor_id:
+            return ()
         return tuple(
             rec
             for rec in self.store.get(number, ())
@@ -788,11 +779,8 @@ class RegistrarActor:
                 return frame.reply(status="NoDelegation", records="")
             if not sub.enum_active:
                 return frame.reply(status="EnumInactive", records="")
-            records = self._visible_records(
-                sub,
-                frame.get("actor"),
-                number,
-                ServiceSelector(frame.get("service") or "*"),
+            records = self.get_records(
+                frame.get("actor"), number, ServiceSelector(frame.get("service") or "*")
             )
             return frame.ok_reply(records=render_store_lines(records))
         if frame.kind == GRANT:

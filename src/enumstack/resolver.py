@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .e164 import ApexConfig, E164Number, parse_number, to_domain
 from .errors import HopTimeout, status_error
-from .naptr import NaptrRecordSet, ServiceSelector, resolve_record_set, Visibility
+from .naptr import ServiceSelector, resolve_record_set, Visibility
 from .registrar import parse_store_lines
 from .simulator import Network
 from .wire import DISCOVER, Frame, GET, LOOKUP, TIER0_ID
@@ -113,10 +113,10 @@ def resolve(
         raise HopTimeout(f"registrar {registrar} timed out")
 
     record_lines = response.get("records")
-    record_set = NaptrRecordSet(number=number, records=tuple(parse_store_lines(record_lines)))
+    records = tuple(parse_store_lines(record_lines))
     # The registrar already filtered visibility for this requester.
     uris, warnings = resolve_record_set(
-        record_set, ServiceSelector(service), number, Visibility.RESTRICTED
+        records, ServiceSelector(service), number, Visibility.RESTRICTED
     )
     return Resolution(number, uris, warnings, trace, registrar, registry, record_lines)
 
@@ -131,11 +131,10 @@ def resolve_all(
     resolution = resolve(raw_number, net, apex, "*", client_id)
     number = resolution.number
     records = tuple(parse_store_lines(resolution.record_lines))
-    record_set = NaptrRecordSet(number=number, records=records)
     grouped: dict[str, list[str]] = {}
     for service in dict.fromkeys(rec.service for rec in records):
         uris, _warnings = resolve_record_set(
-            record_set, ServiceSelector(service), number, Visibility.RESTRICTED
+            records, ServiceSelector(service), number, Visibility.RESTRICTED
         )
         if uris:
             grouped[service] = uris

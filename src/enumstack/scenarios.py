@@ -948,9 +948,10 @@ def parse_events(text: str) -> list[Event]:
     """Parse a line-delimited script: ``step <kind> key=value ...``.
 
     A ``record=`` or ``reason=`` argument captures the rest of the line
-    verbatim, so zone lines keep their internal spaces. Lines break as in
-    a state file (see :func:`translate_newlines`), so a record may hold
-    U+2028 or another character :meth:`str.splitlines` breaks at.
+    verbatim, so zone lines keep their internal spaces; the first of them
+    on the line wins. Lines break as in a state file (see
+    :func:`translate_newlines`), so a record may hold U+2028 or another
+    character :meth:`str.splitlines` breaks at.
     """
     events: list[Event] = []
     for lineno, raw_line in enumerate(translate_newlines(text).split("\n"), start=1):
@@ -959,14 +960,11 @@ def parse_events(text: str) -> list[Event]:
             continue
         tail_key = None
         tail_value = ""
-        for key in _TAIL_KEYS:
-            marker = f" {key}="
-            at = line.find(marker)
-            if at != -1:
-                tail_key = key
-                tail_value = line[at + len(marker):].strip()
-                line = line[:at]
-                break
+        markers = [(at, key) for key in _TAIL_KEYS if (at := line.find(f" {key}=")) != -1]
+        if markers:
+            at, tail_key = min(markers)
+            tail_value = line[at + len(tail_key) + 2:].strip()
+            line = line[:at]
         tokens = line.split()
         if len(tokens) < 2 or tokens[0] != "step":
             raise ScenarioError(f"line {lineno}: expected 'step <kind> ...'")

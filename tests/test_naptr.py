@@ -20,7 +20,6 @@ from enumstack.errors import (
 )
 from enumstack.naptr import (
     NaptrRecord,
-    NaptrRecordSet,
     ServiceSelector,
     Visibility,
     _split_regexp,
@@ -109,17 +108,17 @@ class TestParseRecord:
 class TestSelect:
     def test_sort_by_order_then_preference(self):
         records = (rec(100, 20), rec(50, 10), rec(100, 10))
-        out = select(NaptrRecordSet(NUMBER, records))
+        out = select(records)
         assert [(r.order, r.preference) for r in out] == [(50, 10), (100, 10), (100, 20)]
 
     def test_service_filter(self):
         records = (rec(100, 10, "E2U+sip"), rec(100, 10, "E2U+mailto"))
-        out = select(NaptrRecordSet(NUMBER, records), ServiceSelector("E2U+sip"))
+        out = select(records, ServiceSelector("E2U+sip"))
         assert [r.service for r in out] == ["E2U+sip"]
 
     def test_service_match_case_insensitive(self):
         records = (rec(100, 10, "E2U+SIP"),)
-        out = select(NaptrRecordSet(NUMBER, records), ServiceSelector("e2u+sip"))
+        out = select(records, ServiceSelector("e2u+sip"))
         assert len(out) == 1
 
     def test_restricted_hidden_from_public(self):
@@ -127,15 +126,13 @@ class TestSelect:
             rec(10, 10, visibility=Visibility.RESTRICTED),
             rec(20, 10),
         )
-        public = select(NaptrRecordSet(NUMBER, records))
+        public = select(records)
         assert [r.order for r in public] == [20]
-        privileged = select(
-            NaptrRecordSet(NUMBER, records), requester_visibility=Visibility.RESTRICTED
-        )
+        privileged = select(records, requester_visibility=Visibility.RESTRICTED)
         assert [r.order for r in privileged] == [10, 20]
 
     def test_empty_result_ok(self):
-        out = select(NaptrRecordSet(NUMBER, ()), ServiceSelector("E2U+sip"))
+        out = select((), ServiceSelector("E2U+sip"))
         assert out == []
 
 
@@ -178,10 +175,9 @@ def test_select_matches_permutation_oracle():
     rng = random.Random(20010921)
     for _ in range(200):
         records = tuple(random_record(rng) for _ in range(rng.randint(0, 6)))
-        record_set = NaptrRecordSet(NUMBER, records)
         selector = ServiceSelector(rng.choice(["*", "E2U+sip", "E2U+mailto"]))
         requester = rng.choice([Visibility.PUBLIC, Visibility.RESTRICTED])
-        assert select(record_set, selector, requester) == oracle_select(
+        assert select(records, selector, requester) == oracle_select(
             records, selector, requester
         )
 
@@ -230,15 +226,12 @@ class TestApplyRegexp:
 
 class TestResolveRecordSet:
     def test_single_terminal(self):
-        record_set = NaptrRecordSet(NUMBER, (rec(100, 10),))
-        uris, warnings = resolve_record_set(record_set, ServiceSelector(), NUMBER)
+        uris, warnings = resolve_record_set((rec(100, 10),), ServiceSelector(), NUMBER)
         assert uris == ["sip:info@example.com"]
         assert warnings == []
 
     def test_empty_set(self):
-        uris, warnings = resolve_record_set(
-            NaptrRecordSet(NUMBER, ()), ServiceSelector(), NUMBER
-        )
+        uris, warnings = resolve_record_set((), ServiceSelector(), NUMBER)
         assert uris == []
         assert warnings == []
 
@@ -247,8 +240,7 @@ class TestResolveRecordSet:
             order=10, preference=10, flags="", service="E2U+sip",
             regexp="", replacement="example.net",
         )
-        record_set = NaptrRecordSet(NUMBER, (non_terminal, rec(20, 10)))
-        uris, _ = resolve_record_set(record_set, ServiceSelector(), NUMBER)
+        uris, _ = resolve_record_set((non_terminal, rec(20, 10)), ServiceSelector(), NUMBER)
         assert uris == ["sip:info@example.com"]
 
     def test_failing_record_warns_but_continues(self):
@@ -256,17 +248,14 @@ class TestResolveRecordSet:
             order=10, preference=10, flags="u", service="E2U+sip",
             regexp=r"!^\+44.*$!sip:x@y!",
         )
-        record_set = NaptrRecordSet(NUMBER, (bad, rec(20, 10)))
-        uris, warnings = resolve_record_set(record_set, ServiceSelector(), NUMBER)
+        uris, warnings = resolve_record_set((bad, rec(20, 10)), ServiceSelector(), NUMBER)
         assert uris == ["sip:info@example.com"]
         assert len(warnings) == 1 and "NoMatch" in warnings[0]
 
     def test_order_preserved(self):
         records = (rec(30, 1, target="sip:c@x"), rec(10, 1, target="sip:a@x"),
                    rec(20, 1, target="sip:b@x"))
-        uris, _ = resolve_record_set(
-            NaptrRecordSet(NUMBER, records), ServiceSelector(), NUMBER
-        )
+        uris, _ = resolve_record_set(records, ServiceSelector(), NUMBER)
         assert uris == ["sip:a@x", "sip:b@x", "sip:c@x"]
 
 
@@ -276,9 +265,7 @@ class TestResolveRecordSet:
 )
 def test_output_never_exceeds_terminal_count(orders):
     records = tuple(rec(o, p) for o, p in orders)
-    uris, _ = resolve_record_set(
-        NaptrRecordSet(NUMBER, records), ServiceSelector(), NUMBER
-    )
+    uris, _ = resolve_record_set(records, ServiceSelector(), NUMBER)
     assert len(uris) <= sum(1 for r in records if r.terminal)
 
 
@@ -289,7 +276,7 @@ def test_output_never_exceeds_terminal_count(orders):
 )
 def test_restricted_never_leaks_to_public(visibilities):
     records = tuple(rec(i, 0, visibility=v) for i, v in enumerate(visibilities))
-    out = select(NaptrRecordSet(NUMBER, records), requester_visibility=Visibility.PUBLIC)
+    out = select(records, requester_visibility=Visibility.PUBLIC)
     assert all(r.visibility is Visibility.PUBLIC for r in out)
 
 

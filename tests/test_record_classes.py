@@ -16,7 +16,7 @@ from enumstack.market import (
     PotentialMarketEstimate,
     PotentialMarketInputs,
 )
-from enumstack.naptr import NaptrRecord, NaptrRecordSet, ServiceSelector, Visibility
+from enumstack.naptr import NaptrRecord, ServiceSelector, Visibility
 from enumstack.registrar import (
     AuthorizationGrant,
     Party,
@@ -53,7 +53,6 @@ CASES = {
         {"replacement": ".", "visibility": Visibility.PUBLIC},
     ),
     ServiceSelector: ({}, {"service": "*"}),
-    NaptrRecordSet: ({"number": NUMBER}, {"records": ()}),
     Delegation: (
         {"number": "13154434473", "registrar": "reg1", "owning_registry": "R1", "serial": 3},
         {"updated_at": 0},

@@ -479,6 +479,20 @@ class TestEventScripts:
         assert events[0].kind == "provision"
         assert events[0].args["record"].startswith("100 10")
 
+    def test_the_first_tail_key_on_the_line_takes_the_rest(self):
+        dispute = "step dispute transfer=x1 by=reg1 reason=bad record=kept here"
+        (event,) = parse_events(dispute)
+        assert event.args == {"transfer": "x1", "by": "reg1", "reason": "bad record=kept here"}
+        script = (
+            canonical_events()
+            + "step transfer_begin number=+13154434473 user=alice to=reg2\n"
+            + dispute
+            + "\n"
+        )
+        _, log = run_model(1, script)
+        assert (log.records[-1].kind, log.records[-1].status) == ("dispute", "ok")
+        assert log.records[-1].detail["reason"] == "bad record=kept here"
+
     @pytest.mark.parametrize("sep", LINE_SEPARATORS)
     def test_line_separator_in_a_record_tail_stays_in_the_step(self, sep):
         uri = f"sip:a{sep}b@example.com"
