@@ -279,10 +279,14 @@ class RecordStore(MutableMapping[str, V]):
     ``str``, so the type alone tells text from value. Reading one number
     (``[]``, ``get``, ``setdefault``, ``pop``) parses that number only;
     membership, length, iteration over numbers, assignment, ``del``,
-    :meth:`unread_text` and :meth:`numbers_with_records` parse nothing. A
-    view of the values (``items``, ``values``, ``==``) parses every unread
-    number. A parse that fails leaves the text in place. In-process
-    topologies use the same class with no text.
+    :meth:`held`, :meth:`unread_text` and :meth:`numbers_with_records`
+    parse nothing. A view of the values (``items``, ``values``, ``==``)
+    parses every unread number. A parse that fails leaves the text in
+    place. In-process topologies use the same class with no text; a store
+    that a state file fills starts as a :class:`PendingStore`. So do a
+    registrar's grants and a registry's observed serials, which a state
+    file fills too and which are plain dicts otherwise: a walk makes them
+    stores that hold no text.
     """
 
     __slots__ = ("_values", "_parse")
@@ -324,6 +328,11 @@ class RecordStore(MutableMapping[str, V]):
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)
 
+    def held(self) -> dict[str, V | str]:
+        """The map as it is held, for a caller that only reads it: each
+        number's value, or its stored text while nothing has read it."""
+        return self._values
+
     def unread_text(self, number: str) -> str | None:
         """The stored text of a number nothing has read yet, else None."""
         value = self._values.get(number)
@@ -333,6 +342,48 @@ class RecordStore(MutableMapping[str, V]):
         """For a store of record lists: the numbers holding at least one
         record; a number's text holds one, and stays unread."""
         return [number for number, value in self._values.items() if value]
+
+
+class PendingStore(RecordStore[V]):
+    """A :class:`RecordStore` that a state file fills, before the file's
+    walk has run.
+
+    The first use of any method runs *walk*, which reads the file into
+    this store and every other store the file fills, each through
+    :meth:`settle`, and so makes each a plain :class:`RecordStore`. A walk
+    that fails leaves the stores pending, and their next use walks again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, walk: Callable[[], None]) -> None:
+        super().__init__({}, walk)  # the walk waits in the parse slot
+
+    def settle(self, values: dict[str, V | str], parse: Callable[[str], V] | None) -> None:
+        """Adopt *values* and *parse*, as :class:`RecordStore` does, and
+        become one."""
+        self._values, self._parse = values, parse
+        self.__class__ = RecordStore
+
+
+def _walk_first(name: str) -> Callable:
+    method = getattr(RecordStore, name)
+
+    def first_use(self: PendingStore, *args):
+        self._parse()  # the walk, which settles this store
+        return method(self, *args)
+
+    first_use.__name__ = name
+    return first_use
+
+
+# The mixin methods of MutableMapping (pop, items, ==, ...) reach these.
+for _name in (
+    "__getitem__", "get", "__setitem__", "__delitem__", "__contains__", "__len__", "__iter__",
+    "held", "unread_text", "numbers_with_records",
+):
+    setattr(PendingStore, _name, _walk_first(_name))
+del _name
 
 
 class RegistrarActor:
@@ -359,7 +410,7 @@ class RegistrarActor:
         self.network_related = network_related
         self.accredited = accredited
         self.store = RecordStore()
-        self.grants: dict[str, list[AuthorizationGrant]] = {}
+        self.grants: MutableMapping[str, list[AuthorizationGrant]] = {}
         self.transfers: dict[str, TransferRecord] = {}
         self.warnings: list[str] = []
 

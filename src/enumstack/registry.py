@@ -14,6 +14,8 @@ collect in ``outbox`` until the actor fans them out.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
+
 from .errors import (
     NoDelegation,
     NotAuthoritative,
@@ -117,7 +119,7 @@ class RegistryState:
 
     __slots__ = (
         "id", "served_prefixes", "peers", "accredited", "flat_fee", "delegations",
-        "tombstones", "billing_ledger", "outbox", "observed_serials",
+        "tombstones", "billing_ledger", "outbox", "observed_serials", "owned",
     )
 
     def __init__(
@@ -137,7 +139,11 @@ class RegistryState:
         # serials as observed locally, per number; must be strictly increasing.
         # A number loaded from a snapshot enters at its first change, loaded
         # serial first.
-        self.observed_serials: dict[str, list[int]] = {}
+        self.observed_serials: MutableMapping[str, list[int]] = {}
+        # The numbers whose delegation here this registry owns, once a load
+        # or a save has needed them (and then kept up to date). A load
+        # fills it with the delegations, so a reader loads those first.
+        self.owned: set[str] | None = None
 
     # ------------------------------------------------------------ helpers
 
@@ -166,6 +172,12 @@ class RegistryState:
         else:
             self.delegations[number] = delegation
             self.tombstones.pop(number, None)
+        owned = self.owned
+        if owned is not None:
+            if kind != REMOVED and delegation.owning_registry == self.id:
+                owned.add(number)
+            else:
+                owned.discard(number)
         observed.append(delegation.serial)
 
     def _publish(

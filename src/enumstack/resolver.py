@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .e164 import ApexConfig, E164Number, parse_number, to_domain
 from .errors import HopTimeout, status_error
-from .naptr import ServiceSelector, resolve_record_set, Visibility
+from .naptr import NaptrRecord, ServiceSelector, resolve_record_set, Visibility
 from .registrar import parse_store_lines
 from .simulator import Network
 from .wire import DISCOVER, Frame, GET, LOOKUP, TIER0_ID
@@ -48,11 +48,14 @@ class ResolutionTrace:
 
 
 class Resolution:
-    __slots__ = ("number", "uris", "warnings", "trace", "registrar", "registry", "record_lines")
+    __slots__ = (
+        "number", "uris", "warnings", "trace", "registrar", "registry", "record_lines", "records",
+    )
 
     def __init__(
         self, number: E164Number, uris: list[str], warnings: list[str], trace: ResolutionTrace,
         registrar: str = "", registry: str = "", record_lines: str = "",
+        records: tuple[NaptrRecord, ...] = (),
     ) -> None:
         self.number = number
         self.uris = uris
@@ -60,7 +63,8 @@ class Resolution:
         self.trace = trace
         self.registrar = registrar
         self.registry = registry
-        self.record_lines = record_lines
+        self.record_lines = record_lines  # the GET reply's records, as sent
+        self.records = records  # and parsed
 
 
 def resolve(
@@ -118,7 +122,7 @@ def resolve(
     uris, warnings = resolve_record_set(
         records, ServiceSelector(service), number, Visibility.RESTRICTED
     )
-    return Resolution(number, uris, warnings, trace, registrar, registry, record_lines)
+    return Resolution(number, uris, warnings, trace, registrar, registry, record_lines, records)
 
 
 def resolve_all(
@@ -129,8 +133,7 @@ def resolve_all(
 ) -> dict[str, list[str]]:
     """Wildcard resolution grouped by service field."""
     resolution = resolve(raw_number, net, apex, "*", client_id)
-    number = resolution.number
-    records = tuple(parse_store_lines(resolution.record_lines))
+    number, records = resolution.number, resolution.records
     grouped: dict[str, list[str]] = {}
     for service in dict.fromkeys(rec.service for rec in records):
         uris, _warnings = resolve_record_set(

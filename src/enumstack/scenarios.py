@@ -662,6 +662,11 @@ class Topology:
         rights: str,
         scope: str = "*",
     ) -> dict[str, str]:
+        # One past every grant id issued, those in a registrar's state file
+        # included: the first use of a registrar's grants walks the file
+        # when a load deferred it.
+        for actor in self.registrars.values():
+            len(actor.grants)
         self._grant_n += 1
         grant_id = f"g{self._grant_n}"
         with self._step(

@@ -34,7 +34,7 @@ import heapq
 import random
 from typing import Callable
 
-from .errors import EnumStackError
+from .errors import EnumStackError, SnapshotError
 from .wire import Frame, encode_frame
 
 DELIVERED = "delivered"
@@ -135,9 +135,13 @@ class Network:
 
     def answer(self, request: Frame, dispatch: Callable[[Frame, Network], Frame]) -> None:
         """Send *dispatch*'s reply to *request*, or the error reply for the
-        :class:`EnumStackError` it raises; any other exception propagates."""
+        :class:`EnumStackError` it raises; any other exception propagates,
+        and so does a :class:`SnapshotError`: a state file that fails as a
+        handler reads it is no answer the requester could act on."""
         try:
             reply = dispatch(request, self)
+        except SnapshotError:
+            raise
         except EnumStackError as exc:
             reply = request.err_reply(exc)
         self.send(reply)

@@ -11,37 +11,48 @@ The checkpoint lists each snapshot file and ``events.log`` with its
 byte length and CRC-32, and for ``events.log`` also the largest event,
 transfer and grant ids a scan of it gives; its last line is the CRC-32 of
 the lines above it. A missing or corrupt checkpoint, or one from another
-version, is ignored and never an error. It decides two things:
+version, is ignored and never an error. It decides three things:
 
-- when the lines of a snapshot file are parsed. The three kinds of
-  snapshot file each load into :class:`~enumstack.registrar.RecordStore`
-  maps: the records of each registrar, the delegations of each registry
-  (a ``registry.snap`` line goes to its owner's map and to each of the
-  owner's peers') and the directory's subscriptions. Each file is read in
-  one walk, a line at a time, whose rules do not depend on the
-  checkpoint. When the file matches its entry, each number keeps its
-  stored text in its map until something reads the number, and a parse
-  that fails then is a :class:`SnapshotError` naming the file, after
-  which the topology's saves write no entry for that file. Otherwise each
-  line is parsed as it is read, and the first bad line is a
-  :class:`SnapshotError` naming it. Either way, blank lines are skipped,
-  and a line the walk cannot place (an untagged registrar line, a grant
-  or record line before any number line, a ``registry.snap`` line without
-  four fields or naming no configured owner) is a :class:`SnapshotError`
-  naming it. Every registrar file is checkpointed:
-  :class:`~enumstack.naptr.NaptrRecord` refuses a field its stored line
-  could not hold, so every record parses back from the line it is saved
-  as;
+- when a snapshot file is walked. The three kinds of snapshot file each
+  load into :class:`~enumstack.registrar.RecordStore` maps: the records
+  and grants of each registrar, the delegations and observed serials of
+  each registry (a ``registry.snap`` line goes to its owner's map and to
+  each of the owner's peers') and the directory's subscriptions. Every
+  file is read and checked against its entry at load. A file that fails
+  its entry is walked then. The walk of a file that matches its entry
+  waits in :class:`~enumstack.registrar.PendingStore` maps until the first
+  use of anything the file fills: any method of one of its maps, and for
+  a registrar file also the next grant id, which counts the ids every
+  registrar file holds. A call that never uses a file never walks it;
+- when the lines of a walked file are parsed. Each file is walked a line
+  at a time, by rules that do not depend on the checkpoint. When the file
+  matches its entry, each number keeps its stored text in its map until
+  something reads the number; otherwise each line is parsed as it is
+  read, and the first bad line is a :class:`SnapshotError` naming it.
+  Either way, blank lines are skipped, and a line the walk cannot place
+  (an untagged registrar line, a grant or record line before any number
+  line, a ``registry.snap`` line without four fields or naming no
+  configured owner) is a :class:`SnapshotError` naming it. A walk or a
+  number's parse that fails after the load is a :class:`SnapshotError`
+  (a walk names the line, a parse the file), after which the topology's
+  saves write no entry for that file, so the next load walks it at once
+  and names the bad line. So a hand-forged checkpoint entry over a bad
+  line fails only the calls that use that file. Every registrar file is
+  checkpointed: :class:`~enumstack.naptr.NaptrRecord` refuses a field its
+  stored line could not hold, so every record parses back from the line
+  it is saved as;
 - which lines of ``events.log`` are scanned for the id counters, at load
   and at save. When the log opens with the prefix its entry describes,
   only the lines after that prefix are; otherwise the whole log is.
 
 A persisting call first appends its log lines, then :func:`save_state`
-rewrites each snapshot file whose bytes changed, writing back the stored
-text of every number nothing read, and writes the checkpoint last, so
-that it describes the log as the call leaves it. Every file is written
-to a temporary file and renamed into place, so a killed process never
-leaves a half-written file visible; a file rewritten after the last
+writes the snapshots and, last, the checkpoint, so that it describes the
+log as the call leaves it. A file the call never walked stands as it was
+loaded and keeps its entry: it is not rendered, read back or written.
+Every other file is rendered, writing back the stored text of every
+number nothing read, and rewritten when its bytes changed. Every file is
+written to a temporary file and renamed into place, so a killed process
+never leaves a half-written file visible; a file rewritten after the last
 checkpoint no longer matches it, and the next load parses every line of
 it. A lock on ``.lock`` that dies with its holder serializes concurrent
 invocations against one directory.
@@ -58,7 +69,8 @@ import os
 import re
 import tempfile
 import zlib
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from sys import intern
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, TypeVar
@@ -72,6 +84,7 @@ from .errors import LockHeld, SnapshotError
 from .naptr import NaptrRecord, ServiceSelector
 from .registrar import (
     AuthorizationGrant,
+    PendingStore,
     RecordStore,
     RegistrarActor,
     Subscription,
@@ -97,6 +110,7 @@ _RECORD_TAG = "record|"
 _GRANT_TAG = "grant|"
 _CRC_CHUNK = 1 << 16
 _PIECE_LINES = 256
+_SPLIT_CHARS = 1 << 16
 
 _ID_RE = re.compile(r"^[ex](\d+)$")
 _GRANT_ID_RE = re.compile(r"^g(\d+)$")
@@ -261,52 +275,53 @@ def _checkpoint_bytes(entries: dict[str, tuple[int, ...]]) -> bytes:
 
 
 def _registry_lines(topology: Topology) -> Iterator[str]:
-    """Each registry's own delegations; a number nothing has read keeps
-    its line."""
+    """Each registry's own delegations, by number; a number nothing has
+    read keeps its line."""
     for actor in topology.registries.values():
-        owner, delegations = actor.state.id, actor.state.delegations
-        unread_text = delegations.unread_text
-        for number in sorted(delegations):
-            line = unread_text(number)
-            if line is None:
-                d = delegations[number]
-                if d.owning_registry == owner:
-                    yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
-            elif line.rsplit("|", 2)[1] == owner:  # number|registrar|owner|serial
-                yield line
+        state = actor.state
+        held = state.delegations.held()  # a walk fills state.owned
+        if state.owned is None:  # no walk: every delegation is parsed
+            state.owned = {n for n, d in held.items() if d.owning_registry == state.id}
+        for number in sorted(state.owned):
+            line = held[number]
+            if line.__class__ is not str:
+                d = line
+                line = f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
+            yield line
 
 
 def _registrar_lines(actor: RegistrarActor) -> Iterator[str]:
     """One registrar's snapshot; a number nothing has read keeps its text."""
-    store = actor.store
-    for number in sorted(set(store) | set(actor.grants)):
+    held = actor.store.held()  # a walk fills the grants too
+    grants = dict(actor.grants)
+    for number in sorted(held.keys() | grants.keys()):
         yield f"{_NUMBER_TAG}{number}"
-        for grant in actor.grants.get(number, ()):
+        for grant in grants.get(number, ()):
             rights = ",".join(sorted(grant.rights))
             yield (
                 f"{_GRANT_TAG}{grant.grant_id}|{grant.grantor}|{grant.grantee}|"
                 f"{rights}|{grant.scope.service}"
             )
-        text = store.unread_text(number)
-        if text is not None:
-            yield text
+        records = held.get(number, ())
+        if records.__class__ is str:
+            yield records
             continue
-        for rec in store.get(number, ()):
+        for rec in records:
             yield _RECORD_TAG + render_stored_line(rec)
 
 
 def _subscriptions_lines(topology: Topology) -> Iterator[str]:
     """Every subscription; a number nothing has read keeps its line."""
-    subscriptions = topology.directory.subscriptions
-    for number in sorted(subscriptions):
-        line = subscriptions.unread_text(number)
-        if line is None:
-            sub = subscriptions[number]
-            line = (
-                f"{number}|{sub.user}|{sub.tsp}|{int(sub.enum_active)}|"
-                f"{int(sub.phone_active)}|{sub.serving_registrar or ''}|{sub.token}"
-            )
-        yield line
+    held = topology.directory.subscriptions.held()
+    for number in sorted(held):
+        sub = held[number]
+        if sub.__class__ is str:
+            yield sub
+            continue
+        yield (
+            f"{number}|{sub.user}|{sub.tsp}|{int(sub.enum_active)}|"
+            f"{int(sub.phone_active)}|{sub.serving_registrar or ''}|{sub.token}"
+        )
 
 
 def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = None) -> None:
@@ -315,8 +330,9 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
     Call it after :func:`append_log`, so that the checkpoint covers the
     log as it stands. The topology keeps the directory and the checkpoint
     entries it last read or wrote there: the ``events.log`` entry lets a
-    later save scan only the log's new lines, and a file whose stored
-    text failed to parse gets no entry.
+    later save scan only the log's new lines, a file loaded from this
+    directory and never walked keeps its entry and is not rendered, and a
+    file whose walk or stored text failed to parse gets no entry.
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -326,7 +342,13 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         seen = {name: () for name, mark in seen.items() if mark == ()}
     entries: dict[str, tuple[int, ...]] = {}
 
-    def write(name: str, lines: Iterable[str]) -> None:
+    def write(name: str, lines: Iterable[str], *stores: RecordStore) -> None:
+        """Render *lines* into *name*, unless the file was loaded from
+        this directory and the *stores* it fills are still pending: then
+        it stands as it was read, and keeps its entry."""
+        if seen_dir == where and any(store.__class__ is PendingStore for store in stores):
+            entries[name] = seen[name]
+            return
         pieces = _encode_lines(lines)
         crc = 0
         for piece in pieces:
@@ -334,10 +356,13 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         entries[name] = () if seen.get(name) == () else (sum(map(len, pieces)), crc)
         _write_if_changed(state_dir / name, pieces)
 
-    write(REGISTRY_SNAP, _registry_lines(topology))
+    write(
+        REGISTRY_SNAP, _registry_lines(topology),
+        *(actor.state.delegations for actor in topology.registries.values()),
+    )
     for registrar_id, actor in topology.registrars.items():
-        write(f"registrar-{registrar_id}.snap", _registrar_lines(actor))
-    write(SUBSCRIPTIONS_SNAP, _subscriptions_lines(topology))
+        write(f"registrar-{registrar_id}.snap", _registrar_lines(actor), actor.store)
+    write(SUBSCRIPTIONS_SNAP, _subscriptions_lines(topology), topology.directory.subscriptions)
     if scenario_text is not None:
         _write_if_changed(state_dir / SCENARIO_FILE, [scenario_text.encode("utf-8")])
     try:
@@ -475,6 +500,18 @@ def _deferred(topology: Topology, path: Path, parse: Callable[[str], V]) -> Call
     return read
 
 
+def _settled(
+    store: object, values: dict[str, V | str], parse: Callable[[str], V] | None = None
+) -> RecordStore[V] | dict[str, V]:
+    """The map of *values*, stored text for *parse*: *store* itself when a
+    load left it pending, so that whatever holds it sees the values; else
+    a new store, or, with no *parse*, the dict *values*."""
+    if store.__class__ is PendingStore:
+        store.settle(values, parse)
+        return store
+    return values if parse is None else RecordStore(values, parse)
+
+
 def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool) -> None:
     """Fill the directory's subscriptions from ``subscriptions.snap``.
 
@@ -489,8 +526,10 @@ def _load_subscriptions(topology: Topology, path: Path, text: str, trusted: bool
                 values[line.partition("|")[0]] = line if trusted else _subscription(line)
             except ValueError as exc:
                 raise SnapshotError(str(path), lineno, str(exc)) from None
-    read = _deferred(topology, path, _subscription)
-    topology.directory.subscriptions = RecordStore(values, read)
+    directory = topology.directory
+    directory.subscriptions = _settled(
+        directory.subscriptions, values, _deferred(topology, path, _subscription)
+    )
 
 
 def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) -> None:
@@ -504,29 +543,32 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
     the line is parsed now, and a bad serial is such an error too. A
     number that reaches one state twice (two owners claim it) is parsed
     there, both lines, and the state observes each line's serial in turn,
-    as if it had applied the lines.
+    as if it had applied the lines. The states are filled once the last
+    line is read, so a walk that fails changes none of them.
     """
     registries = topology.registries
     values: dict[str, dict[str, Delegation | str]] = {reg_id: {} for reg_id in registries}
-    # Owner id -> the states its lines go to, each with its values.
+    owned: dict[str, set[str]] = {reg_id: set() for reg_id in registries}
+    observed: dict[str, dict[str, list[int]]] = {reg_id: {} for reg_id in registries}
+    # Owner id -> what the states its lines go to hold.
     replicas = {
-        reg_id: [(registries[r].state, values[r]) for r in (reg_id, *actor.state.peers)]
+        reg_id: [(values[r], owned[r], observed[r]) for r in (reg_id, *actor.state.peers)]
         for reg_id, actor in registries.items()
     }
     for lineno, line in enumerate(text.split("\n"), 1):
         try:
             number, _, owner, _ = line.split("|")
             value = line if trusted else _delegation(line)
-            for state, held in replicas[owner]:
+            for held, owns, serials in replicas[owner]:
                 if number in held:  # two owners claim the number
                     previous = held[number]
                     if isinstance(previous, str):
                         previous = _earlier_delegation(path, text, previous)
                     value = _delegation(line)
-                    state.observed_serials.setdefault(number, [previous.serial]).append(
-                        value.serial
-                    )
+                    serials.setdefault(number, [previous.serial]).append(value.serial)
+                    owns.discard(number)
                 held[number] = value
+            owned[owner].add(number)
         except ValueError as exc:  # not four fields, or a bad serial
             if not line.strip():
                 continue
@@ -537,7 +579,10 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
             raise SnapshotError(str(path), lineno, f"unknown registry {owner!r}") from None
     read = _deferred(topology, path, _delegation)
     for reg_id, actor in registries.items():
-        actor.state.delegations = RecordStore(values[reg_id], read)
+        state = actor.state
+        state.owned = owned[reg_id]
+        state.observed_serials = _settled(state.observed_serials, observed[reg_id])
+        state.delegations = _settled(state.delegations, values[reg_id], read)
 
 
 def _earlier_delegation(path: Path, text: str, line: str) -> Delegation:
@@ -581,23 +626,21 @@ def _load_registrar(
     """Fill one registrar's store and grants from its snapshot *text*;
     returns its largest grant number.
 
-    The file is read a line at a time, each line freed once it is read.
-    Blank lines are skipped; a number line opens that number, even one
-    that opened before, and each grant or record line that follows
-    belongs to it. Grant lines are parsed as they are read. When
-    *trusted*, each number's ``record|`` lines are joined, in file order,
-    as its text; otherwise each is parsed as it is read. An untagged line,
-    a grant or record line before any number line, and (parsed) a bad
-    line are a :class:`SnapshotError` naming the line.
+    The file is read a line at a time (:func:`_lines`), each line freed
+    once it is read. Blank lines are skipped; a number line opens that
+    number, even one that opened before, and each grant or record line
+    that follows belongs to it. Grant lines are parsed as they are read.
+    When *trusted*, each number's ``record|`` lines are joined, in file
+    order, as its text; otherwise each is parsed as it is read. An
+    untagged line, a grant or record line before any number line, and
+    (parsed) a bad line are a :class:`SnapshotError` naming the line.
     """
-    lines = text.split("\n")
-    lines.reverse()
     values: dict[str, list | str] = {}
-    grants: list[AuthorizationGrant] = []
+    grants: dict[str, list[AuthorizationGrant]] = {}
+    grant_n = 0
     number: str | None = None
     held: list = []  # the open number's records, or its record lines when trusted
-    for lineno in range(1, len(lines) + 1):
-        line = lines.pop()
+    for lineno, line in enumerate(_lines(text), 1):
         if trusted and line.startswith(_RECORD_TAG) and number is not None:
             held.append(line)
             continue
@@ -616,17 +659,33 @@ def _load_registrar(
             elif number is None:
                 raise ValueError(f"{tag} before number line")
             elif tag == "grant":
-                grants.append(_parse_grant(rest, number))
+                grant = _parse_grant(rest, number)
+                grants.setdefault(number, []).append(grant)
+                grant_n = max(grant_n, _grant_number(grant))
             else:
                 held.append(line if trusted else parse_stored_line(rest))
         except Exception as exc:
             raise SnapshotError(str(path), lineno, str(exc)) from exc
     if trusted and held:
         values[number] = "\n".join(held)
-    actor.store = RecordStore(values, _deferred(topology, path, _parse_records))
-    for grant in grants:
-        actor.grants.setdefault(grant.number, []).append(grant)
-    return max(map(_grant_number, grants), default=0)
+    actor.store = _settled(actor.store, values, _deferred(topology, path, _parse_records))
+    actor.grants = _settled(actor.grants, grants)
+    return grant_n
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines ``text.split("\\n")`` gives, split a piece of about
+    _SPLIT_CHARS characters at a time, so that no list of every line is
+    held beside the text."""
+
+    def pieces() -> Iterator[list[str]]:
+        start = 0
+        while (end := text.find("\n", start + _SPLIT_CHARS)) >= 0:
+            yield text[start:end].split("\n")
+            start = end + 1
+        yield text[start:].split("\n")
+
+    return chain.from_iterable(pieces())
 
 
 def _scan_id_counters(
@@ -707,31 +766,67 @@ def _log_entry(path: Path, known: tuple[int, ...] | None) -> tuple[int, ...] | N
 
 
 def load_state(topology: Topology, state_dir: Path) -> None:
-    """Apply snapshots onto a freshly built topology."""
+    """Apply snapshots onto a freshly built topology.
+
+    Each snapshot file is read and checked against its checkpoint entry
+    here. A file that fails its entry is walked here; the walk of one
+    that matches waits in :class:`~enumstack.registrar.PendingStore`
+    stores for the first use of anything it fills.
+    """
     state_dir = Path(state_dir)
     checkpoint = read_checkpoint(state_dir)
+    seen: dict[str, tuple[int, ...]] = {}
 
-    def read(path: Path) -> tuple[str, bool]:
-        """The file's text, and whether it matches its checkpoint entry."""
+    def read(path: Path, walk: Callable[[Path, str, bool], None]) -> Callable[[], None] | None:
+        """Walk the file at *path* now, unless it matches its checkpoint
+        entry: then return its walk, for the first use of what it fills."""
         data = path.read_bytes()
-        trusted = checkpoint.get(path.name) == (len(data), zlib.crc32(data))
-        return _decode_state(path, data), trusted
+        text = _decode_state(path, data)
+        if checkpoint.get(path.name) != (len(data), zlib.crc32(data)):
+            walk(path, text, False)
+            return None
+        seen[path.name] = checkpoint[path.name]
+
+        def first_use() -> None:
+            try:
+                walk(path, text, True)
+            except SnapshotError:  # as a number's failed parse (_deferred)
+                topology.snapshot_seen[1][path.name] = ()
+                raise
+
+        return first_use
+
+    def registrar_walk(actor: RegistrarActor) -> Callable[[Path, str, bool], None]:
+        def walk(path: Path, text: str, trusted: bool) -> None:
+            grant_n = _load_registrar(topology, actor, path, text, trusted)
+            topology._grant_n = max(topology._grant_n, grant_n)
+
+        return walk
 
     path = state_dir / SUBSCRIPTIONS_SNAP
     if path.exists():
-        _load_subscriptions(topology, path, *read(path))
+        walk = read(path, partial(_load_subscriptions, topology))
+        if walk:
+            topology.directory.subscriptions = PendingStore(walk)
     path = state_dir / REGISTRY_SNAP
     if path.exists():
-        _load_delegations(topology, path, *read(path))
+        walk = read(path, partial(_load_delegations, topology))
+        if walk:
+            for actor in topology.registries.values():
+                actor.state.delegations = PendingStore(walk)
+                actor.state.observed_serials = PendingStore(walk)
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
         if path.exists():
-            grant_n = _load_registrar(topology, actor, path, *read(path))
-            topology._grant_n = max(topology._grant_n, grant_n)
+            walk = read(path, registrar_walk(actor))
+            if walk:
+                actor.store = PendingStore(walk)
+                actor.grants = PendingStore(walk)
     log = _log_entry(state_dir / EVENTS_LOG, checkpoint.get(EVENTS_LOG))
     if log is not None:
         topology._event_n = max(topology._event_n, log[2])
         topology._transfer_n = max(topology._transfer_n, log[3])
         topology._grant_n = max(topology._grant_n, log[4])
+        seen[EVENTS_LOG] = log
     topology.completed = True
-    topology.snapshot_seen = (state_dir.resolve(), {} if log is None else {EVENTS_LOG: log})
+    topology.snapshot_seen = (state_dir.resolve(), seen)

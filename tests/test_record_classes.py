@@ -88,7 +88,7 @@ CASES = {
     ResolutionTrace: ({"number": "+13154434473", "domain": "3.7.4.4.3.4.4.5.1.3.1.e164.arpa"}, {}),
     Resolution: (
         {"number": NUMBER, "uris": ["sip:info@example.com"], "warnings": [], "trace": TRACE},
-        {"registrar": "", "registry": "", "record_lines": ""},
+        {"registrar": "", "registry": "", "record_lines": "", "records": ()},
     ),
     DeliveryRecord: (
         {"tick": 4, "frame": Frame("GET", "client", "reg1", 7), "status": "dropped"}, {},
@@ -134,7 +134,7 @@ CASES = {
 BUILT = {
     RegistryState: {
         "delegations": {}, "tombstones": {}, "billing_ledger": [], "outbox": [],
-        "observed_serials": {},
+        "observed_serials": {}, "owned": None,
     },
     TransferRecord: {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED]},
     Hop: {"note": ""},

@@ -57,6 +57,14 @@ def test_state_dir_lines_without_a_checkpoint_match_the_checkpointed_run():
     assert [line.split(" ", 1)[1] for line in plain] == [line.split(" ", 1)[1] for line in lines]
 
 
+def test_state_dir_lines_of_fresh_interpreters_match_the_in_process_run():
+    tool = load_tool()
+    lines = tool.state_dir_lines(enumstack.cli)
+    cold = tool.state_dir_lines(enumstack.cli, "state-cold")
+    assert [line.split(" ", 1)[0] for line in cold] == ["state-cold"] * len(lines)
+    assert [line.split(" ", 1)[1] for line in cold] == [line.split(" ", 1)[1] for line in lines]
+
+
 def test_state_dir_holds_the_demo_numbers_and_more(tmp_path):
     tool = load_tool()
     tool.populate_state_dir(enumstack.cli, tmp_path)

@@ -1,7 +1,8 @@
 import pytest
 
-from enumstack import builtin_config, build_topology
+from enumstack import builtin_config, build_topology, registrar, resolver
 from enumstack.errors import NoDelegation, UnknownCountryCode
+from enumstack.registrar import parse_store_lines
 from enumstack.resolver import resolve, resolve_all
 from enumstack.wire import GET, encode_frame
 
@@ -87,6 +88,22 @@ def test_resolve_all_matches_per_service_union():
             "+13154434473", topology.net, apex=topology.apex, service=service
         )
         assert single.uris == uris
+
+
+def test_resolve_all_parses_the_get_reply_once(monkeypatch):
+    topology = subscribed_topology()
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_store_lines(text)
+
+    for module in (registrar, resolver):
+        monkeypatch.setattr(module, "parse_store_lines", counted)
+    assert set(resolve_all("+13154434473", topology.net, apex=topology.apex)) == {
+        "E2U+sip", "E2U+mailto",
+    }
+    assert len(calls) == 1
 
 
 def test_resolution_is_read_only():

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumstack.audit import VALUE_FLOW_KINDS, assert_invariants, value_flow_from_log
+from enumstack import snapshots
+from enumstack.audit import (
+    VALUE_FLOW_KINDS, _serial_monotonicity, assert_invariants, value_flow_from_log,
+)
 from enumstack.cli import main
 from enumstack.errors import AccessDenied, InvalidRecord, NaptrError, RegistrarError, SnapshotError
 from enumstack.naptr import NaptrRecord, parse_stored_line
+from enumstack.registrar import PendingStore
 from enumstack.registry import CHANGED, Delegation
 from enumstack.scenarios import (
     build_topology,
@@ -813,6 +817,15 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
         assert unread == {n for n, records in expected[0].items() if records}
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="ab\n", max_size=30), size=st.integers(0, 6))
+def test_the_line_walk_splits_as_str_split(text, size):
+    # A piece ends at the first line break _SPLIT_CHARS characters on.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snapshots, "_SPLIT_CHARS", size)
+        assert list(snapshots._lines(text)) == text.split("\n")
+
+
 @pytest.mark.parametrize("shape", _OFF_LAYOUT.values(), ids=_OFF_LAYOUT)
 def test_a_trusted_registrar_file_off_the_saved_layout_is_read_line_by_line(shape):
     # One walk reads both: a trusted load equals the untrusted one, or
@@ -963,10 +976,10 @@ def test_checkpoint_counters_equal_a_full_log_scan(calls):
 # ---------------------------------------------------------------- deferred reads
 
 
-def populate_model4(state_dir, count=40):
-    """Persist a model-4 run of the canonical script plus *count* more
-    numbers, half at each registrar (so half owned by each registry), each
-    with one record."""
+def model4_topology(count=40):
+    """A model-4 run of the canonical script plus *count* more numbers,
+    half at each registrar (so half owned by each registry), each with one
+    record."""
     topology = build_topology(builtin_config(4), seed=0)
     run_events(topology, canonical_events())
     for k in range(count):
@@ -974,7 +987,12 @@ def populate_model4(state_dir, count=40):
         topology.assign(number, user, "tsp1")
         topology.subscribe(number, user, ("reg1", "reg2")[k % 2], token="auto")
         topology.provision(number, user, _record(100, f"n{k}"))
-    persist(topology, state_dir, model_fixture_text(4))
+    return topology
+
+
+def populate_model4(state_dir, count=40):
+    """Persist :func:`model4_topology`."""
+    persist(model4_topology(count), state_dir, model_fixture_text(4))
 
 
 @pytest.fixture(scope="module")
@@ -1154,11 +1172,15 @@ def test_a_number_two_owners_claim_is_observed_at_both_serials(model4_dir, tmp_p
     assert b"12125550000|reg1|R1|1\n" in data
     vouch(trusted, REGISTRY_SNAP, data + b"12125550000|reg2|R2|1\n")
     shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    expected = [f"{reg_id} observed 12125550000 serials 1 -> 1" for reg_id in ("R1", "R2")]
+    # The check reads the observed serials before any delegation, which
+    # walks the file.
+    first = loaded(4, trusted)
+    assert all(a.state.delegations.__class__ is PendingStore for a in first.registries.values())
+    assert _serial_monotonicity(first) == expected
     first, second = loaded(4, trusted), loaded(4, plain)
     assert state_of(first) == state_of(second)
-    assert assert_invariants(first).result("serial_monotonicity").violations == [
-        f"{reg_id} observed 12125550000 serials 1 -> 1" for reg_id in ("R1", "R2")
-    ]
+    assert assert_invariants(first).result("serial_monotonicity").violations == expected
 
 
 _DIR_NUMBERS = st.sampled_from(["+13154434473", "+13154434474", "+12125550000", "+12125550001"])
@@ -1201,3 +1223,97 @@ def test_cli_calls_with_and_without_a_checkpoint_agree(model4_dir, calls):
         shutil.copytree(model4_dir, trusted)
         shutil.copytree(model4_dir, plain)
         assert cli_run(calls, trusted, False) == cli_run(calls, plain, True)
+
+
+def spy_walks(monkeypatch):
+    """The names of the state files walked from now on, in order."""
+    walked = []
+    for name in ("_load_subscriptions", "_load_delegations", "_load_registrar"):
+        def spy(*args, walk=getattr(snapshots, name)):
+            walked.append(args[-3].name)  # (..., path, text, trusted)
+            return walk(*args)
+
+        monkeypatch.setattr(snapshots, name, spy)
+    return walked
+
+
+def test_a_provision_walks_and_rewrites_only_the_files_it_uses(model4_dir, tmp_path, monkeypatch):
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    before = read_checkpoint(tmp_path)
+    stamps = {p.name: (p.stat().st_ino, p.read_bytes()) for p in tmp_path.iterdir()}
+    walked = spy_walks(monkeypatch)
+    # 12125550000 is alice's, at reg1.
+    assert main(["provision", "+12125550000", "--actor", "alice", "--record", _record(120, "p1"),
+                 "--state-dir", str(tmp_path)]) == 0
+    assert walked == [SUBSCRIPTIONS_SNAP, "registrar-reg1.snap"]
+    changed = {
+        p.name for p in tmp_path.iterdir()
+        if stamps.get(p.name) != (p.stat().st_ino, p.read_bytes())
+    }
+    assert changed == {"registrar-reg1.snap", EVENTS_LOG, CHECKPOINT}
+    after = read_checkpoint(tmp_path)
+    for name in (REGISTRY_SNAP, "registrar-reg2.snap", SUBSCRIPTIONS_SNAP):
+        assert after[name] == before[name], name
+    # What the call left loads as it does without a checkpoint.
+    plain = tmp_path / "plain"
+    shutil.copytree(tmp_path, plain, ignore=shutil.ignore_patterns(CHECKPOINT, "plain"))
+    assert state_of(loaded(4, tmp_path)) == state_of(loaded(4, plain))
+
+
+def test_a_bad_line_in_a_vouched_file_fails_only_the_calls_that_use_it(
+    model4_dir, tmp_path, capsys
+):
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    name = "registrar-reg2.snap"
+    data = (tmp_path / name).read_bytes()
+    vouch(tmp_path, name, data + b"bogus\n")
+    lineno = data.count(b"\n") + 1  # the line after the file's last
+    failure = f"{tmp_path / name}:{lineno}: unknown tag 'bogus'"
+    at_reg1 = ["provision", "+12125550000", "--actor", "alice", "--record", _record(120, "p1"),
+               "--state-dir", str(tmp_path)]
+    at_reg2 = ["provision", "+12125550001", "--actor", "bob", "--record", _record(130, "p2"),
+               "--state-dir", str(tmp_path)]
+    capsys.readouterr()
+    assert main(at_reg1) == 0  # reg2's file is never walked
+    assert name in read_checkpoint(tmp_path)
+    assert main(at_reg2) == 2
+    assert failure in capsys.readouterr().err
+    assert name not in read_checkpoint(tmp_path)
+    assert main(at_reg1) == 2  # now the load walks the file, and fails
+    assert failure in capsys.readouterr().err
+
+
+def test_a_grant_id_in_a_vouched_file_and_not_in_the_log_is_not_issued_again(
+    model4_dir, tmp_path
+):
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    assert read_checkpoint(tmp_path)[EVENTS_LOG][4] < 7  # the log's largest grant id
+    name = "registrar-reg1.snap"
+    block = b"number|12125550000\n"
+    data = (tmp_path / name).read_bytes()
+    assert data.count(block) == 1
+    vouch(tmp_path, name, data.replace(block, block + b"grant|g7|alice|asp1|access|*\n"))
+    fresh = loaded(4, tmp_path)
+    assert all(a.grants.__class__ is PendingStore for a in fresh.registrars.values())
+    assert fresh.grant("+12125550000", "alice", "asp1", "access")["grant"] == "g8"
+
+
+def test_delegations_changed_after_a_load_are_saved_as_one_process_saves_them(tmp_path):
+    # 12125550000 is R1's and 12125550001 R2's; the script moves ownership
+    # both ways and adds a number, on a loaded topology and in one process.
+    steps = (
+        "step disconnect number=+12125550000 user=alice\n"
+        "step subscribe number=+12125550000 user=alice registrar=reg2 token=auto\n"
+        "step transfer number=+12125550001 user=bob to=reg1\n"
+        "step assign number=+12125559999 user=carol tsp=tsp1\n"
+        "step subscribe number=+12125559999 user=carol registrar=reg1 token=auto\n"
+    )
+    loaded_dir, whole_dir = tmp_path / "loaded", tmp_path / "whole"
+    populate_model4(loaded_dir)
+    fresh, whole = loaded(4, loaded_dir), model4_topology()
+    for topology in (fresh, whole):
+        assert "ok" == run_events(topology, steps).records[-1].status
+    save_state(fresh, loaded_dir)
+    save_state(whole, whole_dir)
+    for name in (REGISTRY_SNAP, SUBSCRIPTIONS_SNAP, "registrar-reg1.snap", "registrar-reg2.snap"):
+        assert (loaded_dir / name).read_bytes() == (whole_dir / name).read_bytes(), name

@@ -17,8 +17,11 @@ numbers, so every other number is loaded and saved without being read.
 The mix then runs again, tagged ``state-plain``, with ``checkpoint``
 deleted before each call, so that every call loads the directory without
 it; its lines match the ``state`` lines when both load modes write the
-same bytes. A change that claims byte identity runs this at both commits
-and diffs the two outputs.
+same bytes. Last, tagged ``state-cold``, each call runs in a fresh
+interpreter (``python -m enumstack``), as the benchmark runs it; its
+lines match the ``state`` lines unless one call leaves state in the
+process that a later call uses. A change that claims byte identity runs
+this at both commits and diffs the two outputs.
 
 The scripts come from this checkout, not from *repo*, so both commits
 replay the same steps. They are read with :mod:`ast`, without importing
@@ -32,7 +35,9 @@ import ast
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -158,28 +163,45 @@ def populate_state_dir(cli, state_dir: Path) -> None:
     snapshots.save_state(topology, state_dir, scenario_text=text)
 
 
+def run_cold(cli, argv: list[str]) -> tuple[int, bytes]:
+    """*argv* run by ``python -m enumstack`` on the package *cli* belongs
+    to: its exit code and stdout."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enumstack", *argv], env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stdout
+
+
 def state_dir_lines(cli, tag: str = "state") -> list[str]:
     """Run STATE_CALLS on a populated state directory (see
     :func:`populate_state_dir`); one line per call. With the tag
-    ``state-plain``, each call starts without a checkpoint."""
+    ``state-plain``, each call starts without a checkpoint; with
+    ``state-cold``, each runs in a fresh interpreter."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         populate_state_dir(cli, state_dir)
         for k, call in enumerate(STATE_CALLS):
+            argv = [*call, "--state-dir", str(state_dir)]
             if tag == "state-plain":
                 (state_dir / "checkpoint").unlink(missing_ok=True)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([*call, "--state-dir", str(state_dir)])
+            if tag == "state-cold":
+                code, stdout = run_cold(cli, argv)
+            else:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                stdout = out.getvalue().encode("utf-8")
             files = " ".join(
                 f"{path.name}={sha(path.read_bytes())}"
                 for path in sorted(state_dir.iterdir())
                 if path.name not in UNHASHED_STATE_FILES
             )
             lines.append(
-                f"{tag} call={k} {call[0]} exit={code}"
-                f" stdout={sha(out.getvalue().encode('utf-8'))} {files}"
+                f"{tag} call={k} {call[0]} exit={code} stdout={sha(stdout)} {files}"
             )
     return lines
 
@@ -202,7 +224,7 @@ def main(argv: list[str]) -> int:
                 print(replay(es, wire, model, seed, name, script))
     for seed in CHURN_SEEDS:
         print(churn(es, inputs, wire, seed))
-    for tag in ("state", "state-plain"):
+    for tag in ("state", "state-plain", "state-cold"):
         for line in state_dir_lines(cli, tag):
             print(line)
     return 0
