@@ -10,7 +10,7 @@ answers.
 
 from __future__ import annotations
 
-from .e164 import ApexConfig, E164Number, parse_number, to_domain
+from .e164 import ApexConfig, E164Number, EnumDomain, parse_number, to_domain
 from .errors import HopTimeout, status_error
 from .naptr import NaptrRecord, ServiceSelector, resolve_record_set, Visibility
 from .registrar import parse_store_lines
@@ -37,12 +37,12 @@ class Hop:
 class ResolutionTrace:
     __slots__ = ("number", "domain", "hops")
 
-    def __init__(self, number: str, domain: str) -> None:
+    def __init__(self, number: E164Number, domain: EnumDomain) -> None:
         self.number, self.domain = number, domain
         self.hops: list[Hop] = []
 
     def render_lines(self) -> list[str]:
-        return [f"number {self.number} domain {self.domain}"] + [
+        return [f"number {self.number.render()} domain {self.domain.render()}"] + [
             hop.render() for hop in self.hops
         ]
 
@@ -81,8 +81,8 @@ def resolve(
     empty list, not an error.
     """
     number = parse_number(raw_number)
-    domain = to_domain(number, apex)
-    trace = ResolutionTrace(number=number.render(), domain=domain.render())
+    digits = number.full_digits
+    trace = ResolutionTrace(number, to_domain(number, apex))
 
     def ask(tier: str, target: str, kind: str, fields: dict[str, str]) -> Frame | None:
         """One traced hop: the response, or None on timeout. An error
@@ -93,25 +93,25 @@ def resolve(
             raise status_error(response.status, response.get("message"))
         return response
 
-    response = ask("tier0", TIER0_ID, DISCOVER, {"cc": number.full_digits})
+    response = ask("tier0", TIER0_ID, DISCOVER, {"cc": digits})
     if response is None:
         raise HopTimeout("tier-0 discovery timed out")
     registries = [r for r in response.get("registries").split(",") if r]
 
     for registry in registries:
-        response = ask("tier1", registry, LOOKUP, {"number": number.full_digits})
+        response = ask("tier1", registry, LOOKUP, {"number": digits})
         if response is not None:
             registrar = response.get("registrar")
             break
         trace.hops[-1].note = "timeout, trying next registry"
     else:
-        raise HopTimeout(f"no registry answered for {number.full_digits}")
+        raise HopTimeout(f"no registry answered for {digits}")
 
     response = ask(
         "tier2",
         registrar,
         GET,
-        {"number": number.full_digits, "actor": client_id, "service": service},
+        {"number": digits, "actor": client_id, "service": service},
     )
     if response is None:
         raise HopTimeout(f"registrar {registrar} timed out")

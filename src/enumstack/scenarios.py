@@ -38,6 +38,7 @@ from .errors import (
     NaptrError,
     RegistrarError,
     ScenarioError,
+    SnapshotError,
     status_error,
 )
 from .naptr import NaptrRecord, Visibility
@@ -436,10 +437,10 @@ class _Step:
         if exc_type is None:
             self.detail.update(self.result)
             status = "ok"
-        elif issubclass(exc_type, EnumStackError):
+        elif issubclass(exc_type, EnumStackError) and not issubclass(exc_type, SnapshotError):
             self.detail["message"] = str(exc)
             status = exc_type.__name__
-        else:
+        else:  # a bug, or a state file that failed as the step read it
             return
         self._topology._append(self.event_id, self._kind, status, self.detail)
 
@@ -523,7 +524,9 @@ class Topology:
 
     def _step(self, kind: str, number: str | None = None, /, **detail: str) -> _Step:
         """A context that logs the operation in its ``with`` body as ok or
-        as its error; errors re-raise for direct callers.
+        as its error; errors re-raise for direct callers. A
+        :class:`SnapshotError` is not logged: it is a fault of a local state
+        file, not the operation's outcome, and no replay could reproduce it.
 
         The log detail is *number* (when given), then *detail*, then the
         body's ``step.result`` on success or the error's ``message``; the
@@ -1038,7 +1041,8 @@ def _step_arguments(event: Event) -> tuple[str, dict[str, Any]]:
 
 
 def run_events(topology: Topology, events: str | list[Event]) -> EventLog:
-    """Execute a script; per-event errors are logged, never fatal."""
+    """Execute a script; per-event errors are logged, never fatal. A
+    :class:`SnapshotError` is not logged, and propagates."""
     if isinstance(events, str):
         events = parse_events(events)
     for event in events:
@@ -1055,6 +1059,8 @@ def run_events(topology: Topology, events: str | list[Event]) -> EventLog:
             continue
         try:
             getattr(topology, method)(**kwargs)
+        except SnapshotError:
+            raise  # not logged by the operation; see Topology._step
         except EnumStackError:
             continue  # already logged by the operation
     topology.drain()

@@ -8,10 +8,12 @@ so identical (seed, inputs) replay identical schedules byte for byte.
 
 A send encodes the frame at once, so every
 :class:`~enumstack.errors.WireError` check runs there, and the queue holds
-the frame's exact wire bytes. Beside the bytes the queue holds a copy of
-the frame with its own fields dict, and a delivery hands over that copy:
-nothing is decoded on the way. A sender that changes its dict after the
-send does not change what is delivered.
+the frame's exact wire bytes. Beside the bytes the queue holds the frame
+itself, which the send takes ownership of and a delivery hands over:
+nothing is decoded or copied on the way. :meth:`Network.post` makes the
+one copy of a request's fields, so a caller that changes its dict after
+the post does not change what is delivered; each reply method of
+:class:`~enumstack.wire.Frame` builds a fresh dict.
 
 Actors may be taken offline (manually or through configured fault
 windows); frames addressed to an offline actor are dropped, never retried
@@ -105,7 +107,9 @@ class Network:
         return self._req_counter
 
     def send(self, frame: Frame) -> None:
-        """Encode *frame* and schedule a copy of it for delivery."""
+        """Encode *frame* and schedule it for delivery. The network takes
+        ownership of *frame*: the caller must not change it, or its fields
+        dict, after the send."""
         # The draw randint(MIN_DELAY, MAX_DELAY) makes, without its
         # argument checks: getrandbits until a value falls in the span.
         getrandbits = self.rng.getrandbits
@@ -114,14 +118,7 @@ class Network:
             r = getrandbits(_DELAY_BITS)
         self._seq += 1
         heapq.heappush(
-            self._queue,
-            (
-                self.clock + MIN_DELAY + r,
-                self._seq,
-                encode_frame(frame),
-                Frame(frame.kind, frame.src, frame.dst, frame.req_id, frame.is_response,
-                      dict(frame.fields)),
-            ),
+            self._queue, (self.clock + MIN_DELAY + r, self._seq, encode_frame(frame), frame)
         )
 
     def post(
@@ -129,8 +126,9 @@ class Network:
     ) -> int:
         """Send a request frame under the next request id; returns the id."""
         req_id = self.next_req_id()
-        # send() queues a copy of the fields, so the caller's dict is not shared.
-        self.send(Frame(kind=kind, src=src, dst=dst, req_id=req_id, fields=fields or {}))
+        # The frame's one copy of the caller's dict: send() queues the
+        # frame itself, so the caller's dict must not be shared.
+        self.send(Frame(kind, src, dst, req_id, False, {} if fields is None else dict(fields)))
         return req_id
 
     def answer(self, request: Frame, dispatch: Callable[[Frame, Network], Frame]) -> None:

@@ -43,7 +43,10 @@ version, is ignored and never an error. It decides three things:
   it is saved as;
 - which lines of ``events.log`` are scanned for the id counters, at load
   and at save. When the log opens with the prefix its entry describes,
-  only the lines after that prefix are; otherwise the whole log is.
+  only the lines after that prefix are; otherwise the whole log is. A
+  save to the directory the topology last loaded or saved takes the
+  prefix that load or save checked as it stands, and reads none of it
+  again: the log is only appended to under the lock.
 
 A persisting call first appends its log lines, then :func:`save_state`
 writes the snapshots and, last, the checkpoint, so that it describes the
@@ -330,9 +333,9 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
     Call it after :func:`append_log`, so that the checkpoint covers the
     log as it stands. The topology keeps the directory and the checkpoint
     entries it last read or wrote there: the ``events.log`` entry lets a
-    later save scan only the log's new lines, a file loaded from this
-    directory and never walked keeps its entry and is not rendered, and a
-    file whose walk or stored text failed to parse gets no entry.
+    later save read and scan only the log's new lines, a file loaded from
+    this directory and never walked keeps its entry and is not rendered,
+    and a file whose walk or stored text failed to parse gets no entry.
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -366,7 +369,7 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
     if scenario_text is not None:
         _write_if_changed(state_dir / SCENARIO_FILE, [scenario_text.encode("utf-8")])
     try:
-        log = _log_entry(state_dir / EVENTS_LOG, seen.get(EVENTS_LOG))
+        log = _log_entry(state_dir / EVENTS_LOG, seen.get(EVENTS_LOG), vouched=True)
     except SnapshotError:  # a log this topology did not read, with a bad line
         log = None
     if log is not None:
@@ -727,7 +730,9 @@ def _scan_id_counters(
     return event_n, transfer_n, grant_n
 
 
-def _log_entry(path: Path, known: tuple[int, ...] | None) -> tuple[int, ...] | None:
+def _log_entry(
+    path: Path, known: tuple[int, ...] | None, vouched: bool = False
+) -> tuple[int, ...] | None:
     """The checkpoint entry of ``events.log`` as it is now: its length,
     CRC-32 and id counters (see :func:`read_checkpoint`), or None when
     there is no log. A line that does not parse is a :class:`SnapshotError`
@@ -736,7 +741,10 @@ def _log_entry(path: Path, known: tuple[int, ...] | None) -> tuple[int, ...] | N
     When the log opens with the prefix *known*, an earlier entry,
     describes (its CRC-32 taken in chunks), and that prefix ends at a line
     break, only the lines after it are read and scanned; otherwise the
-    whole log is.
+    whole log is. A *vouched* prefix was checked by this process's load
+    or save, and the log has only been appended to since: its CRC-32 is
+    taken as the entry's, and only its last byte is read. A log shorter
+    than it is scanned whole.
     """
     try:
         handle = open(path, "rb")
@@ -746,11 +754,17 @@ def _log_entry(path: Path, known: tuple[int, ...] | None) -> tuple[int, ...] | N
         length = crc = 0
         counters: tuple[int, ...] = (0, 0, 0)
         if known and len(known) == 5:
-            left, chunk = known[0], b""
-            while left > 0 and (chunk := handle.read(min(_CRC_CHUNK, left))):
-                crc = zlib.crc32(chunk, crc)
-                left -= len(chunk)
-            if not left and crc == known[1] and chunk[-1:] in (b"\n", b"\r"):
+            # chunk ends up as the prefix's last piece, or b"" when the log
+            # is shorter than the prefix.
+            if vouched:
+                handle.seek(max(known[0] - 1, 0))
+                chunk, crc = handle.read(1), known[1]
+            else:
+                left, chunk = known[0], b""
+                while left > 0 and (chunk := handle.read(min(_CRC_CHUNK, left))):
+                    crc = zlib.crc32(chunk, crc)
+                    left -= len(chunk)
+            if crc == known[1] and chunk[-1:] in (b"\n", b"\r"):
                 length, counters = known[0], known[2:]
             else:
                 crc = 0

@@ -5,25 +5,27 @@ length-prefixed UTF-8 text record: ``<decimal byte length>:<body>`` where
 the body is ``key=value`` pairs separated by ``;``. Keys and values are
 percent-escaped so records, URIs and free text pass through unharmed:
 ``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
-``%3D``, ``%0A`` and ``%0D``. Escaping is the identity on a string that
-holds none of those five characters, so :func:`encode_frame` checks each
-frame once, not each value: it writes the body unescaped, and that body
-is the escaped one exactly when it holds one ``=`` per pair, one ``;``
-between pairs, and no ``%``, newline or carriage return. A body that
-fails the check is written again with each key and value escaped in
-turn; that per-field path is the only slow one. A key or value that is
-not a ``str`` fails the join and is refused as a :class:`WireError`.
+``%3D``, ``%0A`` and ``%0D``. Escaping replaces each character on its
+own, so :func:`encode_frame` escapes a frame once, not each value: when
+the unescaped body holds one ``=`` per pair and one ``;`` between pairs,
+every ``=`` and ``;`` in it is structural, and one pass over the body
+escapes its ``%`` (first), newlines and carriage returns. A reply with
+two or more records, separated by newlines, takes that pass. Only a body
+with ``=`` or ``;`` inside a key or value is written again with each key
+and value escaped in turn, the one slow path. A key or value that is not
+a ``str`` fails the join and is refused as a :class:`WireError`.
 
 A :class:`Frame` is a plain slotted object compared by value. Callers
 treat it as immutable. Building one checks that no field uses a header
 key; :func:`decode_frame` skips that check, because it has already
 popped the header keys from the fields it hands over.
 
-The simulator runs :func:`encode_frame` on every frame it sends, but it
-delivers a copy of the frame it queued beside the bytes, so nothing in
-the package decodes. :func:`decode_frame` is the format's inverse,
-``decode_frame(encode_frame(f)) == f``, for whatever reads frames back
-from bytes; the tests check each delivered frame against it.
+The simulator encodes every frame it sends and delivers the frame it
+queued beside the bytes, so nothing in the package decodes; its
+``Network.post`` makes the one copy of a request's fields, and each
+reply method builds a fresh dict. :func:`decode_frame` is the format's
+inverse, ``decode_frame(encode_frame(f)) == f``, for whatever reads
+frames back from bytes; the tests check each delivered frame against it.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ class Frame:
         )
 
     def ok_reply(self, **fields: str) -> "Frame":
-        return self.reply(status=STATUS_OK, **fields)
+        if "status" in fields:  # as reply(status=STATUS_OK, **fields) would refuse it
+            raise TypeError("ok_reply() got multiple values for 'status'")
+        fields = {"status": STATUS_OK, **fields}
+        return Frame(self.kind, self.dst, self.src, self.req_id, True, fields)
 
     def err_reply(self, error: BaseException) -> "Frame":
         return self.reply(status=type(error).__name__, message=str(error))
@@ -170,24 +175,20 @@ def encode_frame(frame: Frame) -> bytes:
         ])
     except TypeError:
         raise _non_str_error(frame) from None
-    # Unescaped, the body equals the escaped one exactly when every "="
-    # and ";" in it is structural and none of "%", "\n", "\r" occurs.
+    # When every "=" and ";" in the body is structural, escaping each key
+    # and value is escaping the body's "%", "\n" and "\r" in one pass.
     n = len(fields)
-    if (
-        body.count("=") != n + 5
-        or body.count(";") != n + 4
-        or "%" in body
-        or "\n" in body
-        or "\r" in body
-    ):
+    if body.count("=") != n + 5 or body.count(";") != n + 4:
         body = _escaped_body(frame)
+    elif "%" in body or "\n" in body or "\r" in body:
+        body = body.replace("%", "%25").replace("\n", "%0A").replace("\r", "%0D")
     data = body.encode("utf-8")
     return b"%d:%s" % (len(data), data)
 
 
 def _escaped_body(frame: Frame) -> str:
     """The body with each key and value escaped in turn: the path
-    :func:`encode_frame` takes when its one check of the whole body fails."""
+    :func:`encode_frame` takes when a key or value holds ``=`` or ``;``."""
     return ";".join([
         "kind=" + _escape(frame.kind),
         "src=" + _escape(frame.src),

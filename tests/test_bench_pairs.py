@@ -47,3 +47,13 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_margin_beyond_the_spread():
     assert (row["wins"], row["ties"], row["gain"]) == (8, 2, False)
     row = tool.summarize(metric, parent, [p * 0.7 for p in parent])
     assert not row["bound_holds"] and row["losses"] == 10
+
+
+def test_both_checkouts_are_byte_compiled_before_the_first_run(tmp_path):
+    tool = load_tool()
+    for sub in ("src", "bench"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "mod.py").write_text("X = 1\n", encoding="utf-8")
+    tool.byte_compile(tmp_path)
+    for sub in ("src", "bench"):
+        assert list((tmp_path / sub / "__pycache__").glob("mod.*.pyc"))

@@ -40,7 +40,8 @@ from enumstack.wire import Frame
 NUMBER = E164Number("1", "3154434473")
 SIP = "!^.*$!sip:info@example.com!"
 DELEGATION = Delegation("13154434473", "reg1", "R1", 1)
-TRACE = ResolutionTrace("+13154434473", "3.7.4.4.3.4.4.5.1.3.1.e164.arpa")
+DOMAIN = EnumDomain(tuple("37443445131"))
+TRACE = ResolutionTrace(NUMBER, DOMAIN)
 
 # class -> (the arguments a test passes, in constructor order; the
 # defaults of the fields after them). Together they name every field.
@@ -85,7 +86,7 @@ CASES = {
         {},
     ),
     Hop: ({"tier": "tier0", "target": "tier0"}, {"response": None}),
-    ResolutionTrace: ({"number": "+13154434473", "domain": "3.7.4.4.3.4.4.5.1.3.1.e164.arpa"}, {}),
+    ResolutionTrace: ({"number": NUMBER, "domain": DOMAIN}, {}),
     Resolution: (
         {"number": NUMBER, "uris": ["sip:info@example.com"], "warnings": [], "trace": TRACE},
         {"registrar": "", "registry": "", "record_lines": "", "records": ()},

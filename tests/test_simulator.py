@@ -262,6 +262,14 @@ def test_every_popped_frame_equals_the_decode_of_its_queued_bytes(model, script,
     assert any(b"%" in data for data in popped)  # escaped fields are covered
 
 
+def test_the_popped_frame_is_the_very_frame_sent(popped_frames):
+    net, actors = make_net()
+    frame = Frame(kind="GET", src="client", dst="a", req_id=net.next_req_id(), fields={"n": "1"})
+    net.send(frame)
+    net.run_until_idle()
+    assert popped_frames[0].frame is frame and actors["a"].seen[0] is frame
+
+
 def test_a_change_to_the_callers_fields_after_post_is_not_delivered():
     net, actors = make_net()
     fields = {"number": "123"}

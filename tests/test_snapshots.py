@@ -973,6 +973,37 @@ def test_checkpoint_counters_equal_a_full_log_scan(calls):
             assert entry == _log_entry(state_dir / EVENTS_LOG, None)
 
 
+def _provision_and_persist(topology, state_dir):
+    topology.provision("+12125550001", "bob", _record(110, "new"))
+    persist(topology, state_dir, model_fixture_text(4))
+
+
+@pytest.mark.parametrize("cut", [0, 1], ids=["appended", "shorter-than-loaded"])
+def test_a_save_after_a_load_writes_the_log_entry_a_full_scan_gives(model4_dir, tmp_path, cut):
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / EVENTS_LOG
+    topology = loaded(4, tmp_path)
+    if cut:  # the log loses its last line after the load
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(lines[:-2] + [b""]))
+    _provision_and_persist(topology, tmp_path)
+    assert read_checkpoint(tmp_path)[EVENTS_LOG] == _log_entry(path, None)
+
+
+def test_a_save_does_not_read_the_log_prefix_its_load_checked(model4_dir, tmp_path):
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / EVENTS_LOG
+    prefix = path.read_bytes()
+    topology = loaded(4, tmp_path)
+    # A byte of the prefix changes behind the load's back: a save that
+    # read the prefix again would no longer match the load's entry.
+    path.write_bytes(b"#" + prefix[1:])
+    _provision_and_persist(topology, tmp_path)
+    as_loaded = tmp_path / "as-loaded.log"
+    as_loaded.write_bytes(prefix + path.read_bytes()[len(prefix):])
+    assert read_checkpoint(tmp_path)[EVENTS_LOG] == _log_entry(as_loaded, None)
+
+
 # ---------------------------------------------------------------- deferred reads
 
 
@@ -1091,6 +1122,37 @@ def test_a_file_whose_stored_text_failed_to_parse_is_no_longer_vouched_for(capsy
     log = (tmp_path / EVENTS_LOG).read_bytes()
     assert main(provision) == 2  # now the load fails, naming the line
     assert f"{path}:1: flags must be 0 or 1" in capsys.readouterr().err
+    assert (tmp_path / EVENTS_LOG).read_bytes() == log
+
+
+@pytest.mark.parametrize(
+    "name, change, where",
+    [
+        ("registrar-reg2.snap", lambda data: data + b"junk\n", r":\d+: unknown tag 'junk'"),
+        (SUBSCRIPTIONS_SNAP,
+         lambda data: data.replace(b"12125550001|bob|tsp1|1|", b"12125550001|bob|tsp1|7|"),
+         ": flags must be 0 or 1"),
+    ],
+    ids=["registrar-untagged-line", "subscriptions-bad-flags"],
+)
+def test_a_bad_vouched_file_fails_a_step_without_logging_it(
+    model4_dir, tmp_path, capsys, name, change, where
+):
+    # A local file's fault is no outcome of the step: no replay of the log
+    # could reproduce it, so the CLI exits 2 and the log is left as it was.
+    shutil.copytree(model4_dir, tmp_path, dirs_exist_ok=True)
+    vouch(tmp_path, name, change((tmp_path / name).read_bytes()))
+    log = (tmp_path / EVENTS_LOG).read_bytes()
+    fresh = loaded(4, tmp_path)
+    with pytest.raises(SnapshotError):  # nor does a script run past it
+        run_events(fresh, f"step provision number=+12125550001 actor=bob"
+                          f" record={_record(110, 'new')}\n")
+    assert fresh.log == []
+    capsys.readouterr()
+    assert main(["provision", "+12125550001", "--actor", "bob", "--record",
+                 _record(110, "new"), "--state-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(re.escape(f"SnapshotError: {tmp_path / name}") + where, err), err
     assert (tmp_path / EVENTS_LOG).read_bytes() == log
 
 

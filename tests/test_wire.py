@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumstack import wire
 from enumstack.errors import WireError
 from enumstack.wire import Frame, decode_frame, encode_frame
 
@@ -38,6 +39,15 @@ def test_reply_swaps_endpoints():
 def test_reserved_field_names_rejected():
     with pytest.raises(WireError):
         Frame(kind="GET", src="a", dst="b", req_id=1, fields={"kind": "x"})
+    with pytest.raises(WireError):
+        Frame(kind="GET", src="a", dst="b", req_id=1).ok_reply(kind="x")
+    with pytest.raises(TypeError):
+        Frame(kind="GET", src="a", dst="b", req_id=1).ok_reply(status="EnumInactive")
+
+
+def test_ok_reply_puts_the_status_first():
+    reply = Frame(kind="GET", src="a", dst="b", req_id=1).ok_reply(records="r", n="2")
+    assert list(reply.fields.items()) == [("status", "ok"), ("records", "r"), ("n", "2")]
 
 
 def test_bad_length_prefix():
@@ -182,6 +192,39 @@ def test_encode_matches_oracle(kind, src, dst, req_id, is_response, fields):
     data = encode_frame(frame)
     assert data == oracle_encode(frame)
     assert decode_frame(data) == frame
+
+
+# Text whose every "=" and ";" in a body is structural, so encode_frame
+# escapes the body's "%", newlines and carriage returns in one pass.
+one_pass_text = st.text(
+    alphabet=st.sampled_from(["%", "\n", "\r", "a", "2", "5", "0", "A", "D", "é"]), max_size=12
+)
+
+
+@settings(max_examples=200)
+@given(
+    kind=one_pass_text,
+    src=one_pass_text,
+    dst=one_pass_text,
+    req_id=st.integers(min_value=-5, max_value=10**12),
+    is_response=st.booleans(),
+    fields=st.dictionaries(one_pass_text, one_pass_text, max_size=6),
+)
+def test_a_body_escaped_in_one_pass_matches_oracle(kind, src, dst, req_id, is_response, fields):
+    frame = Frame(kind, src, dst, req_id, is_response, fields)
+    data = encode_frame(frame)
+    assert data == oracle_encode(frame)
+    assert decode_frame(data) == frame
+
+
+def test_a_multi_record_reply_is_escaped_in_one_pass(monkeypatch):
+    def per_field(frame):
+        raise AssertionError("took the per-field path")
+
+    monkeypatch.setattr(wire, "_escaped_body", per_field)
+    records = '100 10 "u" "E2U+sip" "!^.*$!sip:a@example.com!" .\n110 10 "u" "E2U+tel" "" .'
+    reply = Frame(kind="GET", src="client", dst="reg1", req_id=4).ok_reply(records=records)
+    assert decode_frame(encode_frame(reply)) == reply
 
 
 def test_one_special_character_anywhere_takes_the_escaped_path():
