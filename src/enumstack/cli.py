@@ -69,7 +69,8 @@ def _load_cfg(args: argparse.Namespace) -> tuple[ScenarioConfig, str]:
     if path:
         text = read_text(path)
     else:
-        text = model_fixture_text(getattr(args, "model", None) or 1)
+        model = getattr(args, "model", None)
+        text = model_fixture_text(1 if model is None else model)
     return _parse_cfg(text), text
 
 

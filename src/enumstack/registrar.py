@@ -279,14 +279,13 @@ class RecordStore(MutableMapping[str, V]):
     ``str``, so the type alone tells text from value. Reading one number
     (``[]``, ``get``, ``setdefault``, ``pop``) parses that number only;
     membership, length, iteration over numbers, assignment, ``del``,
-    :meth:`held`, :meth:`unread_text` and :meth:`numbers_with_records`
-    parse nothing. A view of the values (``items``, ``values``, ``==``)
-    parses every unread number. A parse that fails leaves the text in
-    place. In-process topologies use the same class with no text; a store
-    that a state file fills starts as a :class:`PendingStore`. So do a
-    registrar's grants and a registry's observed serials, which a state
-    file fills too and which are plain dicts otherwise: a walk makes them
-    stores that hold no text.
+    :meth:`held` and :meth:`numbers_with_records` parse nothing. A view of
+    the values (``items``, ``values``, ``==``) parses every unread number.
+    A parse that fails leaves the text in place. In-process topologies use
+    the same class with no text; a store that a state file fills starts as
+    a :class:`PendingStore`. So do a registrar's grants and a registry's
+    observed serials, which a state file fills too and which are plain
+    dicts otherwise: a walk makes them stores that hold no text.
     """
 
     __slots__ = ("_values", "_parse")
@@ -333,11 +332,6 @@ class RecordStore(MutableMapping[str, V]):
         number's value, or its stored text while nothing has read it."""
         return self._values
 
-    def unread_text(self, number: str) -> str | None:
-        """The stored text of a number nothing has read yet, else None."""
-        value = self._values.get(number)
-        return value if value.__class__ is str else None
-
     def numbers_with_records(self) -> list[str]:
         """For a store of record lists: the numbers holding at least one
         record; a number's text holds one, and stays unread."""
@@ -380,7 +374,7 @@ def _walk_first(name: str) -> Callable:
 # The mixin methods of MutableMapping (pop, items, ==, ...) reach these.
 for _name in (
     "__getitem__", "get", "__setitem__", "__delitem__", "__contains__", "__len__", "__iter__",
-    "held", "unread_text", "numbers_with_records",
+    "held", "numbers_with_records",
 ):
     setattr(PendingStore, _name, _walk_first(_name))
 del _name

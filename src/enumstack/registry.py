@@ -115,11 +115,15 @@ class BillingEntry:
 
 
 class RegistryState:
-    """One Tier-1 registry: delegations, billing ledger, peer replication."""
+    """One Tier-1 registry: delegations, billing ledger, peer replication.
+
+    It holds its own delegations and its peers' replicas in one map; a
+    delegation is its own when its ``owning_registry`` is this registry.
+    """
 
     __slots__ = (
         "id", "served_prefixes", "peers", "accredited", "flat_fee", "delegations",
-        "tombstones", "billing_ledger", "outbox", "observed_serials", "owned",
+        "tombstones", "billing_ledger", "outbox", "observed_serials",
     )
 
     def __init__(
@@ -140,10 +144,6 @@ class RegistryState:
         # A number loaded from a snapshot enters at its first change, loaded
         # serial first.
         self.observed_serials: MutableMapping[str, list[int]] = {}
-        # The numbers whose delegation here this registry owns, once a load
-        # or a save has needed them (and then kept up to date). A load
-        # fills it with the delegations, so a reader loads those first.
-        self.owned: set[str] | None = None
 
     # ------------------------------------------------------------ helpers
 
@@ -172,12 +172,6 @@ class RegistryState:
         else:
             self.delegations[number] = delegation
             self.tombstones.pop(number, None)
-        owned = self.owned
-        if owned is not None:
-            if kind != REMOVED and delegation.owning_registry == self.id:
-                owned.add(number)
-            else:
-                owned.discard(number)
         observed.append(delegation.serial)
 
     def _publish(

@@ -73,7 +73,7 @@ import re
 import tempfile
 import zlib
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from sys import intern
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, TypeVar
@@ -112,7 +112,6 @@ _NUMBER_TAG = "number|"
 _RECORD_TAG = "record|"
 _GRANT_TAG = "grant|"
 _CRC_CHUNK = 1 << 16
-_PIECE_LINES = 256
 _SPLIT_CHARS = 1 << 16
 
 _ID_RE = re.compile(r"^[ex](\d+)$")
@@ -125,7 +124,7 @@ _PLAIN_LOG_LINE = re.compile(
 )
 
 
-def _atomic_write(path: Path, pieces: list[bytes]) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     handle = tempfile.NamedTemporaryFile(
         "wb",
         dir=path.parent,
@@ -135,7 +134,7 @@ def _atomic_write(path: Path, pieces: list[bytes]) -> None:
     )
     try:
         with handle:
-            handle.writelines(pieces)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(handle.name, path)
@@ -144,27 +143,14 @@ def _atomic_write(path: Path, pieces: list[bytes]) -> None:
         raise
 
 
-def _write_if_changed(path: Path, pieces: list[bytes]) -> None:
-    """Write *pieces* unless *path* already holds exactly these bytes."""
+def _write_if_changed(path: Path, data: bytes) -> None:
+    """Write *data* unless *path* already holds exactly these bytes."""
     try:
-        size = sum(map(len, pieces))
-        if os.stat(path).st_size == size and path.read_bytes() == b"".join(pieces):
+        if os.stat(path).st_size == len(data) and path.read_bytes() == data:
             return
     except OSError:
         pass
-    _atomic_write(path, pieces)
-
-
-def _encode_lines(lines: Iterable[str]) -> list[bytes]:
-    """*lines*, each ended by a line break, as UTF-8 in pieces of at most
-    _PIECE_LINES lines, so a file is rendered without one copy of all of
-    it as text and another as bytes."""
-    lines = iter(lines)
-    pieces: list[bytes] = []
-    while batch := list(islice(lines, _PIECE_LINES)):
-        batch.append("")
-        pieces.append("\n".join(batch).encode("utf-8"))
-    return pieces
+    _atomic_write(path, data)
 
 
 class StateLock:
@@ -278,19 +264,20 @@ def _checkpoint_bytes(entries: dict[str, tuple[int, ...]]) -> bytes:
 
 
 def _registry_lines(topology: Topology) -> Iterator[str]:
-    """Each registry's own delegations, by number; a number nothing has
-    read keeps its line."""
+    """Each registry's own delegations, by number: those whose owner, the
+    third field of a line nothing has read or the ``owning_registry`` of a
+    parsed delegation, is the registry. A number nothing has read keeps
+    its line."""
     for actor in topology.registries.values():
-        state = actor.state
-        held = state.delegations.held()  # a walk fills state.owned
-        if state.owned is None:  # no walk: every delegation is parsed
-            state.owned = {n for n, d in held.items() if d.owning_registry == state.id}
-        for number in sorted(state.owned):
-            line = held[number]
-            if line.__class__ is not str:
-                d = line
-                line = f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
-            yield line
+        reg_id = actor.state.id
+        held = actor.state.delegations.held()
+        for number in sorted(held):
+            d = held[number]
+            if d.__class__ is str:
+                if d.split("|", 3)[2] == reg_id:
+                    yield d
+            elif d.owning_registry == reg_id:
+                yield f"{d.number}|{d.registrar}|{d.owning_registry}|{d.serial}"
 
 
 def _registrar_lines(actor: RegistrarActor) -> Iterator[str]:
@@ -352,12 +339,9 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         if seen_dir == where and any(store.__class__ is PendingStore for store in stores):
             entries[name] = seen[name]
             return
-        pieces = _encode_lines(lines)
-        crc = 0
-        for piece in pieces:
-            crc = zlib.crc32(piece, crc)
-        entries[name] = () if seen.get(name) == () else (sum(map(len, pieces)), crc)
-        _write_if_changed(state_dir / name, pieces)
+        data = "\n".join([*lines, ""]).encode("utf-8")
+        entries[name] = () if seen.get(name) == () else (len(data), zlib.crc32(data))
+        _write_if_changed(state_dir / name, data)
 
     write(
         REGISTRY_SNAP, _registry_lines(topology),
@@ -367,14 +351,14 @@ def save_state(topology: Topology, state_dir: Path, scenario_text: str | None = 
         write(f"registrar-{registrar_id}.snap", _registrar_lines(actor), actor.store)
     write(SUBSCRIPTIONS_SNAP, _subscriptions_lines(topology), topology.directory.subscriptions)
     if scenario_text is not None:
-        _write_if_changed(state_dir / SCENARIO_FILE, [scenario_text.encode("utf-8")])
+        _write_if_changed(state_dir / SCENARIO_FILE, scenario_text.encode("utf-8"))
     try:
         log = _log_entry(state_dir / EVENTS_LOG, seen.get(EVENTS_LOG), vouched=True)
     except SnapshotError:  # a log this topology did not read, with a bad line
         log = None
     if log is not None:
         entries[EVENTS_LOG] = log
-    _write_if_changed(state_dir / CHECKPOINT, [_checkpoint_bytes(entries)])
+    _write_if_changed(state_dir / CHECKPOINT, _checkpoint_bytes(entries))
     topology.snapshot_seen = (where, entries)
 
 
@@ -551,27 +535,24 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
     """
     registries = topology.registries
     values: dict[str, dict[str, Delegation | str]] = {reg_id: {} for reg_id in registries}
-    owned: dict[str, set[str]] = {reg_id: set() for reg_id in registries}
     observed: dict[str, dict[str, list[int]]] = {reg_id: {} for reg_id in registries}
     # Owner id -> what the states its lines go to hold.
     replicas = {
-        reg_id: [(values[r], owned[r], observed[r]) for r in (reg_id, *actor.state.peers)]
+        reg_id: [(values[r], observed[r]) for r in (reg_id, *actor.state.peers)]
         for reg_id, actor in registries.items()
     }
     for lineno, line in enumerate(text.split("\n"), 1):
         try:
             number, _, owner, _ = line.split("|")
             value = line if trusted else _delegation(line)
-            for held, owns, serials in replicas[owner]:
+            for held, serials in replicas[owner]:
                 if number in held:  # two owners claim the number
                     previous = held[number]
                     if isinstance(previous, str):
                         previous = _earlier_delegation(path, text, previous)
                     value = _delegation(line)
                     serials.setdefault(number, [previous.serial]).append(value.serial)
-                    owns.discard(number)
                 held[number] = value
-            owned[owner].add(number)
         except ValueError as exc:  # not four fields, or a bad serial
             if not line.strip():
                 continue
@@ -583,7 +564,6 @@ def _load_delegations(topology: Topology, path: Path, text: str, trusted: bool) 
     read = _deferred(topology, path, _delegation)
     for reg_id, actor in registries.items():
         state = actor.state
-        state.owned = owned[reg_id]
         state.observed_serials = _settled(state.observed_serials, observed[reg_id])
         state.delegations = _settled(state.delegations, values[reg_id], read)
 
@@ -625,9 +605,9 @@ def _parse_records(text: str) -> list[NaptrRecord]:
 
 def _load_registrar(
     topology: Topology, actor: RegistrarActor, path: Path, text: str, trusted: bool
-) -> int:
-    """Fill one registrar's store and grants from its snapshot *text*;
-    returns its largest grant number.
+) -> None:
+    """Fill one registrar's store and grants from its snapshot *text*, and
+    raise the topology's grant counter to its largest grant number.
 
     The file is read a line at a time (:func:`_lines`), each line freed
     once it is read. Blank lines are skipped; a number line opens that
@@ -673,7 +653,7 @@ def _load_registrar(
         values[number] = "\n".join(held)
     actor.store = _settled(actor.store, values, _deferred(topology, path, _parse_records))
     actor.grants = _settled(actor.grants, grants)
-    return grant_n
+    topology._grant_n = max(topology._grant_n, grant_n)
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -810,13 +790,6 @@ def load_state(topology: Topology, state_dir: Path) -> None:
 
         return first_use
 
-    def registrar_walk(actor: RegistrarActor) -> Callable[[Path, str, bool], None]:
-        def walk(path: Path, text: str, trusted: bool) -> None:
-            grant_n = _load_registrar(topology, actor, path, text, trusted)
-            topology._grant_n = max(topology._grant_n, grant_n)
-
-        return walk
-
     path = state_dir / SUBSCRIPTIONS_SNAP
     if path.exists():
         walk = read(path, partial(_load_subscriptions, topology))
@@ -832,7 +805,7 @@ def load_state(topology: Topology, state_dir: Path) -> None:
     for registrar_id, actor in topology.registrars.items():
         path = state_dir / f"registrar-{registrar_id}.snap"
         if path.exists():
-            walk = read(path, registrar_walk(actor))
+            walk = read(path, partial(_load_registrar, topology, actor))
             if walk:
                 actor.store = PendingStore(walk)
                 actor.grants = PendingStore(walk)

@@ -49,6 +49,25 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_margin_beyond_the_spread():
     assert not row["bound_holds"] and row["losses"] == 10
 
 
+def test_a_bound_narrower_than_the_parent_spread_is_unresolved():
+    tool = load_tool()
+    metric = {"name": "rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}
+    parent = [40.0, 44, 48, 52, 56, 40, 44, 48, 52, 56]  # IQR 8 > 0.05 * 48
+    row = tool.summarize(metric, parent, parent[::-1])
+    assert row["bound_holds"] and not row["resolved"]
+    row = tool.summarize(metric, parent, [p - 10 for p in parent])  # overlaps the parent
+    assert row["bound_holds"] and not row["resolved"]
+    row = tool.summarize(metric, parent, [p / 2 for p in parent])  # below every parent run
+    assert row["bound_holds"] and row["resolved"]
+    narrow = [48.0, 48.5, 47.5, 48, 48.5, 47.5, 48, 48, 48.5, 47.5]  # IQR 1 <= 2.4
+    assert tool.summarize(metric, narrow, narrow)["resolved"]
+    summary = {"rss_mb": tool.summarize(metric, parent, parent[::-1]),
+               "failed_share": {"parent": 0.0, "change": 0.0}}
+    report = {"pairs": 10, "seed": 1, "seconds": 1.0, "n": 60, "summary": {"w": summary}}
+    row_line = next(line for line in tool.render(report) if line.startswith("w "))
+    assert row_line.split()[-2:] == ["unresolved", "no"]
+
+
 def test_both_checkouts_are_byte_compiled_before_the_first_run(tmp_path):
     tool = load_tool()
     for sub in ("src", "bench"):

@@ -129,9 +129,11 @@ class TestScenario:
         assert "alice(User) -> reg1(TSP)" in out
         assert "reg1(TSP) -> R1(Registry)" in out
 
-    def test_model7_exit_2(self, capsys):
-        code, _, _ = run(capsys, "scenario", "run", "--model", "7")
+    @pytest.mark.parametrize("model", ["7", "0"])
+    def test_model_out_of_range_exit_2(self, capsys, model):
+        code, _, err = run(capsys, "scenario", "run", "--model", model)
         assert code == 2
+        assert err == f"InvalidModelCombination: model id {model} not in 1..6\n"
 
     def test_same_seed_identical_stdout(self, capsys):
         _, first, _ = run(

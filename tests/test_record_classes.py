@@ -135,7 +135,7 @@ CASES = {
 BUILT = {
     RegistryState: {
         "delegations": {}, "tombstones": {}, "billing_ledger": [], "outbox": [],
-        "observed_serials": {}, "owned": None,
+        "observed_serials": {},
     },
     TransferRecord: {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED]},
     Hop: {"note": ""},

@@ -509,7 +509,7 @@ class TestRecordStore:
         assert "100" in store and "200" in store and "999" not in store
         assert len(store) == 4
         assert list(store) == list(store.keys()) == ["100", "101", "200", "201"]
-        assert store.unread_text("200") == SIP and store.unread_text("100") is None
+        assert store.held()["200"] == SIP and store.held()["100"] == parse_store_lines(TEL)
         assert store.numbers_with_records() == ["100", "200", "201"]
         assert calls == []
 
@@ -523,8 +523,8 @@ class TestRecordStore:
         store, calls = counting_store()
         assert read(store) == parse_store_lines(SIP)
         assert calls == [SIP]
-        assert store.unread_text("200") is None
-        assert store.unread_text("201") == MAILTO
+        assert not isinstance(store.held().get("200"), str)
+        assert store.held()["201"] == MAILTO
 
     def test_writes_and_misses_parse_nothing(self):
         store, calls = counting_store()
@@ -537,7 +537,8 @@ class TestRecordStore:
         with pytest.raises(KeyError):
             del store["999"]
         assert calls == []
-        assert list(store) == ["101", "201", "300"] and store.unread_text("201") is None
+        assert list(store) == ["101", "201", "300"]
+        assert store.held()["201"] == parse_store_lines(TEL)
         assert store["201"] == parse_store_lines(TEL)
 
     def test_items_and_equality_parse_every_number(self):
@@ -561,7 +562,7 @@ class TestRecordStore:
         for read in (lambda: store["200"], lambda: store.get("200"), lambda: store.pop("200")):
             with pytest.raises(NaptrError):
                 read()
-            assert store.unread_text("200") == "garbage"
+            assert store.held()["200"] == "garbage"
             assert "200" in store and len(store) == 1
 
     def test_a_store_without_unread_numbers_is_a_plain_map(self):

@@ -607,6 +607,11 @@ def state_of(topology):
     )
 
 
+def unread(store):
+    """The numbers of *store* that nothing has read: those held as text."""
+    return {n for n, value in store.held().items() if isinstance(value, str)}
+
+
 def files_of(state_dir):
     return {p.name: p.read_bytes() for p in sorted(Path(state_dir).iterdir())}
 
@@ -629,7 +634,7 @@ def test_trusted_load_equals_validating_load(model, before, after):
         for registrar_id, actor in first.registrars.items():
             if f"registrar-{registrar_id}.snap" in checkpoint:
                 held = actor.store.numbers_with_records()
-                assert all(actor.store.unread_text(n) is not None for n in held)
+                assert set(held) <= unread(actor.store)
         assert state_of(first) == state_of(second)
         # Saving either, after more steps, writes the same bytes: a trusted
         # load reuses the text of numbers nothing read, and the other
@@ -744,12 +749,12 @@ def line_by_line_load(path, text):
 
 def registrar_load(text, trusted):
     actor = types.SimpleNamespace(store=None, grants={})
-    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}), _grant_n=0)
     try:
-        max_grant = _load_registrar(topology, actor, Path("reg.snap"), text, trusted)
+        _load_registrar(topology, actor, Path("reg.snap"), text, trusted)
     except SnapshotError as exc:
         return ("SnapshotError", str(exc), exc.lineno)
-    return dict(actor.store.items()), actor.grants, max_grant
+    return dict(actor.store.items()), actor.grants, topology._grant_n
 
 
 _SAVED_LINES = [
@@ -811,10 +816,9 @@ def test_registrar_loader_matches_the_line_by_line_loader(lines, end):
         assert registrar_load(text, trusted=True) == expected
         # Every number holding records keeps them unread.
         actor = types.SimpleNamespace(store=None, grants={})
-        topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+        topology = types.SimpleNamespace(snapshot_seen=(None, {}), _grant_n=0)
         _load_registrar(topology, actor, Path("reg.snap"), text, True)
-        unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
-        assert unread == {n for n, records in expected[0].items() if records}
+        assert unread(actor.store) == {n for n, records in expected[0].items() if records}
 
 
 @settings(max_examples=200, deadline=None)
@@ -832,14 +836,13 @@ def test_a_trusted_registrar_file_off_the_saved_layout_is_read_line_by_line(shap
     # fails at the same line with the same error.
     text = "\n".join(shape["lines"]) + shape["end"]
     actor = types.SimpleNamespace(store=None, grants={})
-    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}), _grant_n=0)
     try:
         _load_registrar(topology, actor, Path("reg.snap"), text, True)
     except SnapshotError as exc:  # the grant line that does not parse, named
         assert registrar_load(text, trusted=False) == ("SnapshotError", str(exc), exc.lineno)
     else:
-        unread = {n for n in actor.store if actor.store.unread_text(n) is not None}
-        assert unread == set(actor.store.numbers_with_records())
+        assert unread(actor.store) == set(actor.store.numbers_with_records())
         assert registrar_load(text, trusted=True) == registrar_load(text, trusted=False)
 
 
@@ -858,10 +861,10 @@ def test_bad_line_in_the_last_of_many_odd_blocks_names_its_line():
     # the file only, and takes the file's checkpoint entry away, so the
     # next load parses every line and names the bad one.
     actor = types.SimpleNamespace(store=None, grants={})
-    topology = types.SimpleNamespace(snapshot_seen=(None, {}))
+    topology = types.SimpleNamespace(snapshot_seen=(None, {}), _grant_n=0)
     _load_registrar(topology, actor, Path("reg.snap"), text, True)
     bad = "13154430299"
-    assert actor.store.unread_text(bad) is not None
+    assert bad in unread(actor.store)
     with pytest.raises(SnapshotError) as excinfo:
         actor.store[bad]
     assert excinfo.value.lineno is None and str(excinfo.value).startswith("reg.snap: ")
@@ -874,7 +877,7 @@ def test_untouched_registrar_file_is_not_rewritten(tmp_path):
     run_events(topology, canonical_events())
     persist(topology, tmp_path, model_fixture_text(1))
     fresh = loaded(1, tmp_path)
-    assert fresh.registrars["reg2"].store.unread_text("13154434474") is not None
+    assert "13154434474" in unread(fresh.registrars["reg2"].store)
     stamps = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
     before = len(fresh.log)
     fresh.provision("+13154434473", "alice", _record(170, "new"))
@@ -883,7 +886,7 @@ def test_untouched_registrar_file_is_not_rewritten(tmp_path):
     rewritten = {p.name for p in tmp_path.iterdir() if stamps.get(p.name) != p.stat().st_ino}
     assert rewritten == {"registrar-reg1.snap", CHECKPOINT}
     # Nothing read reg2's numbers, so its text was never parsed.
-    assert fresh.registrars["reg2"].store.unread_text("13154434474") is not None
+    assert "13154434474" in unread(fresh.registrars["reg2"].store)
 
 
 def test_record_line_off_the_canonical_shape_is_checkpointed(tmp_path):
@@ -895,7 +898,7 @@ def test_record_line_off_the_canonical_shape_is_checkpointed(tmp_path):
     assert "registrar-reg1.snap" in read_checkpoint(state_dir)
     shutil.copytree(state_dir, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
     fresh = loaded(1, state_dir)
-    assert fresh.registrars["reg1"].store.unread_text("13154434473") is not None
+    assert "13154434473" in unread(fresh.registrars["reg1"].store)
     assert '"abc' in [r.replacement for r in fresh.registrars["reg1"].store["13154434473"]]
     assert state_of(fresh) == state_of(loaded(1, plain))
 
@@ -910,9 +913,8 @@ def test_audit_of_a_trusted_load_reads_no_record_and_misses_nothing(tmp_path):
     report = assert_invariants(fresh)
     assert report.result("single_store").violations == ["13154434473 stored at reg1, reg2"]
     assert all(
-        actor.store.unread_text(n) is not None
+        set(actor.store.numbers_with_records()) <= unread(actor.store)
         for actor in fresh.registrars.values()
-        for n in actor.store.numbers_with_records()
     )
     plain = tmp_path / "plain"
     shutil.copytree(tmp_path, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
@@ -1047,7 +1049,8 @@ def test_a_resolve_after_a_trusted_load_reads_only_its_number(model4_dir):
     for name, store in stores.items():
         assert len(store) > 20, name
         # A number saved with no records has no text to leave unread.
-        read = [n for n in store if store.unread_text(n) is None and store[n]]
+        text = unread(store)
+        read = [n for n in store if n not in text and store[n]]
         assert read in ([], [resolved]), name
 
 
@@ -1243,6 +1246,26 @@ def test_a_number_two_owners_claim_is_observed_at_both_serials(model4_dir, tmp_p
     first, second = loaded(4, trusted), loaded(4, plain)
     assert state_of(first) == state_of(second)
     assert assert_invariants(first).result("serial_monotonicity").violations == expected
+
+
+def test_a_number_two_owners_claim_is_saved_for_the_last_claim_only(model4_dir, tmp_path):
+    # R1's line for 12125550000 comes first and R2's last: the number is
+    # R2's at both registries, so a save writes R2's line and not R1's.
+    trusted, plain = tmp_path / "trusted", tmp_path / "plain"
+    shutil.copytree(model4_dir, trusted)
+    data = (trusted / REGISTRY_SNAP).read_bytes()
+    vouch(trusted, REGISTRY_SNAP, data + b"12125550000|reg2|R2|1\n")
+    shutil.copytree(trusted, plain, ignore=shutil.ignore_patterns(CHECKPOINT))
+    saved = []
+    for source in (trusted, plain):
+        fresh = loaded(4, source)
+        fresh.registries["R1"].state.delegations.held()  # walks the file
+        target = tmp_path / f"saved-{source.name}"
+        save_state(fresh, target)
+        saved.append((target / REGISTRY_SNAP).read_bytes())
+    assert saved[0] == saved[1]
+    assert b"12125550000|reg1|R1|1\n" not in saved[0]
+    assert saved[0].count(b"12125550000|") == 1 and b"12125550000|reg2|R2|1\n" in saved[0]
 
 
 _DIR_NUMBERS = st.sampled_from(["+13154434473", "+13154434474", "+12125550000", "+12125550001"])

@@ -19,9 +19,13 @@ change's medians, the parent's interquartile range (third quartile minus
 first), the change's wins, losses and ties over the pairs (by the metric's
 ``better`` direction), how much worse the change's median is than the
 parent's as a fraction of it, and whether that stays within the metric's
-``bound``. A ``gain`` column reads ``yes`` when the change won at least
-nine tenths of the pairs and its median is better than the parent's by
-more than the parent's interquartile range. ``--json`` writes every run
+``bound``. That ``holds`` column reads ``unresolved`` when the parent's
+interquartile range is wider than the bound times the parent's median,
+since runs spread wider than the bound cannot show it holds, unless every
+run of the change reads better than every run of the parent. A ``gain``
+column reads ``yes`` when the change won at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range. ``--json`` writes every run
 and the summary to PATH. Exits 1 if any run fails its answer checks or
 prints no result, else 0.
 """
@@ -84,6 +88,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     worse_by = sign * (c_med - p_med) / p_med if p_med else 0.0
+    all_better = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -98,6 +103,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
         "worse_by": worse_by,
         "bound": metric["bound"],
         "bound_holds": worse_by <= metric["bound"],
+        "resolved": q3 - q1 <= metric["bound"] * abs(p_med) or all_better,
         "gain": wins >= GAIN_SHARE * len(parent) and sign * (p_med - c_med) > q3 - q1,
     }
 
@@ -157,7 +163,7 @@ def render(report: dict) -> list[str]:
         f"pairs={report['pairs']} seed={report['seed']} seconds={report['seconds']:g}"
         f" n={report['n']}",
         f"{'workload':<16} {'metric':<10} {'parent':>12} {'change':>12} {'p_iqr':>10}"
-        f" {'W-L-T':>8} {'worse_by':>9} {'bound':>6} {'holds':>5} {'gain':>4}",
+        f" {'W-L-T':>8} {'worse_by':>9} {'bound':>6} {'holds':>10} {'gain':>4}",
     ]
     for workload, metrics in report["summary"].items():
         if "error" in metrics:
@@ -166,11 +172,12 @@ def render(report: dict) -> list[str]:
         for name, m in metrics.items():
             if name == "failed_share":
                 continue
+            holds = ("yes" if m["bound_holds"] else "NO") if m["resolved"] else "unresolved"
             lines.append(
                 f"{workload:<16} {name:<10} {m['parent_median']:>12.6g}"
                 f" {m['change_median']:>12.6g} {m['parent_iqr']:>10.3g}"
                 f" {m['wins']:>2}-{m['losses']}-{m['ties']:<3} {m['worse_by']:>+9.3f}"
-                f" {m['bound']:>6.2f} {'yes' if m['bound_holds'] else 'NO':>5}"
+                f" {m['bound']:>6.2f} {holds:>10}"
                 f" {'yes' if m['gain'] else 'no':>4}"
             )
         share = metrics["failed_share"]
