@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 
+from ._record import HashedRecord
 from .errors import (
     BadApex,
     EmptyInput,
@@ -38,7 +39,7 @@ _SEPARATORS = " -.()\t"
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_-]{1,63}$")
 
 
-class ApexConfig:
+class ApexConfig(HashedRecord):
     """A root suffix under which digit labels are hung.
 
     *apex* is a dot-separated label sequence such as ``e164.arpa`` or
@@ -63,7 +64,7 @@ class ApexConfig:
 DEFAULT_APEX = ApexConfig()
 
 
-class E164Number:
+class E164Number(HashedRecord):
     """A validated international telephone number.
 
     *country_code* is a 1-3 digit prefix of the full number;
@@ -85,16 +86,6 @@ class E164Number:
             )
         self.country_code, self.national_digits = country_code, national_digits
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not E164Number:
-            return NotImplemented
-        return (self.country_code, self.national_digits) == (
-            other.country_code, other.national_digits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.country_code, self.national_digits))
-
     @property
     def full_digits(self) -> str:
         return self.country_code + self.national_digits
@@ -107,21 +98,13 @@ class E164Number:
         return self.render()
 
 
-class EnumDomain:
+class EnumDomain(HashedRecord):
     """The DNS name for a number: reversed digit labels under an apex."""
 
     __slots__ = ("digit_labels", "apex")
 
     def __init__(self, digit_labels: tuple[str, ...], apex: ApexConfig = DEFAULT_APEX) -> None:
         self.digit_labels, self.apex = digit_labels, apex
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not EnumDomain:
-            return NotImplemented
-        return self.digit_labels == other.digit_labels and self.apex.apex == other.apex.apex
-
-    def __hash__(self) -> int:
-        return hash((self.digit_labels, self.apex.apex))
 
     def render(self) -> str:
         return ".".join(self.digit_labels) + "." + self.apex.apex
@@ -174,7 +157,10 @@ def parse_number(raw: str, default_country_code: str | None = None) -> E164Numbe
     else:
         if default_country_code is None:
             raise MissingCountryCode(f"{raw!r} has no '+' and no default country code")
-        if not (default_country_code.isdigit() and 1 <= len(default_country_code) <= 3):
+        if not (
+            default_country_code.isascii() and default_country_code.isdigit()
+            and 1 <= len(default_country_code) <= 3
+        ):
             raise MissingCountryCode(
                 f"default country code {default_country_code!r} must be 1-3 digits"
             )
@@ -203,7 +189,7 @@ def from_domain(name: str, apex: ApexConfig = DEFAULT_APEX) -> E164Number:
         raise WrongApex(f"{name!r} is not under apex {apex.apex!r}")
     labels = text[: -len(suffix)].split(".")
     for lab in labels:
-        if len(lab) != 1 or not lab.isdigit():
+        if len(lab) != 1 or not (lab.isascii() and lab.isdigit()):
             raise NonDigitLabel(f"label {lab!r} is not a single digit")
     digits = "".join(reversed(labels))
     cc = _split_country_code(digits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
+from ._record import HashedRecord, Record
 from .e164 import E164Number
 from .errors import (
     BadBackreference,
@@ -78,13 +79,14 @@ def _split_regexp(regexp: str) -> tuple[str, str]:
     return pattern, regexp[middle + 1 : -1].replace(escaped, delim)
 
 
-class NaptrRecord:
+class NaptrRecord(Record):
     """One naming-authority-pointer entry for a telephone number.
 
     Immutable by convention: nothing assigns to a field once the record
     is built, and a changed record is a new one, which the constructor
     checks again. The class is slotted, so it is cheap to build in bulk,
-    and it compares by value, so it is unhashable.
+    and as a :class:`~enumstack._record.Record` it compares and prints by
+    its field values, so it is unhashable.
     """
 
     __slots__ = ("order", "preference", "flags", "service", "regexp", "replacement", "visibility")
@@ -130,24 +132,6 @@ class NaptrRecord:
         self.replacement = replacement
         self.visibility = visibility
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not NaptrRecord:
-            return NotImplemented
-        return (
-            self.order, self.preference, self.flags, self.service, self.regexp,
-            self.replacement, self.visibility,
-        ) == (
-            other.order, other.preference, other.flags, other.service, other.regexp,
-            other.replacement, other.visibility,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"NaptrRecord(order={self.order!r}, preference={self.preference!r}, "
-            f"flags={self.flags!r}, service={self.service!r}, regexp={self.regexp!r}, "
-            f"replacement={self.replacement!r}, visibility={self.visibility!r})"
-        )
-
     @property
     def terminal(self) -> bool:
         """True when this record rewrites directly to a URI."""
@@ -160,21 +144,13 @@ class NaptrRecord:
         return (self.service.lower(), self.order, self.preference)
 
 
-class ServiceSelector:
+class ServiceSelector(HashedRecord):
     """Matches a record's service field; ``*`` matches everything."""
 
     __slots__ = ("service",)
 
     def __init__(self, service: str = "*") -> None:
         self.service = service
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ServiceSelector:
-            return NotImplemented
-        return self.service == other.service
-
-    def __hash__(self) -> int:
-        return hash(self.service)
 
     def matches(self, service: str) -> bool:
         return self.service == "*" or self.service.lower() == service.lower()
@@ -278,8 +254,10 @@ def apply_regexp(rec: NaptrRecord, subject: str | E164Number) -> str:
     """Rewrite *subject* (the ``+``-prefixed number) into a URI.
 
     Capture groups ``\\1``..``\\9`` in the replacement are substituted
-    from the pattern match. Raises :class:`NoMatch` when the pattern does
-    not match and :class:`BadBackreference` for a group the pattern lacks.
+    from the pattern match; only the ASCII digits name a group, and a
+    backslash before any other character writes that character. Raises
+    :class:`NoMatch` when the pattern does not match and
+    :class:`BadBackreference` for a group the pattern lacks.
     """
     if isinstance(subject, E164Number):
         subject = subject.render()
@@ -296,7 +274,7 @@ def apply_regexp(rec: NaptrRecord, subject: str | E164Number) -> str:
         ch = replacement[i]
         if ch == "\\" and i + 1 < len(replacement):
             nxt = replacement[i + 1]
-            if nxt.isdigit():
+            if nxt.isascii() and nxt.isdigit():
                 k = int(nxt)
                 if k == 0 or k > pattern.groups:
                     raise BadBackreference(

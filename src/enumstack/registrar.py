@@ -24,6 +24,7 @@ from collections.abc import Callable, Iterable, Iterator, MutableMapping
 from enum import Enum
 from typing import TypeVar
 
+from ._record import HashedRecord, Record
 from .errors import (
     AccessDenied,
     AlreadyComplete,
@@ -99,7 +100,7 @@ def _check_storable(**names: str) -> None:
             raise RegistrarError(f"{field_name} {value!r} may not hold '|' or a line break")
 
 
-class AuthorizationGrant:
+class AuthorizationGrant(HashedRecord):
     """A user-issued right for a party to touch records in some service scope."""
 
     __slots__ = ("grant_id", "grantor", "grantee", "rights", "scope", "number")
@@ -117,22 +118,11 @@ class AuthorizationGrant:
         self.scope = scope
         self.number = number
 
-    def _key(self) -> tuple:
-        return (self.grant_id, self.grantor, self.grantee, self.rights, self.scope, self.number)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AuthorizationGrant:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def covers(self, service: str, needed: frozenset[str]) -> bool:
         return bool(self.rights & needed) and self.scope.matches(service)
 
 
-class Subscription:
+class Subscription(Record):
     """Telephone assignment plus ENUM service state for one number."""
 
     __slots__ = (
@@ -150,17 +140,6 @@ class Subscription:
         self.phone_active = phone_active
         self.enum_active = enum_active
         self.serving_registrar = serving_registrar
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Subscription:
-            return NotImplemented
-        return (
-            self.number, self.user, self.tsp, self.token, self.phone_active, self.enum_active,
-            self.serving_registrar,
-        ) == (
-            other.number, other.user, other.tsp, other.token, other.phone_active,
-            other.enum_active, other.serving_registrar,
-        )
 
     def check(self) -> None:
         if self.enum_active and not self.phone_active:

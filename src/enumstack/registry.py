@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 
+from ._record import Record
 from .errors import (
     NoDelegation,
     NotAuthoritative,
@@ -44,7 +45,7 @@ class Tier0Table:
 
     def __init__(self, entries: dict[str, tuple[RegistryId, ...]]) -> None:
         for prefix, registries in entries.items():
-            if not (prefix.isdigit() and 1 <= len(prefix) <= 3):
+            if not (prefix.isascii() and prefix.isdigit() and 1 <= len(prefix) <= 3):
                 raise UnknownCountryCode(f"bad tier-0 prefix {prefix!r}")
             if not registries:
                 raise UnknownCountryCode(f"tier-0 prefix {prefix!r} maps to no registry")
@@ -60,12 +61,13 @@ def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
     raise UnknownCountryCode(f"no tier-0 entry for country code {cc!r}")
 
 
-class Delegation:
+class Delegation(Record):
     """One number's pointer to its serving registrar.
 
     Immutable by convention, like :class:`~enumstack.naptr.NaptrRecord`:
-    a change is a new delegation with a higher serial. A plain slotted
-    class, compared by value and so unhashable.
+    a change is a new delegation with a higher serial. A slotted
+    :class:`~enumstack._record.Record`, compared and printed by its field
+    values and so unhashable.
     """
 
     __slots__ = ("number", "registrar", "owning_registry", "serial", "updated_at")
@@ -79,20 +81,6 @@ class Delegation:
         self.owning_registry = owning_registry
         self.serial = serial
         self.updated_at = updated_at
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Delegation:
-            return NotImplemented
-        return (
-            self.number, self.registrar, self.owning_registry, self.serial, self.updated_at
-        ) == (other.number, other.registrar, other.owning_registry, other.serial, other.updated_at)
-
-    def __repr__(self) -> str:
-        return (
-            f"Delegation(number={self.number!r}, registrar={self.registrar!r}, "
-            f"owning_registry={self.owning_registry!r}, serial={self.serial!r}, "
-            f"updated_at={self.updated_at!r})"
-        )
 
 
 class PeerUpdate:

@@ -15,10 +15,9 @@ with ``=`` or ``;`` inside a key or value is written again with each key
 and value escaped in turn, the one slow path. A key or value that is not
 a ``str`` fails the join and is refused as a :class:`WireError`.
 
-A :class:`Frame` is a plain slotted object compared by value. Callers
-treat it as immutable. Building one checks that no field uses a header
-key; :func:`decode_frame` skips that check, because it has already
-popped the header keys from the fields it hands over.
+A :class:`Frame` is a slotted :class:`~enumstack._record.Record`,
+compared and printed by its field values. Callers treat it as immutable.
+Building one checks that no field uses a header key.
 
 The simulator encodes every frame it sends and delivers the frame it
 queued beside the bytes, so nothing in the package decodes; its
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ._record import Record
 from .errors import WireError
 
 # Request kinds understood by the tier actors.
@@ -85,7 +85,7 @@ def _unescape(value: str) -> str:
     )
 
 
-class Frame:
+class Frame(Record):
     """One structured request or response."""
 
     __slots__ = ("kind", "src", "dst", "req_id", "is_response", "fields")
@@ -110,21 +110,6 @@ class Frame:
         self.req_id = req_id
         self.is_response = is_response
         self.fields = fields
-
-    def _key(self) -> tuple:
-        return (self.kind, self.src, self.dst, self.req_id, self.is_response, self.fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Frame:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"Frame(kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-            f"req_id={self.req_id!r}, is_response={self.is_response!r}, "
-            f"fields={self.fields!r})"
-        )
 
     def get(self, key: str, default: str = "") -> str:
         return self.fields.get(key, default)
@@ -212,9 +197,6 @@ def _non_str_error(frame: Frame) -> WireError:
     return WireError(f"request id {frame.req_id!r} is not a number")
 
 
-_new = object.__new__
-
-
 def decode_frame(data: bytes) -> Frame:
     """Inverse of :func:`encode_frame`; raises :class:`WireError` on damage."""
     head, sep, body = data.partition(b":")
@@ -232,30 +214,17 @@ def decode_frame(data: bytes) -> Frame:
             text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(f"frame body is not UTF-8 at byte {exc.start}") from exc
-        chunks = text.split(";")
-        try:
-            if "%" in text:
-                pairs = {
-                    _unescape(key): _unescape(value)
-                    for key, value in (chunk.split("=", 1) for chunk in chunks)
-                }
-            else:
-                pairs = dict([chunk.split("=", 1) for chunk in chunks])
-        except ValueError:
-            bad = next(chunk for chunk in chunks if "=" not in chunk)
-            raise WireError(f"field {bad!r} is not key=value") from None
-    # The header keys are popped here, so the fields left cannot hold a
-    # reserved key and Frame's own check is skipped.
-    frame = _new(Frame)
+        for chunk in text.split(";"):
+            key, eq, value = chunk.partition("=")
+            if not eq:
+                raise WireError(f"field {chunk!r} is not key=value")
+            pairs[_unescape(key)] = _unescape(value)
     try:
-        frame.kind = pairs.pop("kind")
-        frame.src = pairs.pop("src")
-        frame.dst = pairs.pop("dst")
-        frame.req_id = int(pairs.pop("req"))
-        frame.is_response = pairs.pop("resp") == "1"
+        kind, src, dst = pairs.pop("kind"), pairs.pop("src"), pairs.pop("dst")
+        req_id = int(pairs.pop("req"))
+        is_response = pairs.pop("resp") == "1"
     except KeyError as exc:
         raise WireError(f"missing frame header field {exc}") from exc
     except ValueError as exc:
         raise WireError("non-integer request id") from exc
-    frame.fields = pairs
-    return frame
+    return Frame(kind, src, dst, req_id, is_response, pairs)

@@ -93,11 +93,12 @@ class TestResolve:
         "old, new, env, message",
         [
             ("1 = R1", "1x = R1", None, "bad tier-0 prefix '1x'"),
+            ("1 = R1", "\u0662 = R1", None, "bad tier-0 prefix '\u0662'"),
             ("1 = R1", "1 =", None, "tier-0 prefix '1' maps to no registry"),
             ("id = 1", "id = 1\napex = bad..apex", None, "bad apex label ''"),
             ("", "", "a..b", "ENUM_APEX='a..b': bad apex label ''"),
         ],
-        ids=["tier0-prefix", "tier0-empty", "apex", "apex-env"],
+        ids=["tier0-prefix", "tier0-prefix-non-ascii", "tier0-empty", "apex", "apex-env"],
     )
     def test_malformed_tier0_or_apex_exit_2(self, capsys, monkeypatch, tmp_path,
                                             old, new, env, message):

@@ -39,6 +39,10 @@ class TestParseNumber:
         with pytest.raises(MissingCountryCode):
             e164.parse_number("315-443-4473")
 
+    def test_non_ascii_default_country_code(self):
+        with pytest.raises(MissingCountryCode):
+            e164.parse_number("315-443-4473", default_country_code="\u0663")
+
     def test_letters_rejected(self):
         with pytest.raises(NonDigitContent):
             e164.parse_number("+1-315-HELLO")
@@ -98,6 +102,10 @@ class TestDomainConversion:
     def test_from_domain_bad_label(self):
         with pytest.raises(NonDigitLabel):
             e164.from_domain("3.7.ab.4.e164.arpa")
+
+    def test_from_domain_non_ascii_digit_label(self):
+        with pytest.raises(NonDigitLabel):
+            e164.from_domain("\u0663.\u0663.\u0663.e164.arpa")
 
     def test_from_domain_wrong_apex(self):
         with pytest.raises(WrongApex):

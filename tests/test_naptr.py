@@ -16,6 +16,7 @@ from enumstack.errors import (
     FieldConflict,
     FieldCount,
     FlagRegexpConflict,
+    NaptrError,
     NoMatch,
 )
 from enumstack.naptr import (
@@ -223,6 +224,16 @@ class TestApplyRegexp:
         )
         assert apply_regexp(record, "+13154434473") == "sip:bang!@example.com"
 
+    @pytest.mark.parametrize(
+        "digit", ["\u00b2", "\u0663"], ids=["superscript-2", "arabic-indic-3"]
+    )
+    def test_a_non_ascii_digit_after_a_backslash_is_a_literal(self, digit):
+        record = NaptrRecord(
+            order=90, preference=10, flags="u", service="E2U+sip",
+            regexp=f"!^(.*)$!sip:\\{digit}@example.com!",
+        )
+        assert apply_regexp(record, NUMBER) == f"sip:{digit}@example.com"
+
 
 class TestResolveRecordSet:
     def test_single_terminal(self):
@@ -354,7 +365,7 @@ def oracle_apply_regexp(regexp, subject):
         ch = replacement[i]
         if ch == "\\" and i + 1 < len(replacement):
             nxt = replacement[i + 1]
-            if nxt.isdigit():
+            if nxt in "0123456789":
                 k = int(nxt)
                 if k == 0 or k > pattern.groups:
                     raise BadBackreference("group")
@@ -447,7 +458,9 @@ def test_split_regexp_matches_loop_oracle(regexp):
 @settings(max_examples=300)
 @given(
     pattern=st.sampled_from(["^.*$", r"^\+1(\d{3})(\d+)$", "^(.*)$", "^9.*$", "x\\!y", "(a)?"]),
-    replacement=st.text(alphabet=["\\", "1", "2", "0", "!", "a", ":", "@"], max_size=10),
+    replacement=st.text(
+        alphabet=["\\", "1", "2", "0", "\u00b2", "\u0663", "!", "a", ":", "@"], max_size=10
+    ),
 )
 def test_apply_regexp_matches_oracle(pattern, replacement):
     regexp = f"!{pattern}!{replacement}!"
@@ -456,6 +469,21 @@ def test_apply_regexp_matches_oracle(pattern, replacement):
         assert outcome(apply_regexp, record, NUMBER) == outcome(
             oracle_apply_regexp, regexp, "+13154434473"
         )
+
+
+@settings(max_examples=300)
+@given(
+    pattern=st.sampled_from(["^.*$", "^(.*)$", r"^\+1(\d{3})(\d+)$", "^9.*$"]),
+    replacement=st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",)) | st.just("\\"), max_size=12
+    ),
+)
+@example(pattern="^(.*)$", replacement="sip:\\\u00b2@example.com")
+def test_apply_regexp_returns_a_str_or_raises_a_naptr_error(pattern, replacement):
+    record = outcome(NaptrRecord, 10, 10, "u", "E2U+sip", f"!{pattern}!{replacement}!")
+    if isinstance(record, NaptrRecord):
+        result = outcome(apply_regexp, record, NUMBER)  # any other exception propagates
+        assert isinstance(result, str) or issubclass(result, NaptrError)
 
 
 # ---------------------------------------------------------------- slotted records

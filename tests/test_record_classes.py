@@ -2,11 +2,18 @@
 constructor. Each keeps the constructor it had as a dataclass (field
 order, keyword names, defaults, a fresh container per instance where the
 default is one), less the state fields no caller sets, which a few classes
-build themselves; and the classes that are compared or hashed keep value
-equality and value hashing."""
+build themselves. The classes that are compared take value equality and
+a field-by-field repr from one base, ``Record``, and the hashed ones
+value hashing from ``HashedRecord``; every other class compares by
+identity."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import enumstack
+from enumstack._record import HashedRecord, Record
 from enumstack.audit import InvariantReport, InvariantResult, ValueFlowEdge, ValueFlowGraph
 from enumstack.e164 import DEFAULT_APEX, ApexConfig, E164Number, EnumDomain
 from enumstack.market import (
@@ -94,6 +101,10 @@ CASES = {
     DeliveryRecord: (
         {"tick": 4, "frame": Frame("GET", "client", "reg1", 7), "status": "dropped"}, {},
     ),
+    Frame: (
+        {"kind": "GET", "src": "client", "dst": "reg1", "req_id": 7},
+        {"is_response": False, "fields": {}},
+    ),
     ValueFlowEdge: (
         {
             "payer": "reg1", "payer_role": "Registrar", "payee": "R1", "payee_role": "Registry",
@@ -143,9 +154,10 @@ BUILT = {
 }
 
 # The classes the package or its tests compare, each with a change that
-# makes an unequal instance; the formerly frozen ones among them also hash
-# by value.
+# makes an unequal instance; the formerly frozen ones among them, and the
+# apex an EnumDomain compares through, also hash by value.
 UNEQUAL = {
+    ApexConfig: {"apex": "enum.example"},
     E164Number: {"national_digits": "3154434474"},
     EnumDomain: {"apex": ApexConfig("enum.example")},
     NaptrRecord: {"visibility": Visibility.RESTRICTED},
@@ -153,8 +165,9 @@ UNEQUAL = {
     Delegation: {"updated_at": 1},
     AuthorizationGrant: {"scope": ServiceSelector("*")},
     Subscription: {"enum_active": True},
+    Frame: {"fields": {"status": "ok"}},
 }
-HASHED = {E164Number, EnumDomain, ServiceSelector, AuthorizationGrant}
+HASHED = {ApexConfig, E164Number, EnumDomain, ServiceSelector, AuthorizationGrant}
 
 
 def fields(obj):
@@ -181,9 +194,31 @@ def test_a_record_class_keeps_its_constructor_and_value_semantics(cls):
         with pytest.raises(TypeError):
             cls(**given, **{name: start})
     if cls in UNEQUAL:
+        assert issubclass(cls, HashedRecord if cls in HASHED else Record)
         assert positional == keyword and not positional != keyword
         assert positional != cls(**{**given, **UNEQUAL[cls]})
+        assert positional != type(cls.__name__, (cls,), {})(**given)  # only the same class
+        shown = [f"{name}={value!r}" for name, value in zip(cls.__slots__, fields(positional))]
+        assert repr(positional) == f"{cls.__name__}({', '.join(shown)})"
     else:  # compared by identity
-        assert "__eq__" not in vars(cls)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     if cls in HASHED:
         assert hash(positional) == hash(keyword)
+    elif cls in UNEQUAL:
+        with pytest.raises(TypeError):
+            hash(positional)
+
+
+def test_only_the_record_base_defines_value_methods():
+    """Equality, hashing and repr each have one copy, in ``_record.py``."""
+    package = Path(enumstack.__file__).parent
+    defined = {
+        (path.name, node.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("__eq__", "__hash__", "__repr__")
+    }
+    assert defined == {
+        ("_record.py", "__eq__"), ("_record.py", "__repr__"), ("_record.py", "__hash__")
+    }

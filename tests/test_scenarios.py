@@ -408,9 +408,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section",
         ["[faults]\nreg1 = a:b\n", "[faults]\nreg1 = 5\n", "[fees]\nflat_fee = x\n",
-         "[fees]\nflat_fee = nan\n", "[fees]\nuser_fee = inf\n", "[fees]\nuser_fee = -2\n"],
+         "[fees]\nflat_fee = nan\n", "[fees]\nuser_fee = inf\n", "[fees]\nuser_fee = -2\n",
+         "[tier0]\n\u0662 = R1\n"],
         ids=["fault-not-int", "fault-no-colon", "fee-not-float", "fee-nan", "fee-inf",
-             "fee-negative"],
+             "fee-negative", "tier0-non-ascii-digit"],
     )
     def test_bad_number_in_config_is_scenario_error(self, section):
         text = "[model]\nid = 1\n[actors]\nregistries = R1\n" + section
