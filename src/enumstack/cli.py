@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
+    BadArgument,
     E164Error,
     EnumStackError,
     InvalidModelCombination,
@@ -305,12 +306,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Arguments that name files: the OS takes their bytes as they are.
+_PATH_ARGS = frozenset(("state_dir", "scenario_file", "config", "script", "fixtures"))
+
+
+def _check_text_args(args: argparse.Namespace) -> None:
+    """Refuse a text argument that holds a lone surrogate, which is how
+    Python hands over an argv byte that is not UTF-8: no frame, log line or
+    state file could carry it."""
+    for name, value in vars(args).items():
+        if isinstance(value, str) and not value.isascii() and name not in _PATH_ARGS:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise BadArgument(f"argument {name}: {value!r} is not UTF-8 text") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_text_args(args)
         return args.fn(args)
-    except (ScenarioError, SnapshotError, LockHeld, MarketError, InvalidModelCombination, OSError) as exc:
+    except (
+        BadArgument, ScenarioError, SnapshotError, LockHeld, MarketError,
+        InvalidModelCombination, OSError,
+    ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumStackError as exc:

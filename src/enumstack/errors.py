@@ -240,6 +240,14 @@ class BadPenetration(MarketError):
     """Penetration fraction outside (0, 1]."""
 
 
+
+# ---------------------------------------------------------------- command line
+
+
+class BadArgument(EnumStackError):
+    """A command-line argument is not text the stack can carry."""
+
+
 def status_error(status: str, message: str) -> EnumStackError:
     """The exception an error response's status (an exception class name)
     names; an unknown name gives an ``EnumStackError`` that keeps it."""

@@ -6,14 +6,15 @@ send draws a delay of :data:`MIN_DELAY` to :data:`MAX_DELAY` (1 to 4)
 ticks from the run's RNG, and ties break on a monotone sequence number,
 so identical (seed, inputs) replay identical schedules byte for byte.
 
-A send encodes the frame at once, so every
-:class:`~enumstack.errors.WireError` check runs there, and the queue holds
-the frame's exact wire bytes. Beside the bytes the queue holds the frame
-itself, which the send takes ownership of and a delivery hands over:
-nothing is decoded or copied on the way. :meth:`Network.post` makes the
-one copy of a request's fields, so a caller that changes its dict after
-the post does not change what is delivered; each reply method of
-:class:`~enumstack.wire.Frame` builds a fresh dict.
+A send runs :func:`~enumstack.wire.check_frame` at once, so every
+:class:`~enumstack.errors.WireError` that encoding the frame would raise is
+raised there, but it builds no bytes: the queue holds the frame itself,
+which the send takes ownership of and a delivery hands over, and nothing is
+encoded, decoded or copied on the way. Whatever reads a frame's wire bytes
+calls :func:`~enumstack.wire.encode_frame` where it reads them.
+:meth:`Network.post` makes the one copy of a request's fields, so a caller
+that changes its dict after the post does not change what is delivered;
+each reply method of :class:`~enumstack.wire.Frame` builds a fresh dict.
 
 Actors may be taken offline (manually or through configured fault
 windows); frames addressed to an offline actor are dropped, never retried
@@ -37,7 +38,7 @@ import random
 from typing import Callable
 
 from .errors import EnumStackError, SnapshotError
-from .wire import Frame, encode_frame
+from .wire import Frame, check_frame
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -66,10 +67,10 @@ class Network:
         self.clock = 0
         self._seq = 0
         self._req_counter = 0
-        # Heap of (delivery tick, send sequence number, encoded frame, the
-        # frame to deliver); the sequence number is unique, so ties never
-        # compare the frames.
-        self._queue: list[tuple[int, int, bytes, Frame]] = []
+        # Heap of (delivery tick, send sequence number, the frame to
+        # deliver); the sequence number is unique, so ties never compare
+        # the frames.
+        self._queue: list[tuple[int, int, Frame]] = []
         self._actors: dict[str, Handler] = {}
         self._offline: set[str] = set()
         self._fault_windows: dict[str, list[tuple[int, int]]] = {}
@@ -107,9 +108,10 @@ class Network:
         return self._req_counter
 
     def send(self, frame: Frame) -> None:
-        """Encode *frame* and schedule it for delivery. The network takes
-        ownership of *frame*: the caller must not change it, or its fields
-        dict, after the send."""
+        """Check that *frame* encodes and schedule it for delivery. The
+        network takes ownership of *frame*: the caller must not change it,
+        or its fields dict, after the send."""
+        check_frame(frame)
         # The draw randint(MIN_DELAY, MAX_DELAY) makes, without its
         # argument checks: getrandbits until a value falls in the span.
         getrandbits = self.rng.getrandbits
@@ -117,9 +119,7 @@ class Network:
         while r >= _DELAY_SPAN:
             r = getrandbits(_DELAY_BITS)
         self._seq += 1
-        heapq.heappush(
-            self._queue, (self.clock + MIN_DELAY + r, self._seq, encode_frame(frame), frame)
-        )
+        heapq.heappush(self._queue, (self.clock + MIN_DELAY + r, self._seq, frame))
 
     def post(
         self, src: str, dst: str, kind: str, fields: dict[str, str] | None = None
@@ -155,7 +155,7 @@ class Network:
         """Deliver the next frame. Returns False when the queue is empty."""
         if not self._queue:
             return False
-        at, _, _, frame = heapq.heappop(self._queue)
+        at, _, frame = heapq.heappop(self._queue)
         if at > self.clock:
             self.clock = at
         if (self._offline or self._fault_windows) and self.is_offline(frame.dst):

@@ -13,18 +13,23 @@ escapes its ``%`` (first), newlines and carriage returns. A reply with
 two or more records, separated by newlines, takes that pass. Only a body
 with ``=`` or ``;`` inside a key or value is written again with each key
 and value escaped in turn, the one slow path. A key or value that is not
-a ``str`` fails the join and is refused as a :class:`WireError`.
+a ``str`` fails the join, and one holding a lone surrogate fails the UTF-8
+encoding; each is refused as a :class:`WireError` naming the field.
 
 A :class:`Frame` is a slotted :class:`~enumstack._record.Record`,
 compared and printed by its field values. Callers treat it as immutable.
 Building one checks that no field uses a header key.
 
-The simulator encodes every frame it sends and delivers the frame it
-queued beside the bytes, so nothing in the package decodes; its
-``Network.post`` makes the one copy of a request's fields, and each
-reply method builds a fresh dict. :func:`decode_frame` is the format's
-inverse, ``decode_frame(encode_frame(f)) == f``, for whatever reads
-frames back from bytes; the tests check each delivered frame against it.
+The simulator queues and delivers the frame it is sent, never its bytes:
+a send runs :func:`check_frame`, which refuses exactly the frames
+:func:`encode_frame` refuses, with the same :class:`WireError`, without
+building the body. Bytes are made only where they are read, by calling
+:func:`encode_frame` there. ``Network.post`` makes the one copy of a
+request's fields, and each reply method builds a fresh dict.
+:func:`decode_frame` is the format's strict inverse,
+``decode_frame(encode_frame(f)) == f``, for whatever reads frames back from
+bytes: it refuses a request id that is not the ``%d`` form of an integer
+and a ``resp`` other than ``0`` or ``1``.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ class Frame(Record):
 def encode_frame(frame: Frame) -> bytes:
     """The length-prefixed bytes of *frame*; see the module docstring.
 
-    Raises :class:`WireError` when a key or value is not a ``str``.
+    Raises :class:`WireError` when a key or value is not a ``str`` or holds
+    a lone surrogate, or when the request id is not a number.
     """
     fields = frame.fields
     try:
@@ -167,8 +173,32 @@ def encode_frame(frame: Frame) -> bytes:
         body = _escaped_body(frame)
     elif "%" in body or "\n" in body or "\r" in body:
         body = body.replace("%", "%25").replace("\n", "%0A").replace("\r", "%0D")
-    data = body.encode("utf-8")
+    try:
+        data = body.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _surrogate_error(frame) from None
     return b"%d:%s" % (len(data), data)
+
+
+def check_frame(frame: Frame) -> None:
+    """Raise the :class:`WireError` that :func:`encode_frame` would raise
+    for *frame*, without building its bytes.
+
+    Escaping neither adds nor removes a character that fails the join or
+    the encoding, so one join of the unescaped text makes the same test.
+    """
+    fields = frame.fields
+    try:
+        text = "".join(
+            [frame.kind, frame.src, frame.dst, "%d" % frame.req_id, *fields, *fields.values()]
+        )
+    except TypeError:
+        raise _non_str_error(frame) from None
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _surrogate_error(frame) from None
 
 
 def _escaped_body(frame: Frame) -> str:
@@ -197,6 +227,18 @@ def _non_str_error(frame: Frame) -> WireError:
     return WireError(f"request id {frame.req_id!r} is not a number")
 
 
+def _surrogate_error(frame: Frame) -> WireError:
+    """The error for a frame whose text does not encode as UTF-8: it names
+    the first key or value that holds a lone surrogate."""
+    head = (("kind", frame.kind), ("src", frame.src), ("dst", frame.dst))
+    for key, value in (*head, *frame.fields.items()):
+        try:
+            (key + value).encode("utf-8")
+        except UnicodeEncodeError:
+            break
+    return WireError(f"frame field {key!r} holds a lone surrogate")
+
+
 def decode_frame(data: bytes) -> Frame:
     """Inverse of :func:`encode_frame`; raises :class:`WireError` on damage."""
     head, sep, body = data.partition(b":")
@@ -221,10 +263,17 @@ def decode_frame(data: bytes) -> Frame:
             pairs[_unescape(key)] = _unescape(value)
     try:
         kind, src, dst = pairs.pop("kind"), pairs.pop("src"), pairs.pop("dst")
-        req_id = int(pairs.pop("req"))
-        is_response = pairs.pop("resp") == "1"
+        req, resp = pairs.pop("req"), pairs.pop("resp")
     except KeyError as exc:
         raise WireError(f"missing frame header field {exc}") from exc
-    except ValueError as exc:
-        raise WireError("non-integer request id") from exc
-    return Frame(kind, src, dst, req_id, is_response, pairs)
+    # Only the text encode_frame writes: int() alone would also take other
+    # digits, spaces, underscores, a sign and leading zeros.
+    try:
+        req_id = int(req)
+    except ValueError:
+        req_id = None
+    if req_id is None or "%d" % req_id != req:
+        raise WireError(f"request id {req!r} is not a decimal integer")
+    if resp != "0" and resp != "1":
+        raise WireError(f"resp flag {resp!r} is not 0 or 1")
+    return Frame(kind, src, dst, req_id, resp == "1", pairs)

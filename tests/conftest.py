@@ -31,7 +31,7 @@ def popped_frames(monkeypatch):
 
     def recording_step(net):
         if net._queue:
-            at, _, _, frame = net._queue[0]
+            at, _, frame = net._queue[0]
             popped.append(PoppedFrame(max(at, net.clock), frame))
         return step(net)
 

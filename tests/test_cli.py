@@ -454,6 +454,41 @@ def test_every_line_of_a_multi_line_record_argument_is_provisioned(capsys, tmp_p
                          "--state-dir", str(state))
     assert (code, out, err) == (0, "tel:+13154434473\n", "")
 
+def dir_bytes(path):
+    return {child.name: child.read_bytes() for child in sorted(path.iterdir())}
+
+
+def test_a_non_utf8_text_argument_exits_2_before_the_state_is_touched(capsys, tmp_path):
+    state = tmp_path / "state"
+    run(capsys, "provision", "+1-315-443-4473",
+        "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+    before = dir_bytes(state)
+    record = SIP_RECORD.encode().replace(b"alice@", b"al\xffice@")
+    for argv in (
+        [b"provision", b"+1-315-443-4473", b"--actor", b"al\xffice", b"--record", record],
+        [b"provision", b"+1-315-443-4473", b"--actor", b"alice", b"--record", record],
+        [b"transfer", b"+1-315-443-4473\xff", b"--user", b"alice", b"--to", b"reg2"],
+        [b"resolve", b"+1-315-443-4473", b"--service", b"E2U+\xfe"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "enumstack", *argv, b"--state-dir", bytes(state)],
+            env=package_env(), capture_output=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"BadArgument: argument ")
+        assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+        assert dir_bytes(state) == before
+    # A path argument is handed to the OS as the bytes it was given.
+    odd = bytes(tmp_path) + b"/st\xffate"
+    done = subprocess.run(
+        [sys.executable, "-m", "enumstack", b"provision", b"+1-315-443-4473", b"--actor",
+         b"alice", b"--record", SIP_RECORD.encode(), b"--state-dir", odd],
+        env=package_env(), capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert dir_bytes(Path(os.fsdecode(odd))) == before
+
+
 # Holds the lock on a state directory until killed.
 LOCK_HOLDER = """
 import sys, time

@@ -6,6 +6,7 @@ from pathlib import Path
 import enumstack
 import enumstack.cli
 from enumstack import simulator
+from enumstack.wire import encode_frame
 
 from test_scenarios import GOLDEN, GOLDEN_INVARIANTS, GOLDEN_WIRE
 
@@ -24,7 +25,7 @@ def test_one_replay_line_carries_the_golden_digests(monkeypatch):
     assert set(tool.pinned_scripts()) == set(tool.EXTRA_SCRIPTS)
     # The recorder replaces Network.step; monkeypatch puts it back.
     monkeypatch.setattr(simulator.Network, "step", simulator.Network.step)
-    wire = tool.WireRecorder(simulator)
+    wire = tool.WireRecorder(simulator, encode_frame)
     line = tool.replay(enumstack, wire, 1, 0, "canonical", "")
     fields = dict(part.split("=", 1) for part in line.split(" "))
     assert (fields["model"], fields["seed"], fields["script"]) == ("1", "0", "canonical")

@@ -169,7 +169,7 @@ def assert_draws_equal_randint(lo, hi):
         for _ in range(40):
             net.send(Frame(kind="GET", src="x", dst="a", req_id=net.next_req_id()))
         # the clock is 0, so each queued tick is the send's delay
-        delays = [tick for tick, _, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
+        delays = [tick for tick, _, _ in sorted(net._queue, key=lambda entry: entry[1])]
         ref = random.Random(seed)
         assert delays == [ref.randint(lo, hi) for _ in range(40)]
         # and the generator is left where randint leaves it
@@ -240,19 +240,27 @@ def test_counts_sum_to_frames_popped(popped_frames):
 @pytest.mark.parametrize("script", ["canonical", "transfer faults"])
 @pytest.mark.parametrize("model", sorted(MODEL_GRID))
 def test_every_popped_frame_equals_the_decode_of_its_queued_bytes(model, script, monkeypatch):
-    # The network delivers the frame it queued and never decodes; the
-    # bytes beside it must still decode to that frame, at the pop.
-    popped, mismatched = [], []
-    step = Network.step
+    # The network queues the frame, not its bytes. The bytes the frame
+    # encoded to when it was queued must still decode to the frame at the
+    # pop, and the frame must still encode to them: nothing changes a
+    # frame between its send and its delivery.
+    sent, popped, mismatched = {}, [], []
+    send, step = Network.send, Network.step
+
+    def recording_send(net, frame):
+        send(net, frame)
+        sent[net._seq] = encode_frame(frame)
 
     def checking_step(net):
         if net._queue:
-            _, _, data, frame = net._queue[0]
+            _, seq, frame = net._queue[0]
+            data = sent.pop(seq)
             popped.append(data)
-            if decode_frame(data) != frame:
+            if decode_frame(data) != frame or encode_frame(frame) != data:
                 mismatched.append((data, frame))
         return step(net)
 
+    monkeypatch.setattr(Network, "send", recording_send)
     monkeypatch.setattr(Network, "step", checking_step)
     topology = build_topology(builtin_config(model), seed=0)
     extra = TRANSFER_FAULT_EVENTS if script == "transfer faults" else ""

@@ -1,10 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumstack import wire
 from enumstack.errors import WireError
-from enumstack.wire import Frame, decode_frame, encode_frame
+from enumstack.simulator import Network
+from enumstack.wire import Frame, check_frame, decode_frame, encode_frame
 
 
 def test_roundtrip_basic():
@@ -76,12 +79,101 @@ def test_non_str_key_or_value_is_a_wire_error_naming_the_field():
         (Frame(kind="GET", src="a", dst="b", req_id=1, fields={"x": "a;b", 7: "c"}), "7"),
         (Frame(kind="GET", src=None, dst="b", req_id=1), "'src'"),
     ):
-        with pytest.raises(WireError, match=f"^frame field {name} must map str to str"):
+        message = f"^frame field {name} must map str to str"
+        with pytest.raises(WireError, match=message):
             encode_frame(frame)
+        # The network queues no bytes, and still refuses the frame at the post.
+        net = Network()
+        with pytest.raises(WireError, match=message):
+            net.post(frame.src, frame.dst, frame.kind, frame.fields)
+        assert net.pending() == 0
+
+
+def test_a_lone_surrogate_is_a_wire_error_naming_the_field():
+    for frame, name in (
+        (Frame(kind="GET", src="a", dst="b", req_id=1, fields={"record": "sip:\udcff@x"}),
+         "'record'"),
+        (Frame(kind="GET", src="a", dst="b", req_id=1, fields={"n": "é", "al\udcffice": "1"}),
+         "'al\\udcffice'"),
+        (Frame(kind="GET", src="client:al\udcffice", dst="b", req_id=1), "'src'"),
+    ):
+        message = f"^{re.escape(f'frame field {name} holds a lone surrogate')}$"
+        with pytest.raises(WireError, match=message):
+            encode_frame(frame)
+        with pytest.raises(WireError, match=message):
+            check_frame(frame)
+        net = Network()
+        with pytest.raises(WireError, match=message):
+            net.post(frame.src, frame.dst, frame.kind, frame.fields)
+        assert net.pending() == 0
+
+
+def refusal(call, frame):
+    """The message of the WireError *call* raises for *frame*, or None."""
+    try:
+        call(frame)
+    except WireError as exc:
+        return str(exc)
+    return None
+
+
+lone_surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+wire_items = (
+    st.text(max_size=6)
+    | st.builds("".join, st.lists(st.sampled_from(["a", "é", "="]) | lone_surrogates,
+                                  min_size=1, max_size=4))
+    | st.integers()
+    | st.none()
+)
+
+
+@settings(max_examples=300)
+@given(
+    src=wire_items,
+    req_id=st.integers() | st.none() | st.just("7"),
+    fields=st.dictionaries(
+        wire_items.filter(lambda k: k not in ("kind", "src", "dst", "req", "resp")),
+        wire_items, max_size=4,
+    ),
+)
+def test_the_send_refuses_exactly_what_encode_frame_refuses(src, req_id, fields):
+    frame = Frame("GET", src, "b", req_id, False, fields)
+    expected = refusal(encode_frame, frame)
+    assert refusal(check_frame, frame) == expected
+    net = Network()
+    assert refusal(net.send, frame) == expected
+    assert net.pending() == (expected is None)
 
 
 def frame_bytes(body):
     return str(len(body.encode())).encode() + b":" + body.encode()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("kind=GET;src=a;dst=b;req=٣;resp=0", "request id '٣' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req= 7;resp=0", "request id ' 7' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=1_0;resp=0", "request id '1_0' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=+5;resp=0", "request id '+5' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=07;resp=0", "request id '07' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=-0;resp=0", "request id '-0' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=;resp=0", "request id '' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=x;resp=0", "request id 'x' is not a decimal integer"),
+        ("kind=GET;src=a;dst=b;req=1;resp=2", "resp flag '2' is not 0 or 1"),
+        ("kind=GET;src=a;dst=b;req=1;resp=", "resp flag '' is not 0 or 1"),
+        ("kind=GET;src=a;dst=b;req=1;resp=01", "resp flag '01' is not 0 or 1"),
+    ],
+)
+def test_decode_takes_only_the_header_text_encode_writes(body, message):
+    with pytest.raises(WireError, match=f"^{re.escape(message)}$"):
+        decode_frame(frame_bytes(body))
+
+
+def test_decode_takes_a_negative_request_id_as_encode_writes_it():
+    frame = Frame(kind="GET", src="a", dst="b", req_id=-5, is_response=True)
+    assert encode_frame(frame) == frame_bytes("kind=GET;src=a;dst=b;req=-5;resp=1")
+    assert decode_frame(encode_frame(frame)) == frame
 
 
 def test_malformed_chunk_named():

@@ -6,8 +6,8 @@ Runs the package found under ``<repo>/src`` and prints, for models 1-6,
 seeds 0-9 and each script (the canonical script alone, and followed by
 each extra script pinned in this checkout's ``tests/test_scenarios.py``),
 one line with the sha256 of the log bytes, ``state_hash()``, the sha256 of
-the invariant report, the final clock and the sha256 of every frame's
-bytes as the network popped it. Two small model-6 churn runs from
+the invariant report, the final clock and the sha256 of the wire bytes
+of every frame the network popped, in pop order. Two small model-6 churn runs from
 ``<repo>/bench/inputs.py`` follow. Last, the ``cli_state`` mix of
 command-line calls runs through ``enumstack.cli.main`` on a model-4 state
 directory holding the demo's two numbers and STATE_NUMBERS more, with one
@@ -86,19 +86,22 @@ def sha(data: bytes) -> str:
 class WireRecorder:
     """Hashes the bytes of every frame any ``Network`` pops.
 
-    It wraps ``Network.step`` and reads the encoded frame at the head of the
-    queue, the entry the step pops. The bytes are the third item of a queue
-    entry also in checkouts whose network decodes them on delivery, so one
-    recorder serves both commits of a comparison.
+    It wraps ``Network.step`` and reads the head of the queue, the entry
+    the step pops. Where a checkout's queue entry holds the frame's bytes
+    as its third item, those are hashed; where it holds only the frame (its
+    last item), *encode_frame* of the frame is. Both are the bytes the
+    frame was sent as, so one recorder serves both commits of a comparison.
     """
 
-    def __init__(self, simulator) -> None:
+    def __init__(self, simulator, encode_frame) -> None:
         self.digest = hashlib.sha256()
         step = simulator.Network.step
 
         def recording_step(net):
             if net._queue:
-                self.digest.update(net._queue[0][2])
+                entry = net._queue[0]
+                data = entry[2]
+                self.digest.update(data if isinstance(data, bytes) else encode_frame(entry[-1]))
             return step(net)
 
         simulator.Network.step = recording_step
@@ -214,9 +217,10 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     import enumstack as es
     from enumstack import cli, simulator
+    from enumstack.wire import encode_frame
     import inputs
 
-    wire = WireRecorder(simulator)
+    wire = WireRecorder(simulator, encode_frame)
     scripts = {"canonical": "", **pinned_scripts()}
     for model in MODELS:
         for seed in SEEDS:
