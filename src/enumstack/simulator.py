@@ -6,7 +6,8 @@ send draws a delay of :data:`MIN_DELAY` to :data:`MAX_DELAY` (1 to 4)
 ticks from the run's RNG, and ties break on a monotone sequence number,
 so identical (seed, inputs) replay identical schedules byte for byte.
 
-A send runs :func:`~enumstack.wire.check_frame` at once, so every
+A send runs :func:`~enumstack.wire.check_frame`, the check that
+:func:`~enumstack.wire.encode_frame` runs, so every
 :class:`~enumstack.errors.WireError` that encoding the frame would raise is
 raised there, but it builds no bytes: the queue holds the frame itself,
 which the send takes ownership of and a delivery hands over, and nothing is

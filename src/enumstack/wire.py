@@ -5,27 +5,19 @@ length-prefixed UTF-8 text record: ``<decimal byte length>:<body>`` where
 the body is ``key=value`` pairs separated by ``;``. Keys and values are
 percent-escaped so records, URIs and free text pass through unharmed:
 ``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
-``%3D``, ``%0A`` and ``%0D``. Escaping replaces each character on its
-own, so :func:`encode_frame` escapes a frame once, not each value: when
-the unescaped body holds one ``=`` per pair and one ``;`` between pairs,
-every ``=`` and ``;`` in it is structural, and one pass over the body
-escapes its ``%`` (first), newlines and carriage returns. A reply with
-two or more records, separated by newlines, takes that pass. Only a body
-with ``=`` or ``;`` inside a key or value is written again with each key
-and value escaped in turn, the one slow path. A key or value that is not
-a ``str`` fails the join, and one holding a lone surrogate fails the UTF-8
-encoding; each is refused as a :class:`WireError` naming the field.
+``%3D``, ``%0A`` and ``%0D``; each key and value is escaped on its own.
+A key or value that is not a ``str``, or one holding a lone surrogate, is
+refused as a :class:`WireError` naming the field.
 
 A :class:`Frame` is a slotted :class:`~enumstack._record.Record`,
 compared and printed by its field values. Callers treat it as immutable.
 Building one checks that no field uses a header key.
 
 The simulator queues and delivers the frame it is sent, never its bytes:
-a send runs :func:`check_frame`, which refuses exactly the frames
-:func:`encode_frame` refuses, with the same :class:`WireError`, without
-building the body. Bytes are made only where they are read, by calling
-:func:`encode_frame` there. ``Network.post`` makes the one copy of a
-request's fields, and each reply method builds a fresh dict.
+a send runs :func:`check_frame`, the check :func:`encode_frame` runs
+before it builds a body. Bytes are built only where they are read, by
+calling :func:`encode_frame` there. ``Network.post`` makes the one copy
+of a request's fields, and each reply method builds a fresh dict.
 :func:`decode_frame` is the format's strict inverse,
 ``decode_frame(encode_frame(f)) == f``, for whatever reads frames back from
 bytes: it refuses a request id that is not the ``%d`` form of an integer
@@ -151,41 +143,27 @@ class Frame(Record):
 def encode_frame(frame: Frame) -> bytes:
     """The length-prefixed bytes of *frame*; see the module docstring.
 
-    Raises :class:`WireError` when a key or value is not a ``str`` or holds
-    a lone surrogate, or when the request id is not a number.
+    Raises the :class:`WireError` of :func:`check_frame`.
     """
-    fields = frame.fields
-    try:
-        body = ";".join([
-            "kind=" + frame.kind,
-            "src=" + frame.src,
-            "dst=" + frame.dst,
-            "req=%d" % frame.req_id,
-            "resp=1" if frame.is_response else "resp=0",
-            *map("=".join, fields.items()),
-        ])
-    except TypeError:
-        raise _non_str_error(frame) from None
-    # When every "=" and ";" in the body is structural, escaping each key
-    # and value is escaping the body's "%", "\n" and "\r" in one pass.
-    n = len(fields)
-    if body.count("=") != n + 5 or body.count(";") != n + 4:
-        body = _escaped_body(frame)
-    elif "%" in body or "\n" in body or "\r" in body:
-        body = body.replace("%", "%25").replace("\n", "%0A").replace("\r", "%0D")
-    try:
-        data = body.encode("utf-8")
-    except UnicodeEncodeError:
-        raise _surrogate_error(frame) from None
-    return b"%d:%s" % (len(data), data)
+    check_frame(frame)
+    body = ";".join([
+        "kind=" + _escape(frame.kind),
+        "src=" + _escape(frame.src),
+        "dst=" + _escape(frame.dst),
+        "req=%d" % frame.req_id,
+        "resp=1" if frame.is_response else "resp=0",
+        *[_escape(key) + "=" + _escape(value) for key, value in frame.fields.items()],
+    ]).encode("utf-8")
+    return b"%d:%s" % (len(body), body)
 
 
 def check_frame(frame: Frame) -> None:
-    """Raise the :class:`WireError` that :func:`encode_frame` would raise
-    for *frame*, without building its bytes.
+    """Raise :class:`WireError` when a key or value of *frame* is not a
+    ``str`` or holds a lone surrogate, or when its request id is not a
+    number: the check :func:`encode_frame` runs, without building bytes.
 
     Escaping neither adds nor removes a character that fails the join or
-    the encoding, so one join of the unescaped text makes the same test.
+    the encoding, so one join of the unescaped text tests the body.
     """
     fields = frame.fields
     try:
@@ -201,22 +179,9 @@ def check_frame(frame: Frame) -> None:
             raise _surrogate_error(frame) from None
 
 
-def _escaped_body(frame: Frame) -> str:
-    """The body with each key and value escaped in turn: the path
-    :func:`encode_frame` takes when a key or value holds ``=`` or ``;``."""
-    return ";".join([
-        "kind=" + _escape(frame.kind),
-        "src=" + _escape(frame.src),
-        "dst=" + _escape(frame.dst),
-        "req=%d" % frame.req_id,
-        "resp=1" if frame.is_response else "resp=0",
-        *[_escape(key) + "=" + _escape(value) for key, value in frame.fields.items()],
-    ])
-
-
 def _non_str_error(frame: Frame) -> WireError:
-    """The error for a frame that :func:`encode_frame` could not join:
-    it names the first key or value that is not a ``str``."""
+    """The error for a frame whose text does not join: it names the first
+    key or value that is not a ``str``."""
     head = (("kind", frame.kind), ("src", frame.src), ("dst", frame.dst))
     for key, value in (*head, *frame.fields.items()):
         if not (isinstance(key, str) and isinstance(value, str)):
