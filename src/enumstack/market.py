@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -150,6 +151,8 @@ def _read_rows(path: Path) -> tuple[dict[str, dict[int, float]], dict[str, str]]
             value = float(value_text)
         except ValueError as exc:
             raise MarketError(f"{source}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise MarketError(f"{source}:{lineno}: value {value_text!r} is not finite")
         rows.setdefault(metric, {})[year] = value
         units.setdefault(metric, unit)
     return rows, units

@@ -103,11 +103,11 @@ def _check_storable(**names: str) -> None:
 class AuthorizationGrant(HashedRecord):
     """A user-issued right for a party to touch records in some service scope."""
 
-    __slots__ = ("grant_id", "grantor", "grantee", "rights", "scope", "number")
+    __slots__ = ("grant_id", "grantor", "grantee", "rights", "scope")
 
     def __init__(
         self, grant_id: str, grantor: str, grantee: str, rights: frozenset[str],
-        scope: ServiceSelector, number: str,
+        scope: ServiceSelector,
     ) -> None:
         if not rights or not rights <= ALL_RIGHTS:
             raise RegistrarError(f"bad rights {set(rights)!r}")
@@ -116,7 +116,6 @@ class AuthorizationGrant(HashedRecord):
         self.grantee = grantee
         self.rights = rights
         self.scope = scope
-        self.number = number
 
     def covers(self, service: str, needed: frozenset[str]) -> bool:
         return bool(self.rights & needed) and self.scope.matches(service)
@@ -380,7 +379,7 @@ class RegistrarActor:
         self.kind = kind
         self.home_registry = home_registry
         self.directory = directory
-        self.network_related = network_related
+        self.network_related = frozenset(s.lower() for s in network_related)
         self.accredited = accredited
         self.store = RecordStore()
         self.grants: MutableMapping[str, list[AuthorizationGrant]] = {}
@@ -415,14 +414,15 @@ class RegistrarActor:
     ) -> bool:
         """Whether *actor* holds one of the *needed* rights over *service*:
         the subscriber and this registrar hold all, in the TSP models the
-        number's TSP may write network-related services, others need a grant."""
+        number's TSP may write network-related services, whatever the case
+        of their name, and others need a grant."""
         if actor == sub.user or actor == self.actor_id:
             return True
         if (
             PROVISION_RIGHT in needed
             and self.kind is Role.TSP
             and actor == sub.tsp
-            and service in self.network_related
+            and service.lower() in self.network_related
         ):
             return True
         return any(
@@ -564,7 +564,6 @@ class RegistrarActor:
             grantee=grantee,
             rights=frozenset(rights),
             scope=scope,
-            number=number,
         )
         self.grants.setdefault(number, []).append(grant)
         return grant

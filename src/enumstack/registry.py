@@ -70,17 +70,15 @@ class Delegation(Record):
     values and so unhashable.
     """
 
-    __slots__ = ("number", "registrar", "owning_registry", "serial", "updated_at")
+    __slots__ = ("number", "registrar", "owning_registry", "serial")
 
     def __init__(
-        self, number: str, registrar: RegistrarId, owning_registry: RegistryId, serial: int,
-        updated_at: int = 0,
+        self, number: str, registrar: RegistrarId, owning_registry: RegistryId, serial: int
     ) -> None:
         self.number = number
         self.registrar = registrar
         self.owning_registry = owning_registry
         self.serial = serial
-        self.updated_at = updated_at
 
 
 class PeerUpdate:
@@ -162,11 +160,9 @@ class RegistryState:
             self.tombstones.pop(number, None)
         observed.append(delegation.serial)
 
-    def _publish(
-        self, number: str, registrar: RegistrarId, serial: int, now: int, kind: str
-    ) -> Delegation:
+    def _publish(self, number: str, registrar: RegistrarId, serial: int, kind: str) -> Delegation:
         """Apply an owned change and queue it for the peers."""
-        delegation = Delegation(number, registrar, self.id, serial, now)
+        delegation = Delegation(number, registrar, self.id, serial)
         self._apply(delegation, kind)
         self.outbox.append(PeerUpdate(delegation, kind))
         return delegation
@@ -196,7 +192,6 @@ class RegistryState:
         number: str,
         registrar: RegistrarId,
         payer: RegistrarId,
-        now: int = 0,
         cause: str = "",
     ) -> Delegation:
         """Create or replace a delegation; bills one flat fee per call."""
@@ -211,7 +206,7 @@ class RegistryState:
             )
         self.billing_ledger.append(BillingEntry(payer, self.flat_fee, number, cause))
         return self._publish(
-            number, registrar, self._local_serial(number) + 1, now,
+            number, registrar, self._local_serial(number) + 1,
             CREATED if existing is None else CHANGED,
         )
 
@@ -228,7 +223,6 @@ class RegistryState:
         new_registrar: RegistrarId,
         old_registrar: RegistrarId,
         payer: RegistrarId | None = None,
-        now: int = 0,
         cause: str = "",
         billed: bool = True,
     ) -> Delegation:
@@ -246,14 +240,12 @@ class RegistryState:
             self.billing_ledger.append(
                 BillingEntry(payer or new_registrar, self.flat_fee, number, cause)
             )
-        return self._publish(number, new_registrar, existing.serial + 1, now, CHANGED)
+        return self._publish(number, new_registrar, existing.serial + 1, CHANGED)
 
-    def remove_delegation(
-        self, number: str, registrar: RegistrarId, now: int = 0
-    ) -> Delegation:
+    def remove_delegation(self, number: str, registrar: RegistrarId) -> Delegation:
         """Withdraw a delegation (disconnect); not billed."""
         existing = self._owned(number, registrar)
-        return self._publish(number, registrar, existing.serial + 1, now, REMOVED)
+        return self._publish(number, registrar, existing.serial + 1, REMOVED)
 
     def peer_sync(self, updates: list[PeerUpdate]) -> int:
         """Apply peer updates whose serial beats the local replica's.
@@ -310,7 +302,6 @@ class RegistryActor:
                 "registrar": delegation.registrar,
                 "owner": delegation.owning_registry,
                 "serial": str(delegation.serial),
-                "updated": str(delegation.updated_at),
                 "update_kind": update.kind,
             }
             for peer in self.state.peers:
@@ -337,11 +328,9 @@ class RegistryActor:
         if frame.kind == PEER_UPDATE:
             try:
                 serial = int(frame.get("serial", "0"))
-                updated_at = int(frame.get("updated", "0"))
             except ValueError:
                 raise WireError(
-                    f"{PEER_UPDATE} serial {frame.get('serial')!r} or updated"
-                    f" {frame.get('updated')!r} is not an integer"
+                    f"{PEER_UPDATE} serial {frame.get('serial')!r} is not an integer"
                 ) from None
             update = PeerUpdate(
                 delegation=Delegation(
@@ -349,20 +338,18 @@ class RegistryActor:
                     registrar=frame.get("registrar"),
                     owning_registry=frame.get("owner"),
                     serial=serial,
-                    updated_at=updated_at,
                 ),
                 kind=frame.get("update_kind", CHANGED),
             )
             applied = state.peer_sync([update])
             return frame.ok_reply(applied=str(applied))
         if frame.kind == REGISTER and frame.get("op") == "remove":
-            delegation = state.remove_delegation(number, frame.get("registrar"), now=net.clock)
+            delegation = state.remove_delegation(number, frame.get("registrar"))
         elif frame.kind == REGISTER:
             delegation = state.register_delegation(
                 number,
                 frame.get("registrar"),
                 frame.get("payer") or frame.get("registrar"),
-                now=net.clock,
                 cause=frame.get("event"),
             )
         elif frame.kind == CHANGE:
@@ -371,7 +358,6 @@ class RegistryActor:
                 frame.get("new"),
                 frame.get("old"),
                 payer=frame.get("payer") or frame.get("new"),
-                now=net.clock,
                 cause=frame.get("event"),
                 billed=frame.get("rollback") != "1",
             )

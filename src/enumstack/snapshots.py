@@ -576,7 +576,7 @@ def _earlier_delegation(path: Path, text: str, line: str) -> Delegation:
         raise SnapshotError(str(path), text.split("\n").index(line) + 1, str(exc)) from None
 
 
-def _parse_grant(rest: str, number: str) -> AuthorizationGrant:
+def _parse_grant(rest: str) -> AuthorizationGrant:
     """The grant of a ``grant|`` line's *rest*; ValueError or RegistrarError
     (rights empty or unknown) when it is not one."""
     parts = rest.split("|")
@@ -589,7 +589,6 @@ def _parse_grant(rest: str, number: str) -> AuthorizationGrant:
         grantee=grantee,
         rights=frozenset(r for r in rights.split(",") if r),
         scope=ServiceSelector(scope),
-        number=number,
     )
 
 
@@ -642,7 +641,7 @@ def _load_registrar(
             elif number is None:
                 raise ValueError(f"{tag} before number line")
             elif tag == "grant":
-                grant = _parse_grant(rest, number)
+                grant = _parse_grant(rest)
                 grants.setdefault(number, []).append(grant)
                 grant_n = max(grant_n, _grant_number(grant))
             else:

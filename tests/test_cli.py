@@ -192,6 +192,16 @@ class TestMarket:
         )
         assert code == 2
 
+    def test_non_finite_market_value_exit_2(self, capsys, tmp_path):
+        fixtures = tmp_path / "market"
+        shutil.copytree(str(resource_files("enumstack").joinpath("fixtures/market")), fixtures)
+        with open(fixtures / "ip_telephony.csv", "a", encoding="utf-8") as handle:
+            handle.write("internet_users_world,thousands,2003,nan\n")
+        code, out, err = run(capsys, "market", "report", "--fixtures", str(fixtures))
+        assert code == 2 and out == ""
+        assert err.startswith("MarketError: ") and "value 'nan' is not finite" in err
+        assert err.count("\n") == 1
+
     # sha256 of the whole report on the shipped fixtures.
     @pytest.mark.parametrize("fmt, digest", [
         ("text", "72b8bdaf3c8225527b47bd8be0aa3cb6d91b222c99a2b23082c6e60e4694229d"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from importlib.resources import files as resource_files
 
@@ -148,6 +150,16 @@ class TestTableValidation:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"metric,unit,year,value\nm,\xff,2000,1\n")
         with pytest.raises(MarketError, match="not UTF-8"):
+            loader(path)
+
+
+    @pytest.mark.parametrize("loader", [load_market_table, load_potential_fixture])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_rejected(self, loader, text, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"metric,unit,year,value\nm,u,2000,1\nm,u,2001,{text}\n")
+        message = f"^{re.escape(f'{path}:3: value {text!r} is not finite')}$"
+        with pytest.raises(MarketError, match=message):
             loader(path)
 
 

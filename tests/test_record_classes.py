@@ -63,7 +63,7 @@ CASES = {
     ServiceSelector: ({}, {"service": "*"}),
     Delegation: (
         {"number": "13154434473", "registrar": "reg1", "owning_registry": "R1", "serial": 3},
-        {"updated_at": 0},
+        {},
     ),
     Tier0Table: ({"entries": {"1": ("R1",)}}, {}),
     PeerUpdate: ({"delegation": DELEGATION, "kind": "created"}, {}),
@@ -77,7 +77,6 @@ CASES = {
         {
             "grant_id": "g1", "grantor": "alice", "grantee": "asp1",
             "rights": frozenset({"provision"}), "scope": ServiceSelector("E2U+sip"),
-            "number": "13154434473",
         },
         {},
     ),
@@ -162,7 +161,7 @@ UNEQUAL = {
     EnumDomain: {"apex": ApexConfig("enum.example")},
     NaptrRecord: {"visibility": Visibility.RESTRICTED},
     ServiceSelector: {"service": "E2U+tel"},
-    Delegation: {"updated_at": 1},
+    Delegation: {"serial": 4},
     AuthorizationGrant: {"scope": ServiceSelector("*")},
     Subscription: {"enum_active": True},
     Frame: {"fields": {"status": "ok"}},

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumstack.audit import assert_invariants
 from enumstack.errors import (
     AccessDenied,
     AlreadyComplete,
@@ -27,6 +28,7 @@ from enumstack.registrar import (
     parse_store_lines,
 )
 from enumstack.registry import RegistryActor, RegistryState
+from enumstack.scenarios import build_topology, builtin_config, canonical_events, run_events
 from enumstack.simulator import DROPPED, Network
 from enumstack.wire import GET, MIGRATE_REQ, TRANSFER_INIT
 
@@ -152,6 +154,26 @@ class TestProvision:
         rig.subscribe()
         result = rig.provision(SIP, actor="tspA")  # E2U+sip is network-related
         assert len(result) == 1
+
+    def test_tsp_implicit_grant_ignores_service_case(self):
+        # NaptrRecord.merge_key and ServiceSelector ignore case, so the
+        # merge takes "e2u+SIP" for the network-related E2U+sip.
+        rig = Rig(kind=Role.TSP)
+        rig.subscribe()
+        rig.provision(SIP, actor="tspA")
+        result = rig.provision(SIP.replace("E2U+sip", "e2u+SIP"), actor="tspA")
+        assert [record.service for record in result] == ["e2u+SIP"]
+        with pytest.raises(AccessDenied):
+            rig.provision(MAILTO.replace("E2U+mailto", "e2u+MAILTO"), actor="tspA")
+
+    def test_tsp_write_of_a_differently_cased_service_keeps_access_soundness_green(self):
+        topology = build_topology(builtin_config(1), seed=0)
+        log = run_events(topology, canonical_events() + (
+            "step provision number=+13154434473 actor=tsp1"
+            ' record=300 10 "u" "e2u+SIP" "!^.*$!sip:tsp@example.com!" .\n'
+        ))
+        assert log.records[-1].status == "ok", log.records[-1].render()
+        assert assert_invariants(topology).result("access_soundness").passed
 
     def test_tsp_implicit_grant_limited_to_network_services(self):
         rig = Rig(kind=Role.TSP)

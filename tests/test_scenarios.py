@@ -637,9 +637,9 @@ GOLDEN_WIRE = {
     1: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
     2: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
     3: "4214ed55733e5447bfc1034cd4cb6ad121d622a30716b1f028ee3b37f987f3d0",
-    4: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
-    5: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
-    6: "347a526ed72d2bdadd538e2a2c14435afd870d1d97603338c4f7c842239d9fc8",
+    4: "51458bef0a55ad96f5c30ea3337b3dcd20c95df11048ed6f410ff3a75a4f580f",
+    5: "51458bef0a55ad96f5c30ea3337b3dcd20c95df11048ed6f410ff3a75a4f580f",
+    6: "51458bef0a55ad96f5c30ea3337b3dcd20c95df11048ed6f410ff3a75a4f580f",
 }
 
 
@@ -775,7 +775,7 @@ REPLICATION_EVENTS = (
 _REPLICATION_DIGESTS = (
     "6a9972e09b78db06f52c4af1042636807264778ca843d5c3403d3019e3bbba0f",
     "51485d6e7eab2c285588b6f4ac9acb746d70c135ca97fa6a4495039446abf367",
-    "b17e2dc5a115765c31ad67acd9c907d0df11f9efc4df73c5a371508411f58965",
+    "b2823d7f5f9ed2d063b1c26b6fdc0a9933a597881d5adde2a0546617c3547a6a",
 )
 GOLDEN_REPLICATION = {4: _REPLICATION_DIGESTS, 5: _REPLICATION_DIGESTS, 6: _REPLICATION_DIGESTS}
 

@@ -736,7 +736,7 @@ def line_by_line_load(path, text):
             if current is None:
                 raise SnapshotError(str(path), lineno, "grant before number line")
             try:
-                grant = _parse_grant(rest, current)
+                grant = _parse_grant(rest)
             except (ValueError, RegistrarError) as exc:
                 raise SnapshotError(str(path), lineno, str(exc)) from exc
             grants.setdefault(current, []).append(grant)
