@@ -14,6 +14,7 @@ functions.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 
 from ._record import HashedRecord
 from .errors import (
@@ -113,6 +114,16 @@ class EnumDomain(HashedRecord):
         return self.render()
 
 
+def longest_prefix(digits: str, prefixes: Container[str]) -> str | None:
+    """The longest of the first 3, 2 or 1 characters of *digits* that is in
+    *prefixes*, or None."""
+    for width in (3, 2, 1):
+        prefix = digits[:width]
+        if prefix in prefixes:
+            return prefix
+    return None
+
+
 def _split_country_code(digits: str) -> str:
     """Longest-prefix country code, falling back to the first digit.
 
@@ -120,11 +131,7 @@ def _split_country_code(digits: str) -> str:
     table still round-trips, and strict resolution is available through
     :func:`country_code_of`.
     """
-    for width in (3, 2, 1):
-        prefix = digits[:width]
-        if prefix in DEFAULT_CC_TABLE:
-            return prefix
-    return digits[:1]
+    return longest_prefix(digits, DEFAULT_CC_TABLE) or digits[:1]
 
 
 def parse_number(raw: str, default_country_code: str | None = None) -> E164Number:
@@ -205,10 +212,8 @@ def country_code_of(
     Unlike parsing, this is strict: if no table entry matches, the number
     cannot be routed and :class:`UnknownCountryCode` is raised.
     """
-    prefixes = DEFAULT_CC_TABLE if table is None else tuple(table)
     digits = number.full_digits
-    for width in (3, 2, 1):
-        prefix = digits[:width]
-        if prefix in prefixes:
-            return prefix
-    raise UnknownCountryCode(f"no prefix entry matches {digits!r}")
+    prefix = longest_prefix(digits, DEFAULT_CC_TABLE if table is None else tuple(table))
+    if prefix is None:
+        raise UnknownCountryCode(f"no prefix entry matches {digits!r}")
+    return prefix

@@ -189,7 +189,7 @@ class TransferRecord:
 
     __slots__ = (
         "transfer_id", "number", "from_registrar", "to_registrar", "user", "migrated",
-        "warnings", "history",
+        "warnings", "history", "registry",
     )
 
     def __init__(
@@ -203,6 +203,7 @@ class TransferRecord:
         self.migrated: tuple[NaptrRecord, ...] | None = None  # until MIGRATE_REQ is answered
         self.warnings: list[str] = []
         self.history = [TransferState.REQUESTED]
+        self.registry = ""  # the registry that answered the CHANGE, from RegistryUpdated on
 
     @property
     def state(self) -> TransferState:
@@ -679,6 +680,7 @@ class RegistrarActor:
             self._merge(record.number, record.migrated or ())
             self.grants.pop(record.number, None)
             self.directory.subscription(record.number).serving_registrar = self.actor_id
+            record.registry = resp.src
             record._advance(TransferState.REGISTRY_UPDATED)
             return record
 

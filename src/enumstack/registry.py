@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import MutableMapping
 
 from ._record import Record
+from .e164 import longest_prefix
 from .errors import (
     NoDelegation,
     NotAuthoritative,
@@ -54,11 +55,10 @@ class Tier0Table:
 
 def tier0_discover(cc: str, table: Tier0Table) -> list[RegistryId]:
     """Registries for the longest prefix of *cc* present in the table."""
-    for width in range(min(len(cc), 3), 0, -1):
-        hit = table.entries.get(cc[:width])
-        if hit:
-            return list(hit)
-    raise UnknownCountryCode(f"no tier-0 entry for country code {cc!r}")
+    prefix = longest_prefix(cc, table.entries)
+    if prefix is None:
+        raise UnknownCountryCode(f"no tier-0 entry for country code {cc!r}")
+    return list(table.entries[prefix])
 
 
 class Delegation(Record):

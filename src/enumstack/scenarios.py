@@ -537,12 +537,6 @@ class Topology:
         """
         return _Step(self, kind, number, detail)
 
-    def _serving(self, digits: str) -> str:
-        sub = self.directory.subscription(digits)
-        if not sub.serving_registrar:
-            raise EnumInactive(f"{digits!r} has no serving registrar")
-        return sub.serving_registrar
-
     def _request(self, src: str, dst: str, kind: str, fields: dict[str, str]):
         response = self.net.request(src, dst, kind, fields)
         if response is None:
@@ -551,15 +545,18 @@ class Topology:
             raise status_error(response.status, response.get("message"))
         return response
 
+    def _ask_serving(self, step: _Step, kind: str, client: str, **fields: str):
+        """(serving registrar, reply) of a *kind* request from
+        ``client:<client>`` to the registrar serving the step's number; the
+        frame's fields are the number, then *fields*."""
+        serving = self.directory.subscription(step.digits).serving_registrar
+        if not serving:
+            raise EnumInactive(f"{step.digits!r} has no serving registrar")
+        fields = {"number": step.digits, **fields}
+        return serving, self._request(f"client:{client}", serving, kind, fields)
+
     def drain(self) -> None:
         self.net.run_until_idle()
-
-    def _owner_of(self, digits: str) -> str:
-        for actor in self.registries.values():
-            delegation = actor.state.delegations.get(digits)
-            if delegation is not None and delegation.owning_registry == actor.state.id:
-                return actor.state.id
-        return ""
 
     # ------------------------------------------------------------ operations
 
@@ -641,12 +638,8 @@ class Topology:
             except (NaptrError, ValueError) as exc:  # ValueError: unknown visibility
                 raise InvalidRecord(str(exc)) from exc
             lines = "\n".join(render_stored_line(r) for r in records)
-            serving = self._serving(step.digits)
-            self._request(
-                f"client:{actor}",
-                serving,
-                PROVISION,
-                {"number": step.digits, "actor": actor, "records": lines, "event": step.event_id},
+            serving, _ = self._ask_serving(
+                step, PROVISION, actor, actor=actor, records=lines, event=step.event_id
             )
             self.drain()
             step.result = {
@@ -676,45 +669,24 @@ class Topology:
             "grant", number,
             user=user, grantee=grantee, rights=rights, scope=scope, grant=grant_id,
         ) as step:
-            serving = self._serving(step.digits)
-            self._request(
-                f"client:{user}",
-                serving,
-                GRANT,
-                {
-                    "number": step.digits,
-                    "user": user,
-                    "grantee": grantee,
-                    "rights": rights,
-                    "scope": scope,
-                    "grant_id": grant_id,
-                    "event": step.event_id,
-                },
+            serving, _ = self._ask_serving(
+                step, GRANT, user, user=user, grantee=grantee, rights=rights, scope=scope,
+                grant_id=grant_id, event=step.event_id,
             )
             step.result = {"registrar": serving}
         return step.detail
 
     def revoke(self, number: str, user: str, grant: str) -> dict[str, str]:
         with self._step("revoke", number, user=user, grant=grant) as step:
-            serving = self._serving(step.digits)
-            self._request(
-                f"client:{user}",
-                serving,
-                REVOKE,
-                {"number": step.digits, "user": user, "grant_id": grant, "event": step.event_id},
+            serving, _ = self._ask_serving(
+                step, REVOKE, user, user=user, grant_id=grant, event=step.event_id
             )
             step.result = {"registrar": serving}
         return step.detail
 
     def get(self, number: str, actor: str, service: str = "*") -> dict[str, str]:
         with self._step("get", number, actor=actor, service=service) as step:
-            serving = self._serving(step.digits)
-            response = self._request(
-                f"client:{actor}",
-                serving,
-                GET,
-                {"number": step.digits, "actor": actor, "service": service},
-            )
+            serving, response = self._ask_serving(step, GET, actor, actor=actor, service=service)
             records = parse_store_lines(response.get("records"))
             step.result = {
                 "registrar": serving,
@@ -763,7 +735,7 @@ class Topology:
                 "state": record.state.value,
                 "warnings": " / ".join(record.warnings),
                 "migrated": render_store_lines(record.migrated or ()),
-                "registry": self._owner_of(step.digits),
+                "registry": record.registry,
             }
         return step.detail
 
@@ -792,7 +764,7 @@ class Topology:
             if record.state is TransferState.RECORDS_MIGRATED:
                 step.result["migrated"] = render_store_lines(record.migrated or ())
             if record.state is TransferState.REGISTRY_UPDATED:
-                step.result["registry"] = self._owner_of(record.number)
+                step.result["registry"] = record.registry
         return step.detail
 
     def dispute_transfer(self, transfer: str, by: str, reason: str = "") -> dict[str, str]:

@@ -7,7 +7,8 @@ percent-escaped so records, URIs and free text pass through unharmed:
 ``%``, ``;``, ``=``, newline and carriage return become ``%25``, ``%3B``,
 ``%3D``, ``%0A`` and ``%0D``; each key and value is escaped on its own.
 A key or value that is not a ``str``, or one holding a lone surrogate, is
-refused as a :class:`WireError` naming the field.
+refused as a :class:`WireError` naming the field, and so is a request id
+that is not an ``int``.
 
 A :class:`Frame` is a slotted :class:`~enumstack._record.Record`,
 compared and printed by its field values. Callers treat it as immutable.
@@ -158,30 +159,29 @@ def encode_frame(frame: Frame) -> bytes:
 
 
 def check_frame(frame: Frame) -> None:
-    """Raise :class:`WireError` when a key or value of *frame* is not a
-    ``str`` or holds a lone surrogate, or when its request id is not a
-    number: the check :func:`encode_frame` runs, without building bytes.
+    """Raise :class:`WireError` when the request id of *frame* is not an
+    ``int``, or when a key or value of it is not a ``str`` or holds a lone
+    surrogate: the check :func:`encode_frame` runs, without building bytes.
 
     Escaping neither adds nor removes a character that fails the join or
     the encoding, so one join of the unescaped text tests the body.
     """
+    if type(frame.req_id) is not int:  # a bool or float would encode as another id
+        raise WireError(f"request id {frame.req_id!r} is not an int")
     fields = frame.fields
     try:
-        text = "".join(
-            [frame.kind, frame.src, frame.dst, "%d" % frame.req_id, *fields, *fields.values()]
-        )
-    except TypeError:
-        raise _non_str_error(frame) from None
-    if not text.isascii():
-        try:
+        text = "".join([frame.kind, frame.src, frame.dst, *fields, *fields.values()])
+        if not text.isascii():
             text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise _surrogate_error(frame) from None
+    except (TypeError, UnicodeEncodeError):
+        raise _field_error(frame) from None
 
 
-def _non_str_error(frame: Frame) -> WireError:
-    """The error for a frame whose text does not join: it names the first
-    key or value that is not a ``str``."""
+def _field_error(frame: Frame) -> WireError:
+    """The error for a frame whose text does not join or does not encode
+    as UTF-8: it names the first key or value that is not a ``str``, else
+    the first that holds a lone surrogate."""
+    surrogate = None
     head = (("kind", frame.kind), ("src", frame.src), ("dst", frame.dst))
     for key, value in (*head, *frame.fields.items()):
         if not (isinstance(key, str) and isinstance(value, str)):
@@ -189,19 +189,12 @@ def _non_str_error(frame: Frame) -> WireError:
                 f"frame field {key!r} must map str to str, not "
                 f"{type(key).__name__} to {type(value).__name__}"
             )
-    return WireError(f"request id {frame.req_id!r} is not a number")
-
-
-def _surrogate_error(frame: Frame) -> WireError:
-    """The error for a frame whose text does not encode as UTF-8: it names
-    the first key or value that holds a lone surrogate."""
-    head = (("kind", frame.kind), ("src", frame.src), ("dst", frame.dst))
-    for key, value in (*head, *frame.fields.items()):
-        try:
-            (key + value).encode("utf-8")
-        except UnicodeEncodeError:
-            break
-    return WireError(f"frame field {key!r} holds a lone surrogate")
+        if surrogate is None:
+            try:
+                (key + value).encode("utf-8")
+            except UnicodeEncodeError:
+                surrogate = key
+    return WireError(f"frame field {surrogate!r} holds a lone surrogate")
 
 
 def decode_frame(data: bytes) -> Frame:

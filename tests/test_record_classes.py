@@ -147,7 +147,8 @@ BUILT = {
         "delegations": {}, "tombstones": {}, "billing_ledger": [], "outbox": [],
         "observed_serials": {},
     },
-    TransferRecord: {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED]},
+    TransferRecord: {"migrated": None, "warnings": [], "history": [TransferState.REQUESTED],
+                     "registry": ""},
     Hop: {"note": ""},
     ResolutionTrace: {"hops": []},
 }
