@@ -146,11 +146,16 @@ def _read_rows(path: Path) -> tuple[dict[str, dict[int, float]], dict[str, str]]
         if len(row) != 4:
             raise MarketError(f"{source}:{lineno}: expected 4 columns")
         metric, unit, year_text, value_text = (cell.strip() for cell in row)
+        # int() and float() alone would also take other digits and "_".
+        if not (year_text.isascii() and year_text.isdigit()):
+            raise MarketError(f"{source}:{lineno}: year {year_text!r} is not ASCII digits")
+        if not value_text.isascii() or "_" in value_text:
+            raise MarketError(f"{source}:{lineno}: value {value_text!r} is not a plain decimal")
         try:
-            year = int(year_text)
             value = float(value_text)
         except ValueError as exc:
             raise MarketError(f"{source}:{lineno}: {exc}") from exc
+        year = int(year_text)
         if not math.isfinite(value):
             raise MarketError(f"{source}:{lineno}: value {value_text!r} is not finite")
         rows.setdefault(metric, {})[year] = value

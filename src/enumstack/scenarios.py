@@ -183,12 +183,28 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _plain(text: str) -> str:
+    """*text*, a number in a script or config, when it is ASCII without
+    ``_``; ValueError otherwise, where int() and float() alone would also
+    take other digits and underscores. A sign stays allowed."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain number")
+    return text
+
+
 def _amount(text: str) -> float:
     """A fee or payment: a finite number >= 0; ValueError otherwise."""
-    amount = float(text)
+    amount = float(_plain(text))
     if not (math.isfinite(amount) and amount >= 0):
         raise ValueError(f"{text!r} is not a finite amount >= 0")
     return amount
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether *text* is a log or state-file integer: the ``str(n)`` of an
+    n >= 0, where int() alone would also take other digits, a space, an
+    underscore, a sign or a leading zero."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -204,7 +220,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not parser.has_section("model") or not parser.has_option("model", "id"):
         raise ScenarioError("scenario config needs [model] id")
     try:
-        model_id = parser.getint("model", "id")
+        model_id = int(_plain(parser.get("model", "id")))
     except ValueError as exc:
         raise ScenarioError(f"bad model id: {exc}") from exc
     if model_id not in MODEL_GRID:
@@ -283,7 +299,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for actor, value in section("faults"):
         start_text, _, end_text = value.partition(":")
         try:
-            window = (int(start_text), int(end_text))
+            window = (int(_plain(start_text)), int(_plain(end_text)))
         except ValueError:
             raise ScenarioError(f"fault window {value!r} is not start:end") from None
         fault_plan.append((configured(actor, actor_ids, "faults"), *window))
@@ -377,6 +393,8 @@ class LogRecord:
         parts = line.split("|", 4)
         if len(parts) != 5 or not parts[1].startswith("t"):
             raise ScenarioError(f"bad log line {line!r}")
+        if not _is_decimal(parts[1][1:]):
+            raise ScenarioError(f"bad tick {parts[1]!r}")
         detail: dict[str, str] = {}
         if parts[4]:
             for chunk in parts[4].split(";"):
@@ -991,7 +1009,7 @@ _STEPS: dict[str, tuple[str, tuple[str, ...], dict[str, str | None]]] = {
 _CONVERTERS: dict[str, Callable[[Any], Any]] = {
     "confirmed": lambda value: value == "1",
     "amount": lambda value: _amount(value) if value else None,
-    "ticks": int,
+    "ticks": lambda value: int(_plain(value)),
 }
 
 

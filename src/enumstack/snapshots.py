@@ -96,7 +96,7 @@ from .registrar import (
     translate_newlines,
 )
 from .registry import Delegation
-from .scenarios import LogRecord, Topology
+from .scenarios import LogRecord, Topology, _is_decimal
 
 V = TypeVar("V")
 
@@ -114,13 +114,14 @@ _GRANT_TAG = "grant|"
 _CRC_CHUNK = 1 << 16
 _SPLIT_CHARS = 1 << 16
 
-_ID_RE = re.compile(r"^[ex](\d+)$")
-_GRANT_ID_RE = re.compile(r"^g(\d+)$")
+_ID_RE = re.compile(r"^[ex]([0-9]+)$")
+_GRANT_ID_RE = re.compile(r"^g([0-9]+)$")
 # A log line that LogRecord.parse accepts as it stands: an event id (its
-# number captured when it is an e<n> or x<n> id), an ASCII-digit tick, a
-# kind, a status and a detail of key=value chunks.
+# number captured when it is an e<n> or x<n> id), a tick in the text str()
+# writes, a kind, a status and a detail of key=value chunks.
 _PLAIN_LOG_LINE = re.compile(
-    r"(?:[ex](\d+)|[^|]*)\|t[0-9]+\|[^|]*\|[^|]*\|(?:[^;=]*=[^;]*(?:;[^;=]*=[^;]*)*)?"
+    r"(?:[ex]([0-9]+)|[^|]*)\|t(?:0|[1-9][0-9]*)\|[^|]*\|[^|]*\|"
+    r"(?:[^;=]*=[^;]*(?:;[^;=]*=[^;]*)*)?"
 )
 
 
@@ -465,10 +466,9 @@ def _delegation(line: str) -> Delegation:
     """The delegation of one ``registry.snap`` line; ValueError naming the
     fault when the line holds none."""
     number, registrar, owner, serial = _fields(line, 4)
-    try:
-        return Delegation(number, intern(registrar), intern(owner), int(serial))
-    except ValueError:
-        raise ValueError(f"bad serial {serial!r}") from None
+    if not _is_decimal(serial):
+        raise ValueError(f"bad serial {serial!r}")
+    return Delegation(number, intern(registrar), intern(owner), int(serial))
 
 
 def _deferred(topology: Topology, path: Path, parse: Callable[[str], V]) -> Callable[[str], V]:

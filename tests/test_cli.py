@@ -358,6 +358,20 @@ class TestStatefulCommands:
         assert code == 2
         assert "subscriptions.snap:1" in err
 
+    def test_log_tick_of_other_digits_exit_2_with_line_number(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        run(capsys, "provision", "+1-315-443-4473",
+            "--actor", "alice", "--record", SIP_RECORD, "--state-dir", str(state))
+        log = state / EVENTS_LOG
+        first, rest = log.read_text(encoding="utf-8").split("\n", 1)
+        event_id, _, tail = first.split("|", 2)
+        log.write_text(f"{event_id}|t٣|{tail}\n{rest}", encoding="utf-8")
+        code, out, err = run(
+            capsys, "scenario", "report", "--report", "log", "--state-dir", str(state)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"SnapshotError: {log}:1: bad tick 't٣'\n"
+
     def test_lock_excludes_concurrent_invocations(self, capsys, tmp_path):
         state = tmp_path / "state"
         state.mkdir()

@@ -162,6 +162,30 @@ class TestTableValidation:
         with pytest.raises(MarketError, match=message):
             loader(path)
 
+    @pytest.mark.parametrize("loader", [load_market_table, load_potential_fixture])
+    @pytest.mark.parametrize(
+        "year, value, message",
+        [
+            ("2_001", "1", "year '2_001' is not ASCII digits"),
+            ("٢٠٠١", "1_5", "year '٢٠٠١' is not ASCII digits"),
+            ("+2001", "1", "year '+2001' is not ASCII digits"),
+            ("2001", "1_5", "value '1_5' is not a plain decimal"),
+            ("2001", "١.5", "value '١.5' is not a plain decimal"),
+            ("2001", "１", "value '１' is not a plain decimal"),
+        ],
+        ids=["year-underscore", "year-arabic-indic", "year-sign", "value-underscore",
+             "value-arabic-indic", "value-fullwidth"],
+    )
+    def test_number_not_written_in_ascii_decimal_rejected(
+        self, loader, year, value, message, tmp_path
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"metric,unit,year,value\nm,u,2000,1\nm,u,{year},{value}\n", encoding="utf-8"
+        )
+        with pytest.raises(MarketError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            loader(path)
+
 
 class TestFixtures:
     def test_potential_inputs_cover_four_columns(self, potential):

@@ -409,14 +409,29 @@ class TestConfig:
         "section",
         ["[faults]\nreg1 = a:b\n", "[faults]\nreg1 = 5\n", "[fees]\nflat_fee = x\n",
          "[fees]\nflat_fee = nan\n", "[fees]\nuser_fee = inf\n", "[fees]\nuser_fee = -2\n",
-         "[tier0]\n\u0662 = R1\n"],
+         "[tier0]\n\u0662 = R1\n", "[fees]\nflat_fee = 1_0\n", "[fees]\nuser_fee = \u0662\n"],
         ids=["fault-not-int", "fault-no-colon", "fee-not-float", "fee-nan", "fee-inf",
-             "fee-negative", "tier0-non-ascii-digit"],
+             "fee-negative", "tier0-non-ascii-digit", "fee-underscore", "fee-non-ascii-digit"],
     )
     def test_bad_number_in_config_is_scenario_error(self, section):
         text = "[model]\nid = 1\n[actors]\nregistries = R1\n" + section
         with pytest.raises(ScenarioError):
             parse_config(text)
+
+    @pytest.mark.parametrize("window", ["\u0663:1_0", "3:1_0", "\u0663:10", "0:\uff15"])
+    def test_fault_window_of_other_digits_or_underscores_is_scenario_error(self, window):
+        text = f"[model]\nid = 1\n[actors]\nregistries = R1\n[faults]\nR1 = {window}\n"
+        with pytest.raises(ScenarioError, match=f"^fault window {window!r} is not start:end$"):
+            parse_config(text)
+
+    def test_a_signed_fault_window_still_parses(self):
+        text = "[model]\nid = 1\n[actors]\nregistries = R1\n[faults]\nR1 = -4:+5\n"
+        assert parse_config(text).fault_plan == (("R1", -4, 5),)
+
+    @pytest.mark.parametrize("model_id", ["\u0661", "0_1"])
+    def test_model_id_of_other_digits_or_underscores_is_scenario_error(self, model_id):
+        with pytest.raises(ScenarioError, match="^bad model id: "):
+            parse_config(f"[model]\nid = {model_id}\n[actors]\nregistries = R1\n")
 
     def test_percent_in_value_is_literal(self):
         text = "[model]\nid = 1\n[actors]\nregistries = R1\nusers = a%b, %(x)s\n"
@@ -534,6 +549,7 @@ class TestEventScripts:
         [
             ("step assign user=alice tsp=tsp1", "ScenarioError"),
             ("step advance ticks=abc", "ScenarioError"),
+            ("step cooperate payer=reg1 tsp=tsp1 amount=1_0", "ScenarioError"),
             ("step cooperate payer=reg1 tsp=tsp1 amount=x", "ScenarioError"),
             ("step cooperate payer=reg1 tsp=tsp1 amount=nan", "ScenarioError"),
             ("step cooperate payer=reg1 tsp=tsp1 amount=inf", "ScenarioError"),
@@ -541,14 +557,23 @@ class TestEventScripts:
             (f"step provision number=+13154434473 actor=alice visibility=secret record={SIP}",
              "InvalidRecord"),
         ],
-        ids=["missing-number", "ticks-not-int", "amount-not-float", "amount-nan", "amount-inf",
-             "amount-negative", "unknown-visibility"],
+        ids=["missing-number", "ticks-not-int", "amount-underscore", "amount-not-float",
+             "amount-nan", "amount-inf", "amount-negative", "unknown-visibility"],
     )
     def test_malformed_step_logged_and_run_continues(self, line, status):
         topology = build_topology(builtin_config(1))
         log = run_events(topology, line + "\nstep advance ticks=2\n")
         assert [rec.status for rec in log.records] == [status, "ok"]
         assert log.records[0].detail["message"]
+
+    @pytest.mark.parametrize("ticks", ["\u0663", "1_0", "\uff13"])
+    def test_ticks_of_other_digits_or_underscores_are_a_logged_bad_argument(self, ticks):
+        topology = build_topology(builtin_config(1))
+        log = run_events(topology, f"step advance ticks={ticks}\nstep advance ticks=-4\n")
+        assert [(rec.status, rec.detail) for rec in log.records] == [
+            ("ScenarioError", {"ticks": ticks, "message": f"bad argument ticks={ticks!r}"}),
+            ("ok", {"ticks": "-4"}),
+        ]
 
     def test_confirm_step_verifies_subscribe(self):
         assign = "step assign number=+13154434473 user=alice tsp=tsp1\n"
@@ -799,6 +824,47 @@ def test_replication_run_matches_golden_digests(model):
         topology.state_hash(),
         sha(replica_lines(topology)),
     ) == GOLDEN_REPLICATION[model]
+
+
+def owning_registry(topology, digits):
+    """The registry that holds *digits*' delegation as its own, by a scan
+    of every registry: an oracle apart from the CHANGE reply a transfer
+    logs as its registry."""
+    for actor in topology.registries.values():
+        delegation = actor.state.delegations.get(digits)
+        if delegation is not None and delegation.owning_registry == actor.state.id:
+            return actor.state.id
+    return ""
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_GRID))
+@pytest.mark.parametrize(
+    "script", ["EXTENDED_EVENTS", "REPLICATION_EVENTS", "TRANSFER_FAULT_EVENTS"]
+)
+def test_a_transfer_logs_the_registry_that_owns_the_delegation(model, script):
+    topology = build_topology(builtin_config(model), seed=0)
+    seen = []  # (logged registry, owner when the step returned)
+
+    def checked(method):
+        def step(*args, **kwargs):
+            detail = method(*args, **kwargs)
+            if "registry" in detail:
+                seen.append((detail["registry"], owning_registry(topology, detail["number"])))
+            return detail
+        return step
+
+    topology.transfer = checked(topology.transfer)
+    topology.step_transfer = checked(topology.step_transfer)
+    log = run_events(topology, canonical_events() + globals()[script])
+    logged = [
+        rec.detail["registry"] for rec in log.records
+        if rec.ok and (
+            rec.kind == "transfer"
+            or (rec.kind == "transfer_step" and rec.detail["state"] == "RegistryUpdated")
+        )
+    ]
+    assert logged and [registry for registry, _ in seen] == logged
+    assert all(registry == owner != "" for registry, owner in seen)
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_WIRE))

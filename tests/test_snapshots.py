@@ -5,6 +5,7 @@ import shutil
 import tempfile
 import types
 import zlib
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,47 @@ def test_corrupt_events_log_reports_line(tmp_path):
     assert "bad log detail 'number'" in str(excinfo.value)
 
 
+# Ticks and serials are the text str(n) writes for an n >= 0; int() alone
+# would take each of these.
+NOT_DECIMAL = ["٣", "1_0", " 5", "+5", "-1", "07"]
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_a_log_tick_not_in_decimal_form_is_an_error_naming_its_line(text, tmp_path):
+    topology = populated()
+    save_state(topology, tmp_path)
+    append_log(tmp_path, topology.log)
+    with open(tmp_path / EVENTS_LOG, "a", encoding="utf-8") as handle:
+        handle.write(f"e99|t{text}|assign|ok|number=1\n")
+    message = f"{tmp_path / EVENTS_LOG}:{len(topology.log) + 1}: bad tick 't{text}'"
+    for read in (read_log, partial(read_log, kinds=VALUE_FLOW_KINDS), counters_by_load):
+        with pytest.raises(SnapshotError) as excinfo:
+            read(tmp_path)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_a_serial_not_in_decimal_form_is_an_error_naming_its_line(text, tmp_path):
+    topology = populated()
+    save_state(topology, tmp_path)
+    (tmp_path / REGISTRY_SNAP).write_text(
+        f"13154434473|reg1|R1|1\n13154434474|reg1|R1|{text}\n", encoding="utf-8"
+    )
+    with pytest.raises(SnapshotError) as excinfo:
+        load_state(build_topology(builtin_config(1), seed=0), tmp_path)
+    assert str(excinfo.value) == f"{tmp_path / REGISTRY_SNAP}:2: bad serial {text!r}"
+
+
+def test_an_id_of_other_digits_numbers_no_event_transfer_or_grant(tmp_path):
+    (tmp_path / EVENTS_LOG).write_text(
+        "e2|t0|assign|ok|\n"
+        "e٩|t1|transfer|ok|transfer=x٩\n"
+        "e3|t2|grant|ok|grant=g٩\n",
+        encoding="utf-8",
+    )
+    assert counters_by_load(tmp_path) == (3, 0, 0)
+
+
 def test_corrupt_registrar_record_reports_line(tmp_path):
     topology = populated()
     save_state(topology, tmp_path)
@@ -401,8 +443,9 @@ def test_read_state_text_translates_line_endings(tmp_path):
 
 # ---------------------------------------------------------------- id counters from the log
 
-_ID_RE = re.compile(r"^[ex](\d+)$")
-_GRANT_ID_RE = re.compile(r"^g(\d+)$")
+# ASCII digits only: an id such as e٣ numbers no event.
+_ID_RE = re.compile(r"^[ex]([0-9]+)$")
+_GRANT_ID_RE = re.compile(r"^g([0-9]+)$")
 
 
 def counters_by_read_log(state_dir):
@@ -458,7 +501,9 @@ def assert_counters_match(text):
 
 
 _ids = st.sampled_from(["e1", "e07", "x3", "e12", "g4", "", "e", "e1a", "ex2", "E5", "e٣"])
-_ticks = st.sampled_from(["t0", "t15", "t", "t٣", "t-1", "t 5", "t1_0", "tx", "5", "t+2"])
+_ticks = st.sampled_from(
+    ["t0", "t15", "t", "t٣", "t-1", "t 5", "t1_0", "tx", "5", "t+2", "t07", "t00"]
+)
 _words = st.sampled_from(
     ["ok", "assign", "transfer", "grant", "subscribe", "NoDelegation", "", "a b"]
 )

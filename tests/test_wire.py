@@ -110,6 +110,28 @@ def test_a_lone_surrogate_is_a_wire_error_naming_the_field():
         assert net.pending() == 0
 
 
+@pytest.mark.parametrize("req_id", [1.5, True])
+def test_a_request_id_that_is_not_an_int_is_refused(req_id):
+    # "%d" would write 1.5 as req=1 and True as req=1.
+    frame = Frame(kind="GET", src="a", dst="b", req_id=req_id)
+    message = f"^{re.escape(f'request id {req_id!r} is not an int')}$"
+    with pytest.raises(WireError, match=message):
+        check_frame(frame)
+    with pytest.raises(WireError, match=message):
+        encode_frame(frame)
+    net = Network()
+    net.next_req_id = lambda: req_id
+    with pytest.raises(WireError, match=message):
+        net.post("a", "b", "GET", {"number": "13154434473"})
+    assert net.pending() == 0
+
+
+def test_the_first_non_str_field_is_named_before_an_earlier_lone_surrogate():
+    frame = Frame(kind="GET", src="a\udcff", dst="b", req_id=1, fields={"n": 5})
+    with pytest.raises(WireError, match="^frame field 'n' must map str to str, not str to int$"):
+        check_frame(frame)
+
+
 def refusal(call, frame):
     """The message of the WireError *call* raises for *frame*, or None."""
     try:
@@ -132,7 +154,7 @@ wire_items = (
 @settings(max_examples=300)
 @given(
     src=wire_items,
-    req_id=st.integers() | st.none() | st.just("7"),
+    req_id=st.integers() | st.none() | st.just("7") | st.just(1.5) | st.booleans(),
     fields=st.dictionaries(
         wire_items.filter(lambda k: k not in ("kind", "src", "dst", "req", "resp")),
         wire_items, max_size=4,
