@@ -11,6 +11,8 @@ from enumstack.wire import encode_frame
 from test_scenarios import GOLDEN, GOLDEN_INVARIANTS, GOLDEN_WIRE
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay_digests.py"
+# sha256 of the canonical model-1 seed-0 log with each line's tick removed.
+CANONICAL_STEPS = "6e9354b0c36e1a81f02301fd6947b8cac9fd2c76eb8ef59faec882f78028f9f2"
 
 
 def load_tool():
@@ -32,6 +34,7 @@ def test_one_replay_line_carries_the_golden_digests(monkeypatch):
     assert fields["log"] == GOLDEN[1][0]
     assert fields["invariants"] == GOLDEN_INVARIANTS
     assert fields["wire"] == GOLDEN_WIRE[1]
+    assert fields["steps"] == CANONICAL_STEPS
 
 
 def test_state_dir_lines_cover_every_call_and_state_file():

@@ -6,8 +6,11 @@ Runs the package found under ``<repo>/src`` and prints, for models 1-6,
 seeds 0-9 and each script (the canonical script alone, and followed by
 each extra script pinned in this checkout's ``tests/test_scenarios.py``),
 one line with the sha256 of the log bytes, ``state_hash()``, the sha256 of
-the invariant report, the final clock and the sha256 of the wire bytes
-of every frame the network popped, in pop order. Two small model-6 churn runs from
+the invariant report, the final clock, the sha256 of the wire bytes of
+every frame the network popped, in pop order, and ``steps=``: the sha256 of
+the log bytes with each line's ``|t<n>|`` field removed. A change that only
+adds frames moves the ticks, so ``log=`` moves while ``steps=`` shows that
+no step's outcome did. Two small model-6 churn runs from
 ``<repo>/bench/inputs.py`` follow. Last, the ``cli_state`` mix of
 command-line calls runs through ``enumstack.cli.main`` on a model-4 state
 directory holding the demo's two numbers and STATE_NUMBERS more, with one
@@ -37,6 +40,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,6 +87,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_TICK = re.compile(r"\|t[0-9]+\|")
+
+
+def steps_digest(log) -> str:
+    """The sha256 of *log*'s bytes with each line's tick field removed."""
+    lines = [_TICK.sub("|", line, count=1) for line in log.render_lines()]
+    return sha(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 class WireRecorder:
     """Hashes the bytes of every frame any ``Network`` pops.
 
@@ -116,7 +129,7 @@ def digest_line(es, wire: WireRecorder, label: str, topology, log) -> str:
     return (
         f"{label} log={sha(log.render_bytes())} state={topology.state_hash()}"
         f" invariants={sha(chr(10).join(report.render_lines()).encode('utf-8'))}"
-        f" clock={topology.net.clock} wire={wire.take()}"
+        f" clock={topology.net.clock} wire={wire.take()} steps={steps_digest(log)}"
     )
 
 
