@@ -66,6 +66,7 @@ from .wire import (
     SUBSCRIBE,
     TRANSFER_DISPUTE,
     TRANSFER_INIT,
+    TRANSFER_STEP,
 )
 
 
@@ -696,13 +697,6 @@ class RegistrarActor:
         record._advance(TransferState.COMPLETE)
         return record
 
-    def finish_transfer(self, transfer_id: str, net: Network, event: str = "") -> TransferRecord:
-        """Step an open transfer until it completes or is disputed."""
-        while True:
-            record = self.step_transfer(transfer_id, net, event=event)
-            if record.finished:
-                return record
-
     def dispute_transfer(
         self, old_registrar: str, transfer_id: str, reason: str, net: Network
     ) -> TransferRecord:
@@ -826,6 +820,13 @@ class RegistrarActor:
                 return frame.ok_reply()
             record = self.begin_transfer(frame.get("user"), number, frame.get("transfer"))
             return frame.ok_reply(transfer=record.transfer_id, state=record.state.value)
+        if frame.kind == TRANSFER_STEP:
+            # Only from the state the client saw, so a retry whose first
+            # attempt took the step is told the state it reached.
+            record = self.transfers.get(frame.get("transfer"))
+            if record is None or record.state.value == frame.get("state"):
+                record = self.step_transfer(frame.get("transfer"), net, event=frame.get("event"))
+            return frame.ok_reply(state=record.state.value)
         if frame.kind == TRANSFER_DISPUTE:
             record = self.dispute_transfer(
                 frame.get("by"), frame.get("transfer"), frame.get("reason"), net

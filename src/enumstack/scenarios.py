@@ -47,6 +47,7 @@ from .registrar import (
     Party,
     RegistrarActor,
     Role,
+    TransferRecord,
     TransferState,
     _check_storable,
     parse_store_lines,
@@ -66,6 +67,7 @@ from .wire import (
     TIER0_ID,
     TRANSFER_DISPUTE,
     TRANSFER_INIT,
+    TRANSFER_STEP,
     _escape,
     _unescape,
 )
@@ -740,13 +742,20 @@ class Topology:
                 return actor
         raise ScenarioError(f"unknown transfer {transfer!r}")
 
+    def _request_step(self, step: _Step, record: TransferRecord) -> None:
+        """A ``TRANSFER_STEP`` from the transfer's subscriber to its
+        registrar, taken from the state *record* is in."""
+        fields = {"transfer": record.transfer_id, "state": record.state.value,
+                  "event": step.event_id}
+        self._request(f"client:{record.user}", record.to_registrar, TRANSFER_STEP, fields)
+
     def transfer(self, number: str, user: str, to: str) -> dict[str, str]:
         """Run the whole registrar-change state machine."""
         with self._step("transfer", number, user=user, to=to) as step:
             opened = self._open_transfer(step, user, to)
-            record = self.registrars[to].finish_transfer(
-                opened["transfer"], self.net, event=step.event_id
-            )
+            record = self.registrars[to].transfers[opened["transfer"]]
+            while not record.finished:
+                self._request_step(step, record)
             self.drain()
             step.result = {
                 **opened,
@@ -768,9 +777,8 @@ class Topology:
 
     def step_transfer(self, transfer: str) -> dict[str, str]:
         with self._step("transfer_step", transfer=transfer) as step:
-            record = self._transfer_actor(transfer).step_transfer(
-                transfer, self.net, event=step.event_id
-            )
+            record = self._transfer_actor(transfer).transfers[transfer]
+            self._request_step(step, record)
             self.drain()
             step.result = {
                 "state": record.state.value,

@@ -44,6 +44,7 @@ GET = "GET"
 GRANT = "GRANT"
 REVOKE = "REVOKE"
 TRANSFER_INIT = "TRANSFER_INIT"
+TRANSFER_STEP = "TRANSFER_STEP"
 TRANSFER_DISPUTE = "TRANSFER_DISPUTE"
 DISCONNECT = "DISCONNECT"
 MIGRATE_REQ = "MIGRATE_REQ"

@@ -30,7 +30,7 @@ from enumstack.registrar import (
 from enumstack.registry import RegistryActor, RegistryState
 from enumstack.scenarios import build_topology, builtin_config, canonical_events, run_events
 from enumstack.simulator import DROPPED, Network
-from enumstack.wire import GET, MIGRATE_REQ, TRANSFER_INIT
+from enumstack.wire import GET, MIGRATE_REQ, TRANSFER_INIT, TRANSFER_STEP
 
 NUM = "13154434473"
 SIP = '100 10 "u" "E2U+sip" "!^.*$!sip:user@example.com!" .'
@@ -327,11 +327,19 @@ class TestTransfer:
         rig.provision(MAILTO, visibility=Visibility.RESTRICTED)
         return rig
 
-    def run_transfer(self, rig):
-        rig.b.begin_transfer("alice", NUM, "x1")
-        record = rig.b.finish_transfer("x1", rig.net)
+    def finish(self, rig, transfer="x1"):
+        """Step *transfer* at T2b by TRANSFER_STEP frames until it ends."""
+        record = rig.b.transfers[transfer]
+        while not record.finished:
+            fields = {"transfer": transfer, "state": record.state.value, "event": ""}
+            reply = rig.net.request("client:alice", "T2b", TRANSFER_STEP, fields)
+            assert reply is not None and reply.ok and reply.get("state") == record.state.value
         rig.net.run_until_idle()
         return record
+
+    def run_transfer(self, rig):
+        rig.b.begin_transfer("alice", NUM, "x1")
+        return self.finish(rig)
 
     def test_healthy_transfer_moves_everything(self):
         rig = self.ready_rig()
@@ -386,7 +394,7 @@ class TestTransfer:
         rig = self.ready_rig()
         rig.net.set_offline("T2a")
         rig.b.begin_transfer("alice", NUM, "x1")
-        record = rig.b.finish_transfer("x1", rig.net)
+        record = self.finish(rig)
         assert record.state is TransferState.COMPLETE
         assert record.migrated is None  # MIGRATE_REQ got no answer
         assert rig.b.store[NUM] == []
