@@ -230,6 +230,14 @@ def cmd_step(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def integer(text: str) -> int:
+    """A ``--model`` or ``--seed`` value, read as scripts read numbers:
+    ASCII and no ``_``, a sign allowed."""
+    from .scenarios import _plain  # here, so that market report loads no topology code
+
+    return int(_plain(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enumstack",
@@ -240,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_topology_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario-file", help="scenario config file")
-        p.add_argument("--model", type=int, help="built-in model fixture (1-6)")
-        p.add_argument("--seed", type=int, default=0, help="simulator seed")
+        p.add_argument("--model", type=integer, help="built-in model fixture (1-6)")
+        p.add_argument("--seed", type=integer, default=0, help="simulator seed")
 
     p = sub.add_parser("resolve", help="resolve a number to URIs")
     p.add_argument("number")
@@ -256,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = scenario_sub.add_parser("run", help="run an event script on a model")
     p.add_argument("--config", help="scenario config file")
-    p.add_argument("--model", type=int, help="built-in model fixture (1-6)")
+    p.add_argument("--model", type=integer, help="built-in model fixture (1-6)")
     p.add_argument("--script", help="event script (default: canonical)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument(
         "--report",
         choices=("invariants", "valueflow", "log"),

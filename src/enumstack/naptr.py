@@ -177,12 +177,13 @@ def parse_record(text: str, visibility: Visibility = Visibility.PUBLIC) -> Naptr
             int(order), int(preference), flags, service, regexp, replacement, visibility
         )
     order, preference, flags, service, regexp, replacement = _tokenize(text)
-    try:
-        order = int(order)
-        preference = int(preference)
-    except ValueError as exc:
-        raise BadInteger(f"bad integer field in {text!r}") from exc
-    return NaptrRecord(order, preference, flags, service, regexp, replacement, visibility)
+    # ASCII digits, leading zeros allowed as in a zone file; int() alone
+    # would also take other digits, a sign, spaces and underscores.
+    if not (order.isascii() and order.isdigit() and preference.isascii() and preference.isdigit()):
+        raise BadInteger(f"bad integer field in {text!r}")
+    return NaptrRecord(
+        int(order), int(preference), flags, service, regexp, replacement, visibility
+    )
 
 
 def _tokenize(text: str) -> tuple[str, ...]:

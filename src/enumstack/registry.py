@@ -29,7 +29,7 @@ from .errors import (
 )
 from .registrar import RecordStore
 from .simulator import Network
-from .wire import CHANGE, Frame, LOOKUP, PEER_UPDATE, REGISTER
+from .wire import CHANGE, Frame, LOOKUP, PEER_UPDATE, REGISTER, _is_decimal
 
 RegistryId = str
 RegistrarId = str
@@ -326,18 +326,15 @@ class RegistryActor:
                 serial=str(delegation.serial),
             )
         if frame.kind == PEER_UPDATE:
-            try:
-                serial = int(frame.get("serial", "0"))
-            except ValueError:
-                raise WireError(
-                    f"{PEER_UPDATE} serial {frame.get('serial')!r} is not an integer"
-                ) from None
+            serial = frame.get("serial", "0")
+            if not _is_decimal(serial):
+                raise WireError(f"{PEER_UPDATE} serial {serial!r} is not an integer")
             update = PeerUpdate(
                 delegation=Delegation(
                     number=number,
                     registrar=frame.get("registrar"),
                     owning_registry=frame.get("owner"),
-                    serial=serial,
+                    serial=int(serial),
                 ),
                 kind=frame.get("update_kind", CHANGED),
             )

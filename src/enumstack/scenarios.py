@@ -69,6 +69,7 @@ from .wire import (
     TRANSFER_INIT,
     TRANSFER_STEP,
     _escape,
+    _is_decimal,
     _unescape,
 )
 
@@ -200,13 +201,6 @@ def _amount(text: str) -> float:
     if not (math.isfinite(amount) and amount >= 0):
         raise ValueError(f"{text!r} is not a finite amount >= 0")
     return amount
-
-
-def _is_decimal(text: str) -> bool:
-    """Whether *text* is a log or state-file integer: the ``str(n)`` of an
-    n >= 0, where int() alone would also take other digits, a space, an
-    underscore, a sign or a leading zero."""
-    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -96,7 +96,8 @@ from .registrar import (
     translate_newlines,
 )
 from .registry import Delegation
-from .scenarios import LogRecord, Topology, _is_decimal
+from .scenarios import LogRecord, Topology
+from .wire import _is_decimal
 
 V = TypeVar("V")
 

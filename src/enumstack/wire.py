@@ -58,6 +58,13 @@ _RESERVED = frozenset(("kind", "src", "dst", "req", "resp"))
 STATUS_OK = "ok"
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether *text* is an integer as a log, a state file or a frame field
+    writes it: the ``str(n)`` of an n >= 0, where int() alone would also
+    take other digits, a space, an underscore, a sign or a leading zero."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
+
+
 def _escape(value: str) -> str:
     if not (
         "%" in value or ";" in value or "=" in value or "\n" in value or "\r" in value

@@ -136,6 +136,24 @@ class TestScenario:
         assert code == 2
         assert err == f"InvalidModelCombination: model id {model} not in 1..6\n"
 
+    # Read as scripts read numbers, not as int() does: model 1 at seed 10.
+    @pytest.mark.parametrize("argv", [
+        ("scenario", "run", "--model", "\u0661"),
+        ("scenario", "run", "--model", "1", "--seed", "1_0"),
+        ("scenario", "run", "--model", "\u0661", "--seed", "1_0"),
+        ("resolve", "+13154434473", "--model", "1_0"),
+        ("resolve", "+13154434473", "--seed", "\u0663"),
+    ])
+    def test_model_or_seed_of_other_digits_or_underscores_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
+    def test_a_signed_seed_still_runs(self, capsys):
+        code, out, _ = run(capsys, "scenario", "run", "--model", "1", "--seed", "-3")
+        assert code == 0 and out
+
     def test_same_seed_identical_stdout(self, capsys):
         _, first, _ = run(
             capsys, "scenario", "run", "--model", "2", "--seed", "5", "--report", "log"

@@ -78,6 +78,19 @@ class TestParseRecord:
         with pytest.raises(BadInteger):
             parse_record('70000 10 "u" "E2U+sip" "!a!b!" .')
 
+    # int() would read each of these as 100, so the record would be stored
+    # and logged as "100 10 ...".
+    @pytest.mark.parametrize("order", ["\u0661\u0660\u0660", "1_00", "+100", '" 100"'])
+    def test_an_integer_not_in_ascii_digits_is_refused(self, order):
+        with pytest.raises(BadInteger):
+            parse_record(f'{order} 10 "u" "E2U+sip" "!^.*$!sip:a@b!" .')
+        with pytest.raises(BadInteger):
+            parse_record(f'100 {order} "u" "E2U+sip" "!^.*$!sip:a@b!" .')
+
+    def test_leading_zeros_stay_allowed(self):
+        record = parse_record('0100 010 "u" "E2U+sip" "!^.*$!sip:a@b!" .')
+        assert (record.order, record.preference) == (100, 10)
+
     def test_bad_delimiter(self):
         with pytest.raises(BadDelimiter):
             parse_record('100 10 "u" "E2U+sip" "!only-one-delim" .')
@@ -318,13 +331,10 @@ def oracle_parse_record(text, visibility=Visibility.PUBLIC):
     for idx in (2, 3, 4):
         if not tokens[idx][1]:
             raise FieldCount("unquoted")
-    try:
-        order = int(tokens[0][0])
-        preference = int(tokens[1][0])
-    except ValueError:
-        raise BadInteger("bad integer") from None
+    if not all(re.fullmatch("[0-9]+", text) for text, _ in tokens[:2]):
+        raise BadInteger("bad integer")
     return NaptrRecord(
-        order=order, preference=preference, flags=tokens[2][0], service=tokens[3][0],
+        order=int(tokens[0][0]), preference=int(tokens[1][0]), flags=tokens[2][0], service=tokens[3][0],
         regexp=tokens[4][0], replacement=tokens[5][0], visibility=visibility,
     )
 

@@ -18,6 +18,7 @@ from enumstack.scenarios import (
     parse_events,
     run_events,
 )
+from enumstack.simulator import DROPPED
 from enumstack.wire import encode_frame
 
 from test_snapshots import LINE_SEPARATORS
@@ -282,6 +283,67 @@ def test_a_failed_repoint_names_the_parked_transfer_and_keeps_the_lock(model):
     assert topology.log[-1].detail["state"] == "Complete"
     assert open_transfers(topology) == {}
     assert lost_records(topology) == [] and red(topology) == {}
+
+
+_BOB_SIP = '110 10 "u" "E2U+sip" "!^.*$!sip:bob@late.example!" .'
+# Each write kind after the canonical script: (steps that ready it, the
+# step, the registrar the step's request goes to). Alice's and carol's
+# numbers are served by reg1, bob's by reg2; g1 is alice's grant.
+WRITE_STEPS = {
+    "subscribe": (
+        "step assign number=+1-315-443-4476 user=alice tsp=tsp1\n",
+        "step subscribe number=+13154434476 user=alice registrar=reg2 token=auto\n",
+        "reg2",
+    ),
+    "provision": ("", f"step provision number=+13154434474 actor=bob record={_BOB_SIP}\n", "reg2"),
+    "grant": ("", "step grant number=+13154434474 user=bob grantee=asp1 rights=access\n", "reg2"),
+    "revoke": ("", "step revoke number=+13154434473 user=alice grant=g1\n", "reg1"),
+    "transfer_begin": ("", _BEGIN, "reg2"),
+    # From RecordsMigrated, so the step would repoint the number.
+    "transfer_step": (_BEGIN + _STEP * 2, _STEP, "reg2"),
+    "transfer": ("", "step transfer number=+13154434474 user=bob to=reg1\n", "reg1"),
+    # In RegistryUpdated, so the dispute would roll the number back.
+    "dispute": (_BEGIN + _STEP * 3, "step dispute transfer=x1 by=reg1\n", "reg2"),
+    "disconnect": ("", "step disconnect number=+13154434475 user=carol kind=enum_only\n", "reg1"),
+}
+
+
+def transfer_states(topology):
+    return {t: r.state for a in topology.registrars.values() for t, r in a.transfers.items()}
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_GRID))
+@pytest.mark.parametrize("kind", sorted(WRITE_STEPS))
+def test_an_offline_registrar_takes_no_step(kind, model):
+    ready, step, registrar = WRITE_STEPS[kind]
+    online, _ = run_model(model, canonical_events() + ready + step)
+    assert (online.log[-1].kind, online.log[-1].status) == (kind, "ok")
+    topology, _ = run_model(model, canonical_events() + ready + f"step offline actor={registrar}\n")
+    before = (topology.state_hash(), transfer_states(topology))
+    run_events(topology, step)
+    assert (topology.log[-1].kind, topology.log[-1].status) == (kind, "HopTimeout")
+    assert (topology.state_hash(), transfer_states(topology)) == before
+
+
+def test_a_lost_transfer_step_reply_takes_at_most_one_state():
+    """The retry of a TRANSFER_STEP whose reply was lost is told the state
+    the first attempt reached, and takes no second step."""
+    retried = []
+    for w in range(2, 39):
+        topology, _ = run_model(
+            1, canonical_events() + "step transfer_begin number=+13154434474 user=bob to=reg1\n"
+        )
+        record = topology.registrars["reg1"].transfers["x1"]
+        clock = topology.net.clock
+        topology.net.add_fault_window("client:bob", clock + 1, clock + w)
+        run_events(topology, "step transfer_step transfer=x1\n")
+        assert [state.value for state in record.history] == ["Requested", "OldNotified"], w
+        step = topology.log[-1]
+        if step.ok:
+            assert step.detail["state"] == "OldNotified"
+            if topology.net.counts.get(("TRANSFER_STEP", DROPPED)):
+                retried.append(w)
+    assert retried  # some reply was lost and the retry answered
 
 
 # The fault paths above, one after another on the canonical numbers, for
