@@ -3,7 +3,11 @@
 A registrar hosts the complete NAPTR set for each number it serves,
 enforces user-granted access rights over provisioning and reads, runs the
 registrar-change (transfer) state machine against the old registrar and
-the registry, and implements the two disconnect flavors.
+the registry, and implements the two disconnect flavors. It acts only on
+a frame it receives, so an offline registrar takes no step: each client
+write, a transfer's steps included (``TRANSFER_STEP``), is one request to
+:meth:`RegistrarActor.handle_frame`. A ``TRANSFER_STEP`` takes the next
+state only from the state it names, so a retried step takes no second.
 
 Subscriptions, number assignments and the lock of each number under
 transfer live in a shared :class:`Directory`: the simulator is
